@@ -1,0 +1,8 @@
+"""Make the checkout's ``uniformq`` and the benchmark modules importable."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path[:0] = [os.path.join(os.path.dirname(BENCH), "src"), BENCH]

@@ -16,16 +16,13 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import cached_property
 
 import click
 
-from .candidate import (
-    SearchResult,
-    candidate_search,
-    dual_diagonal,
-    verify_tridiagonal,
-)
+from .candidate import candidate_search, dual_diagonal, verify_tridiagonal
 from .generators import FormSpec, SizeCapError, dual_polar, hamming, hypercube
 from .graphs import (
     bfs_context,
@@ -110,8 +107,10 @@ def _parse_theta(text: str) -> tuple[Fraction, Fraction]:
         parts = [Fraction(p.strip()) for p in text.split(",")]
     except (ValueError, ZeroDivisionError):
         _fail_usage(f"cannot parse theta pair {text!r}")
-    if len(parts) != 2:
-        _fail_usage("theta must be two comma-separated rationals, e.g. '-1,0'")
+    if len(parts) != 2 or parts[0] == parts[1]:
+        _fail_usage(
+            "theta must be two distinct comma-separated rationals, e.g. '-1,0'"
+        )
     return parts[0], parts[1]
 
 
@@ -181,26 +180,159 @@ def fb(input, base, out) -> None:
         click.echo(text, nl=False)
 
 
-def _context_or_usage(g, base, require_bipartite: bool = False):
-    try:
-        ctx = bfs_context(g, base)
-        split = lfr_split(g, ctx)
-    except ValueError as exc:
-        _fail_usage(str(exc))
-    if require_bipartite and not split.is_bipartite():
+class _Instance:
+    """One graph and base vertex; every artifact of the certificate
+    chain is computed on first use and at most once.  The subcommands
+    are views that assemble their reports from it.  A property that
+    raises is not cached, so a view reads it once."""
+
+    def __init__(self, g, base: int, params_file=None,
+                 theta=(Fraction(-1), Fraction(0))):
+        try:
+            self.ctx = bfs_context(g, base)
+            self.split = lfr_split(g, self.ctx)
+        except ValueError as exc:
+            _fail_usage(str(exc))
+        self.params_file = params_file
+        self.theta = theta
+
+    def levels_report(self) -> dict:
+        return {
+            "epsilon": self.ctx.eccentricity,
+            "levels": [len(lv) for lv in self.ctx.levels],
+        }
+
+    @cached_property
+    def adjacency(self):
+        return self.ctx.graph.adjacency_matrix()
+
+    @cached_property
+    def constant(self):
+        return fit_uniform_constant(self.split)
+
+    @cached_property
+    def fit(self):
+        return fit_uniform(self.split)
+
+    @cached_property
+    def params(self):
+        """The parameter file's structure, else the constant fit, else
+        the per-level fit; None when no uniform structure exists.  An
+        unreadable parameter file, one whose length is not the
+        eccentricity, and a graph too small to fit are usage errors."""
+        path, eps = self.params_file, self.ctx.eccentricity
+        if path is None:
+            try:
+                return self.constant if self.constant is not None else self.fit.canonical
+            except ValueError as exc:
+                _fail_usage(str(exc))
+        try:
+            with open(path) as fh:
+                params = UniformParams.from_json(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError,
+                ZeroDivisionError) as exc:
+            _fail_usage(f"bad parameter file {path}: {exc}")
+        if params.eps != eps:
+            _fail_usage(f"bad parameter file {path}: parameter length "
+                        f"{params.eps} != eccentricity {eps}")
+        return params
+
+    @property
+    def source(self):
+        """Which fit gave the parameters; None for a parameter file."""
+        if self.params_file is None:
+            return "fit-constant" if self.constant is not None else "fit-per-level"
+
+    @cached_property
+    def check(self):
+        return verify_uniform(self.split, self.params)
+
+    @cached_property
+    def search(self):
+        return candidate_search(self.params, *self.theta)
+
+    @cached_property
+    def astar(self):
+        return dual_diagonal(self.ctx, self.search.candidate.theta_star)
+
+    @cached_property
+    def candidate(self) -> dict:
+        """The search report; an accepted candidate also carries its
+        exact tridiagonal-relation check as ``verified``."""
+        report = self.search.to_json()
+        if self.search.accepted:
+            c = self.search.candidate
+            report["verified"] = verify_tridiagonal(
+                self.adjacency, self.astar, c.beta, c.gamma, c.rho
+            ).holds
+        return report
+
+    @cached_property
+    def modules(self):
+        return decompose_modules(self.split, self.params)
+
+    @cached_property
+    def spectrum(self):
+        return spectrum_exact(self.adjacency, self.split.is_bipartite())
+
+    @cached_property
+    def eigenspaces(self):
+        return eigenspace_bases(self.adjacency, self.spectrum)
+
+    @cached_property
+    def pattern(self):
+        return idempotent_pattern(self.eigenspaces, self.astar)
+
+    def orderings(self, ordering_name: str) -> tuple[list, bool]:
+        """Check the requested orderings; with "both", natural is the
+        negative control and does not count towards the verdict."""
+        both = ordering_name == "both"
+        reports = []
+        ok = True
+        for name in _ORDERINGS if both else [ordering_name]:
+            negative_control = both and name == "natural"
+            rep = check_q_ordering(self.eigenspaces, self.astar,
+                                   _ORDERINGS[name](self.eigenspaces),
+                                   self.pattern)
+            reports.append(dict(rep.to_json(), name=name,
+                                negative_control=negative_control))
+            if not negative_control and not rep.tridiagonal:
+                ok = False
+        return reports, ok
+
+
+_ORDERINGS = {
+    "even-odd": even_odd_ordering,
+    "odd-even": odd_even_ordering,
+    "natural": natural_ordering,
+}
+
+_EPS_SKIP = "candidate synthesis needs eccentricity >= 3, have {}"
+
+
+def _open(input, base, params_file=None, theta="-1,0") -> _Instance:
+    """The instance of a bipartite graph file; anything else is a usage
+    error."""
+    inst = _Instance(_load_graph(input), base, params_file,
+                     _parse_theta(theta))
+    if not inst.split.is_bipartite():
         _fail_usage(
             "this command requires a bipartite graph; apply the full "
             "bipartite transform first (uniformq fb)"
         )
-    return ctx, split
+    return inst
 
 
-def _load_params(path: str) -> UniformParams:
-    try:
-        with open(path) as fh:
-            return UniformParams.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
-        _fail_usage(f"bad parameter file {path}: {exc}")
+def _candidate_section(inst: _Instance) -> dict:
+    """The candidate report, or why synthesis was skipped."""
+    eps = inst.ctx.eccentricity
+    if eps < 3:
+        return {"skipped": _EPS_SKIP.format(eps)}
+    if inst.params is None:
+        return {"skipped": "no uniform structure exists"}
+    if not inst.check.passed:
+        return {"skipped": "uniform parameters do not verify"}
+    return inst.candidate
 
 
 @main.command()
@@ -216,49 +348,32 @@ def uniform(input, base, fit_requested, params_file, out, as_json) -> None:
     """Fit or verify a uniform structure."""
     if fit_requested and params_file:
         _fail_usage("--fit and --verify are mutually exclusive")
-    g = _load_graph(input)
-    ctx, split = _context_or_usage(g, base, require_bipartite=True)
-    report = {
-        "epsilon": ctx.eccentricity,
-        "levels": [len(lv) for lv in ctx.levels],
-    }
-    failed = False
-    try:
-        if params_file:
-            params = _load_params(params_file)
-            check = verify_uniform(split, params)
-            report["uniform"] = dict(params.to_json(), verified=check.passed)
-            if not check.passed:
-                report["uniform"]["failed_level"] = check.level
-                report["uniform"]["witness_vertex"] = check.witness
-                failed = True
-        else:
-            fit = fit_uniform(split)
-            constant = fit_uniform_constant(split)
-            chosen = constant if constant is not None else fit.canonical
-            section = {
-                "feasible": fit.feasible,
-                "per_level": [
-                    {
-                        "level": lf.level,
-                        "consistent": lf.is_consistent(),
-                        "canonical": [str(v) for v in lf.canonical]
-                        if lf.canonical else None,
-                    }
-                    for lf in fit.levels
-                ],
-                "constant": constant.to_json() if constant else None,
-            }
-            if chosen is not None:
-                check = verify_uniform(split, chosen)
-                section.update(chosen.to_json(), verified=check.passed)
-            else:
-                section["verified"] = False
-            report["uniform"] = section
-            failed = not fit.feasible
-    except ValueError as exc:
-        _fail_usage(str(exc))
-    _emit(report, out, as_json)
+    inst = _open(input, base, params_file)
+    params = inst.params
+    section = {}
+    if not params_file:
+        section = {
+            "feasible": inst.fit.feasible,
+            "per_level": [
+                {
+                    "level": lf.level,
+                    "consistent": lf.is_consistent(),
+                    "canonical": [str(v) for v in lf.canonical]
+                    if lf.canonical else None,
+                }
+                for lf in inst.fit.levels
+            ],
+            "constant": inst.constant.to_json() if inst.constant else None,
+        }
+    if params is None:
+        section["verified"] = False
+    else:
+        section.update(params.to_json(), verified=inst.check.passed)
+        if params_file and not inst.check.passed:
+            section.update(failed_level=inst.check.level,
+                           witness_vertex=inst.check.witness)
+    failed = not (inst.check.passed if params_file else inst.fit.feasible)
+    _emit(dict(inst.levels_report(), uniform=section), out, as_json)
     sys.exit(MATH_FAIL if failed else 0)
 
 
@@ -273,45 +388,9 @@ def uniform(input, base, fit_requested, params_file, out, as_json) -> None:
 @click.option("--json/--no-json", "as_json", default=True)
 def candidate(input, base, params_file, theta, out, as_json) -> None:
     """Synthesise a dual adjacency matrix candidate and verify it."""
-    g = _load_graph(input)
-    ctx, split = _context_or_usage(g, base, require_bipartite=True)
-    theta0, theta1 = _parse_theta(theta)
-    result, report = _candidate_stage(g, ctx, split, params_file, theta0, theta1)
+    report = _candidate_section(_open(input, base, params_file, theta))
     _emit(report, out, as_json)
-    sys.exit(0 if result is not None and result.accepted
-             and report.get("verified") else MATH_FAIL)
-
-
-def _candidate_stage(g, ctx, split, params_file, theta0, theta1):
-    if ctx.eccentricity < 3:
-        return None, {
-            "skipped": (
-                f"candidate synthesis needs eccentricity >= 3, have "
-                f"{ctx.eccentricity}"
-            )
-        }
-    if params_file:
-        params = _load_params(params_file)
-    else:
-        params = fit_uniform_constant(split)
-        if params is None:
-            fit = fit_uniform(split)
-            if not fit.feasible:
-                return None, {"skipped": "no uniform structure exists"}
-            params = fit.canonical
-    if not verify_uniform(split, params).passed:
-        return None, {"skipped": "uniform parameters do not verify"}
-    result = candidate_search(params, theta0, theta1)
-    report = result.to_json()
-    if result.accepted:
-        astar = dual_diagonal(ctx, result.candidate.theta_star)
-        tri = verify_tridiagonal(
-            g.adjacency_matrix(), astar,
-            result.candidate.beta, result.candidate.gamma,
-            result.candidate.rho,
-        )
-        report["verified"] = tri.holds
-    return result, report
+    sys.exit(0 if report.get("verified") else MATH_FAIL)
 
 
 @main.command()
@@ -322,29 +401,20 @@ def _candidate_stage(g, ctx, split, params_file, theta0, theta1):
 @click.option("--json/--no-json", "as_json", default=True)
 def modules(input, base, params_file, out, as_json) -> None:
     """Decompose the standard module into thin irreducible chains."""
-    g = _load_graph(input)
-    ctx, split = _context_or_usage(g, base, require_bipartite=True)
-    if params_file:
-        params = _load_params(params_file)
-    else:
-        params = fit_uniform_constant(split)
-        if params is None:
-            fit = fit_uniform(split)
-            if not fit.feasible:
-                _emit({"error": "no uniform structure exists"}, out, as_json)
-                sys.exit(MATH_FAIL)
-            params = fit.canonical
+    inst = _open(input, base, params_file)
+    if inst.params is None:
+        _emit({"error": "no uniform structure exists"}, out, as_json)
+        sys.exit(MATH_FAIL)
     try:
-        dec = decompose_modules(split, params)
+        dec = inst.modules
     except (ValueError, ArithmeticError) as exc:
         _emit({"error": str(exc)}, out, as_json)
         sys.exit(MATH_FAIL)
-    report = {
-        "epsilon": ctx.eccentricity,
-        "levels": [len(lv) for lv in ctx.levels],
-        "uniform": dict(params.to_json(), verified=True),
-        "modules": dec.to_json(),
-    }
+    report = dict(
+        inst.levels_report(),
+        uniform=dict(inst.params.to_json(), verified=True),
+        modules=dec.to_json(),
+    )
     _emit(report, out, as_json)
 
 
@@ -354,22 +424,13 @@ def modules(input, base, params_file, out, as_json) -> None:
 @click.option("--json/--no-json", "as_json", default=True)
 def spectrum(input, out, as_json) -> None:
     """Exact adjacency spectrum over Q(sqrt(m))."""
-    g = _load_graph(input)
-    ctx = bfs_context(g, 0)
-    split = lfr_split(g, ctx)
+    inst = _Instance(_load_graph(input), 0)
     try:
-        spec = spectrum_exact(g.adjacency_matrix(), split.is_bipartite())
+        spec = inst.spectrum
     except (ValueError, ArithmeticError) as exc:
         _emit({"error": str(exc)}, out, as_json)
         sys.exit(MATH_FAIL)
     _emit(spec.to_json(), out, as_json)
-
-
-_ORDERING_BUILDERS = {
-    "even-odd": even_odd_ordering,
-    "odd-even": odd_even_ordering,
-    "natural": natural_ordering,
-}
 
 
 @main.command()
@@ -383,44 +444,22 @@ _ORDERING_BUILDERS = {
 @click.option("--json/--no-json", "as_json", default=True)
 def qcheck(input, base, theta, ordering_name, out, as_json) -> None:
     """Check Q-polynomial orderings of the primitive idempotents."""
-    g = _load_graph(input)
-    ctx, split = _context_or_usage(g, base, require_bipartite=True)
-    theta0, theta1 = _parse_theta(theta)
-    result, cand_report = _candidate_stage(
-        g, ctx, split, None, theta0, theta1
-    )
-    if result is None or not result.accepted:
+    inst = _open(input, base, theta=theta)
+    cand_report = _candidate_section(inst)
+    if "skipped" in cand_report or not inst.search.accepted:
         _emit({"candidate": cand_report,
                "skipped": "no verified candidate"}, out, as_json)
         sys.exit(MATH_FAIL)
-    reports, ok = _run_orderings(g, ctx, result, ordering_name)
+    reports, ok = inst.orderings(ordering_name)
     _emit({"candidate": cand_report, "orderings": reports}, out, as_json)
     sys.exit(0 if ok else MATH_FAIL)
 
 
-def _run_orderings(g, ctx, result: SearchResult, ordering_name: str):
-    a = g.adjacency_matrix()
-    spec = spectrum_exact(a, True)
-    dec = eigenspace_bases(a, spec)
-    astar = dual_diagonal(ctx, result.candidate.theta_star)
-    pattern = idempotent_pattern(dec, astar)
-    if ordering_name == "both":
-        requested = [("even-odd", even_odd_ordering(dec), False),
-                     ("odd-even", odd_even_ordering(dec), False),
-                     ("natural", natural_ordering(dec), True)]
-    else:
-        requested = [(ordering_name,
-                      _ORDERING_BUILDERS[ordering_name](dec), False)]
-    reports = []
-    ok = True
-    for name, ordering, negative_control in requested:
-        rep = check_q_ordering(dec, astar, ordering, pattern)
-        entry = dict(rep.to_json(), name=name,
-                     negative_control=negative_control)
-        reports.append(entry)
-        if not negative_control and not rep.tridiagonal:
-            ok = False
-    return reports, ok
+@contextmanager
+def _timed(clock: dict, name: str):
+    t0 = time.perf_counter()
+    yield
+    clock[name] = round(time.perf_counter() - t0, 6)
 
 
 @main.command()
@@ -447,134 +486,83 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
     """Run the full chain: uniform -> candidate -> modules -> spectrum ->
     Q-polynomial ordering checks."""
     g = _load_graph(input)
-    theta0, theta1 = _parse_theta(theta)
+    theta = _parse_theta(theta)
     if apply_fb:
         try:
             g = full_bipartite(g, base)
         except ValueError as exc:
             _fail_usage(str(exc))
-    ctx, split = _context_or_usage(g, base)
-    report = {
-        "graph": {"n": g.n, "m": g.num_edges, "source": input},
-        "base": base,
-        "epsilon": ctx.eccentricity,
-        "levels": [len(lv) for lv in ctx.levels],
-        "bipartite": split.is_bipartite(),
-        "skipped": {},
-    }
-    clock: dict[str, float] = {}
-    failed = False
-
-    def timed(name):
-        class _T:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                clock[name] = round(time.perf_counter() - self.t0, 6)
-
-        return _T()
-
-    if not split.is_bipartite():
-        report["skipped"]["all"] = "pipeline requires a bipartite graph"
+    inst = _Instance(g, base, params_file, theta)
+    eps = inst.ctx.eccentricity
+    report = dict(
+        graph={"n": g.n, "m": g.num_edges, "source": input},
+        base=base,
+        bipartite=inst.split.is_bipartite(),
+        skipped={},
+        **inst.levels_report(),
+    )
+    skipped = report["skipped"]
+    if not inst.split.is_bipartite():
+        skipped["all"] = "pipeline requires a bipartite graph"
         _emit(report, out, as_json)
         sys.exit(MATH_FAIL)
 
-    # uniform stage
-    params = None
-    with timed("uniform"):
-        if params_file:
-            params = _load_params(params_file)
-            check = verify_uniform(split, params)
-            report["uniform"] = dict(params.to_json(), verified=check.passed)
-            if not check.passed:
-                failed = True
-                params = None
-        else:
-            constant = fit_uniform_constant(split)
-            if constant is not None:
-                params = constant
-                source = "fit-constant"
-            else:
-                fit = fit_uniform(split)
-                params = fit.canonical if fit.feasible else None
-                source = "fit-per-level"
-            if params is None:
-                report["uniform"] = {"verified": False}
-                failed = True
-            else:
-                check = verify_uniform(split, params)
-                report["uniform"] = dict(
-                    params.to_json(), verified=check.passed, source=source
-                )
-                if not check.passed:
-                    failed = True
-                    params = None
+    clock: dict[str, float] = {}
+    with _timed(clock, "uniform"):
+        params = inst.params
+        verified = params is not None and inst.check.passed
+        report["uniform"] = {"verified": verified}
+        if params is not None:
+            report["uniform"].update(params.to_json())
+            if inst.source:
+                report["uniform"]["source"] = inst.source
+        failed = not verified
 
-    # candidate stage
-    result = None
-    with timed("candidate"):
-        if params is None:
-            report["skipped"]["candidate"] = "no verified uniform structure"
-        elif ctx.eccentricity < 3:
-            report["skipped"]["candidate"] = (
-                f"candidate synthesis needs eccentricity >= 3, have "
-                f"{ctx.eccentricity}; stage skipped cleanly"
+    accepted = False
+    with _timed(clock, "candidate"):
+        if not verified:
+            skipped["candidate"] = "no verified uniform structure"
+        elif eps < 3:
+            skipped["candidate"] = (
+                _EPS_SKIP.format(eps) + "; stage skipped cleanly"
             )
         else:
-            result = candidate_search(params, theta0, theta1)
-            cand_report = result.to_json()
-            if result.accepted:
-                astar = dual_diagonal(ctx, result.candidate.theta_star)
-                tri = verify_tridiagonal(
-                    g.adjacency_matrix(), astar,
-                    result.candidate.beta, result.candidate.gamma,
-                    result.candidate.rho,
-                )
-                cand_report["verified"] = tri.holds
-                if not tri.holds:
-                    failed = True
-            else:
-                failed = True
-            report["candidate"] = cand_report
+            report["candidate"] = inst.candidate
+            accepted = inst.search.accepted
+            failed |= not inst.candidate["verified"]
 
-    # modules stage
-    with timed("modules"):
+    with _timed(clock, "modules"):
         if no_modules:
-            report["skipped"]["modules"] = "disabled"
-        elif params is None:
-            report["skipped"]["modules"] = "no verified uniform structure"
+            skipped["modules"] = "disabled"
+        elif not verified:
+            skipped["modules"] = "no verified uniform structure"
         else:
             try:
-                dec = decompose_modules(split, params)
-                report["modules"] = dec.to_json()
+                report["modules"] = inst.modules.to_json()
             except (ValueError, ArithmeticError) as exc:
                 report["modules"] = {"error": str(exc)}
                 failed = True
 
-    # spectrum + ordering stages
-    with timed("spectrum"):
+    spectrum_ok = False
+    with _timed(clock, "spectrum"):
         if no_spectrum:
-            report["skipped"]["spectrum"] = "disabled"
+            skipped["spectrum"] = "disabled"
         else:
             try:
-                spec = spectrum_exact(g.adjacency_matrix(), True)
-                report["spectrum"] = spec.to_json()
+                report["spectrum"] = inst.spectrum.to_json()
+                spectrum_ok = True
             except (ValueError, ArithmeticError) as exc:
                 report["spectrum"] = {"error": str(exc)}
-                spec = None
                 failed = True
 
-    with timed("qcheck"):
+    with _timed(clock, "qcheck"):
         if no_spectrum:
-            report["skipped"]["qcheck"] = "disabled"
-        elif result is None or not result.accepted:
-            report["skipped"]["qcheck"] = "no verified candidate"
-        elif spec is not None:
-            reports, ok = _run_orderings(g, ctx, result, ordering_name)
-            report["ordering"] = reports
-            if not ok:
-                failed = True
+            skipped["qcheck"] = "disabled"
+        elif not accepted:
+            skipped["qcheck"] = "no verified candidate"
+        elif spectrum_ok:
+            report["ordering"], ok = inst.orderings(ordering_name)
+            failed |= not ok
 
     if timings:
         report["timings"] = clock

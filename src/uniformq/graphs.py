@@ -148,10 +148,11 @@ class LFRSplit:
     """The split A = L + F + R relative to a base context.
 
     Neighbour lists sorted by level step are the primary representation;
-    the dense matrices are built lazily.
+    the dense matrices are built lazily.  ``_verified`` holds the uniform
+    parameters that ``verify_uniform`` has passed on this split.
     """
 
-    __slots__ = ("ctx", "down", "same", "up", "_L", "_F", "_R")
+    __slots__ = ("ctx", "down", "same", "up", "_L", "_F", "_R", "_verified")
 
     def __init__(self, ctx: BaseContext):
         g = ctx.graph
@@ -172,6 +173,7 @@ class LFRSplit:
         self._L = None
         self._F = None
         self._R = None
+        self._verified = set()
 
     @property
     def graph(self) -> Graph:

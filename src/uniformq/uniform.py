@@ -50,11 +50,13 @@ class UniformParams:
     f: tuple
 
     def __post_init__(self):
+        for name in ("e_minus", "e_plus", "f"):  # tuples keep it hashable
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         eps = len(self.f)
-        if len(self.e_minus) != eps or len(self.e_plus) != eps:
-            raise ValueError("parameter arrays must all have length eps")
         if eps < 1:
             raise ValueError("need eps >= 1")
+        if len(self.e_minus) != eps or len(self.e_plus) != eps:
+            raise ValueError("parameter arrays must all have length eps")
         if self.e_minus[0] != 0:
             raise ValueError("convention e-_1 = 0 violated")
         if self.e_plus[eps - 1] != 0:
@@ -198,6 +200,7 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
             ]
             if any(x != 0 for x in residual):
                 return UniformCheck(False, i, y, residual)
+    split._verified.add(params)
     return UniformCheck(True)
 
 
@@ -303,7 +306,8 @@ def fit_uniform_constant(split: LFRSplit) -> Optional[UniformParams]:
                 if rl2[z] or lrl[z] or l2r[z] or lv[z]:
                     rows.append([rl2[z], l2r[z], -lv[z]])
                     rhs.append(Fraction(-lrl[z]))
-    sol = solve_linear(ExactMatrix.from_rows(rows), rhs)
+    eqs = ExactMatrix.from_rows(rows) if rows else ExactMatrix.zeros(0, 3)
+    sol = solve_linear(eqs, rhs)
     if isinstance(sol, Inconsistent):
         return None
     triple = sol.x if isinstance(sol, UniqueSolution) else sol.particular
@@ -437,14 +441,16 @@ def decompose_modules(split: LFRSplit, params: UniformParams,
     each generator has a well-defined diameter; chains are normalised
     with the solved x-scalars and every chain relation is re-verified
     exactly.  With certify=True the stacked bases are certified to be a
-    direct sum by a full-rank check.
+    direct sum by a full-rank check.  Parameters already verified on
+    this split are not verified again.
     """
-    check = verify_uniform(split, params)
-    if not check.passed:
-        raise ValueError(
-            f"uniform verification failed at level {check.level}; "
-            "decomposition requires a uniform structure"
-        )
+    if params not in split._verified:
+        check = verify_uniform(split, params)
+        if not check.passed:
+            raise ValueError(
+                f"uniform verification failed at level {check.level}; "
+                "decomposition requires a uniform structure"
+            )
     ctx = split.ctx
     eps = ctx.eccentricity
     n = split.graph.n

@@ -233,3 +233,94 @@ def test_no_json_rendering(runner, workdir):
     ])
     assert res.exit_code == 0
     assert "verified: True" in res.output
+
+
+@pytest.fixture
+def q4_file(tmp_path):
+    from uniformq.generators import hypercube
+
+    src = tmp_path / "q4.el"
+    src.write_text(format_edge_list(hypercube(4)[0]))
+    return src
+
+
+@pytest.mark.parametrize("argv", [
+    ["uniform", "--verify"],
+    ["candidate", "--params"],
+    ["modules", "--params"],
+    ["pipeline", "--verify-uniform"],
+])
+def test_mismatched_params_file_is_usage_error(runner, q4_file, tmp_path, argv):
+    # two levels of parameters against eccentricity 4
+    pfile = tmp_path / "p2.json"
+    pfile.write_text(json.dumps(
+        {"e_minus": ["0", "-1/2"], "e_plus": ["-1/2", "0"], "f": ["1", "1"]}))
+    sub, flag = argv
+    res = runner.invoke(main, [sub, str(q4_file), flag, str(pfile)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert "error: bad parameter file" in res.stderr
+    assert "parameter length 2 != eccentricity 4" in res.stderr
+
+
+@pytest.mark.parametrize("sub", ["uniform", "modules", "pipeline"])
+def test_single_vertex_fit_is_usage_error(runner, tmp_path, sub):
+    src = tmp_path / "k1.el"
+    src.write_text("1 0\n")
+    res = runner.invoke(main, [sub, str(src)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "error: need eps >= 1" in res.stderr
+
+
+def test_pipeline_computes_each_artifact_once(runner, q4_file, monkeypatch):
+    # every reference to each function, in every uniformq module, is
+    # swapped for one counting wrapper, so nested calls count too
+    import sys
+
+    from uniformq.graphs import Graph
+
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Graph, "adjacency_matrix",
+                        counting("adjacency_matrix", Graph.adjacency_matrix))
+    targets = [("uniformq.spectra", "spectrum_exact"),
+               ("uniformq.candidate", "dual_diagonal"),
+               ("uniformq.uniform", "fit_uniform_constant"),
+               ("uniformq.uniform", "verify_uniform")]
+    modules = [m for key, m in list(sys.modules.items())
+               if key.startswith("uniformq") and m is not None]
+    for modname, attr in targets:
+        orig = getattr(sys.modules[modname], attr)
+        wrapper = counting(attr, orig)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, wrapper)
+    res = runner.invoke(main, ["pipeline", str(q4_file)])
+    # exit 1 only from the natural negative control of --qcheck both
+    assert res.exit_code == 1
+    data = json.loads(res.stdout)
+    assert data["skipped"] == {} and data["candidate"]["verified"] is True
+    assert counts == {name: 1 for name in (
+        "adjacency_matrix", "spectrum_exact", "dual_diagonal",
+        "fit_uniform_constant", "verify_uniform")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["candidate", "--theta", "2,2"],
+    ["qcheck", "--theta", "2,2"],
+    ["pipeline", "--candidate", "2,2"],
+])
+def test_equal_theta_pair_is_usage_error(runner, q4_file, argv):
+    res = runner.invoke(main, [argv[0], str(q4_file), *argv[1:]])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "distinct" in res.stderr

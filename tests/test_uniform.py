@@ -274,3 +274,37 @@ def test_module_rep_matrix():
     assert rep[(2, 1)] == 36 and rep[(3, 2)] == 56
     m0 = TModule(3, 0, [[1]], [])
     assert module_rep_matrix(m0).to_rows() == [[0]]
+
+
+def test_decompose_skips_params_already_verified(c6_split, monkeypatch):
+    import uniformq.uniform as uniform_mod
+
+    params = fit_uniform(c6_split).canonical
+    real = uniform_mod.verify_uniform
+    calls = []
+
+    def counting(split, p):
+        calls.append(p)
+        return real(split, p)
+
+    monkeypatch.setattr(uniform_mod, "verify_uniform", counting)
+    first = decompose_modules(c6_split, params)
+    again = decompose_modules(c6_split, UniformParams(*map(list, (
+        params.e_minus, params.e_plus, params.f))))
+    assert calls == [params]
+    assert first.to_json() == again.to_json()
+    # a fresh split of the same graph has verified nothing yet
+    decompose_modules(lfr_split(c6_split.graph, c6_split.ctx), params)
+    assert len(calls) == 2
+
+
+def test_fitted_params_are_hashable(c6_split):
+    from uniformq.generators import hypercube
+
+    q3 = hypercube(3)[0]
+    for params in (fit_uniform(c6_split).canonical,
+                   fit_uniform_constant(lfr_split(q3, bfs_context(q3, 0))),
+                   UniformParams([0, 1], [1, 0], [2, 2])):
+        assert all(isinstance(t, tuple)
+                   for t in (params.e_minus, params.e_plus, params.f))
+        assert params in {params}

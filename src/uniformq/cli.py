@@ -33,7 +33,6 @@ from .graphs import (
 )
 from .spectra import (
     check_q_ordering,
-    eigenspace_bases,
     even_odd_ordering,
     idempotent_pattern,
     natural_ordering,
@@ -276,24 +275,19 @@ class _Instance:
         return spectrum_exact(self.adjacency, self.split.is_bipartite())
 
     @cached_property
-    def eigenspaces(self):
-        return eigenspace_bases(self.adjacency, self.spectrum)
-
-    @cached_property
     def pattern(self):
-        return idempotent_pattern(self.eigenspaces, self.astar)
+        return idempotent_pattern(self.adjacency, self.spectrum, self.astar)
 
     def orderings(self, ordering_name: str) -> tuple[list, bool]:
         """Check the requested orderings; with "both", natural is the
         negative control and does not count towards the verdict."""
         both = ordering_name == "both"
+        k = len(self.spectrum.eigenvalues)
         reports = []
         ok = True
         for name in _ORDERINGS if both else [ordering_name]:
             negative_control = both and name == "natural"
-            rep = check_q_ordering(self.eigenspaces, self.astar,
-                                   _ORDERINGS[name](self.eigenspaces),
-                                   self.pattern)
+            rep = check_q_ordering(self.pattern, _ORDERINGS[name](k))
             reports.append(dict(rep.to_json(), name=name,
                                 negative_control=negative_control))
             if not negative_control and not rep.tridiagonal:

@@ -17,18 +17,24 @@ b-Krawtchouk polynomial.
 
 ``spectrum_exact`` is fully general for symmetric 0/1 matrices whose
 squared spectrum is rational: it takes the exact characteristic
-polynomial of A^2, extracts the rational roots of its squarefree part,
-and splits the +-sqrt pairs by exact rank computations (modular ranks
-with a sum-of-nullities certificate, falling back to fraction-free
-elimination; conjugate irrational pairs always share multiplicity since
-the field automorphism sqrt(m) -> -sqrt(m) maps one eigenspace onto the
-other).
+polynomial of A^2, finds its integer roots by scanning [0, Delta^2]
+(Delta the maximum degree) with exact synthetic division, and splits the
++-sqrt pairs by exact rank computations (modular ranks with a
+sum-of-nullities certificate, falling back to fraction-free elimination;
+conjugate irrational pairs always share multiplicity since the field
+automorphism sqrt(m) -> -sqrt(m) maps one eigenspace onto the other).
+
+``idempotent_pattern`` decides which E_i A* E_j vanish from integer
+spectral projectors of A^2 alone, without eigenspace bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -37,11 +43,9 @@ from .linalg import (
     charpoly_int,
     column_space_basis,
     int_matmul_flat,
-    normalize_vector,
-    nullspace,
     rank,
 )
-from .poly import Poly, poly_gcd
+from .poly import Poly
 from .scalars import (
     QuadExt,
     Scalar,
@@ -178,64 +182,44 @@ def _validate_symmetric01(a: ExactMatrix) -> list[int]:
     return ints
 
 
-def _factor_divisors(n: int) -> list[int]:
-    """All positive divisors of n > 0 (trial division)."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divs = [1]
-    for p, k in factors.items():
-        divs = [dv * p ** j for dv in divs for j in range(k + 1)]
-    return sorted(divs)
+def _deflate(coeffs: list[int], root: int) -> tuple[list[int], int]:
+    """Quotient and remainder of the division by t - root (synthetic
+    division); coefficients lowest degree first."""
+    acc = 0
+    out = []
+    for c in reversed(coeffs):
+        acc = acc * root + c
+        out.append(acc)
+    remainder = out.pop()
+    return out[::-1], remainder
 
 
-def _integer_roots_squarefree(q: Poly) -> list[int]:
-    """All integer roots of a monic squarefree integer polynomial; raises
-    when the polynomial does not split over the integers."""
-    coeffs = []
-    for c in q.coeffs:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise ArithmeticError("squarefree part is not integral")
-        coeffs.append(f.numerator)
-    poly = Poly(coeffs)
-    roots = []
-    if poly[0] == 0:
-        roots.append(0)
-        poly = poly // Poly([0, 1])
-    if poly.degree > 0:
-        const = int(poly[0])
-        for dv in _factor_divisors(abs(const)):
-            for cand in (dv, -dv):
-                if poly(cand) == 0:
-                    roots.append(cand)
-                    poly = poly // Poly([-cand, 1])
-                    if poly.degree == 0:
-                        break
-            if poly.degree == 0:
+def _squared_spectrum(ints: list[int], n: int) -> dict[int, int]:
+    """Eigenvalue -> multiplicity of A^2 for a symmetric 0/1 matrix A.
+
+    Every eigenvalue of A^2 lies in [0, Delta^2], Delta the maximum
+    degree, so the integer roots are found by scanning 0..Delta^2 with
+    exact synthetic division of the integer charpoly; ValueError when
+    the roots found do not account for all n eigenvalues.
+    """
+    sq = int_matmul_flat(ints, ints, n, n, n)
+    coeffs = list(charpoly_int(sq, n).coeffs)
+    max_degree = max((sum(ints[i * n:(i + 1) * n]) for i in range(n)),
+                     default=0)
+    mults: dict[int, int] = {}
+    for mu in range(max_degree * max_degree + 1):
+        while len(coeffs) > 1:
+            quotient, remainder = _deflate(coeffs, mu)
+            if remainder:
                 break
-    if poly.degree > 0:
+            coeffs = quotient
+            mults[mu] = mults.get(mu, 0) + 1
+    if len(coeffs) > 1:
         raise ValueError(
             "squared spectrum is not rational; this lies outside the "
             "supported scalar fields"
         )
-    return roots
-
-
-def _root_multiplicity(cp: Poly, root: int) -> int:
-    count = 0
-    current = cp
-    lin = Poly([-root, 1])
-    while not current.is_zero() and current(root) == 0:
-        current = current // lin
-        count += 1
-    return count
+    return mults
 
 
 def _sqrt_mod(m: int, p: int) -> Optional[int]:
@@ -302,27 +286,19 @@ def spectrum_exact(a: ExactMatrix, bipartite: bool = False,
                    radicand_hint: Optional[int] = None) -> Spectrum:
     """Exact spectrum of a symmetric 0/1 matrix.
 
-    Method: exact characteristic polynomial of A^2, rational root
-    extraction of the squared spectrum, then sign split of each +-sqrt
-    pair by exact rank computations of A - theta I over Q(sqrt(m)).
+    Method: exact characteristic polynomial of A^2, its integer roots
+    by a scan of [0, Delta^2], then sign split of each +-sqrt pair by
+    exact rank computations of A - theta I over Q(sqrt(m)).
     Raises ValueError when the squared spectrum is not rational or the
     values need more than one radicand.
     """
     ints = _validate_symmetric01(a)
     n = a.rows
-    sq = int_matmul_flat(ints, ints, n, n, n)
-    cp = charpoly_int(sq, n)
-    squarefree = cp // poly_gcd(cp, cp.derivative())
-    mus = sorted(_integer_roots_squarefree(squarefree), reverse=True)
-    mults = {mu: _root_multiplicity(cp, mu) for mu in mus}
-    if sum(mults.values()) != n:
-        raise ArithmeticError("squared-spectrum multiplicities do not sum to n")
+    mults = _squared_spectrum(ints, n)
 
     radicand = 1
     groups = []  # (s, m, mu) with theta = s sqrt(m), mu = theta^2
-    for mu in mus:
-        if mu < 0:
-            raise ArithmeticError("A^2 has a negative eigenvalue")
+    for mu in sorted(mults, reverse=True):
         if mu == 0:
             continue
         s, m = squarefree_decompose(mu)
@@ -395,7 +371,7 @@ def spectrum_exact(a: ExactMatrix, bipartite: bool = False,
     return Spectrum([(v, m) for v, m in pairs if m > 0], radicand)
 
 
-# -- eigenspace bases -----------------------------------------------------------
+# -- spectral projectors, eigenspace bases and the idempotent pattern ------------
 
 
 @dataclass
@@ -409,214 +385,140 @@ class EigenDecomposition:
     def dimension(self) -> int:
         return sum(self.multiplicities)
 
-    def group_slices(self) -> list[tuple[int, int]]:
-        out = []
-        start = 0
-        for m in self.multiplicities:
-            out.append((start, start + m))
-            start += m
+
+def _spectral_projectors(a: ExactMatrix, spectrum: Spectrum):
+    """Integer multiples of the primitive idempotents of A, certified
+    against the claimed spectrum.
+
+    For each distinct mu = theta^2 of the spectrum, P_mu = prod_{nu !=
+    mu} (A^2 - nu I).  Returns the mu of each eigenvalue and, per mu, a
+    pair (X, Y) of flat integer n x n matrices such that M_theta = X +
+    theta Y equals c_theta E_theta: X = A P_mu, Y = P_mu for mu != 0,
+    and X = P_0, Y = None for mu = 0.  Here c_theta = prod_{nu != mu}
+    (mu - nu), times 2 theta when theta != 0.
+
+    The spectrum is checked exactly: (A^2 - mu_1 I) P_mu_1 = 0 shows
+    that every eigenvalue of A^2 is some mu, then tr M_theta = c_theta
+    mult_theta that each multiplicity is the eigenspace dimension, so
+    distinct values whose multiplicities sum to n miss nothing.
+    ArithmeticError when the spectrum is not A's.
+    """
+    ints = _validate_symmetric01(a)
+    n = a.rows
+    values = spectrum.values()
+    if spectrum.vertex_count != n or len(set(values)) != len(values):
+        raise ArithmeticError(
+            "spectrum needs distinct values whose multiplicities sum to "
+            "the dimension"
+        )
+    keys = []
+    for value in values:
+        mu = value * value
+        if not is_rational(mu) or Fraction(mu).denominator != 1:
+            raise ArithmeticError(f"{value} squared is not an integer")
+        keys.append(int(mu))
+    mus = list(dict.fromkeys(keys))
+
+    sq = int_matmul_flat(ints, ints, n, n, n)
+
+    def shifted(nu: int) -> list[int]:  # A^2 - nu I
+        out = list(sq)
+        for i in range(n):
+            out[i * n + i] -= nu
         return out
 
+    def matmul(x: list[int], y: list[int]) -> list[int]:
+        return int_matmul_flat(x, y, n, n, n)
 
-def _assert_eigenvector(a: ExactMatrix, v: list, value) -> None:
-    av = a.apply(v)
-    for x, y in zip(av, v):
-        if x != value * y:
-            raise ArithmeticError("claimed eigenvector fails A v = theta v")
+    identity = [int(i % (n + 1) == 0) for i in range(n * n)]
+    projectors = {}
+    for mu in mus:
+        factors = [shifted(nu) for nu in mus if nu != mu]
+        projectors[mu] = reduce(matmul, factors or [identity])
+    if any(matmul(shifted(mus[0]), projectors[mus[0]])):
+        raise ArithmeticError("the spectrum misses an eigenvalue of A^2")
+    blocks = {mu: (matmul(ints, p), p) if mu else (p, None)
+              for mu, p in projectors.items()}
+
+    for (value, mult), mu in zip(spectrum.eigenvalues, keys):
+        x, y = blocks[mu]
+        scale = prod(mu - nu for nu in mus if nu != mu)
+        trace = sum(x[::n + 1])
+        if mu:
+            scale *= 2 * value
+            trace += value * sum(y[::n + 1])
+        if trace != scale * mult:
+            raise ArithmeticError(
+                f"eigenvalue {value} does not have multiplicity {mult}"
+            )
+    return keys, blocks
 
 
 def eigenspace_bases(a: ExactMatrix, spectrum: Spectrum) -> EigenDecomposition:
-    """Per-eigenvalue bases of the kernels of A - theta I over Q(sqrt(m)).
-
-    Dimensions must match the spectrum's multiplicities.  For integer
-    matrices with a complete spectrum the bases are extracted from
-    spectral projector columns (polynomials in A^2 evaluated by integer
-    products); small or exotic inputs use direct kernel elimination.
-    Every returned vector is re-verified to satisfy A v = theta v.
+    """Per-eigenvalue bases of the kernels of A - theta I over Q(sqrt(m))
+    for a symmetric 0/1 matrix A: the column spaces of the certified
+    projector multiples M_theta of ``_spectral_projectors``.  Raises
+    ArithmeticError when the spectrum is not A's.
     """
     n = a.rows
-    if spectrum.vertex_count != n:
-        raise ValueError("spectrum multiplicities do not sum to the dimension")
-    ints = a.int_entries()
-    if ints is not None and n > 60:
-        decomp = _eigenspaces_by_projectors(a, ints, spectrum)
-    else:
-        decomp = _eigenspaces_direct(a, spectrum)
-    for value, mult, basis in zip(decomp.values, decomp.multiplicities,
-                                  decomp.bases):
-        if len(basis) != mult:
-            raise ArithmeticError(
-                f"eigenspace of {value} has dimension {len(basis)}, "
-                f"expected {mult} (wrong spectrum?)"
-            )
-        for v in basis:
-            _assert_eigenvector(a, v, value)
-    return decomp
+    keys, blocks = _spectral_projectors(a, spectrum)
+    bases = []
+    for (value, mult), mu in zip(spectrum.eigenvalues, keys):
+        x, y = blocks[mu]
+        cols = [[x[i * n + j] + (value * y[i * n + j] if mu else 0)
+                 for i in range(n)] for j in range(n)]
+        bases.append(column_space_basis(cols, expected_rank=mult))
+    return EigenDecomposition(spectrum.values(),
+                              [m for _, m in spectrum.eigenvalues],
+                              bases, spectrum.radicand)
 
 
-def _eigenspaces_direct(a: ExactMatrix, spectrum: Spectrum) -> EigenDecomposition:
-    n = a.rows
-    values, mults, bases = [], [], []
-    for value, mult in spectrum.eigenvalues:
-        entries: list = list(a.entries)
-        for i in range(n):
-            entries[i * n + i] = entries[i * n + i] - value
-        basis = [normalize_vector(v)
-                 for v in nullspace(ExactMatrix(n, n, entries))]
-        values.append(value)
-        mults.append(mult)
-        bases.append(basis)
-    return EigenDecomposition(values, mults, bases, spectrum.radicand)
-
-
-def _eigenspaces_by_projectors(a: ExactMatrix, ints: list[int],
-                               spectrum: Spectrum) -> EigenDecomposition:
-    """Eigenspaces from spectral projectors of A^2.
-
-    For each distinct mu of A^2, prod_{nu != mu} (A^2 - nu) has column
-    space exactly ker(A^2 - mu); applying A + theta with theta^2 = mu
-    maps it onto ker(A - theta I).  All products are integer, so the
-    kernels carry the bulk of the work.
-    """
-    n = a.rows
-    sq = int_matmul_flat(ints, ints, n, n, n)
-    mus = []
-    for value, _ in spectrum.eigenvalues:
-        mu = value * value
-        mu_int = int(Fraction(mu)) if not isinstance(mu, QuadExt) else None
-        if mu_int is None:
-            raise ArithmeticError("projector route needs rational theta^2")
-        if mu_int not in mus:
-            mus.append(mu_int)
-
-    projectors: dict[int, list[int]] = {}
-    for mu in mus:
-        prod = None
-        for nu in mus:
-            if nu == mu:
-                continue
-            factor = list(sq)
-            for i in range(n):
-                factor[i * n + i] -= nu
-            prod = factor if prod is None else int_matmul_flat(
-                prod, factor, n, n, n
-            )
-        if prod is None:  # single distinct mu: A^2 = mu I
-            prod = [1 if i % (n + 1) == 0 else 0 for i in range(n * n)]
-        projectors[mu] = prod
-
-    values, mults, bases = [], [], []
-    for value, mult in spectrum.eigenvalues:
-        mu = int(Fraction(value * value))
-        proj = projectors[mu]
-        if value == 0:
-            cols = [[Fraction(proj[i * n + j]) for i in range(n)]
-                    for j in range(n)]
-        else:
-            ap = int_matmul_flat(ints, proj, n, n, n)
-            cols = []
-            for j in range(n):
-                col = []
-                for i in range(n):
-                    col.append(ap[i * n + j] + value * proj[i * n + j])
-                cols.append(col)
-        basis = column_space_basis(cols, expected_rank=mult)
-        values.append(value)
-        mults.append(mult)
-        bases.append(basis)
-    return EigenDecomposition(values, mults, bases, spectrum.radicand)
-
-
-# -- dual idempotent pattern and Q-polynomial orderings -------------------------
-
-
-def idempotent_pattern(decomp: EigenDecomposition,
+def idempotent_pattern(a: ExactMatrix, spectrum: Spectrum,
                        astar: ExactMatrix) -> list[list[bool]]:
-    """P[i][j] = (E_i A* E_j != 0) over the eigenspace decomposition.
+    """P[i][j] = (E_i A* E_j != 0), indexed like spectrum.eigenvalues.
 
-    Decided from the blocks of B^T A* B where B stacks the eigenspace
-    bases: for a symmetric A the eigenspaces are orthogonal, so the
-    spectral projector satisfies E_i A* E_j = 0 exactly when
-    U_i^T A* U_j = 0.  Never materialises the idempotents.
+    A* is diagonal and the E_i are symmetric, so ||E_i A* E_j||_F^2 =
+    tr(E_i A* E_j A*).  With M_i = c_i E_i from ``_spectral_projectors``
+    that trace is, up to the nonzero factor c_i c_j, the sum over y, z
+    of (M_i)_yz (M_j)_yz a*_y a*_z.  Writing M_i = X + theta_i Y turns
+    it into four integer sums per pair of squared eigenvalues.  Raises
+    ArithmeticError when the spectrum is not A's.
     """
-    if sum(decomp.multiplicities) != astar.rows:
-        raise ValueError("decomposition does not span the space")
     n = astar.rows
-    diag = [astar.entries[i * n + i] for i in range(n)]
+    if astar.cols != n or a.rows != n:
+        raise ValueError("A* must be square, of the size of A")
     if any(astar.entries[i * n + j] != 0
            for i in range(n) for j in range(n) if i != j):
         raise ValueError("A* must be diagonal")
+    diag = [astar.entries[i * n + i] for i in range(n)]
+    if not all(is_rational(d) for d in diag):
+        raise ValueError("A* must be rational")
+    den = lcm(*(Fraction(d).denominator for d in diag))
+    w = [int(Fraction(d) * den) for d in diag]  # same zeros as A*
+    ww = [wy * wz for wy in w for wz in w]
 
-    allvecs = [v for basis in decomp.bases for v in basis]
-    if all(is_rational(d) for d in diag) and all(
-        all(is_rational(x) or isinstance(x, QuadExt) for x in v)
-        for v in allvecs
-    ):
-        gram_a, gram_c = _gram_blocks(allvecs, diag, decomp.radicand, n)
-        slices = decomp.group_slices()
-        k = len(slices)
-        pattern = [[False] * k for _ in range(k)]
-        for gi, (r0, r1) in enumerate(slices):
-            for gj, (c0, c1) in enumerate(slices):
-                nz = any(
-                    gram_a[r * len(allvecs) + c] != 0
-                    or gram_c[r * len(allvecs) + c] != 0
-                    for r in range(r0, r1)
-                    for c in range(c0, c1)
-                )
-                pattern[gi][gj] = nz
-        return pattern
-    raise ValueError("unsupported scalar types in decomposition")
+    keys, blocks = _spectral_projectors(a, spectrum)
+    weighted = {mu: [None if m is None else list(map(mul, m, ww))
+                     for m in xy] for mu, xy in blocks.items()}
 
+    def dot(u, v) -> int:
+        return sum(map(mul, u, v)) if u and v else 0
 
-def _gram_blocks(vectors: list[list], diag: list, radicand: int, n: int):
-    """B^T diag B with B = [vectors], split as rational + sqrt(m) parts.
-
-    Everything reduces to four integer matrix products after clearing
-    the (positive) denominator of the diagonal, which cannot change
-    zero-ness of any entry.
-    """
-    from math import lcm
-
-    den = 1
-    for d in diag:
-        den = lcm(den, Fraction(d).denominator)
-    d_int = [int(Fraction(d) * den) for d in diag]
-
-    k = len(vectors)
-    b1 = [0] * (n * k)
-    b2 = [0] * (n * k)
-    any_quad = False
-    for j, vec in enumerate(vectors):
-        for i, x in enumerate(vec):
-            if isinstance(x, QuadExt):
-                any_quad = True
-                b1[i * k + j] = int(x.a)
-                b2[i * k + j] = int(x.c)
-            else:
-                b1[i * k + j] = int(x)
-    b1t = [b1[i * k + j] for j in range(k) for i in range(n)]  # k x n
-    db1 = _diag_rows(d_int, b1, n, k)
-    gram_a = int_matmul_flat(b1t, db1, k, n, k)
-    if not any_quad:
-        return gram_a, [0] * (k * k)
-    b2t = [b2[i * k + j] for j in range(k) for i in range(n)]
-    db2 = _diag_rows(d_int, b2, n, k)
-    t11 = gram_a
-    t22 = int_matmul_flat(b2t, db2, k, n, k)
-    t12 = int_matmul_flat(b1t, db2, k, n, k)
-    t21 = int_matmul_flat(b2t, db1, k, n, k)
-    gram_a = [x + radicand * y for x, y in zip(t11, t22)]
-    gram_c = [x + y for x, y in zip(t12, t21)]
-    return gram_a, gram_c
-
-
-def _diag_rows(d: list[int], flat: list[int], n: int, k: int) -> list[int]:
-    out = []
-    for i in range(n):
-        di = d[i]
-        out.extend(di * v if di != 1 else v for v in flat[i * k:(i + 1) * k])
-    return out
+    sums = {}
+    for mu in blocks:
+        for nu in blocks:
+            (xa, ya), (xb, yb) = weighted[mu], blocks[nu]
+            sums[mu, nu] = (dot(xa, xb), dot(xa, yb), dot(ya, xb),
+                            dot(ya, yb))
+    values = spectrum.values()
+    k = len(values)
+    pattern = [[False] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            xx, xy, yx, yy = sums[keys[i], keys[j]]
+            ti, tj = values[i], values[j]
+            pattern[i][j] = xx + tj * xy + ti * yx + ti * tj * yy != 0
+    return pattern
 
 
 @dataclass
@@ -633,20 +535,17 @@ class OrderingReport:
         }
 
 
-def check_q_ordering(decomp: EigenDecomposition, astar: ExactMatrix,
-                     ordering: Sequence[int],
-                     pattern: Optional[list[list[bool]]] = None) -> OrderingReport:
+def check_q_ordering(pattern: list[list[bool]],
+                     ordering: Sequence[int]) -> OrderingReport:
     """Does A* act tridiagonally on the eigenspaces in this ordering?
 
     True iff every nonzero block of the idempotent pattern joins
     eigenvalues adjacent in the ordering; the first violating pair in
     row-major order is reported otherwise.
     """
-    k = len(decomp.values)
+    k = len(pattern)
     if sorted(ordering) != list(range(k)):
         raise ValueError("ordering must be a permutation of the eigenvalue indices")
-    if pattern is None:
-        pattern = idempotent_pattern(decomp, astar)
     pos = [0] * k
     for position, idx in enumerate(ordering):
         pos[idx] = position
@@ -657,17 +556,15 @@ def check_q_ordering(decomp: EigenDecomposition, astar: ExactMatrix,
     return OrderingReport(list(ordering), True, None)
 
 
-def natural_ordering(decomp: EigenDecomposition) -> list[int]:
-    return list(range(len(decomp.values)))
+def natural_ordering(k: int) -> list[int]:
+    return list(range(k))
 
 
-def even_odd_ordering(decomp: EigenDecomposition) -> list[int]:
+def even_odd_ordering(k: int) -> list[int]:
     """E_0 < E_2 < ... < E_2D < E_1 < E_3 < ... (even indices first)."""
-    k = len(decomp.values)
     return list(range(0, k, 2)) + list(range(1, k, 2))
 
 
-def odd_even_ordering(decomp: EigenDecomposition) -> list[int]:
+def odd_even_ordering(k: int) -> list[int]:
     """E_1 < E_3 < ... < E_2D-1 < E_0 < E_2 < ... (odd indices first)."""
-    k = len(decomp.values)
     return list(range(1, k, 2)) + list(range(0, k, 2))

@@ -32,7 +32,6 @@ from uniformq.scalars import quad
 from uniformq.spectra import (
     check_q_ordering,
     closed_form_spectrum,
-    eigenspace_bases,
     even_odd_ordering,
     idempotent_pattern,
     krawtchouk_charpoly,
@@ -179,23 +178,18 @@ def test_criterion_6_q_polynomial_certification(instance):
     with criterion(6, "Q-polynomial certification", 120):
         adjacency = instance["adjacency"]
         spec = spectrum_exact(adjacency, bipartite=True)
-        dec = eigenspace_bases(adjacency, spec)
         astar = dual_diagonal(
             instance["ctx"], (-1, 0, Fraction(1, 2), Fraction(3, 4))
         )
-        pattern = idempotent_pattern(dec, astar)
+        pattern = idempotent_pattern(adjacency, spec, astar)
         k = len(pattern)
         for i in range(k):
             for j in range(k):
                 if abs(i - j) not in (0, 2):
                     assert not pattern[i][j]
-        assert check_q_ordering(
-            dec, astar, even_odd_ordering(dec), pattern
-        ).tridiagonal
-        assert check_q_ordering(
-            dec, astar, odd_even_ordering(dec), pattern
-        ).tridiagonal
-        nat = check_q_ordering(dec, astar, natural_ordering(dec), pattern)
+        assert check_q_ordering(pattern, even_odd_ordering(k)).tridiagonal
+        assert check_q_ordering(pattern, odd_even_ordering(k)).tridiagonal
+        nat = check_q_ordering(pattern, natural_ordering(k))
         assert not nat.tridiagonal and nat.violation is not None
         beta, rho = Fraction(5, 2), Fraction(36)
         vals = spec.values()

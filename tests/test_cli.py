@@ -292,6 +292,8 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, monkeypatch):
     monkeypatch.setattr(Graph, "adjacency_matrix",
                         counting("adjacency_matrix", Graph.adjacency_matrix))
     targets = [("uniformq.spectra", "spectrum_exact"),
+               ("uniformq.spectra", "eigenspace_bases"),
+               ("uniformq.linalg", "column_space_basis"),
                ("uniformq.candidate", "dual_diagonal"),
                ("uniformq.uniform", "fit_uniform_constant"),
                ("uniformq.uniform", "verify_uniform")]
@@ -309,9 +311,12 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, monkeypatch):
     assert res.exit_code == 1
     data = json.loads(res.stdout)
     assert data["skipped"] == {} and data["candidate"]["verified"] is True
+    # the idempotent pattern needs no eigenspace bases
     assert counts == {name: 1 for name in (
         "adjacency_matrix", "spectrum_exact", "dual_diagonal",
         "fit_uniform_constant", "verify_uniform")}
+    assert "eigenspace_bases" not in counts
+    assert "column_space_basis" not in counts
 
 
 @pytest.mark.parametrize("argv", [

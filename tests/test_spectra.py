@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_connected_graph
 from uniformq.candidate import dual_diagonal
-from uniformq.generators import hypercube
-from uniformq.graphs import Graph
+from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
+from uniformq.graphs import Graph, bfs_context, full_bipartite, lfr_split
 from uniformq.linalg import ExactMatrix, charpoly
 from uniformq.poly import Poly, poly_gcd
 from uniformq.scalars import quad
 from uniformq.spectra import (
+    Spectrum,
     check_q_ordering,
     closed_form_spectrum,
     eigenspace_bases,
@@ -27,14 +30,22 @@ from uniformq.uniform import decompose_modules, module_rep_matrix
 @pytest.fixture(scope="module")
 def c32_spectral(c32_fb):
     a = c32_fb.adjacency_matrix()
-    spec = spectrum_exact(a, bipartite=True)
-    dec = eigenspace_bases(a, spec)
-    return a, spec, dec
+    return a, spectrum_exact(a, bipartite=True)
+
+
+@pytest.fixture(scope="module")
+def c32_eigenspaces(c32_spectral):
+    return eigenspace_bases(*c32_spectral)
 
 
 @pytest.fixture(scope="module")
 def c32_astar(c32_ctx):
     return dual_diagonal(c32_ctx, (-1, 0, Fraction(1, 2), Fraction(3, 4)))
+
+
+@pytest.fixture(scope="module")
+def c32_pattern(c32_spectral, c32_astar):
+    return idempotent_pattern(*c32_spectral, c32_astar)
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -139,7 +150,7 @@ def test_spectrum_hypercube():
 
 
 def test_spectrum_c32(c32_spectral):
-    _, spec, _ = c32_spectral
+    _, spec = c32_spectral
     r2 = quad(0, 1, 2)
     assert spec.values() == closed_form_spectrum(2, 1, 3)
     assert spec.multiplicity(7 * r2) == 1
@@ -153,7 +164,7 @@ def test_spectrum_c32(c32_spectral):
 
 def test_spectrum_multiplicities_match_modules(c32_spectral, c32_split,
                                                dp_params):
-    _, spec, _ = c32_spectral
+    _, spec = c32_spectral
     dec = decompose_modules(c32_split, dp_params)
     table = dec.multiplicities()
     cf = closed_form_spectrum(2, 1, 3)
@@ -179,6 +190,18 @@ def test_spectrum_irrational_squared_rejected():
         spectrum_exact(p4.adjacency_matrix(), True)
 
 
+def test_spectrum_random_non_bipartite_rejected():
+    # 120 vertices, irrational squared spectrum: the root scan rejects
+    # it instead of running Euclid over Q on the degree-120 charpoly
+    rng = random.Random(1)
+    while True:
+        g = random_connected_graph(rng, 120)
+        if not lfr_split(g, bfs_context(g, 0)).is_bipartite():
+            break
+    with pytest.raises(ValueError):
+        spectrum_exact(g.adjacency_matrix(), False)
+
+
 def test_spectrum_path3():
     # P3 has spectrum {sqrt 2, 0, -sqrt 2}
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -188,7 +211,7 @@ def test_spectrum_path3():
 
 
 def test_spectrum_json(c32_spectral):
-    _, spec, _ = c32_spectral
+    _, spec = c32_spectral
     data = spec.to_json()
     assert data["radicand"] == 2
     assert data["eigenvalues"][0] == {
@@ -208,16 +231,18 @@ def test_eigenspace_bases_cycle(cycle6):
     assert dec.bases[0] == [[1, 1, 1, 1, 1, 1]]
 
 
-def test_eigenspace_dims_c32(c32_spectral):
-    _, spec, dec = c32_spectral
+def test_eigenspace_dims_c32(c32_eigenspaces):
+    dec = c32_eigenspaces
     assert dec.multiplicities == [1, 7, 35, 49, 35, 7, 1]
     assert dec.dimension == 135
 
 
-def test_eigenspace_bipartite_sign_flip(c32_spectral, c32_ctx):
+def test_eigenspace_bipartite_sign_flip(c32_spectral, c32_eigenspaces,
+                                        c32_ctx):
     # flipping signs on odd levels maps the theta-eigenspace onto the
     # (-theta)-eigenspace
-    a, spec, dec = c32_spectral
+    a, spec = c32_spectral
+    dec = c32_eigenspaces
     signs = [(-1) ** d for d in c32_ctx.dist]
     for idx, (value, mult) in enumerate(spec.eigenvalues):
         neg_idx = len(spec.eigenvalues) - 1 - idx
@@ -231,8 +256,6 @@ def test_eigenspace_bipartite_sign_flip(c32_spectral, c32_ctx):
 def test_eigenspace_wrong_spectrum_rejected(cycle6):
     a = cycle6.adjacency_matrix()
     spec = spectrum_exact(a, True)
-    from uniformq.spectra import Spectrum
-
     wrong = Spectrum([(v, m) for v, m in spec.eigenvalues][::-1], 1)
     lying = Spectrum(
         [(3, 1)] + [(v, m) for v, m in spec.eigenvalues][1:], 1
@@ -246,9 +269,63 @@ def test_eigenspace_wrong_spectrum_rejected(cycle6):
 # -- idempotent pattern and orderings ------------------------------------------------
 
 
-def test_idempotent_pattern_band(c32_spectral, c32_astar):
-    _, _, dec = c32_spectral
-    pattern = idempotent_pattern(dec, c32_astar)
+def _pattern_from_bases(dec, astar):
+    """The slow twin of idempotent_pattern: E_i A* E_j != 0 exactly
+    when U_i^T A* U_j != 0 for eigenspace bases U_i, U_j."""
+    weighted = [[[(y, x * astar[y, y]) for y, x in enumerate(u) if x]
+                 for u in basis] for basis in dec.bases]
+    return [[any(sum(x * v[y] for y, x in u) != 0 for u in wi for v in bj)
+             for bj in dec.bases] for wi in weighted]
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda: Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]), id="cycle6"),
+    pytest.param(lambda: hamming(5, 2)[0], id="H(5,2)"),
+    pytest.param(lambda: full_bipartite(hamming(4, 3)[0], 0), id="H(4,3)-fb"),
+    pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 2, 2))[0], 0),
+                 id="C_2(2)-fb"),
+    pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),
+                 id="C_2(3)-fb"),
+])
+def test_idempotent_pattern_matches_eigenspace_bases(graph):
+    g = graph()
+    ctx = bfs_context(g, 0)
+    a = g.adjacency_matrix()
+    spec = spectrum_exact(a, True)
+    dec = eigenspace_bases(a, spec)
+    k = len(spec.eigenvalues)
+    by_levels = dual_diagonal(ctx, [Fraction((-1) ** i, i + 2)
+                                    for i in range(ctx.eccentricity + 1)])
+    assert idempotent_pattern(a, spec, by_levels) == _pattern_from_bases(
+        dec, by_levels)
+    identity = ExactMatrix.identity(g.n)
+    assert idempotent_pattern(a, spec, identity) == [
+        [i == j for j in range(k)] for i in range(k)]
+
+
+def test_idempotent_pattern_wrong_spectrum_rejected(cycle6):
+    a = cycle6.adjacency_matrix()
+    astar = ExactMatrix.identity(6)
+    spec = spectrum_exact(a, True)
+    assert spec.eigenvalues == [(2, 1), (1, 2), (-1, 2), (-2, 1)]
+    wrong_value = Spectrum([(3, 1), (1, 2), (-1, 2), (-2, 1)], 1)
+    wrong_multiplicity = Spectrum([(2, 1), (1, 3), (-1, 1), (-2, 1)], 1)
+    omitted = Spectrum([(2, 2), (1, 2), (-1, 2)], 1)
+    # traces of A +- 2I match (2, 3), (-2, 3): only (A^2 - 4I) P_4 = 0
+    # can tell that the eigenvalues +-1 are missing
+    omitted_pair = Spectrum([(2, 3), (-2, 3)], 1)
+    for lying in (wrong_value, wrong_multiplicity, omitted, omitted_pair):
+        with pytest.raises(ArithmeticError):
+            idempotent_pattern(a, lying, astar)
+    # reversed order is fine: same data, reversed indices
+    reverse = Spectrum(spec.eigenvalues[::-1], 1)
+    assert idempotent_pattern(a, reverse, astar) == [
+        [i == j for j in range(4)] for i in range(4)]
+
+
+def test_idempotent_pattern_band(c32_pattern):
+    pattern = c32_pattern
     for i in range(7):
         for j in range(7):
             if abs(i - j) not in (0, 2):
@@ -258,19 +335,18 @@ def test_idempotent_pattern_band(c32_spectral, c32_astar):
 
 
 def test_idempotent_pattern_identity(c32_spectral):
-    _, _, dec = c32_spectral
-    pattern = idempotent_pattern(dec, ExactMatrix.identity(135))
+    pattern = idempotent_pattern(*c32_spectral, ExactMatrix.identity(135))
     for i in range(7):
         for j in range(7):
             assert pattern[i][j] == (i == j)
 
 
-def test_quadratic_factor_on_pattern(c32_spectral, c32_astar):
+def test_quadratic_factor_on_pattern(c32_spectral, c32_pattern):
     # nonzero off-diagonal cells must kill the quadratic factor
     # theta_i^2 + theta_j^2 - beta theta_i theta_j - rho exactly
-    _, spec, dec = c32_spectral
+    _, spec = c32_spectral
     beta, rho = Fraction(5, 2), Fraction(36)
-    pattern = idempotent_pattern(dec, c32_astar)
+    pattern = c32_pattern
     vals = spec.values()
     found_off_diagonal = 0
     for i in range(7):
@@ -282,12 +358,11 @@ def test_quadratic_factor_on_pattern(c32_spectral, c32_astar):
     assert found_off_diagonal > 0
 
 
-def test_q_orderings(c32_spectral, c32_astar):
-    _, _, dec = c32_spectral
-    pattern = idempotent_pattern(dec, c32_astar)
-    even = check_q_ordering(dec, c32_astar, even_odd_ordering(dec), pattern)
-    odd = check_q_ordering(dec, c32_astar, odd_even_ordering(dec), pattern)
-    nat = check_q_ordering(dec, c32_astar, natural_ordering(dec), pattern)
+def test_q_orderings(c32_pattern):
+    pattern = c32_pattern
+    even = check_q_ordering(pattern, even_odd_ordering(7))
+    odd = check_q_ordering(pattern, odd_even_ordering(7))
+    nat = check_q_ordering(pattern, natural_ordering(7))
     assert even.tridiagonal and even.violation is None
     assert odd.tridiagonal
     assert not nat.tridiagonal
@@ -296,15 +371,13 @@ def test_q_orderings(c32_spectral, c32_astar):
     assert odd.ordering == [1, 3, 5, 0, 2, 4, 6]
 
 
-def test_q_ordering_validation(c32_spectral, c32_astar):
-    _, _, dec = c32_spectral
+def test_q_ordering_validation(c32_pattern):
     with pytest.raises(ValueError):
-        check_q_ordering(dec, c32_astar, [0, 1, 2])
+        check_q_ordering(c32_pattern, [0, 1, 2])
 
 
-def test_ordering_report_json(c32_spectral, c32_astar):
-    _, _, dec = c32_spectral
-    rep = check_q_ordering(dec, c32_astar, natural_ordering(dec))
+def test_ordering_report_json(c32_pattern):
+    rep = check_q_ordering(c32_pattern, natural_ordering(7))
     data = rep.to_json()
     assert data["tridiagonal"] is False
     assert data["violation"] == [0, 2]
@@ -316,8 +389,6 @@ def test_hypercube_natural_order_is_q_polynomial():
     # pattern is the |i-j| <= 1 band and the natural ordering certifies,
     # unlike the dual polar instances
     from uniformq.candidate import candidate_search
-    from uniformq.generators import hamming
-    from uniformq.graphs import bfs_context, lfr_split
     from uniformq.uniform import fit_uniform_constant
 
     g, _ = hamming(5, 2)
@@ -329,22 +400,17 @@ def test_hypercube_natural_order_is_q_polynomial():
     a = g.adjacency_matrix()
     spec = spectrum_exact(a, True)
     assert [m for _, m in spec.eigenvalues] == [1, 5, 10, 10, 5, 1]
-    dec = eigenspace_bases(a, spec)
-    pattern = idempotent_pattern(dec, astar)
+    pattern = idempotent_pattern(a, spec, astar)
     for i in range(6):
         for j in range(6):
             assert pattern[i][j] == (abs(i - j) <= 1)
-    assert check_q_ordering(dec, astar, natural_ordering(dec),
-                            pattern).tridiagonal
-    assert not check_q_ordering(dec, astar, even_odd_ordering(dec),
-                                pattern).tridiagonal
+    assert check_q_ordering(pattern, natural_ordering(6)).tridiagonal
+    assert not check_q_ordering(pattern, even_odd_ordering(6)).tridiagonal
 
 
 def test_full_stack_hamming_instance():
     # end-to-end on the full bipartite graph of H(4,3): eps = 4 chains
     from uniformq.candidate import candidate_search, verify_tridiagonal
-    from uniformq.generators import hamming
-    from uniformq.graphs import bfs_context, full_bipartite, lfr_split
     from uniformq.uniform import (
         decompose_modules,
         fit_uniform_constant,
@@ -366,9 +432,7 @@ def test_full_stack_hamming_instance():
         res.candidate.beta, 0, res.candidate.rho,
     ).holds
     spec = spectrum_exact(fb.adjacency_matrix(), True)
-    ed = eigenspace_bases(fb.adjacency_matrix(), spec)
-    pattern = idempotent_pattern(ed, astar)
-    assert check_q_ordering(ed, astar, even_odd_ordering(ed),
-                            pattern).tridiagonal
-    assert check_q_ordering(ed, astar, odd_even_ordering(ed),
-                            pattern).tridiagonal
+    pattern = idempotent_pattern(fb.adjacency_matrix(), spec, astar)
+    k = len(spec.eigenvalues)
+    assert check_q_ordering(pattern, even_odd_ordering(k)).tridiagonal
+    assert check_q_ordering(pattern, odd_even_ordering(k)).tridiagonal

@@ -13,8 +13,9 @@ six-step procedure: a level-independent beta from the parameter ratios,
 a theta* ladder from the F-ratios, distinctness, a beta/F compatibility
 identity, constancy of f with rho = f (beta + 2), and emission.
 
-Verification is double-tracked: the matrix route evaluates the relation
-exactly, and an independent entrywise oracle recomputes each commutator
+Verification is double-tracked: the sparse column route evaluates the
+relation exactly, column by column from applications of A to basis
+vectors, and an independent entrywise oracle recomputes each commutator
 entry from brute-force walk enumeration, never from matrix products.
 """
 
@@ -26,7 +27,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .graphs import BaseContext, Graph
-from .linalg import ExactMatrix, int_matmul_flat
+from .linalg import ExactMatrix
 from .scalars import QuadExt, exact_sqrt, scalar_to_json
 from .uniform import UniformParams
 
@@ -93,74 +94,72 @@ def verify_tridiagonal(a: ExactMatrix, astar: ExactMatrix, beta, gamma, rho,
         A^3 A* - A* A^3 + (beta+1)(A A* A^2 - A^2 A* A)
             - gamma (A^2 A* - A* A^2) - rho (A A* - A* A);
 
-    the relation holds iff it vanishes.  With collect_all=False the scan
-    stops at the first nonzero entry in row-major order.
+    the relation holds iff it vanishes.  With D = A* = diag(d), its
+    column y is built from sparse applications of A to e_y:
+
+        (d_y - D)(A^3 e_y - gamma A^2 e_y - rho A e_y)
+            + (beta+1)(A D A^2 e_y - A^2 D A e_y),
+
+    so entry (z, y) vanishes unless z is within three steps of y.  When
+    A, A*, beta+1, gamma and rho are all rational, A*, beta+1, gamma and
+    rho are scaled to integers first; QuadExt values take the same route
+    in exact arithmetic.  The
+    support lists (z, y) in row-major order; with collect_all=False it
+    holds only the first nonzero entry.
     """
     if not a.is_square() or a.rows != astar.rows or a.cols != astar.cols:
         raise ValueError("matrices must be square of matching dimensions")
     n = a.rows
     beta, gamma, rho = Fraction(beta), Fraction(gamma), Fraction(rho)
     diag = _diagonal_values(astar)
+    coeffs = [Fraction(1), beta + 1, gamma, rho]
 
-    ints = a.int_entries()
-    d_den = 1
-    if ints is not None:
-        for v in diag:
-            if isinstance(v, QuadExt):
-                ints = None
-                break
-            d_den = lcm(d_den, Fraction(v).denominator)
+    cols: list[list] = [[] for _ in range(n)]  # column y: (z, a_zy) pairs
+    quadratic = any(isinstance(v, QuadExt) for v in diag)
+    for idx, v in enumerate(a.entries):
+        if v != 0:
+            cols[idx % n].append((idx // n, v))
+            quadratic = quadratic or isinstance(v, QuadExt)
 
-    if ints is not None:
-        d_int = [int(Fraction(v) * d_den) for v in diag]
-        a2 = int_matmul_flat(ints, ints, n, n, n)
-        a3 = int_matmul_flat(a2, ints, n, n, n)
-        da2 = _row_scale(a2, d_int, n)
-        a2d = _col_scale(a2, d_int, n)
-        t1 = int_matmul_flat(ints, da2, n, n, n)
-        t2 = int_matmul_flat(a2d, ints, n, n, n)
-        c3 = [x - y for x, y in zip(_col_scale(a3, d_int, n),
-                                    _row_scale(a3, d_int, n))]
-        cmix = [x - y for x, y in zip(t1, t2)]
-        c2 = [x - y for x, y in zip(a2d, da2)]
-        c1 = [x - y for x, y in zip(_col_scale(ints, d_int, n),
-                                    _row_scale(ints, d_int, n))]
-    else:
-        a2m = a * a
-        a3m = a2m * a
-        c3 = ((a3m * astar) - (astar * a3m)).entries
-        cmix = ((a * (astar * a2m)) - ((a2m * astar) * a)).entries
-        c2 = ((a2m * astar) - (astar * a2m)).entries
-        c1 = ((a * astar) - (astar * a)).entries
+    scale = 1
+    if not quadratic:
+        scale = lcm(*(Fraction(v).denominator for v in diag + coeffs))
+        diag = [int(Fraction(v) * scale) for v in diag]
+        coeffs = [int(c * scale) for c in coeffs]
+    one, bp1, gamma, rho = coeffs
 
-    bp1 = beta + 1
-    support = []
-    values = [] if collect_all else None
-    for idx in range(n * n):
-        r = c3[idx] + bp1 * cmix[idx] - gamma * c2[idx] - rho * c1[idx]
-        if r != 0:
-            support.append((idx // n, idx % n))
-            if collect_all:
-                values.append(r / d_den if d_den != 1 else r)
-            else:
-                return TridiagReport(False, support, None)
-    return TridiagReport(not support, support, values)
+    def apply(vec: dict) -> dict:
+        out: dict = {}
+        for y, v in vec.items():
+            for z, ay in cols[y]:
+                out[z] = out.get(z, 0) + ay * v
+        return out
 
+    def scaled(vec: dict) -> dict:
+        return {z: diag[z] * v for z, v in vec.items()}
 
-def _row_scale(flat: list, d: list, n: int) -> list:
-    out = []
-    for i in range(n):
-        di = d[i]
-        out.extend(di * v if di != 1 else v for v in flat[i * n:(i + 1) * n])
-    return out
-
-
-def _col_scale(flat: list, d: list, n: int) -> list:
-    out = []
-    for i in range(n):
-        row = flat[i * n:(i + 1) * n]
-        out.extend(v * dj if dj != 1 else v for v, dj in zip(row, d))
-    return out
+    found = []
+    for y in range(n):
+        a1 = apply({y: 1})
+        a2 = apply(a1)
+        a3 = apply(a2)
+        mix = apply(scaled(a2))
+        for z, v in apply(apply(scaled(a1))).items():
+            mix[z] = mix.get(z, 0) - v
+        dy = diag[y]
+        for z in a1.keys() | a2.keys() | a3.keys() | mix.keys():
+            r = (dy - diag[z]) * (one * a3.get(z, 0) - gamma * a2.get(z, 0)
+                                  - rho * a1.get(z, 0)) \
+                + bp1 * mix.get(z, 0)
+            if r != 0:
+                found.append((z, y, r))
+    found.sort(key=lambda t: (t[0], t[1]))
+    support = [(z, y) for z, y, _ in found]
+    if not collect_all:
+        return TridiagReport(not found, support[:1], None)
+    unscale = scale * scale
+    values = [Fraction(r, unscale) if unscale != 1 else r for _, _, r in found]
+    return TridiagReport(not found, support, values)
 
 
 def entrywise_oracle(g: Graph, ctx: BaseContext, theta_star: Sequence,

@@ -19,8 +19,10 @@ f_{r+d}) over the corresponding principal block.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .graphs import LFRSplit
@@ -159,16 +161,29 @@ def _require_bipartite(split: LFRSplit) -> None:
         raise ValueError("uniform structures require a bipartite graph (F = 0)")
 
 
-def _level_operator_columns(split: LFRSplit, y: int):
-    """For basis vector e_y: columns of RL^2, LRL, L^2R and L."""
-    n = split.graph.n
-    v = [0] * n
-    v[y] = 1
-    lv = split.apply_lowering(v)
-    rl2 = split.apply_raising(split.apply_lowering(lv))
-    lrl = split.apply_lowering(split.apply_raising(lv))
-    l2r = split.apply_lowering(split.apply_lowering(split.apply_raising(v)))
-    return rl2, lrl, l2r, lv
+def _level_columns(split: LFRSplit, y: int):
+    """For e_y on level i: the columns RL^2 e_y, LRL e_y, L^2R e_y and
+    L e_y, as sparse maps vertex -> count on level i-1."""
+    down, up = split.down, split.up
+    rl2 = Counter(z for u in down[y] for w in down[u] for z in up[w])
+    lrl = Counter(z for u in down[y] for w in up[u] for z in down[w])
+    l2r = Counter(z for u in up[y] for w in down[u] for z in down[w])
+    return rl2, lrl, l2r, Counter(down[y])
+
+
+def _distinct_equations(split: LFRSplit, levels) -> tuple[list, list]:
+    """Rows (RL^2, L^2R, -L) and right-hand sides -LRL of the identity at
+    the entries (z, y), y on the given levels and z in the support of
+    its columns, each distinct equation once.  The entries are small
+    integers, so few equations are distinct; dropping repeats keeps the
+    row space, hence the RREF and every solution."""
+    distinct = {}
+    for i in levels:
+        for y in split.ctx.levels[i]:
+            rl2, lrl, l2r, lv = _level_columns(split, y)
+            for z in rl2.keys() | lrl.keys() | l2r.keys() | lv.keys():
+                distinct[rl2[z], l2r[z], -lv[z], -lrl[z]] = None
+    return [list(q[:3]) for q in distinct], [Fraction(q[3]) for q in distinct]
 
 
 @dataclass
@@ -182,7 +197,11 @@ class UniformCheck:
 def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
     """Check the identity on every standard basis vector of every level.
 
-    Linearity makes the standard basis sufficient.
+    Linearity makes the standard basis sufficient.  The identity maps
+    e_y on level i to level i-1, so each column is checked on the
+    support of its four sparse terms, in integers scaled by the common
+    denominator of the level's parameters.  A failing column's residual
+    is returned as a full-length list.
     """
     _require_bipartite(split)
     ctx = split.ctx
@@ -192,13 +211,16 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
         )
     for i in range(1, ctx.eccentricity + 1):
         em, ep, f = params.em(i), params.ep(i), params.fi(i)
+        den = lcm(em.denominator, ep.denominator, f.denominator)
+        sem, sep, sf = int(em * den), int(ep * den), int(f * den)
         for y in ctx.levels[i]:
-            rl2, lrl, l2r, lv = _level_operator_columns(split, y)
-            residual = [
-                em * a + b + ep * c - f * d
-                for a, b, c, d in zip(rl2, lrl, l2r, lv)
-            ]
-            if any(x != 0 for x in residual):
+            rl2, lrl, l2r, lv = _level_columns(split, y)
+            if any(sem * rl2[z] + den * lrl[z] + sep * l2r[z] != sf * lv[z]
+                   for z in rl2.keys() | lrl.keys() | l2r.keys() | lv.keys()):
+                residual = [
+                    em * rl2[z] + lrl[z] + ep * l2r[z] - f * lv[z]
+                    for z in range(split.graph.n)
+                ]
                 return UniformCheck(False, i, y, residual)
     split._verified.add(params)
     return UniformCheck(True)
@@ -251,14 +273,7 @@ def fit_uniform(split: LFRSplit) -> UniformFit:
     fits: list[LevelFit] = []
     feasible = True
     for i in range(1, eps + 1):
-        rows: list[list] = []
-        rhs: list = []
-        for y in ctx.levels[i]:
-            rl2, lrl, l2r, lv = _level_operator_columns(split, y)
-            for z in range(split.graph.n):
-                if rl2[z] or lrl[z] or l2r[z] or lv[z]:
-                    rows.append([rl2[z], l2r[z], -lv[z]])
-                    rhs.append(Fraction(-lrl[z]))
+        rows, rhs = _distinct_equations(split, [i])
         if i == 1:
             rows.append([1, 0, 0])
             rhs.append(Fraction(0))
@@ -297,15 +312,7 @@ def fit_uniform_constant(split: LFRSplit) -> Optional[UniformParams]:
     _require_bipartite(split)
     ctx = split.ctx
     eps = ctx.eccentricity
-    rows: list[list] = []
-    rhs: list = []
-    for i in range(1, eps + 1):
-        for y in ctx.levels[i]:
-            rl2, lrl, l2r, lv = _level_operator_columns(split, y)
-            for z in range(split.graph.n):
-                if rl2[z] or lrl[z] or l2r[z] or lv[z]:
-                    rows.append([rl2[z], l2r[z], -lv[z]])
-                    rhs.append(Fraction(-lrl[z]))
+    rows, rhs = _distinct_equations(split, range(1, eps + 1))
     eqs = ExactMatrix.from_rows(rows) if rows else ExactMatrix.zeros(0, 3)
     sol = solve_linear(eqs, rhs)
     if isinstance(sol, Inconsistent):
@@ -401,35 +408,58 @@ def module_rep_matrix(module: TModule) -> ExactMatrix:
     return m
 
 
-def _kernel_of_lowering(split: LFRSplit, r: int) -> list[list]:
-    """Basis of ker L restricted to level r, as full-length vectors."""
-    ctx = split.ctx
-    level = ctx.levels[r]
+class _LevelMaps:
+    """Lowering and raising on level-local vectors: a vector on level i
+    lists its coordinates in ``ctx.levels[i]`` order, and L and R map it
+    to a vector on level i-1 or i+1 through one vertex -> position index.
+    Levels outside 0..eps have no coordinates."""
+
+    def __init__(self, split: LFRSplit):
+        self.levels = split.ctx.levels
+        self.down, self.up = split.down, split.up
+        self.pos = [0] * split.graph.n
+        for level in self.levels:
+            for k, v in enumerate(level):
+                self.pos[v] = k
+
+    def size(self, i: int) -> int:
+        return len(self.levels[i]) if 0 <= i < len(self.levels) else 0
+
+    def lower(self, i: int, vec: list) -> list:
+        return self._step(self.down, i, vec, i - 1)
+
+    def raise_(self, i: int, vec: list) -> list:
+        return self._step(self.up, i, vec, i + 1)
+
+    def _step(self, nbrs, i: int, vec: list, j: int) -> list:
+        out = [0] * self.size(j)
+        pos = self.pos
+        for y, val in zip(self.levels[i], vec):
+            if val:
+                for z in nbrs[y]:
+                    out[pos[z]] += val
+        return out
+
+    def full(self, i: int, vec: list) -> list:
+        """The level-i vector as a full-length coordinate vector."""
+        out = [0] * len(self.pos)
+        for y, val in zip(self.levels[i], vec):
+            out[y] = val
+        return out
+
+
+def _kernel_of_lowering(maps: _LevelMaps, r: int) -> list[list]:
+    """Basis of ker L restricted to level r, as primitive integer
+    vectors over level r."""
     if r == 0:
-        v = [Fraction(0)] * split.graph.n
-        v[ctx.base] = Fraction(1)
-        return [v]
-    upper = ctx.levels[r - 1]
-    pos = {z: k for k, z in enumerate(upper)}
-    rows = [[0] * len(level) for _ in upper]
+        return [[1]]
+    level = maps.levels[r]
+    rows = [[0] * len(level) for _ in range(maps.size(r - 1))]
     for col, y in enumerate(level):
-        for z in split.down[y]:
-            rows[pos[z]][col] = 1
-    block = ExactMatrix.from_rows(rows) if upper else ExactMatrix.zeros(0, len(level))
-    basis_small = nullspace(block)
-    out = []
-    for small in basis_small:
-        v = [Fraction(0)] * split.graph.n
-        for val, y in zip(small, level):
-            v[y] = val
-        out.append(v)
-    return out
-
-
-def _coords_matrix(vectors: list[list], support: Sequence[int]) -> ExactMatrix:
-    return ExactMatrix.from_rows(
-        [[v[idx] for v in vectors] for idx in support]
-    )
+        for z in maps.down[y]:
+            rows[maps.pos[z]][col] = 1
+    kernel = nullspace(ExactMatrix.from_rows(rows))
+    return [normalize_vector(v) for v in kernel]
 
 
 def decompose_modules(split: LFRSplit, params: UniformParams,
@@ -440,9 +470,12 @@ def decompose_modules(split: LFRSplit, params: UniformParams,
     the exact length of their raising chain (longest chains first), so
     each generator has a well-defined diameter; chains are normalised
     with the solved x-scalars and every chain relation is re-verified
-    exactly.  With certify=True the stacked bases are certified to be a
-    direct sum by a full-rank check.  Parameters already verified on
-    this split are not verified again.
+    exactly.  Every vector is kept over the coordinates of its own
+    level.  With certify=True the chain vectors on each level are
+    certified to form a basis of it, which holds exactly when the
+    stacked bases form a direct sum.  Parameters already verified on
+    this split are not verified again.  Modules come ordered by
+    endpoint, then by decreasing diameter.
     """
     if params not in split._verified:
         check = verify_uniform(split, params)
@@ -454,20 +487,21 @@ def decompose_modules(split: LFRSplit, params: UniformParams,
     ctx = split.ctx
     eps = ctx.eccentricity
     n = split.graph.n
-    modules: list[TModule] = []
+    maps = _LevelMaps(split)
+    chains: list[tuple] = []  # (r, d, level-local chain vectors, x-scalars)
     for r in range(eps + 1):
-        kernel = _kernel_of_lowering(split, r)
+        kernel = _kernel_of_lowering(maps, r)
         k = len(kernel)
         if k == 0:
             continue
         max_d = eps - r
-        # R-power chains of the kernel basis, in full coordinates, and
+        # R-powers of the kernel basis (powers[i] on level r+i) and
         # their lowerings (for the chain conditions below)
         powers = [kernel]
-        for _ in range(max_d + 1):
-            powers.append([split.apply_raising(v) for v in powers[-1]])
+        for i in range(max_d + 1):
+            powers.append([maps.raise_(r + i, v) for v in powers[-1]])
         lowered = [None] + [
-            [split.apply_lowering(v) for v in powers[i]]
+            [maps.lower(r + i, v) for v in powers[i]]
             for i in range(1, max_d + 1)
         ]
         # S_d = vectors (in kernel coordinates) whose R-chain dies by d
@@ -480,9 +514,8 @@ def decompose_modules(split: LFRSplit, params: UniformParams,
                     for j in range(k)
                 ]
             else:
-                target = ctx.levels[r + d + 1]
-                mat = _coords_matrix(powers[d + 1], target)
-                basis = nullspace(mat)
+                rows = list(zip(*powers[d + 1]))  # level r+d+1 coordinates
+                basis = nullspace(ExactMatrix.from_rows(rows))
             coord_bases[d] = basis
             dims[d] = len(basis)
         # Valid diameter-d generators satisfy, beyond R^(d+1) v = 0, the
@@ -493,39 +526,46 @@ def decompose_modules(split: LFRSplit, params: UniformParams,
             want = dims[d] - dims[d - 1]
             if want <= 0:
                 continue
-            gen_space = _generator_space(
-                split, params, r, d, k, powers, lowered, coord_bases[d]
-            )
+            gen_space = _generator_space(params, r, d, powers, lowered,
+                                         coord_bases[d])
             lower = coord_bases[d - 1] if d > 0 else []
-            chosen = _complement_basis(gen_space, lower, want)
-            for coords in chosen:
-                gen = [Fraction(0)] * n
-                for c, v in zip(coords, kernel):
-                    if c:
-                        for idx, val in enumerate(v):
-                            if val:
-                                gen[idx] += c * val
-                modules.append(_build_chain(split, params, r, d, gen))
-    modules.sort(key=lambda m: (m.endpoint, -m.diameter))
-    total = sum(m.diameter + 1 for m in modules)
+            for coords in _complement_basis(gen_space, lower, want):
+                coords = normalize_vector(coords)  # an integer generator
+                gen = [sum(c * v[t] for c, v in zip(coords, kernel) if c)
+                       for t in range(len(kernel[0]))]
+                chains.append(_build_chain(maps, params, r, d, gen))
+    total = sum(len(chain) for _, _, chain, _ in chains)
     if total != n:
         raise ArithmeticError(
             f"module dimensions sum to {total}, expected {n}"
         )
-    certified = False
     if certify:
-        cols = []
-        for m in modules:
-            cols.extend(normalize_vector(v) for v in m.basis)
-        stacked = ExactMatrix.from_rows(cols)  # rows = basis vectors
-        if rank(stacked) != n:
+        by_level: list[list] = [[] for _ in ctx.levels]
+        for r, _, chain, _ in chains:
+            for i, w in enumerate(chain):
+                by_level[r + i].append(w)
+        _certify_direct_sum([len(level) for level in ctx.levels], by_level)
+    modules = [
+        TModule(r, d, [maps.full(r + i, w) for i, w in enumerate(chain)], x)
+        for r, d, chain, x in chains
+    ]
+    return Decomposition(modules, n, certify)
+
+
+def _certify_direct_sum(sizes: Sequence[int], by_level: Sequence[list]
+                        ) -> None:
+    """Certify that the chain vectors on each level, given per level,
+    form a basis of it: as many as the level has vertices, of full exact
+    rank.  The stacked bases are block-diagonal by level, so this holds
+    exactly when they form a direct sum of the standard module."""
+    for size, vectors in zip(sizes, by_level):
+        if len(vectors) != size \
+                or rank(ExactMatrix.from_rows(vectors)) != size:
             raise ArithmeticError("module bases do not form a direct sum")
-        certified = True
-    return Decomposition(modules, n, certified)
 
 
-def _generator_space(split: LFRSplit, params: UniformParams, r: int, d: int,
-                     k: int, powers, lowered, s_d_basis: list[list]) -> list[list]:
+def _generator_space(params: UniformParams, r: int, d: int, powers, lowered,
+                     s_d_basis: list[list]) -> list[list]:
     """Kernel-coordinate basis of the diameter-d generator space.
 
     Cuts S_d down by the linear chain conditions
@@ -535,23 +575,14 @@ def _generator_space(split: LFRSplit, params: UniformParams, r: int, d: int,
     """
     if d == 0:
         return s_d_basis
-    ctx = split.ctx
     x = solve_x_scalars(params, r, d)
-    rows: list[list] = []
-    # R^(d+1) v = 0
-    if r + d + 1 <= ctx.eccentricity:
-        for idx in ctx.levels[r + d + 1]:
-            rows.append([powers[d + 1][j][idx] for j in range(k)])
-    # L R^i v - x_{r+i} R^(i-1) v = 0, supported on level r+i-1
+    # R^(d+1) v = 0 (no rows beyond the last level)
+    rows: list = list(zip(*powers[d + 1]))
+    # q L R^i v - p R^(i-1) v = 0 on level r+i-1, with x_{r+i} = p/q
     for i in range(1, d + 1):
-        xi = x[i - 1]
-        for idx in ctx.levels[r + i - 1]:
-            rows.append([
-                lowered[i][j][idx] - xi * powers[i - 1][j][idx]
-                for j in range(k)
-            ])
-    if not rows:
-        return s_d_basis
+        p, q = x[i - 1].numerator, x[i - 1].denominator
+        for low, prev in zip(zip(*lowered[i]), zip(*powers[i - 1])):
+            rows.append([q * a - p * b for a, b in zip(low, prev)])
     return nullspace(ExactMatrix.from_rows(rows))
 
 
@@ -585,50 +616,54 @@ def _complement_basis(space: list[list], lower: list[list], want: int) -> list[l
     return chosen
 
 
-def _build_chain(split: LFRSplit, params: UniformParams, r: int, d: int,
-                 gen: list) -> TModule:
-    ctx = split.ctx
-    if d == 0:
-        _assert_chain(split, ctx, r, [gen], [])
-        return TModule(r, 0, [gen], [])
-    x = solve_x_scalars(params, r, d)
+def _build_chain(maps: _LevelMaps, params: UniformParams, r: int, d: int,
+                 gen: list) -> tuple:
+    """The chain w_{r+i} = R^i gen / (x_{r+1} ... x_{r+i}), scaled by one
+    integer to integer vectors of content 1 (the relations are linear, so
+    a common factor keeps them)."""
+    x = solve_x_scalars(params, r, d) if d else []
     if any(v == 0 for v in x):
         raise ArithmeticError(
             f"x-scalar vanishes mid-chain for (r, d) = ({r}, {d})"
         )
-    basis = [gen]
-    for i in range(1, d + 1):
-        nxt = split.apply_raising(basis[-1])
-        inv = x[i - 1]
-        basis.append([Fraction(v) / inv for v in nxt])
-    _assert_chain(split, ctx, r, basis, x)
-    return TModule(r, d, basis, x)
+    raised = [gen]
+    for i in range(d):
+        raised.append(maps.raise_(r + i, raised[-1]))
+    scales = [Fraction(1)]
+    for xi in x:
+        scales.append(scales[-1] / xi)
+    common = lcm(*(s.denominator for s in scales))
+    factors = [int(s * common) for s in scales]
+    chain = [[c * v for v in u] for c, u in zip(factors, raised)]
+    content = gcd(*(v for w in chain for v in w))
+    chain = [[v // content for v in w] for w in chain]
+    _assert_chain(maps, r, chain, x)
+    return r, d, chain, x
 
 
-def _assert_chain(split: LFRSplit, ctx, r: int, basis: list, x: list) -> None:
+def _assert_chain(maps: _LevelMaps, r: int, basis: list, x: list) -> None:
     """Re-verify every chain relation; failures signal internal bugs."""
     d = len(basis) - 1
     for i, w in enumerate(basis):
-        for idx, val in enumerate(w):
-            if val != 0 and ctx.dist[idx] != r + i:
-                raise ArithmeticError("chain vector leaves its level")
-    if any(v != 0 for v in split.apply_lowering(basis[0])):
+        if len(w) != maps.size(r + i):
+            raise ArithmeticError("chain vector leaves its level")
+    if any(maps.lower(r, basis[0])):
         raise ArithmeticError("chain generator is not in ker L")
     for i in range(1, d + 1):
-        lw = split.apply_lowering(basis[i])
-        if lw != basis[i - 1]:
+        if maps.lower(r + i, basis[i]) != basis[i - 1]:
             raise ArithmeticError("lowering does not step down the chain")
-    if any(v != 0 for v in split.apply_raising(basis[d])):
+    if any(maps.raise_(r + d, basis[d])):
         raise ArithmeticError("raising does not vanish at the chain top")
     # chain-derived x-scalars: L R w_{r+i-1} = x_{r+i} w_{r+i-1}
     for i in range(1, d + 1):
         w = basis[i - 1]
-        u = split.apply_lowering(split.apply_raising(w))
+        u = maps.lower(r + i, maps.raise_(r + i - 1, w))
         lead = next(idx for idx, v in enumerate(w) if v != 0)
-        ratio = Fraction(u[lead]) / Fraction(w[lead])
+        ratio = Fraction(u[lead], w[lead])
         if ratio != x[i - 1]:
             raise ArithmeticError(
                 "chain-derived x-scalar disagrees with the linear system"
             )
-        if any(uv != ratio * wv for uv, wv in zip(u, w)):
+        p, q = ratio.numerator, ratio.denominator
+        if any(uv * q != p * wv for uv, wv in zip(u, w)):
             raise ArithmeticError("L R is not scalar on the chain vector")

@@ -16,6 +16,7 @@ from uniformq.candidate import (
 )
 from uniformq.graphs import bfs_context, lfr_split
 from uniformq.linalg import ExactMatrix
+from uniformq.scalars import QuadExt, quad
 from uniformq.uniform import UniformParams, fit_uniform
 
 from conftest import random_connected_graph
@@ -87,6 +88,96 @@ def test_verify_tridiagonal_dimension_mismatch(cycle6):
         verify_tridiagonal(
             cycle6.adjacency_matrix(), ExactMatrix.identity(5), 0, 0, 0
         )
+
+
+def dense_commutators(a, astar):
+    """Slow twin: the four commutators of the relation as dense
+    ExactMatrix products."""
+    a2 = a * a
+    a3 = a2 * a
+    return [a3 * astar - astar * a3,
+            a * (astar * a2) - (a2 * astar) * a,
+            a2 * astar - astar * a2,
+            a * astar - astar * a]
+
+
+def dense_residual(commutators, beta, gamma, rho):
+    """Row-major (support, values) of the dense residual matrix."""
+    c3, cmix, c2, c1 = commutators
+    n = c3.rows
+    bp1 = Fraction(beta) + 1
+    support, values = [], []
+    for idx in range(n * n):
+        r = c3.entries[idx] + bp1 * cmix.entries[idx] \
+            - gamma * c2.entries[idx] - rho * c1.entries[idx]
+        if r != 0:
+            support.append((idx // n, idx % n))
+            values.append(r)
+    return support, values
+
+
+def assert_matches_dense(a, astar, commutators, beta, gamma, rho):
+    support, values = dense_residual(commutators, beta, gamma, rho)
+    full = verify_tridiagonal(a, astar, beta, gamma, rho, collect_all=True)
+    assert full.holds == (not support)
+    assert full.residual_support == support
+    assert full.residual_values == values
+    first = verify_tridiagonal(a, astar, beta, gamma, rho)
+    assert first.holds == (not support)
+    assert first.residual_support == support[:1]
+    assert first.residual_values is None
+
+
+def test_verify_tridiagonal_matches_dense_twin_cycle6(cycle6):
+    a, astar = cycle6.adjacency_matrix(), ExactMatrix.identity(6)
+    assert_matches_dense(a, astar, dense_commutators(a, astar), 7, 0, 0)
+
+
+def test_verify_tridiagonal_matches_dense_twin_general_matrix():
+    # neither symmetric nor 0/1: the route reads the columns of A as given
+    rng = random.Random(5)
+    a = ExactMatrix(7, 7, [rng.choice([0, 0, 0, 1, -2, Fraction(3, 2)])
+                           for _ in range(49)])
+    astar = ExactMatrix.diagonal(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(7)])
+    commutators = dense_commutators(a, astar)
+    assert_matches_dense(a, astar, commutators, Fraction(1, 3), 2, -5)
+
+
+def test_verify_tridiagonal_matches_dense_twin_quadext_matrix():
+    # QuadExt entries in A with a rational A* that needs scaling
+    rng = random.Random(7)
+    a = ExactMatrix(6, 6, [rng.choice([0, 0, 1, quad(0, 1, 2),
+                                       quad(Fraction(1, 2), -1, 2)])
+                           for _ in range(36)])
+    astar = ExactMatrix.diagonal(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(6)])
+    commutators = dense_commutators(a, astar)
+    assert_matches_dense(a, astar, commutators, Fraction(1, 3), 2, -5)
+    assert any(isinstance(v, QuadExt) for v in verify_tridiagonal(
+        a, astar, Fraction(1, 3), 2, -5, collect_all=True).residual_values)
+
+
+def test_verify_tridiagonal_matches_dense_twin_c32(c32_fb, c32_ctx):
+    a = c32_fb.adjacency_matrix()
+    astar = dual_diagonal(c32_ctx, (-1, 0, Fraction(1, 2), Fraction(3, 4)))
+    commutators = dense_commutators(a, astar)
+    for gamma, rho in [(0, 36), (0, 37), (Fraction(-1, 3), 36)]:
+        assert_matches_dense(a, astar, commutators, Fraction(5, 2), gamma, rho)
+
+
+def test_verify_tridiagonal_matches_dense_twin_quadext():
+    from uniformq.generators import hypercube
+
+    q3 = hypercube(3)[0]
+    ctx = bfs_context(q3, 0)
+    theta = (quad(0, 1, 3), 1, quad(2, -1, 3), quad(Fraction(1, 2), 2, 3))
+    a, astar = q3.adjacency_matrix(), dual_diagonal(ctx, theta)
+    commutators = dense_commutators(a, astar)
+    for beta, gamma, rho in [(2, 0, 4), (Fraction(1, 2), 1, 3)]:
+        assert_matches_dense(a, astar, commutators, beta, gamma, rho)
+    assert any(isinstance(v, QuadExt) for v in verify_tridiagonal(
+        a, astar, Fraction(1, 2), 1, 3, collect_all=True).residual_values)
 
 
 # -- entrywise oracle ---------------------------------------------------------------

@@ -3,10 +3,27 @@ from fractions import Fraction
 
 import pytest
 
-from uniformq.graphs import Graph, bfs_context, lfr_split, walk_counts_from
-from uniformq.linalg import AffineSolution
+from conftest import random_connected_graph
+from uniformq.graphs import (
+    Graph,
+    bfs_context,
+    full_bipartite,
+    lfr_split,
+    walk_counts_from,
+    walk_matrix,
+)
+from uniformq.linalg import (
+    AffineSolution,
+    ExactMatrix,
+    Inconsistent,
+    UniqueSolution,
+    normalize_vector,
+    rank,
+    solve_linear,
+)
 from uniformq.uniform import (
     Decomposition,
+    TModule,
     UniformParams,
     closed_form_x,
     decompose_modules,
@@ -75,6 +92,98 @@ def test_verify_uniform_all_zero_fails(c6_split):
     check = verify_uniform(c6_split, params)
     assert not check.passed
     assert check.level is not None and check.witness is not None
+
+
+def dense_uniform_check(split, params):
+    """Slow twin of verify_uniform: the identity's columns from the dense
+    walk matrices RL^2, LRL, L^2R and L, level by level in vertex order.
+    Returns (level, witness, residual) of the first failing column."""
+    mats = [walk_matrix(split, shape) for shape in ("llr", "lrl", "rll", "l")]
+    for i in range(1, split.ctx.eccentricity + 1):
+        em, ep, f = params.em(i), params.ep(i), params.fi(i)
+        for y in split.ctx.levels[i]:
+            cols = [m.column(y) for m in mats]
+            residual = [em * a + b + ep * c - f * d
+                        for a, b, c, d in zip(*cols)]
+            if any(residual):
+                return i, y, residual
+    return None
+
+
+@pytest.mark.parametrize("case", ["c6-zero", "c6-f", "c32-f3", "c32-f1",
+                                  "c32-ep2"])
+def test_verify_uniform_matches_dense_twin(case, c6_split, c32_split,
+                                           dp_params):
+    if case.startswith("c6"):
+        split = c6_split
+        good = UniformParams((0, 2, 3), (1, -2, 0), (3, 1, 5))
+    else:
+        split, good = c32_split, dp_params
+    em, ep, f = (list(t) for t in (good.e_minus, good.e_plus, good.f))
+    if case == "c6-zero":
+        em, ep, f = [0] * 3, [0] * 3, [0] * 3
+    elif case in ("c6-f", "c32-f3"):
+        f[2] += 1
+    elif case == "c32-f1":
+        f[0] = Fraction(15, 2)
+    else:
+        ep[1] = Fraction(-1, 7)
+    params = UniformParams(em, ep, f)
+    check = verify_uniform(split, params)
+    level, witness, residual = dense_uniform_check(split, params)
+    assert not check.passed
+    assert (check.level, check.witness) == (level, witness)
+    assert check.residual == residual
+    assert dense_uniform_check(split, good) is None
+    assert verify_uniform(split, good).passed
+
+
+def random_fb_splits(count):
+    rng = random.Random(1)
+    for _ in range(count):
+        g = full_bipartite(random_connected_graph(rng, 10), 0)
+        yield lfr_split(g, bfs_context(g, 0))
+
+
+@pytest.mark.parametrize("case", ["c6", "c32", "random"])
+def test_fit_matches_full_equation_system(case, c6_split, c32_split):
+    # slow twin of the deduplicated fit: one equation per entry (z, y) of
+    # the identity's columns, read off the dense walk matrices; the
+    # random full bipartite graphs have levels with no solution
+    splits = {"c6": [c6_split], "c32": [c32_split],
+              "random": list(random_fb_splits(6))}[case]
+    for split in splits:
+        check_fit_against_full_system(split)
+    if case == "c32":  # 4384 equations, few of them distinct
+        assert sum(len(f.rhs) for f in fit_uniform(c32_split).levels) < 20
+
+
+def check_fit_against_full_system(split):
+    mats = [walk_matrix(split, shape) for shape in ("llr", "rll", "l", "lrl")]
+    fit = fit_uniform(split)
+    eps = split.ctx.eccentricity
+    all_rows, all_rhs = [], []
+    for i, level_fit in enumerate(fit.levels, start=1):
+        rows, rhs = [], []
+        for y in split.ctx.levels[i]:
+            for z in range(split.graph.n):
+                a, c, d, b = (m[(z, y)] for m in mats)
+                if a or b or c or d:
+                    rows.append([a, c, -d])
+                    rhs.append(Fraction(-b))
+        all_rows += rows
+        all_rhs += rhs
+        pins = [[1, 0, 0]] if i == 1 else []
+        pins += [[0, 1, 0]] if i == eps else []
+        sol = solve_linear(ExactMatrix.from_rows(rows + pins),
+                           rhs + [Fraction(0)] * len(pins))
+        assert sol == level_fit.solution
+    sol = solve_linear(ExactMatrix.from_rows(all_rows), all_rhs)
+    if isinstance(sol, Inconsistent):
+        assert fit_uniform_constant(split) is None
+    else:
+        x = sol.x if isinstance(sol, UniqueSolution) else sol.particular
+        assert fit_uniform_constant(split) == UniformParams.constant(eps, *x)
 
 
 def test_verify_uniform_requires_bipartite():
@@ -239,6 +348,15 @@ def test_decompose_chain_relations(c32_split, dp_params):
             assert lr == [m.x_scalars[i - 1] * v for v in w[i - 1]]
 
 
+def test_decompose_chains_are_primitive_integer(c32_split, dp_params):
+    from math import gcd
+
+    for m in decompose_modules(c32_split, dp_params).modules:
+        entries = [v for w in m.basis for v in w]
+        assert all(type(v) is int for v in entries)
+        assert gcd(*entries) == 1
+
+
 def test_decompose_requires_valid_params(c32_split):
     with pytest.raises(ValueError):
         decompose_modules(c32_split, UniformParams.constant(3, 0, 0, 0))
@@ -246,11 +364,11 @@ def test_decompose_requires_valid_params(c32_split):
 
 def test_decompose_module_count_per_endpoint(c32_split, dp_params):
     # endpoint-r module count equals dim(ker L) on level r
-    from uniformq.uniform import _kernel_of_lowering
+    from uniformq.uniform import _kernel_of_lowering, _LevelMaps
 
     dec = decompose_modules(c32_split, dp_params)
     for r in range(4):
-        expected = len(_kernel_of_lowering(c32_split, r))
+        expected = len(_kernel_of_lowering(_LevelMaps(c32_split), r))
         found = sum(1 for m in dec.modules if m.endpoint == r)
         assert found == expected
 
@@ -308,3 +426,65 @@ def test_fitted_params_are_hashable(c6_split):
         assert all(isinstance(t, tuple)
                    for t in (params.e_minus, params.e_plus, params.f))
         assert params in {params}
+
+
+def stacked_rank(modules, n):
+    """Slow twin of the per-level certificate: the n x n exact rank of
+    every chain vector stacked, normalised as rows."""
+    rows = [normalize_vector(v) for m in modules for v in m.basis]
+    return len(rows), rank(ExactMatrix.from_rows(rows))
+
+
+def per_level(modules, ctx):
+    by_level = [[] for _ in ctx.levels]
+    for m in modules:
+        for i, v in enumerate(m.basis):
+            level = ctx.levels[m.endpoint + i]
+            by_level[m.endpoint + i].append([v[y] for y in level])
+    return [len(level) for level in ctx.levels], by_level
+
+
+@pytest.mark.parametrize("case", ["c32", "q6"])
+def test_direct_sum_certificate_matches_stacked_rank(case, c32_split,
+                                                    dp_params):
+    from uniformq.generators import hypercube
+    from uniformq.uniform import _certify_direct_sum
+
+    if case == "c32":
+        split, params = c32_split, dp_params
+    else:
+        q6 = hypercube(6)[0]
+        split = lfr_split(q6, bfs_context(q6, 0))
+        params = fit_uniform_constant(split)
+    n = split.graph.n
+    dec = decompose_modules(split, params)
+    assert dec.certified_direct_sum
+    assert stacked_rank(dec.modules, n) == (n, n)
+    # a chain vector repeated on level 1 breaks both certificates alike
+    first = dec.modules[0]  # endpoint 0: a vector on every level
+    second = next(m for m in dec.modules if m.endpoint == 1)
+    broken = [m if m is not second else
+              TModule(1, m.diameter, [first.basis[1]] + m.basis[1:],
+                      m.x_scalars)
+              for m in dec.modules]
+    assert stacked_rank(broken, n)[1] < n
+    with pytest.raises(ArithmeticError):
+        _certify_direct_sum(*per_level(broken, split.ctx))
+    _certify_direct_sum(*per_level(dec.modules, split.ctx))
+
+
+def test_direct_sum_certificate_rejects_bad_levels():
+    from uniformq.uniform import _certify_direct_sum
+
+    msg = "module bases do not form a direct sum"
+    good = [[[1]], [[1, 0, 2], [0, 1, 0], [0, 0, 3]]]
+    _certify_direct_sum([1, 3], good)
+    dependent = [[[1]], [[1, 0, 2], [0, 1, 0], [2, 1, 4]]]
+    with pytest.raises(ArithmeticError, match=msg):
+        _certify_direct_sum([1, 3], dependent)
+    too_few = [[[1]], [[1, 0, 2], [0, 1, 0]]]
+    with pytest.raises(ArithmeticError, match=msg):
+        _certify_direct_sum([1, 3], too_few)
+    too_many = [[[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]]
+    with pytest.raises(ArithmeticError, match=msg):
+        _certify_direct_sum([1, 3], too_many)

@@ -272,7 +272,7 @@ class _Instance:
 
     @cached_property
     def spectrum(self):
-        return spectrum_exact(self.adjacency, self.split.is_bipartite())
+        return spectrum_exact(self.adjacency)
 
     @cached_property
     def pattern(self):

@@ -16,23 +16,28 @@ h_{i+1} = t h_i - x_{r+i} h_{i-1}, a rescaled normalized dual
 b-Krawtchouk polynomial.
 
 ``spectrum_exact`` is fully general for symmetric 0/1 matrices whose
-squared spectrum is rational: it takes the exact characteristic
-polynomial of A^2, finds its integer roots by scanning [0, Delta^2]
-(Delta the maximum degree) with exact synthetic division, and splits the
-+-sqrt pairs by exact rank computations (modular ranks with a
-sum-of-nullities certificate, falling back to fraction-free elimination;
-conjugate irrational pairs always share multiplicity since the field
-automorphism sqrt(m) -> -sqrt(m) maps one eigenspace onto the other).
+squared spectrum is rational, and 2-colours the graph of A itself.  For
+bipartite A = [[0, B], [B^T, 0]] it takes the exact characteristic
+polynomial of the Gram block B B^T on the smaller colour class, finds
+its integer roots by scanning [0, Delta^2] (Delta the maximum degree)
+with exact synthetic division, and reads the spectrum off it: the
+nonzero eigenvalues of A are +-sqrt(mu) for the nonzero roots mu, each
+with the multiplicity of mu, and 0 takes the rest.  Only for
+non-bipartite A does it scan the charpoly of A^2 and split the +-sqrt
+pairs by exact rank computations (modular ranks with a sum-of-nullities
+certificate, falling back to fraction-free elimination; conjugate
+irrational pairs always share multiplicity since the field automorphism
+sqrt(m) -> -sqrt(m) maps one eigenspace onto the other).
 
 ``idempotent_pattern`` decides which E_i A* E_j vanish from integer
-spectral projectors of A^2 alone, without eigenspace bases.
+spectral projectors of A^2 alone, without eigenspace bases; for
+bipartite A they are built per colour class from B B^T and B^T B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import lcm, prod
 from operator import mul
 from typing import Optional, Sequence
@@ -194,20 +199,24 @@ def _deflate(coeffs: list[int], root: int) -> tuple[list[int], int]:
     return out[::-1], remainder
 
 
-def _squared_spectrum(ints: list[int], n: int) -> dict[int, int]:
-    """Eigenvalue -> multiplicity of A^2 for a symmetric 0/1 matrix A.
+def _degree_bound(ints: list[int], n: int) -> int:
+    """Delta^2 for the maximum degree Delta: no eigenvalue of A^2 (or of
+    a diagonal block of it) exceeds it."""
+    return max((sum(ints[i * n:(i + 1) * n]) for i in range(n)),
+               default=0) ** 2
 
-    Every eigenvalue of A^2 lies in [0, Delta^2], Delta the maximum
-    degree, so the integer roots are found by scanning 0..Delta^2 with
-    exact synthetic division of the integer charpoly; ValueError when
-    the roots found do not account for all n eigenvalues.
+
+def _integer_roots(sq: list[int], n: int, bound: int) -> dict[int, int]:
+    """Eigenvalue -> multiplicity of the symmetric n x n integer matrix
+    sq, whose eigenvalues lie in [0, bound].
+
+    The integer roots are found by scanning 0..bound with exact
+    synthetic division of the integer charpoly; ValueError when the
+    roots found do not account for all n eigenvalues.
     """
-    sq = int_matmul_flat(ints, ints, n, n, n)
     coeffs = list(charpoly_int(sq, n).coeffs)
-    max_degree = max((sum(ints[i * n:(i + 1) * n]) for i in range(n)),
-                     default=0)
     mults: dict[int, int] = {}
-    for mu in range(max_degree * max_degree + 1):
+    for mu in range(bound + 1):
         while len(coeffs) > 1:
             quotient, remainder = _deflate(coeffs, mu)
             if remainder:
@@ -220,6 +229,89 @@ def _squared_spectrum(ints: list[int], n: int) -> dict[int, int]:
             "supported scalar fields"
         )
     return mults
+
+
+def _square_roots(mus) -> tuple[int, dict[int, tuple[int, int]]]:
+    """The radicand and, per nonzero mu (descending), (s, m) with
+    sqrt(mu) = s sqrt(m); ValueError when two radicands are needed."""
+    radicand = 1
+    roots = {}
+    for mu in sorted(mus, reverse=True):
+        if mu == 0:
+            continue
+        s, m = squarefree_decompose(mu)
+        if m != 1:
+            if radicand == 1:
+                radicand = m
+            elif radicand != m:
+                raise ValueError(
+                    f"spectrum needs two radicands ({radicand}, {m}); "
+                    "outside the single-extension scope"
+                )
+        roots[mu] = (s, m)
+    return radicand, roots
+
+
+def _root_value(s: int, m: int) -> Scalar:
+    return Fraction(s) if m == 1 else quad(0, s, m)
+
+
+def _sorted_spectrum(pairs, radicand: int) -> Spectrum:
+    """The Spectrum of (value, multiplicity) pairs, descending, without
+    zero multiplicities."""
+    pairs = sorted(pairs, key=lambda t: scalar_sort_key(t[0]), reverse=True)
+    return Spectrum([(v, m) for v, m in pairs if m > 0], radicand)
+
+
+def _colour_classes(ints: list[int], n: int) -> Optional[list[list[int]]]:
+    """The two classes of a proper 2-colouring of the graph of A, the
+    smaller first; None when the graph has an odd cycle or a loop."""
+    colour = [-1] * n
+    for root in range(n):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            y = stack.pop()
+            for z, v in enumerate(ints[y * n:(y + 1) * n]):
+                if not v:
+                    continue
+                if colour[z] < 0:
+                    colour[z] = 1 - colour[y]
+                    stack.append(z)
+                elif colour[z] == colour[y]:
+                    return None
+    classes = [[y for y in range(n) if colour[y] == c] for c in (0, 1)]
+    return sorted(classes, key=len)
+
+
+def _blocks(ints: list[int], n: int):
+    """The classes and the nonzero blocks {(i, j): flat block} of A.
+
+    For bipartite A the classes are the two colour classes, smaller
+    first, so A = [[0, B], [B^T, 0]] and A^2 = diag(B B^T, B^T B);
+    otherwise one class holds every vertex.
+    """
+    classes = _colour_classes(ints, n) or [list(range(n))]
+    blocks = {}
+    for i, rows in enumerate(classes):
+        for j, cols in enumerate(classes):
+            block = [ints[y * n + z] for y in rows for z in cols]
+            if any(block):
+                blocks[i, j] = block
+    return classes, blocks
+
+
+def _square_block(classes, blocks, i: int) -> list[int]:
+    """Diagonal block i of A^2 (the blocks of A^2 off the diagonal
+    vanish for both kinds of classes)."""
+    size = len(classes[i])
+    for j, cols in enumerate(classes):
+        if (i, j) in blocks:  # for at most one j: A_ii = 0 when bipartite
+            return int_matmul_flat(blocks[i, j], blocks[j, i], size,
+                                   len(cols), size)
+    return [0] * (size * size)
 
 
 def _sqrt_mod(m: int, p: int) -> Optional[int]:
@@ -282,42 +374,46 @@ def _prime_stream_filtered():
         x -= 2
 
 
-def spectrum_exact(a: ExactMatrix, bipartite: bool = False,
-                   radicand_hint: Optional[int] = None) -> Spectrum:
+def spectrum_exact(a: ExactMatrix) -> Spectrum:
     """Exact spectrum of a symmetric 0/1 matrix.
 
-    Method: exact characteristic polynomial of A^2, its integer roots
-    by a scan of [0, Delta^2], then sign split of each +-sqrt pair by
-    exact rank computations of A - theta I over Q(sqrt(m)).
-    Raises ValueError when the squared spectrum is not rational or the
-    values need more than one radicand.
+    A 2-colouring of the graph of A decides the method.  For bipartite
+    A = [[0, B], [B^T, 0]], with B B^T on the smaller colour class: the
+    exact characteristic polynomial of B B^T, its integer roots mu by a
+    scan of [0, Delta^2], then mult(+-sqrt mu) = mult_{BB^T}(mu) for
+    mu != 0 and mult(0) = n - 2 rank B.  Otherwise the same scan on A^2
+    and a sign split of each +-sqrt pair by exact ranks of A - theta I
+    (``_sign_split_spectrum``).  Raises ValueError when the squared
+    spectrum is not rational or the values need more than one radicand.
     """
     ints = _validate_symmetric01(a)
     n = a.rows
-    mults = _squared_spectrum(ints, n)
+    classes, blocks = _blocks(ints, n)
+    if len(classes) == 1:
+        return _sign_split_spectrum(ints, n)
+    gram = _square_block(classes, blocks, 0)
+    mults = _integer_roots(gram, len(classes[0]), _degree_bound(ints, n))
+    radicand, roots = _square_roots(mults)
+    pairs = [(Fraction(0), n - 2 * sum(mults[mu] for mu in roots))]
+    for mu, (s, m) in roots.items():
+        pairs += [(_root_value(s, m), mults[mu]),
+                  (_root_value(-s, m), mults[mu])]
+    return _sorted_spectrum(pairs, radicand)
 
-    radicand = 1
-    groups = []  # (s, m, mu) with theta = s sqrt(m), mu = theta^2
-    for mu in sorted(mults, reverse=True):
-        if mu == 0:
-            continue
-        s, m = squarefree_decompose(mu)
-        if m != 1:
-            if radicand == 1:
-                radicand = m
-            elif radicand != m:
-                raise ValueError(
-                    f"spectrum needs two radicands ({radicand}, {m}); "
-                    "outside the single-extension scope"
-                )
-        groups.append((s, m, mu))
-    if radicand_hint is not None and radicand != 1 and radicand_hint != radicand:
-        raise ValueError(
-            f"radicand hint {radicand_hint} conflicts with computed {radicand}"
-        )
+
+def _sign_split_spectrum(ints: list[int], n: int) -> Spectrum:
+    """``spectrum_exact`` for any symmetric 0/1 matrix, given as flat
+    integer entries: the scan of [0, Delta^2] on the charpoly of A^2,
+    then the sign split of each +-sqrt pair by exact rank computations
+    of A - theta I over Q(sqrt(m)) (modular ranks with a sum-of-nullities
+    certificate, falling back to fraction-free elimination).
+    """
+    sq = int_matmul_flat(ints, ints, n, n, n)
+    mults = _integer_roots(sq, n, _degree_bound(ints, n))
+    radicand, roots = _square_roots(mults)
 
     thetas: list[tuple[int, int, int]] = []  # (s, m, mu) incl. negatives
-    for s, m, mu in groups:
+    for mu, (s, m) in roots.items():
         thetas.append((s, m, mu))
         thetas.append((-s, m, mu))
     if 0 in mults:
@@ -327,48 +423,28 @@ def spectrum_exact(a: ExactMatrix, bipartite: bool = False,
     if nullities is None:
         nullities = []
         for s, m, _ in thetas:
-            if m == 1:
-                shifted = ExactMatrix(
-                    n, n,
-                    [v - s * (1 if i % (n + 1) == 0 else 0)
-                     for i, v in enumerate(ints)],
-                )
-                nullities.append(n - rank(shifted))
-            else:
-                theta = quad(0, s, m)
-                entries: list = list(ints)
-                for i in range(n):
-                    entries[i * n + i] = entries[i * n + i] - theta
-                nullities.append(n - rank(ExactMatrix(n, n, entries)))
+            entries: list = list(ints)
+            for i in range(n):
+                entries[i * n + i] -= _root_value(s, m)
+            nullities.append(n - rank(ExactMatrix(n, n, entries)))
         if sum(nullities) != n:
             raise ArithmeticError("eigenspace dimensions do not sum to n")
 
-    by_theta = {}
-    for (s, m, mu), nullity in zip(thetas, nullities):
-        value: Scalar = Fraction(s) if m == 1 else quad(0, s, m)
-        by_theta[(s, m)] = (value, nullity, mu)
+    by_theta = {(s, m): (_root_value(s, m), nullity)
+                for (s, m, _), nullity in zip(thetas, nullities)}
 
     # cross-checks: pair sums match charpoly multiplicities; conjugate
-    # irrational pairs split evenly (field automorphism), bipartite
-    # spectra are antisymmetric
-    for s, m, mu in groups:
+    # irrational pairs split evenly (field automorphism)
+    for mu, (s, m) in roots.items():
         plus, minus = by_theta[(s, m)][1], by_theta[(-s, m)][1]
         if plus + minus != mults[mu]:
             raise ArithmeticError("sign split disagrees with A^2 multiplicity")
         if m != 1 and plus != minus:
             raise ArithmeticError("conjugate eigenvalues must share multiplicity")
-        if bipartite and plus != minus:
-            raise ArithmeticError("bipartite spectrum must be antisymmetric")
     if (0, 1) in by_theta:
         if by_theta[(0, 1)][1] != mults[0]:
             raise ArithmeticError("kernel dimension mismatch")
-
-    pairs = sorted(
-        ((v, nl) for v, nl, _ in by_theta.values()),
-        key=lambda t: scalar_sort_key(t[0]),
-        reverse=True,
-    )
-    return Spectrum([(v, m) for v, m in pairs if m > 0], radicand)
+    return _sorted_spectrum(by_theta.values(), radicand)
 
 
 # -- spectral projectors, eigenspace bases and the idempotent pattern ------------
@@ -388,20 +464,26 @@ class EigenDecomposition:
 
 def _spectral_projectors(a: ExactMatrix, spectrum: Spectrum):
     """Integer multiples of the primitive idempotents of A, certified
-    against the claimed spectrum.
+    against the claimed spectrum, in block form.
 
-    For each distinct mu = theta^2 of the spectrum, P_mu = prod_{nu !=
-    mu} (A^2 - nu I).  Returns the mu of each eigenvalue and, per mu, a
-    pair (X, Y) of flat integer n x n matrices such that M_theta = X +
+    The classes are those of ``_blocks``: A^2 is block diagonal over
+    them, with one block for non-bipartite A and the blocks B B^T and
+    B^T B for bipartite A.  For each distinct mu = theta^2 of the
+    spectrum, P_mu = prod_{nu != mu} (A^2 - nu I) is the block diagonal
+    matrix of the same product over each block D, evaluated from the
+    powers D^0, ..., D^k for k distinct mu.  Returns the mu of each
+    eigenvalue, the classes and, per mu, a pair (X, Y) of block matrices
+    {(i, j): flat block}, absent blocks zero, such that M_theta = X +
     theta Y equals c_theta E_theta: X = A P_mu, Y = P_mu for mu != 0,
     and X = P_0, Y = None for mu = 0.  Here c_theta = prod_{nu != mu}
-    (mu - nu), times 2 theta when theta != 0.
+    (mu - nu), times 2 theta when theta != 0.  For bipartite A, X has
+    only the blocks off the diagonal and Y only those on it.
 
-    The spectrum is checked exactly: (A^2 - mu_1 I) P_mu_1 = 0 shows
-    that every eigenvalue of A^2 is some mu, then tr M_theta = c_theta
-    mult_theta that each multiplicity is the eigenspace dimension, so
-    distinct values whose multiplicities sum to n miss nothing.
-    ArithmeticError when the spectrum is not A's.
+    The spectrum is checked exactly: (A^2 - mu_1 I) P_mu_1 = 0, on every
+    block, shows that every eigenvalue of A^2 is some mu, then tr
+    M_theta = c_theta mult_theta that each multiplicity is the
+    eigenspace dimension, so distinct values whose multiplicities sum
+    to n miss nothing.  ArithmeticError when the spectrum is not A's.
     """
     ints = _validate_symmetric01(a)
     n = a.rows
@@ -419,39 +501,62 @@ def _spectral_projectors(a: ExactMatrix, spectrum: Spectrum):
         keys.append(int(mu))
     mus = list(dict.fromkeys(keys))
 
-    sq = int_matmul_flat(ints, ints, n, n, n)
+    classes, a_blocks = _blocks(ints, n)
+    sizes = [len(c) for c in classes]
+    projectors: dict[int, dict] = {mu: {} for mu in mus}
+    for i, size in enumerate(sizes):
+        sq = _square_block(classes, a_blocks, i)
+        powers = [[int(k % (size + 1) == 0) for k in range(size * size)], sq]
+        while len(powers) <= len(mus):
+            powers.append(int_matmul_flat(sq, powers[-1], size, size, size))
 
-    def shifted(nu: int) -> list[int]:  # A^2 - nu I
-        out = list(sq)
-        for i in range(n):
-            out[i * n + i] -= nu
-        return out
+        def evaluate(roots) -> list[int]:  # prod_{nu in roots} (D - nu I)
+            coeffs = [1]  # lowest degree first
+            for nu in roots:
+                coeffs = [hi - nu * lo
+                          for hi, lo in zip([0] + coeffs, coeffs + [0])]
+            return [sum(map(mul, coeffs, column)) for column in zip(*powers)]
 
-    def matmul(x: list[int], y: list[int]) -> list[int]:
-        return int_matmul_flat(x, y, n, n, n)
+        for mu in mus:
+            projectors[mu][i, i] = evaluate([nu for nu in mus if nu != mu])
+        if any(evaluate(mus)):  # (D - mu_1 I) P_mu_1 on this block
+            raise ArithmeticError("the spectrum misses an eigenvalue of A^2")
 
-    identity = [int(i % (n + 1) == 0) for i in range(n * n)]
-    projectors = {}
-    for mu in mus:
-        factors = [shifted(nu) for nu in mus if nu != mu]
-        projectors[mu] = reduce(matmul, factors or [identity])
-    if any(matmul(shifted(mus[0]), projectors[mus[0]])):
-        raise ArithmeticError("the spectrum misses an eigenvalue of A^2")
-    blocks = {mu: (matmul(ints, p), p) if mu else (p, None)
+    def times_a(p: dict) -> dict:  # (A P)_ij = A_ij P_jj
+        return {(i, j): int_matmul_flat(block, p[j, j], sizes[i], sizes[j],
+                                        sizes[j])
+                for (i, j), block in a_blocks.items()}
+
+    def trace(m: dict) -> int:
+        return sum(sum(m[i, i][::size + 1])
+                   for i, size in enumerate(sizes) if (i, i) in m)
+
+    blocks = {mu: (times_a(p), p) if mu else (p, None)
               for mu, p in projectors.items()}
-
     for (value, mult), mu in zip(spectrum.eigenvalues, keys):
         x, y = blocks[mu]
         scale = prod(mu - nu for nu in mus if nu != mu)
-        trace = sum(x[::n + 1])
+        total = trace(x)
         if mu:
             scale *= 2 * value
-            trace += value * sum(y[::n + 1])
-        if trace != scale * mult:
+            total += value * trace(y)
+        if total != scale * mult:
             raise ArithmeticError(
                 f"eigenvalue {value} does not have multiplicity {mult}"
             )
-    return keys, blocks
+    return keys, classes, blocks
+
+
+def _dense(m: dict, classes, n: int) -> list:
+    """The flat n x n matrix of a block matrix over the classes."""
+    out = [0] * (n * n)
+    for (i, j), block in m.items():
+        cols = classes[j]
+        width = len(cols)
+        for k, y in enumerate(classes[i]):
+            for z, v in zip(cols, block[k * width:(k + 1) * width]):
+                out[y * n + z] = v
+    return out
 
 
 def eigenspace_bases(a: ExactMatrix, spectrum: Spectrum) -> EigenDecomposition:
@@ -461,10 +566,11 @@ def eigenspace_bases(a: ExactMatrix, spectrum: Spectrum) -> EigenDecomposition:
     ArithmeticError when the spectrum is not A's.
     """
     n = a.rows
-    keys, blocks = _spectral_projectors(a, spectrum)
+    keys, classes, blocks = _spectral_projectors(a, spectrum)
     bases = []
     for (value, mult), mu in zip(spectrum.eigenvalues, keys):
-        x, y = blocks[mu]
+        x, y = (None if m is None else _dense(m, classes, n)
+                for m in blocks[mu])
         cols = [[x[i * n + j] + (value * y[i * n + j] if mu else 0)
                  for i in range(n)] for j in range(n)]
         bases.append(column_space_basis(cols, expected_rank=mult))
@@ -481,8 +587,9 @@ def idempotent_pattern(a: ExactMatrix, spectrum: Spectrum,
     tr(E_i A* E_j A*).  With M_i = c_i E_i from ``_spectral_projectors``
     that trace is, up to the nonzero factor c_i c_j, the sum over y, z
     of (M_i)_yz (M_j)_yz a*_y a*_z.  Writing M_i = X + theta_i Y turns
-    it into four integer sums per pair of squared eigenvalues.  Raises
-    ArithmeticError when the spectrum is not A's.
+    it into four integer sums per pair of squared eigenvalues, each a
+    sum over the blocks present in both factors (for bipartite A, X and
+    Y share none).  Raises ArithmeticError when the spectrum is not A's.
     """
     n = astar.rows
     if astar.cols != n or a.rows != n:
@@ -495,14 +602,19 @@ def idempotent_pattern(a: ExactMatrix, spectrum: Spectrum,
         raise ValueError("A* must be rational")
     den = lcm(*(Fraction(d).denominator for d in diag))
     w = [int(Fraction(d) * den) for d in diag]  # same zeros as A*
-    ww = [wy * wz for wy in w for wz in w]
 
-    keys, blocks = _spectral_projectors(a, spectrum)
-    weighted = {mu: [None if m is None else list(map(mul, m, ww))
+    keys, classes, blocks = _spectral_projectors(a, spectrum)
+    ww = {(i, j): [w[y] * w[z] for y in rows for z in cols]
+          for i, rows in enumerate(classes) for j, cols in enumerate(classes)}
+    weighted = {mu: [None if m is None else
+                     {key: list(map(mul, block, ww[key]))
+                      for key, block in m.items()}
                      for m in xy] for mu, xy in blocks.items()}
 
     def dot(u, v) -> int:
-        return sum(map(mul, u, v)) if u and v else 0
+        if u is None or v is None:
+            return 0
+        return sum(sum(map(mul, u[key], v[key])) for key in u.keys() & v.keys())
 
     sums = {}
     for mu in blocks:

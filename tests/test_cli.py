@@ -319,6 +319,39 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, monkeypatch):
     assert "column_space_basis" not in counts
 
 
+def test_bipartite_pipeline_works_on_colour_class_blocks(runner, q4_file,
+                                                        monkeypatch):
+    # the spectrum and the idempotent pattern of a bipartite graph need
+    # no sign split by modular ranks and no n x n x n product
+    import sys
+
+    from uniformq import _kernels
+
+    calls = []
+    rank_mod = _kernels.rank_mod
+    monkeypatch.setattr(_kernels, "rank_mod",
+                        lambda *args: calls.append("rank_mod")
+                        or rank_mod(*args))
+    orig = sys.modules["uniformq.linalg"].int_matmul_flat
+
+    def int_matmul_flat(a, b, n, k, m):
+        calls.append((n, k, m))
+        return orig(a, b, n, k, m)
+
+    for mod in [m for key, m in list(sys.modules.items())
+                if key.startswith("uniformq") and m is not None]:
+        for key, value in list(vars(mod).items()):
+            if value is orig:
+                monkeypatch.setattr(mod, key, int_matmul_flat)
+    res = runner.invoke(main, ["pipeline", str(q4_file)])
+    assert res.exit_code == 1  # the natural negative control
+    data = json.loads(res.stdout)
+    assert data["skipped"] == {} and data["ordering"]
+    assert len(data["spectrum"]["eigenvalues"]) == 5
+    assert calls and "rank_mod" not in calls
+    assert (16, 16, 16) not in calls
+
+
 @pytest.mark.parametrize("argv", [
     ["candidate", "--theta", "2,2"],
     ["qcheck", "--theta", "2,2"],

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 
 import pytest
 
@@ -7,11 +9,13 @@ from conftest import random_connected_graph
 from uniformq.candidate import dual_diagonal
 from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
 from uniformq.graphs import Graph, bfs_context, full_bipartite, lfr_split
-from uniformq.linalg import ExactMatrix, charpoly
+from uniformq.linalg import ExactMatrix, charpoly, int_matmul_flat
 from uniformq.poly import Poly, poly_gcd
 from uniformq.scalars import quad
 from uniformq.spectra import (
     Spectrum,
+    _sign_split_spectrum,
+    _spectral_projectors,
     check_q_ordering,
     closed_form_spectrum,
     eigenspace_bases,
@@ -30,7 +34,7 @@ from uniformq.uniform import decompose_modules, module_rep_matrix
 @pytest.fixture(scope="module")
 def c32_spectral(c32_fb):
     a = c32_fb.adjacency_matrix()
-    return a, spectrum_exact(a, bipartite=True)
+    return a, spectrum_exact(a)
 
 
 @pytest.fixture(scope="module")
@@ -138,14 +142,14 @@ def test_verify_krat_wrong_count():
 
 
 def test_spectrum_cycle(cycle6):
-    spec = spectrum_exact(cycle6.adjacency_matrix(), bipartite=True)
+    spec = spectrum_exact(cycle6.adjacency_matrix())
     assert spec.eigenvalues == [(2, 1), (1, 2), (-1, 2), (-2, 1)]
     assert spec.radicand == 1
 
 
 def test_spectrum_hypercube():
     q3, _ = hypercube(3)
-    spec = spectrum_exact(q3.adjacency_matrix(), bipartite=True)
+    spec = spectrum_exact(q3.adjacency_matrix())
     assert spec.eigenvalues == [(3, 1), (1, 3), (-1, 3), (-3, 1)]
 
 
@@ -178,16 +182,16 @@ def test_spectrum_multiplicities_match_modules(c32_spectral, c32_split,
 
 def test_spectrum_rejects_non01():
     with pytest.raises(ValueError):
-        spectrum_exact(ExactMatrix.from_rows([[0, 2], [2, 0]]), False)
+        spectrum_exact(ExactMatrix.from_rows([[0, 2], [2, 0]]))
     with pytest.raises(ValueError):
-        spectrum_exact(ExactMatrix.from_rows([[0, 1], [0, 0]]), False)
+        spectrum_exact(ExactMatrix.from_rows([[0, 1], [0, 0]]))
 
 
 def test_spectrum_irrational_squared_rejected():
     # path P4: A^2 eigenvalues (3 +- sqrt 5)/2 are irrational
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError):
-        spectrum_exact(p4.adjacency_matrix(), True)
+        spectrum_exact(p4.adjacency_matrix())
 
 
 def test_spectrum_random_non_bipartite_rejected():
@@ -199,15 +203,59 @@ def test_spectrum_random_non_bipartite_rejected():
         if not lfr_split(g, bfs_context(g, 0)).is_bipartite():
             break
     with pytest.raises(ValueError):
-        spectrum_exact(g.adjacency_matrix(), False)
+        spectrum_exact(g.adjacency_matrix())
 
 
 def test_spectrum_path3():
     # P3 has spectrum {sqrt 2, 0, -sqrt 2}
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    spec = spectrum_exact(p3.adjacency_matrix(), True)
+    spec = spectrum_exact(p3.adjacency_matrix())
     r2 = quad(0, 1, 2)
     assert spec.eigenvalues == [(r2, 1), (0, 1), (-r2, 1)]
+
+
+def _star(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda: Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]), id="cycle6"),
+    pytest.param(lambda: hypercube(3)[0], id="Q_3"),
+    pytest.param(lambda: Graph.from_edges(3, [(0, 1), (1, 2)]), id="P_3"),
+    pytest.param(lambda: Graph.from_edges(
+        5, [(0, 1), (1, 2), (2, 3), (3, 4)]), id="P_5"),
+    pytest.param(lambda: Graph.from_edges(2, [(0, 1)]), id="K_2"),
+    pytest.param(lambda: Graph.from_edges(1, []), id="one-vertex"),
+    pytest.param(lambda: _star(4), id="K_1,4"),
+    pytest.param(lambda: full_bipartite(hamming(4, 3)[0], 0), id="H(4,3)-fb"),
+    pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),
+                 id="C_2(3)-fb"),
+    pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 3, 2))[0], 0),
+                 id="C_3(2)-fb"),
+])
+def test_block_spectrum_matches_sign_split(graph):
+    # the slow twin: the charpoly of A^2 and the sign split by ranks
+    a = graph().adjacency_matrix()
+    fast = spectrum_exact(a)
+    slow = _sign_split_spectrum(a.int_entries(), a.rows)
+    assert fast == slow
+    assert fast.to_json() == slow.to_json()
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda: hamming(5, 2)[0], id="H(5,2)"),
+    pytest.param(lambda: Graph.from_edges(3, [(0, 1), (1, 2)]), id="P_3"),
+])
+def test_sign_split_exact_rank_fallback(graph, monkeypatch):
+    # with no certifying prime the sign split takes exact ranks
+    import uniformq.spectra
+
+    a = graph().adjacency_matrix()
+    modular = _sign_split_spectrum(a.int_entries(), a.rows)
+    monkeypatch.setattr(uniformq.spectra, "_certified_nullities",
+                        lambda *args: None)
+    assert _sign_split_spectrum(a.int_entries(), a.rows) == modular
 
 
 def test_spectrum_json(c32_spectral):
@@ -225,7 +273,7 @@ def test_spectrum_json(c32_spectral):
 
 def test_eigenspace_bases_cycle(cycle6):
     a = cycle6.adjacency_matrix()
-    spec = spectrum_exact(a, True)
+    spec = spectrum_exact(a)
     dec = eigenspace_bases(a, spec)
     assert dec.multiplicities == [1, 2, 2, 1]
     assert dec.bases[0] == [[1, 1, 1, 1, 1, 1]]
@@ -255,7 +303,7 @@ def test_eigenspace_bipartite_sign_flip(c32_spectral, c32_eigenspaces,
 
 def test_eigenspace_wrong_spectrum_rejected(cycle6):
     a = cycle6.adjacency_matrix()
-    spec = spectrum_exact(a, True)
+    spec = spectrum_exact(a)
     wrong = Spectrum([(v, m) for v, m in spec.eigenvalues][::-1], 1)
     lying = Spectrum(
         [(3, 1)] + [(v, m) for v, m in spec.eigenvalues][1:], 1
@@ -292,7 +340,7 @@ def test_idempotent_pattern_matches_eigenspace_bases(graph):
     g = graph()
     ctx = bfs_context(g, 0)
     a = g.adjacency_matrix()
-    spec = spectrum_exact(a, True)
+    spec = spectrum_exact(a)
     dec = eigenspace_bases(a, spec)
     k = len(spec.eigenvalues)
     by_levels = dual_diagonal(ctx, [Fraction((-1) ** i, i + 2)
@@ -304,10 +352,69 @@ def test_idempotent_pattern_matches_eigenspace_bases(graph):
         [i == j for j in range(k)] for i in range(k)]
 
 
+def _dense_projectors(a, spec):
+    """The slow twin of _spectral_projectors: P_mu = prod_{nu != mu}
+    (A^2 - nu I) and M_theta = (A + theta I) P_mu (P_0 for theta = 0)
+    from n x n products."""
+    n = a.rows
+    ints = a.int_entries()
+
+    def matmul(x, y):
+        return int_matmul_flat(x, y, n, n, n)
+
+    identity = [int(k % (n + 1) == 0) for k in range(n * n)]
+    sq = matmul(ints, ints)
+    mus = list(dict.fromkeys(int(Fraction(v * v)) for v in spec.values()))
+    projectors = {
+        mu: reduce(matmul, [[x - nu * e for x, e in zip(sq, identity)]
+                            for nu in mus if nu != mu], identity)
+        for mu in mus}
+    idempotents = []
+    for value in spec.values():
+        p = projectors[int(Fraction(value * value))]
+        idempotents.append(p if value == 0 else list(map(
+            lambda x, y: x + value * y, matmul(ints, p), p)))
+    return projectors, idempotents
+
+
+def _assemble(m, classes, n):
+    out = [0] * (n * n)
+    for (i, j), block in m.items():
+        for (y, z), v in zip(product(classes[i], classes[j]), block):
+            out[y * n + z] = v
+    return out
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda: Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]), id="cycle6"),
+    pytest.param(lambda: Graph.from_edges(
+        5, [(0, 1), (1, 2), (2, 3), (3, 4)]), id="P_5"),
+    pytest.param(lambda: _star(4), id="K_1,4"),
+    pytest.param(lambda: hamming(5, 2)[0], id="H(5,2)"),
+    pytest.param(lambda: full_bipartite(hamming(4, 3)[0], 0), id="H(4,3)-fb"),
+    pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),
+                 id="C_2(3)-fb"),
+])
+def test_block_projectors_match_dense_products(graph):
+    a = graph().adjacency_matrix()
+    n = a.rows
+    spec = spectrum_exact(a)
+    keys, classes, blocks = _spectral_projectors(a, spec)
+    assert sorted(y for c in classes for y in c) == list(range(n))
+    projectors, idempotents = _dense_projectors(a, spec)
+    for value, mu, m_theta in zip(spec.values(), keys, idempotents):
+        x, y = (None if m is None else _assemble(m, classes, n)
+                for m in blocks[mu])
+        assert (x if mu == 0 else y) == projectors[mu]
+        assert (x if mu == 0 else list(map(
+            lambda u, v: u + value * v, x, y))) == m_theta
+
+
 def test_idempotent_pattern_wrong_spectrum_rejected(cycle6):
     a = cycle6.adjacency_matrix()
     astar = ExactMatrix.identity(6)
-    spec = spectrum_exact(a, True)
+    spec = spectrum_exact(a)
     assert spec.eigenvalues == [(2, 1), (1, 2), (-1, 2), (-2, 1)]
     wrong_value = Spectrum([(3, 1), (1, 2), (-1, 2), (-2, 1)], 1)
     wrong_multiplicity = Spectrum([(2, 1), (1, 3), (-1, 1), (-2, 1)], 1)
@@ -318,6 +425,16 @@ def test_idempotent_pattern_wrong_spectrum_rejected(cycle6):
     for lying in (wrong_value, wrong_multiplicity, omitted, omitted_pair):
         with pytest.raises(ArithmeticError):
             idempotent_pattern(a, lying, astar)
+    # K_1,3 has spectrum +-sqrt 3, 0, 0 and colour classes of 1 and 3
+    # vertices: +-sqrt 3 twice each passes the trace and vertex-count
+    # checks, and the block B B^T = (3) of the smaller class; only
+    # (B^T B - 3I) P_3 = 0 on the larger class catches the missing 0
+    r3 = quad(0, 1, 3)
+    star = _star(3).adjacency_matrix()
+    assert spectrum_exact(star).eigenvalues == [(r3, 1), (0, 2), (-r3, 1)]
+    with pytest.raises(ArithmeticError):
+        idempotent_pattern(star, Spectrum([(r3, 2), (-r3, 2)], 3),
+                           ExactMatrix.identity(4))
     # reversed order is fine: same data, reversed indices
     reverse = Spectrum(spec.eigenvalues[::-1], 1)
     assert idempotent_pattern(a, reverse, astar) == [
@@ -398,7 +515,7 @@ def test_hypercube_natural_order_is_q_polynomial():
     assert res.accepted and res.candidate.beta == 2 and res.candidate.rho == 4
     astar = dual_diagonal(ctx, res.candidate.theta_star)
     a = g.adjacency_matrix()
-    spec = spectrum_exact(a, True)
+    spec = spectrum_exact(a)
     assert [m for _, m in spec.eigenvalues] == [1, 5, 10, 10, 5, 1]
     pattern = idempotent_pattern(a, spec, astar)
     for i in range(6):
@@ -431,7 +548,7 @@ def test_full_stack_hamming_instance():
         fb.adjacency_matrix(), astar,
         res.candidate.beta, 0, res.candidate.rho,
     ).holds
-    spec = spectrum_exact(fb.adjacency_matrix(), True)
+    spec = spectrum_exact(fb.adjacency_matrix())
     pattern = idempotent_pattern(fb.adjacency_matrix(), spec, astar)
     k = len(spec.eigenvalues)
     assert check_q_ordering(pattern, even_odd_ordering(k)).tridiagonal

@@ -1,28 +1,5 @@
-"""Build script.
+"""Build script; the package is pure Python."""
 
-The package is pure Python; the word-size hot loops (integer matrix
-products, modular Hessenberg charpoly, modular rank) additionally ship
-as a Cython extension.  If Cython or a C compiler is unavailable the
-extension is skipped and the pure-Python kernels are used at runtime.
-"""
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "uniformq._kernels._ckernels",
-                ["src/uniformq/_kernels/_ckernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except Exception as exc:  # pragma: no cover - build environment dependent
-    print(f"uniformq: building without compiled kernels ({exc})")
-
-setup(ext_modules=ext_modules)
+setup()

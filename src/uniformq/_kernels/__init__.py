@@ -1,35 +1,5 @@
-"""Hot-loop kernel backend selection.
-
-The compiled Cython kernels are used when importable; otherwise the
-pure-Python twins take over.  ``UNIFORMQ_PURE=1`` in the environment
-forces the pure backend (useful for benchmarking and debugging).
-
-``pykernels`` is always importable directly: its ``imat_mul`` accepts
-arbitrary-precision integers and serves as the overflow fallback even
-when the compiled backend is active.
+"""Word-size hot loops: integer matrix products, the modular Hessenberg
+characteristic polynomial and modular rank, in pure Python (``pykernels``).
 """
 
-from __future__ import annotations
-
-import os
-
-from . import pykernels
-
-if os.environ.get("UNIFORMQ_PURE"):
-    _impl = pykernels
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = pykernels
-
-BACKEND: str = _impl.BACKEND
-imat_mul = _impl.imat_mul
-charpoly_mod = _impl.charpoly_mod
-rank_mod = _impl.rank_mod
-
-# compiled imat_mul works on C int64; products are routed to the pure
-# fallback when this bound could be exceeded
-IMAT_MUL_LIMIT = 2 ** 62
-# modular kernels require primes below this many bits when compiled
-PRIME_BITS = 31 if BACKEND == "c" else 61
+from .pykernels import charpoly_mod, imat_mul, rank_mod  # noqa: F401

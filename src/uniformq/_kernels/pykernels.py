@@ -1,14 +1,9 @@
 """Pure-Python kernels for the word-size hot loops.
 
-These mirror the compiled kernels in ``_ckernels.pyx`` exactly; the
-compiled versions are preferred at import time when available.  The
-pure versions additionally tolerate arbitrary-precision integers, which
-the callers exploit as the overflow fallback.
+They take arbitrary-precision integers, so no product overflows.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
 
 
 def imat_mul(a: list, b: list, n: int, k: int, m: int) -> list:

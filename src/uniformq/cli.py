@@ -276,7 +276,7 @@ class _Instance:
 
     @cached_property
     def pattern(self):
-        return idempotent_pattern(self.adjacency, self.spectrum, self.astar)
+        return idempotent_pattern(self.spectrum, self.astar)
 
     def orderings(self, ordering_name: str) -> tuple[list, bool]:
         """Check the requested orderings; with "both", natural is the
@@ -417,8 +417,8 @@ def modules(input, base, params_file, out, as_json) -> None:
 @click.option("-o", "--out", type=click.Path(), default=None)
 @click.option("--json/--no-json", "as_json", default=True)
 def spectrum(input, out, as_json) -> None:
-    """Exact adjacency spectrum over Q(sqrt(m))."""
-    inst = _Instance(_load_graph(input), 0)
+    """Exact adjacency spectrum of a bipartite graph over Q(sqrt(m))."""
+    inst = _open(input, 0)
     try:
         spec = inst.spectrum
     except (ValueError, ArithmeticError) as exc:

@@ -7,7 +7,7 @@ a CRT/modular characteristic polynomial with a rigorous Hadamard-style
 coefficient bound; everything else runs textbook field elimination.
 
 The word-size inner loops (integer products, modular charpoly) are
-delegated to the kernel backend in :mod:`uniformq._kernels`.
+delegated to the pure-Python kernels in :mod:`uniformq._kernels`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from math import comb, gcd, isqrt
 from typing import Optional, Sequence
 
 from . import _kernels
-from ._kernels import pykernels
 from .poly import Poly
 from .scalars import QuadExt, Scalar
 
@@ -223,14 +222,8 @@ class ExactMatrix:
 
 
 def int_matmul_flat(a: list, b: list, n: int, k: int, m: int) -> list:
-    """Exact integer product, dispatching to the compiled kernel when the
-    int64 bound allows."""
-    if _kernels.BACKEND == "c":
-        ma = max(map(abs, a), default=0)
-        mb = max(map(abs, b), default=0)
-        if ma * mb * max(k, 1) < _kernels.IMAT_MUL_LIMIT:
-            return _kernels.imat_mul(a, b, n, k, m)
-    return pykernels.imat_mul(a, b, n, k, m)
+    """Exact integer product of the flat n x k matrix a and k x m matrix b."""
+    return _kernels.imat_mul(a, b, n, k, m)
 
 
 # -- linear solving ----------------------------------------------------------
@@ -541,7 +534,7 @@ def charpoly_int(flat: list[int], n: int) -> Poly:
     residues: list[list[int]] = []
     primes: list[int] = []
     modulus = 1
-    for p in _prime_stream(_kernels.PRIME_BITS):
+    for p in _prime_stream(61):
         primes.append(p)
         residues.append(_kernels.charpoly_mod(flat, n, p))
         modulus *= p

@@ -15,41 +15,34 @@ representation matrix is generated by the three-term recurrence
 h_{i+1} = t h_i - x_{r+i} h_{i-1}, a rescaled normalized dual
 b-Krawtchouk polynomial.
 
-``spectrum_exact`` is fully general for symmetric 0/1 matrices whose
-squared spectrum is rational, and 2-colours the graph of A itself.  For
-bipartite A = [[0, B], [B^T, 0]] it takes the exact characteristic
-polynomial of the Gram block B B^T on the smaller colour class, finds
-its integer roots by scanning [0, Delta^2] (Delta the maximum degree)
-with exact synthetic division, and reads the spectrum off it: the
-nonzero eigenvalues of A are +-sqrt(mu) for the nonzero roots mu, each
-with the multiplicity of mu, and 0 takes the rest.  Only for
-non-bipartite A does it scan the charpoly of A^2 and split the +-sqrt
-pairs by exact rank computations (modular ranks with a sum-of-nullities
-certificate, falling back to fraction-free elimination; conjugate
-irrational pairs always share multiplicity since the field automorphism
-sqrt(m) -> -sqrt(m) maps one eigenspace onto the other).
+``spectrum_exact`` takes a symmetric 0/1 matrix of a bipartite graph
+with rational squared spectrum; it 2-colours the graph of A itself, so
+A = [[0, B], [B^T, 0]], and works on the Gram block B B^T of the
+smaller colour class.  The roots of its characteristic polynomial
+modulo one prime in [0, Delta^2] (Delta the maximum degree) are the
+candidate eigenvalues; the powers of B B^T certify that they hold every
+eigenvalue and give each multiplicity by a trace.  The nonzero
+eigenvalues of A are +-sqrt(mu) for the nonzero eigenvalues mu of
+B B^T, each with the multiplicity of mu, and 0 takes the rest.
+Non-bipartite input is rejected.
 
-``idempotent_pattern`` decides which E_i A* E_j vanish from integer
-spectral projectors of A^2 alone, without eigenspace bases; for
-bipartite A they are built per colour class from B B^T and B^T B.
+The returned Spectrum carries those blocks and powers.
+``idempotent_pattern`` decides which E_i A* E_j vanish from the integer
+spectral projectors of A^2 = diag(B B^T, B^T B) built from them,
+without eigenspace bases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import lcm, prod
 from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels
-from .linalg import (
-    ExactMatrix,
-    charpoly_int,
-    column_space_basis,
-    int_matmul_flat,
-    rank,
-)
+from .linalg import ExactMatrix, column_space_basis, int_matmul_flat
 from .poly import Poly
 from .scalars import (
     QuadExt,
@@ -142,11 +135,28 @@ def verify_krat_scaling(b: int, e, D: int, d: int,
 
 # -- exact spectra --------------------------------------------------------------
 
+# the one prime of the Gram block's characteristic polynomial: every
+# integer root is a root modulo it (a Mersenne prime)
+_PRIME = 2 ** 61 - 1
+
+
+@dataclass
+class _Blocks:
+    """A = [[0, B], [B^T, 0]] over its colour classes, smaller first,
+    with the powers (B B^T)^0, ..., (B B^T)^k that certify its spectrum."""
+    classes: list[list[int]]
+    b: list[int]  # flat len(classes[0]) x len(classes[1])
+    bt: list[int]  # flat B^T
+    powers: list[list[int]]
+
 
 @dataclass
 class Spectrum:
     eigenvalues: list[tuple[Scalar, int]]  # (value, multiplicity), descending
     radicand: int  # 1 when the spectrum is rational
+    # the block data the spectrum was certified on; the projectors of
+    # eigenspace_bases and idempotent_pattern are built from it
+    blocks: _Blocks = field(compare=False, repr=False)
 
     @property
     def vertex_count(self) -> int:
@@ -187,48 +197,11 @@ def _validate_symmetric01(a: ExactMatrix) -> list[int]:
     return ints
 
 
-def _deflate(coeffs: list[int], root: int) -> tuple[list[int], int]:
-    """Quotient and remainder of the division by t - root (synthetic
-    division); coefficients lowest degree first."""
-    acc = 0
-    out = []
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        out.append(acc)
-    remainder = out.pop()
-    return out[::-1], remainder
-
-
 def _degree_bound(ints: list[int], n: int) -> int:
     """Delta^2 for the maximum degree Delta: no eigenvalue of A^2 (or of
     a diagonal block of it) exceeds it."""
     return max((sum(ints[i * n:(i + 1) * n]) for i in range(n)),
                default=0) ** 2
-
-
-def _integer_roots(sq: list[int], n: int, bound: int) -> dict[int, int]:
-    """Eigenvalue -> multiplicity of the symmetric n x n integer matrix
-    sq, whose eigenvalues lie in [0, bound].
-
-    The integer roots are found by scanning 0..bound with exact
-    synthetic division of the integer charpoly; ValueError when the
-    roots found do not account for all n eigenvalues.
-    """
-    coeffs = list(charpoly_int(sq, n).coeffs)
-    mults: dict[int, int] = {}
-    for mu in range(bound + 1):
-        while len(coeffs) > 1:
-            quotient, remainder = _deflate(coeffs, mu)
-            if remainder:
-                break
-            coeffs = quotient
-            mults[mu] = mults.get(mu, 0) + 1
-    if len(coeffs) > 1:
-        raise ValueError(
-            "squared spectrum is not rational; this lies outside the "
-            "supported scalar fields"
-        )
-    return mults
 
 
 def _square_roots(mus) -> tuple[int, dict[int, tuple[int, int]]]:
@@ -256,13 +229,6 @@ def _root_value(s: int, m: int) -> Scalar:
     return Fraction(s) if m == 1 else quad(0, s, m)
 
 
-def _sorted_spectrum(pairs, radicand: int) -> Spectrum:
-    """The Spectrum of (value, multiplicity) pairs, descending, without
-    zero multiplicities."""
-    pairs = sorted(pairs, key=lambda t: scalar_sort_key(t[0]), reverse=True)
-    return Spectrum([(v, m) for v, m in pairs if m > 0], radicand)
-
-
 def _colour_classes(ints: list[int], n: int) -> Optional[list[list[int]]]:
     """The two classes of a proper 2-colouring of the graph of A, the
     smaller first; None when the graph has an odd cycle or a loop."""
@@ -286,165 +252,87 @@ def _colour_classes(ints: list[int], n: int) -> Optional[list[list[int]]]:
     return sorted(classes, key=len)
 
 
-def _blocks(ints: list[int], n: int):
-    """The classes and the nonzero blocks {(i, j): flat block} of A.
-
-    For bipartite A the classes are the two colour classes, smaller
-    first, so A = [[0, B], [B^T, 0]] and A^2 = diag(B B^T, B^T B);
-    otherwise one class holds every vertex.
-    """
-    classes = _colour_classes(ints, n) or [list(range(n))]
-    blocks = {}
-    for i, rows in enumerate(classes):
-        for j, cols in enumerate(classes):
-            block = [ints[y * n + z] for y in rows for z in cols]
-            if any(block):
-                blocks[i, j] = block
-    return classes, blocks
+def _powers(d: list[int], size: int, k: int) -> list[list[int]]:
+    """D^0, ..., D^k (at least D^0 and D^1) of the size x size matrix d."""
+    powers = [[int(i % (size + 1) == 0) for i in range(size * size)], d]
+    while len(powers) <= k:
+        powers.append(int_matmul_flat(d, powers[-1], size, size, size))
+    return powers
 
 
-def _square_block(classes, blocks, i: int) -> list[int]:
-    """Diagonal block i of A^2 (the blocks of A^2 off the diagonal
-    vanish for both kinds of classes)."""
-    size = len(classes[i])
-    for j, cols in enumerate(classes):
-        if (i, j) in blocks:  # for at most one j: A_ii = 0 when bipartite
-            return int_matmul_flat(blocks[i, j], blocks[j, i], size,
-                                   len(cols), size)
-    return [0] * (size * size)
+def _product_coeffs(roots) -> list[int]:
+    """The coefficients of prod_{nu in roots} (t - nu), lowest first."""
+    coeffs = [1]
+    for nu in roots:
+        coeffs = [hi - nu * lo for hi, lo in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
-def _sqrt_mod(m: int, p: int) -> Optional[int]:
-    """Square root of m mod a prime p with p % 4 == 3, else None."""
-    m %= p
-    if m == 0:
-        return 0
-    if pow(m, (p - 1) // 2, p) != 1:
-        return None
-    w = pow(m, (p + 1) // 4, p)
-    return w if w * w % p == m else None
-
-
-def _certified_nullities(ints: list[int], n: int,
-                         thetas: list[tuple[int, int, int]]) -> Optional[list[int]]:
-    """Exact eigenspace dimensions for theta = s * sqrt(m) (integer s, m).
-
-    Modular ranks give nullity_p >= true nullity for each theta; since A
-    is diagonalizable with exactly these eigenvalues the true nullities
-    sum to n, so equality of the modular sum with n certifies every
-    value.  Returns None when no suitable prime certifies (callers fall
-    back to exact elimination).
-    """
-    radicands = {m for _, m, _ in thetas if m != 1}
-    attempts = 0
-    for p in _prime_stream_filtered():
-        if attempts >= 6:
-            return None
-        roots = {}
-        ok = True
-        for m in radicands:
-            w = _sqrt_mod(m, p)
-            if w is None:
-                ok = False
-                break
-            roots[m] = w
-        if not ok:
-            continue
-        attempts += 1
-        nullities = []
-        for s, m, _ in thetas:
-            shift = (s * roots.get(m, 1)) % p if m != 1 else s % p
-            flat = list(ints)
-            for i in range(n):
-                flat[i * n + i] = (flat[i * n + i] - shift) % p
-            nullities.append(n - _kernels.rank_mod(flat, n, n, p))
-        if sum(nullities) == n:
-            return nullities
-    return None
-
-
-def _prime_stream_filtered():
-    bits = _kernels.PRIME_BITS
-    x = 2 ** bits - 1
-    from .linalg import _is_prime
-
-    while x > 2:
-        if x % 4 == 3 and _is_prime(x):
-            yield x
-        x -= 2
+def _evaluate(powers: list[list[int]], roots) -> list[int]:
+    """prod_{nu in roots} (D - nu I) from the powers D^0, D^1, ... of D."""
+    coeffs = _product_coeffs(roots)
+    return [sum(map(mul, coeffs, column)) for column in zip(*powers)]
 
 
 def spectrum_exact(a: ExactMatrix) -> Spectrum:
-    """Exact spectrum of a symmetric 0/1 matrix.
+    """Exact spectrum of the symmetric 0/1 matrix A of a bipartite graph.
 
-    A 2-colouring of the graph of A decides the method.  For bipartite
-    A = [[0, B], [B^T, 0]], with B B^T on the smaller colour class: the
-    exact characteristic polynomial of B B^T, its integer roots mu by a
-    scan of [0, Delta^2], then mult(+-sqrt mu) = mult_{BB^T}(mu) for
-    mu != 0 and mult(0) = n - 2 rank B.  Otherwise the same scan on A^2
-    and a sign split of each +-sqrt pair by exact ranks of A - theta I
-    (``_sign_split_spectrum``).  Raises ValueError when the squared
-    spectrum is not rational or the values need more than one radicand.
+    A 2-colouring gives A = [[0, B], [B^T, 0]] with the Gram block
+    D = B B^T on the smaller colour class.  Every eigenvalue of D lies in
+    [0, Delta^2] (Delta the maximum degree); the candidates are the mu
+    there that are roots of the characteristic polynomial of D modulo
+    one fixed prime, since every integer root is one.  From the powers
+    D^0, ..., D^k for k candidates, prod_mu (D - mu I) = 0 proves that
+    the candidates hold every eigenvalue of D.  D is symmetric, so
+    P_mu = prod_{nu != mu} (D - nu I) has trace mult_mu prod_{nu != mu}
+    (mu - nu), which gives each multiplicity; a false candidate gets 0
+    and is dropped.  Then mult(+-sqrt mu) = mult_D(mu) for mu != 0 and
+    mult(0) = n - 2 rank B.
+
+    The Spectrum carries the blocks and the powers of D, for
+    ``eigenspace_bases`` and ``idempotent_pattern``.  Raises ValueError
+    when A is not a symmetric 0/1 matrix, its graph is not bipartite,
+    the squared spectrum is not rational or the values need more than
+    one radicand.
     """
     ints = _validate_symmetric01(a)
     n = a.rows
-    classes, blocks = _blocks(ints, n)
-    if len(classes) == 1:
-        return _sign_split_spectrum(ints, n)
-    gram = _square_block(classes, blocks, 0)
-    mults = _integer_roots(gram, len(classes[0]), _degree_bound(ints, n))
+    classes = _colour_classes(ints, n)
+    if classes is None:
+        raise ValueError(
+            "the graph is not bipartite; only bipartite graphs are supported"
+        )
+    rows, cols = classes
+    size = len(rows)
+    b = [ints[y * n + z] for y in rows for z in cols]
+    bt = [ints[z * n + y] for z in cols for y in rows]
+    gram = int_matmul_flat(b, bt, size, len(cols), size)
+    coeffs = _kernels.charpoly_mod(gram, size, _PRIME)[::-1]  # highest first
+    candidates = [mu for mu in range(_degree_bound(ints, n) + 1)
+                  if not reduce(lambda r, c: (r * mu + c) % _PRIME,
+                                coeffs, 0)]
+    powers = _powers(gram, size, len(candidates))
+    if any(_evaluate(powers, candidates)):
+        raise ValueError(
+            "squared spectrum is not rational; this lies outside the "
+            "supported scalar fields"
+        )
+    traces = [sum(p[::size + 1]) for p in powers]
+    mults = {}
+    for mu in candidates:
+        others = [nu for nu in candidates if nu != mu]
+        mult = sum(map(mul, _product_coeffs(others), traces)) \
+            // prod(mu - nu for nu in others)
+        if mult:
+            mults[mu] = mult
     radicand, roots = _square_roots(mults)
     pairs = [(Fraction(0), n - 2 * sum(mults[mu] for mu in roots))]
     for mu, (s, m) in roots.items():
         pairs += [(_root_value(s, m), mults[mu]),
                   (_root_value(-s, m), mults[mu])]
-    return _sorted_spectrum(pairs, radicand)
-
-
-def _sign_split_spectrum(ints: list[int], n: int) -> Spectrum:
-    """``spectrum_exact`` for any symmetric 0/1 matrix, given as flat
-    integer entries: the scan of [0, Delta^2] on the charpoly of A^2,
-    then the sign split of each +-sqrt pair by exact rank computations
-    of A - theta I over Q(sqrt(m)) (modular ranks with a sum-of-nullities
-    certificate, falling back to fraction-free elimination).
-    """
-    sq = int_matmul_flat(ints, ints, n, n, n)
-    mults = _integer_roots(sq, n, _degree_bound(ints, n))
-    radicand, roots = _square_roots(mults)
-
-    thetas: list[tuple[int, int, int]] = []  # (s, m, mu) incl. negatives
-    for mu, (s, m) in roots.items():
-        thetas.append((s, m, mu))
-        thetas.append((-s, m, mu))
-    if 0 in mults:
-        thetas.append((0, 1, 0))
-
-    nullities = _certified_nullities(ints, n, thetas)
-    if nullities is None:
-        nullities = []
-        for s, m, _ in thetas:
-            entries: list = list(ints)
-            for i in range(n):
-                entries[i * n + i] -= _root_value(s, m)
-            nullities.append(n - rank(ExactMatrix(n, n, entries)))
-        if sum(nullities) != n:
-            raise ArithmeticError("eigenspace dimensions do not sum to n")
-
-    by_theta = {(s, m): (_root_value(s, m), nullity)
-                for (s, m, _), nullity in zip(thetas, nullities)}
-
-    # cross-checks: pair sums match charpoly multiplicities; conjugate
-    # irrational pairs split evenly (field automorphism)
-    for mu, (s, m) in roots.items():
-        plus, minus = by_theta[(s, m)][1], by_theta[(-s, m)][1]
-        if plus + minus != mults[mu]:
-            raise ArithmeticError("sign split disagrees with A^2 multiplicity")
-        if m != 1 and plus != minus:
-            raise ArithmeticError("conjugate eigenvalues must share multiplicity")
-    if (0, 1) in by_theta:
-        if by_theta[(0, 1)][1] != mults[0]:
-            raise ArithmeticError("kernel dimension mismatch")
-    return _sorted_spectrum(by_theta.values(), radicand)
+    pairs.sort(key=lambda t: scalar_sort_key(t[0]), reverse=True)
+    return Spectrum([(v, m) for v, m in pairs if m > 0], radicand,
+                    _Blocks(classes, b, bt, powers))
 
 
 # -- spectral projectors, eigenspace bases and the idempotent pattern ------------
@@ -462,89 +350,42 @@ class EigenDecomposition:
         return sum(self.multiplicities)
 
 
-def _spectral_projectors(a: ExactMatrix, spectrum: Spectrum):
-    """Integer multiples of the primitive idempotents of A, certified
-    against the claimed spectrum, in block form.
+def _spectral_projectors(spectrum: Spectrum):
+    """Integer multiples of the primitive idempotents of A, in block form
+    over the colour classes of ``spectrum.blocks``.
 
-    The classes are those of ``_blocks``: A^2 is block diagonal over
-    them, with one block for non-bipartite A and the blocks B B^T and
-    B^T B for bipartite A.  For each distinct mu = theta^2 of the
+    A^2 = diag(B B^T, B^T B), so for each distinct mu = theta^2 of the
     spectrum, P_mu = prod_{nu != mu} (A^2 - nu I) is the block diagonal
-    matrix of the same product over each block D, evaluated from the
-    powers D^0, ..., D^k for k distinct mu.  Returns the mu of each
-    eigenvalue, the classes and, per mu, a pair (X, Y) of block matrices
-    {(i, j): flat block}, absent blocks zero, such that M_theta = X +
-    theta Y equals c_theta E_theta: X = A P_mu, Y = P_mu for mu != 0,
-    and X = P_0, Y = None for mu = 0.  Here c_theta = prod_{nu != mu}
-    (mu - nu), times 2 theta when theta != 0.  For bipartite A, X has
-    only the blocks off the diagonal and Y only those on it.
-
-    The spectrum is checked exactly: (A^2 - mu_1 I) P_mu_1 = 0, on every
-    block, shows that every eigenvalue of A^2 is some mu, then tr
-    M_theta = c_theta mult_theta that each multiplicity is the
-    eigenspace dimension, so distinct values whose multiplicities sum
-    to n miss nothing.  ArithmeticError when the spectrum is not A's.
+    matrix of the same product over each block, evaluated from its
+    powers: those of B B^T certified by ``spectrum_exact``, those of
+    B^T B formed here.  Returns the mu of each eigenvalue, the classes
+    and, per mu, a pair (X, Y) of block matrices {(i, j): flat block}
+    such that M_theta = X + theta Y equals c_theta E_theta: X = A P_mu
+    (the blocks off the diagonal) and Y = P_mu (those on it) for
+    mu != 0, and X = P_0, Y = None for mu = 0.  Here c_theta =
+    prod_{nu != mu} (mu - nu), times 2 theta when theta != 0.
     """
-    ints = _validate_symmetric01(a)
-    n = a.rows
-    values = spectrum.values()
-    if spectrum.vertex_count != n or len(set(values)) != len(values):
-        raise ArithmeticError(
-            "spectrum needs distinct values whose multiplicities sum to "
-            "the dimension"
-        )
-    keys = []
-    for value in values:
-        mu = value * value
-        if not is_rational(mu) or Fraction(mu).denominator != 1:
-            raise ArithmeticError(f"{value} squared is not an integer")
-        keys.append(int(mu))
-    mus = list(dict.fromkeys(keys))
-
-    classes, a_blocks = _blocks(ints, n)
+    blocks = spectrum.blocks
+    classes = blocks.classes
     sizes = [len(c) for c in classes]
-    projectors: dict[int, dict] = {mu: {} for mu in mus}
-    for i, size in enumerate(sizes):
-        sq = _square_block(classes, a_blocks, i)
-        powers = [[int(k % (size + 1) == 0) for k in range(size * size)], sq]
-        while len(powers) <= len(mus):
-            powers.append(int_matmul_flat(sq, powers[-1], size, size, size))
-
-        def evaluate(roots) -> list[int]:  # prod_{nu in roots} (D - nu I)
-            coeffs = [1]  # lowest degree first
-            for nu in roots:
-                coeffs = [hi - nu * lo
-                          for hi, lo in zip([0] + coeffs, coeffs + [0])]
-            return [sum(map(mul, coeffs, column)) for column in zip(*powers)]
-
-        for mu in mus:
-            projectors[mu][i, i] = evaluate([nu for nu in mus if nu != mu])
-        if any(evaluate(mus)):  # (D - mu_1 I) P_mu_1 on this block
-            raise ArithmeticError("the spectrum misses an eigenvalue of A^2")
+    keys = [int(Fraction(value * value)) for value in spectrum.values()]
+    mus = list(dict.fromkeys(keys))
+    larger = int_matmul_flat(blocks.bt, blocks.b, sizes[1], sizes[0], sizes[1])
+    powers = [blocks.powers, _powers(larger, sizes[1], len(mus) - 1)]
+    projectors = {}
+    for mu in mus:
+        others = [nu for nu in mus if nu != mu]
+        projectors[mu] = {(i, i): _evaluate(p, others)
+                          for i, p in enumerate(powers)}
+    a_blocks = {(0, 1): blocks.b, (1, 0): blocks.bt}
 
     def times_a(p: dict) -> dict:  # (A P)_ij = A_ij P_jj
         return {(i, j): int_matmul_flat(block, p[j, j], sizes[i], sizes[j],
                                         sizes[j])
                 for (i, j), block in a_blocks.items()}
 
-    def trace(m: dict) -> int:
-        return sum(sum(m[i, i][::size + 1])
-                   for i, size in enumerate(sizes) if (i, i) in m)
-
-    blocks = {mu: (times_a(p), p) if mu else (p, None)
-              for mu, p in projectors.items()}
-    for (value, mult), mu in zip(spectrum.eigenvalues, keys):
-        x, y = blocks[mu]
-        scale = prod(mu - nu for nu in mus if nu != mu)
-        total = trace(x)
-        if mu:
-            scale *= 2 * value
-            total += value * trace(y)
-        if total != scale * mult:
-            raise ArithmeticError(
-                f"eigenvalue {value} does not have multiplicity {mult}"
-            )
-    return keys, classes, blocks
+    return keys, classes, {mu: (times_a(p), p) if mu else (p, None)
+                           for mu, p in projectors.items()}
 
 
 def _dense(m: dict, classes, n: int) -> list:
@@ -559,14 +400,13 @@ def _dense(m: dict, classes, n: int) -> list:
     return out
 
 
-def eigenspace_bases(a: ExactMatrix, spectrum: Spectrum) -> EigenDecomposition:
-    """Per-eigenvalue bases of the kernels of A - theta I over Q(sqrt(m))
-    for a symmetric 0/1 matrix A: the column spaces of the certified
-    projector multiples M_theta of ``_spectral_projectors``.  Raises
-    ArithmeticError when the spectrum is not A's.
+def eigenspace_bases(spectrum: Spectrum) -> EigenDecomposition:
+    """Per-eigenvalue bases of the kernels of A - theta I over Q(sqrt(m)),
+    for the A whose spectrum ``spectrum_exact`` gave: the column spaces
+    of the projector multiples M_theta of ``_spectral_projectors``.
     """
-    n = a.rows
-    keys, classes, blocks = _spectral_projectors(a, spectrum)
+    n = spectrum.vertex_count
+    keys, classes, blocks = _spectral_projectors(spectrum)
     bases = []
     for (value, mult), mu in zip(spectrum.eigenvalues, keys):
         x, y = (None if m is None else _dense(m, classes, n)
@@ -579,20 +419,20 @@ def eigenspace_bases(a: ExactMatrix, spectrum: Spectrum) -> EigenDecomposition:
                               bases, spectrum.radicand)
 
 
-def idempotent_pattern(a: ExactMatrix, spectrum: Spectrum,
+def idempotent_pattern(spectrum: Spectrum,
                        astar: ExactMatrix) -> list[list[bool]]:
-    """P[i][j] = (E_i A* E_j != 0), indexed like spectrum.eigenvalues.
+    """P[i][j] = (E_i A* E_j != 0), indexed like spectrum.eigenvalues, for
+    the A whose spectrum ``spectrum_exact`` gave.
 
     A* is diagonal and the E_i are symmetric, so ||E_i A* E_j||_F^2 =
     tr(E_i A* E_j A*).  With M_i = c_i E_i from ``_spectral_projectors``
     that trace is, up to the nonzero factor c_i c_j, the sum over y, z
     of (M_i)_yz (M_j)_yz a*_y a*_z.  Writing M_i = X + theta_i Y turns
     it into four integer sums per pair of squared eigenvalues, each a
-    sum over the blocks present in both factors (for bipartite A, X and
-    Y share none).  Raises ArithmeticError when the spectrum is not A's.
+    sum over the blocks present in both factors (X and Y share none).
     """
     n = astar.rows
-    if astar.cols != n or a.rows != n:
+    if astar.cols != n or spectrum.vertex_count != n:
         raise ValueError("A* must be square, of the size of A")
     if any(astar.entries[i * n + j] != 0
            for i in range(n) for j in range(n) if i != j):
@@ -603,7 +443,7 @@ def idempotent_pattern(a: ExactMatrix, spectrum: Spectrum,
     den = lcm(*(Fraction(d).denominator for d in diag))
     w = [int(Fraction(d) * den) for d in diag]  # same zeros as A*
 
-    keys, classes, blocks = _spectral_projectors(a, spectrum)
+    keys, classes, blocks = _spectral_projectors(spectrum)
     ww = {(i, j): [w[y] * w[z] for y in rows for z in cols]
           for i, rows in enumerate(classes) for j, cols in enumerate(classes)}
     weighted = {mu: [None if m is None else

@@ -181,7 +181,7 @@ def test_criterion_6_q_polynomial_certification(instance):
         astar = dual_diagonal(
             instance["ctx"], (-1, 0, Fraction(1, 2), Fraction(3, 4))
         )
-        pattern = idempotent_pattern(adjacency, spec, astar)
+        pattern = idempotent_pattern(spec, astar)
         k = len(pattern)
         for i in range(k):
             for j in range(k):

@@ -237,26 +237,7 @@ def test_column_space_basis():
         column_space_basis(cols, expected_rank=3)
 
 
-# -- kernel backend parity -----------------------------------------------------------
-
-
-def test_kernel_backends_agree():
-    from uniformq import _kernels
-
-    rng = random.Random(23)
-    n, k, m = 4, 3, 5
-    a = [rng.randint(-50, 50) for _ in range(n * k)]
-    b = [rng.randint(-50, 50) for _ in range(k * m)]
-    assert _kernels.imat_mul(a, b, n, k, m) == pykernels.imat_mul(a, b, n, k, m)
-
-    p = 2147483647
-    for trial in range(5):
-        size = rng.randint(1, 6)
-        flat = [rng.randint(-9, 9) for _ in range(size * size)]
-        assert _kernels.charpoly_mod(flat, size, p) == \
-            pykernels.charpoly_mod(flat, size, p)
-        assert _kernels.rank_mod(flat, size, size, p) == \
-            pykernels.rank_mod(flat, size, size, p)
+# -- kernels ------------------------------------------------------------------------
 
 
 def test_charpoly_mod_against_exact():

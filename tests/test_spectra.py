@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -9,12 +10,17 @@ from conftest import random_connected_graph
 from uniformq.candidate import dual_diagonal
 from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
 from uniformq.graphs import Graph, bfs_context, full_bipartite, lfr_split
-from uniformq.linalg import ExactMatrix, charpoly, int_matmul_flat
+from uniformq import spectra
+from uniformq.linalg import (
+    ExactMatrix,
+    charpoly,
+    charpoly_int,
+    int_matmul_flat,
+)
 from uniformq.poly import Poly, poly_gcd
-from uniformq.scalars import quad
+from uniformq.scalars import QuadExt, exact_sqrt, quad, scalar_sort_key
 from uniformq.spectra import (
     Spectrum,
-    _sign_split_spectrum,
     _spectral_projectors,
     check_q_ordering,
     closed_form_spectrum,
@@ -39,7 +45,7 @@ def c32_spectral(c32_fb):
 
 @pytest.fixture(scope="module")
 def c32_eigenspaces(c32_spectral):
-    return eigenspace_bases(*c32_spectral)
+    return eigenspace_bases(c32_spectral[1])
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +55,7 @@ def c32_astar(c32_ctx):
 
 @pytest.fixture(scope="module")
 def c32_pattern(c32_spectral, c32_astar):
-    return idempotent_pattern(*c32_spectral, c32_astar)
+    return idempotent_pattern(c32_spectral[1], c32_astar)
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -195,8 +201,8 @@ def test_spectrum_irrational_squared_rejected():
 
 
 def test_spectrum_random_non_bipartite_rejected():
-    # 120 vertices, irrational squared spectrum: the root scan rejects
-    # it instead of running Euclid over Q on the degree-120 charpoly
+    # 120 vertices and an odd cycle: the 2-colouring rejects it before
+    # any characteristic polynomial is taken
     rng = random.Random(1)
     while True:
         g = random_connected_graph(rng, 120)
@@ -218,6 +224,48 @@ def _star(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def _deflate(coeffs: list[int], root: int) -> tuple[list[int], int]:
+    """Quotient and remainder of the division by t - root (synthetic
+    division); coefficients lowest degree first."""
+    acc = 0
+    out = []
+    for c in reversed(coeffs):
+        acc = acc * root + c
+        out.append(acc)
+    remainder = out.pop()
+    return out[::-1], remainder
+
+
+def _deflation_spectrum(g):
+    """The slow twin of spectrum_exact: the (value, multiplicity) pairs,
+    descending, and the radicand.  The exact characteristic polynomial
+    of B B^T over Z (CRT), on the even distances from vertex 0; its
+    integer roots mu by exact synthetic division over [0, Delta^2]; then
+    mult(+-sqrt mu) = mult(mu) for mu != 0, and 0 takes the rest."""
+    n = g.n
+    a = g.adjacency_matrix().int_entries()
+    sq = int_matmul_flat(a, a, n, n, n)
+    rows = [y for y, d in enumerate(bfs_context(g, 0).dist) if d % 2 == 0]
+    coeffs = list(charpoly_int([sq[y * n + z] for y in rows for z in rows],
+                               len(rows)).coeffs)
+    mults = {}
+    for mu in range(max(sq[::n + 1]) ** 2 + 1):  # A^2 has the degrees
+        while len(coeffs) > 1:
+            quotient, remainder = _deflate(coeffs, mu)
+            if remainder:
+                break
+            coeffs = quotient
+            mults[mu] = mults.get(mu, 0) + 1
+    assert len(coeffs) == 1
+    pairs = [(0, n - 2 * sum(m for mu, m in mults.items() if mu))]
+    for mu, m in mults.items():
+        if mu:
+            pairs += [(exact_sqrt(mu), m), (-exact_sqrt(mu), m)]
+    radicands = {v.m for v, _ in pairs if isinstance(v, QuadExt)}
+    pairs.sort(key=lambda t: scalar_sort_key(t[0]), reverse=True)
+    return [(v, m) for v, m in pairs if m], radicands.pop() if radicands else 1
+
+
 @pytest.mark.parametrize("graph", [
     pytest.param(lambda: Graph.from_edges(
         6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]), id="cycle6"),
@@ -235,27 +283,47 @@ def _star(leaves: int) -> Graph:
                  id="C_3(2)-fb"),
 ])
 def test_block_spectrum_matches_sign_split(graph):
-    # the slow twin: the charpoly of A^2 and the sign split by ranks
-    a = graph().adjacency_matrix()
-    fast = spectrum_exact(a)
-    slow = _sign_split_spectrum(a.int_entries(), a.rows)
-    assert fast == slow
-    assert fast.to_json() == slow.to_json()
+    # the slow twin: the CRT charpoly of B B^T and the exact deflation
+    # scan of its integer roots
+    g = graph()
+    fast = spectrum_exact(g.adjacency_matrix())
+    assert (fast.eigenvalues, fast.radicand) == _deflation_spectrum(g)
 
 
-@pytest.mark.parametrize("graph", [
-    pytest.param(lambda: hamming(5, 2)[0], id="H(5,2)"),
-    pytest.param(lambda: Graph.from_edges(3, [(0, 1), (1, 2)]), id="P_3"),
+@pytest.mark.parametrize("graph, bed", [
+    pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),
+                 (3, 1, 2), id="C_2(3)-fb"),
+    pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 3, 2))[0], 0),
+                 (2, 1, 3), id="C_3(2)-fb"),
 ])
-def test_sign_split_exact_rank_fallback(graph, monkeypatch):
-    # with no certifying prime the sign split takes exact ranks
-    import uniformq.spectra
+def test_spectrum_matches_closed_form(graph, bed):
+    assert spectrum_exact(graph().adjacency_matrix()).values() == \
+        closed_form_spectrum(*bed)
 
-    a = graph().adjacency_matrix()
-    modular = _sign_split_spectrum(a.int_entries(), a.rows)
-    monkeypatch.setattr(uniformq.spectra, "_certified_nullities",
-                        lambda *args: None)
-    assert _sign_split_spectrum(a.int_entries(), a.rows) == modular
+
+@pytest.mark.parametrize("graph, prime", [
+    pytest.param(lambda: Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]), 2, id="cycle6"),
+    pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),
+                 3, id="C_2(3)-fb"),
+])
+def test_false_candidates_of_a_small_prime_are_dropped(graph, prime,
+                                                       monkeypatch):
+    # modulo 2 every mu in [0, 4] is a root of t (t - 1)^2, the charpoly
+    # of B B^T on cycle6; modulo 3 every multiple of 3 in [0, 144] is a
+    # root of the one of C_2(3)-fb, whose eigenvalues are 48, 9 and 0
+    g = graph()
+    a = g.adjacency_matrix()
+    ctx = bfs_context(g, 0)
+    astar = dual_diagonal(ctx, [Fraction((-1) ** i, i + 2)
+                                for i in range(ctx.eccentricity + 1)])
+    spec = spectrum_exact(a)
+    monkeypatch.setattr(spectra, "_PRIME", prime)
+    small = spectrum_exact(a)
+    # one power of B B^T per candidate, past the identity
+    assert len(small.blocks.powers) > len(spec.blocks.powers)
+    assert small == spec and small.to_json() == spec.to_json()
+    assert idempotent_pattern(small, astar) == idempotent_pattern(spec, astar)
 
 
 def test_spectrum_json(c32_spectral):
@@ -274,7 +342,7 @@ def test_spectrum_json(c32_spectral):
 def test_eigenspace_bases_cycle(cycle6):
     a = cycle6.adjacency_matrix()
     spec = spectrum_exact(a)
-    dec = eigenspace_bases(a, spec)
+    dec = eigenspace_bases(spec)
     assert dec.multiplicities == [1, 2, 2, 1]
     assert dec.bases[0] == [[1, 1, 1, 1, 1, 1]]
 
@@ -302,16 +370,13 @@ def test_eigenspace_bipartite_sign_flip(c32_spectral, c32_eigenspaces,
 
 
 def test_eigenspace_wrong_spectrum_rejected(cycle6):
-    a = cycle6.adjacency_matrix()
-    spec = spectrum_exact(a)
-    wrong = Spectrum([(v, m) for v, m in spec.eigenvalues][::-1], 1)
-    lying = Spectrum(
-        [(3, 1)] + [(v, m) for v, m in spec.eigenvalues][1:], 1
-    )
-    with pytest.raises((ArithmeticError, ValueError)):
-        eigenspace_bases(a, lying)
+    spec = spectrum_exact(cycle6.adjacency_matrix())
+    # a spectrum is only built with the blocks that certify it
+    with pytest.raises(TypeError):
+        Spectrum(spec.eigenvalues, 1)
     # reversed order is fine: same data
-    assert eigenspace_bases(a, wrong).dimension == 6
+    reverse = replace(spec, eigenvalues=spec.eigenvalues[::-1])
+    assert eigenspace_bases(reverse).dimension == 6
 
 
 # -- idempotent pattern and orderings ------------------------------------------------
@@ -341,14 +406,14 @@ def test_idempotent_pattern_matches_eigenspace_bases(graph):
     ctx = bfs_context(g, 0)
     a = g.adjacency_matrix()
     spec = spectrum_exact(a)
-    dec = eigenspace_bases(a, spec)
+    dec = eigenspace_bases(spec)
     k = len(spec.eigenvalues)
     by_levels = dual_diagonal(ctx, [Fraction((-1) ** i, i + 2)
                                     for i in range(ctx.eccentricity + 1)])
-    assert idempotent_pattern(a, spec, by_levels) == _pattern_from_bases(
+    assert idempotent_pattern(spec, by_levels) == _pattern_from_bases(
         dec, by_levels)
     identity = ExactMatrix.identity(g.n)
-    assert idempotent_pattern(a, spec, identity) == [
+    assert idempotent_pattern(spec, identity) == [
         [i == j for j in range(k)] for i in range(k)]
 
 
@@ -400,7 +465,7 @@ def test_block_projectors_match_dense_products(graph):
     a = graph().adjacency_matrix()
     n = a.rows
     spec = spectrum_exact(a)
-    keys, classes, blocks = _spectral_projectors(a, spec)
+    keys, classes, blocks = _spectral_projectors(spec)
     assert sorted(y for c in classes for y in c) == list(range(n))
     projectors, idempotents = _dense_projectors(a, spec)
     for value, mu, m_theta in zip(spec.values(), keys, idempotents):
@@ -412,32 +477,14 @@ def test_block_projectors_match_dense_products(graph):
 
 
 def test_idempotent_pattern_wrong_spectrum_rejected(cycle6):
-    a = cycle6.adjacency_matrix()
-    astar = ExactMatrix.identity(6)
-    spec = spectrum_exact(a)
+    spec = spectrum_exact(cycle6.adjacency_matrix())
     assert spec.eigenvalues == [(2, 1), (1, 2), (-1, 2), (-2, 1)]
-    wrong_value = Spectrum([(3, 1), (1, 2), (-1, 2), (-2, 1)], 1)
-    wrong_multiplicity = Spectrum([(2, 1), (1, 3), (-1, 1), (-2, 1)], 1)
-    omitted = Spectrum([(2, 2), (1, 2), (-1, 2)], 1)
-    # traces of A +- 2I match (2, 3), (-2, 3): only (A^2 - 4I) P_4 = 0
-    # can tell that the eigenvalues +-1 are missing
-    omitted_pair = Spectrum([(2, 3), (-2, 3)], 1)
-    for lying in (wrong_value, wrong_multiplicity, omitted, omitted_pair):
-        with pytest.raises(ArithmeticError):
-            idempotent_pattern(a, lying, astar)
-    # K_1,3 has spectrum +-sqrt 3, 0, 0 and colour classes of 1 and 3
-    # vertices: +-sqrt 3 twice each passes the trace and vertex-count
-    # checks, and the block B B^T = (3) of the smaller class; only
-    # (B^T B - 3I) P_3 = 0 on the larger class catches the missing 0
-    r3 = quad(0, 1, 3)
-    star = _star(3).adjacency_matrix()
-    assert spectrum_exact(star).eigenvalues == [(r3, 1), (0, 2), (-r3, 1)]
-    with pytest.raises(ArithmeticError):
-        idempotent_pattern(star, Spectrum([(r3, 2), (-r3, 2)], 3),
-                           ExactMatrix.identity(4))
+    # the spectrum of a graph on 6 vertices and A* on 4
+    with pytest.raises(ValueError):
+        idempotent_pattern(spec, ExactMatrix.identity(4))
     # reversed order is fine: same data, reversed indices
-    reverse = Spectrum(spec.eigenvalues[::-1], 1)
-    assert idempotent_pattern(a, reverse, astar) == [
+    reverse = replace(spec, eigenvalues=spec.eigenvalues[::-1])
+    assert idempotent_pattern(reverse, ExactMatrix.identity(6)) == [
         [i == j for j in range(4)] for i in range(4)]
 
 
@@ -452,7 +499,7 @@ def test_idempotent_pattern_band(c32_pattern):
 
 
 def test_idempotent_pattern_identity(c32_spectral):
-    pattern = idempotent_pattern(*c32_spectral, ExactMatrix.identity(135))
+    pattern = idempotent_pattern(c32_spectral[1], ExactMatrix.identity(135))
     for i in range(7):
         for j in range(7):
             assert pattern[i][j] == (i == j)
@@ -517,7 +564,7 @@ def test_hypercube_natural_order_is_q_polynomial():
     a = g.adjacency_matrix()
     spec = spectrum_exact(a)
     assert [m for _, m in spec.eigenvalues] == [1, 5, 10, 10, 5, 1]
-    pattern = idempotent_pattern(a, spec, astar)
+    pattern = idempotent_pattern(spec, astar)
     for i in range(6):
         for j in range(6):
             assert pattern[i][j] == (abs(i - j) <= 1)
@@ -549,7 +596,7 @@ def test_full_stack_hamming_instance():
         res.candidate.beta, 0, res.candidate.rho,
     ).holds
     spec = spectrum_exact(fb.adjacency_matrix())
-    pattern = idempotent_pattern(fb.adjacency_matrix(), spec, astar)
+    pattern = idempotent_pattern(spec, astar)
     k = len(spec.eigenvalues)
     assert check_q_ordering(pattern, even_odd_ordering(k)).tridiagonal
     assert check_q_ordering(pattern, odd_even_ordering(k)).tridiagonal

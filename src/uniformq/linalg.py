@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
+from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -455,23 +456,28 @@ def _bareiss_echelon(flat: list[int], nrows: int, ncols: int):
 
 
 def _int_nullspace(flat: list[int], nrows: int, ncols: int) -> list[list]:
+    """Kernel basis of an integer matrix as primitive integer vectors,
+    one per free column, whose entry there is positive."""
     rows, nrank, pivots = _bareiss_echelon(flat, nrows, ncols)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        v: list = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        # echelon rows: solve pivots bottom-up
+        v = [0] * ncols
+        v[f] = 1
+        # echelon rows: solve pivots bottom-up; when a pivot does not
+        # divide, scale the partial solution so that it does
         for r in range(nrank - 1, -1, -1):
             col = pivots[r]
             row = rows[r]
-            acc = Fraction(0)
-            for j in range(col + 1, ncols):
-                if row[j] and v[j]:
-                    acc += row[j] * v[j]
-            v[col] = -acc / row[col]
-        basis.append(v)
+            acc = sum(map(mul, row[col + 1:], v[col + 1:]))
+            scale = abs(row[col]) // gcd(acc, row[col])
+            if scale != 1:
+                v = [x * scale for x in v]
+                acc *= scale
+            v[col] = -acc // row[col]
+        content = gcd(*v)
+        basis.append([x // content for x in v])
     return basis
 
 

@@ -148,6 +148,8 @@ class _Blocks:
     b: list[int]  # flat len(classes[0]) x len(classes[1])
     bt: list[int]  # flat B^T
     powers: list[list[int]]
+    # the spectral projector pairs per mu, formed on first use
+    projectors: Optional[dict] = None
 
 
 @dataclass
@@ -363,12 +365,15 @@ def _spectral_projectors(spectrum: Spectrum):
     such that M_theta = X + theta Y equals c_theta E_theta: X = A P_mu
     (the blocks off the diagonal) and Y = P_mu (those on it) for
     mu != 0, and X = P_0, Y = None for mu = 0.  Here c_theta =
-    prod_{nu != mu} (mu - nu), times 2 theta when theta != 0.
+    prod_{nu != mu} (mu - nu), times 2 theta when theta != 0.  The pairs
+    are formed once per Spectrum and kept on its blocks.
     """
     blocks = spectrum.blocks
     classes = blocks.classes
-    sizes = [len(c) for c in classes]
     keys = [int(Fraction(value * value)) for value in spectrum.values()]
+    if blocks.projectors is not None:
+        return keys, classes, blocks.projectors
+    sizes = [len(c) for c in classes]
     mus = list(dict.fromkeys(keys))
     larger = int_matmul_flat(blocks.bt, blocks.b, sizes[1], sizes[0], sizes[1])
     powers = [blocks.powers, _powers(larger, sizes[1], len(mus) - 1)]
@@ -384,8 +389,9 @@ def _spectral_projectors(spectrum: Spectrum):
                                         sizes[j])
                 for (i, j), block in a_blocks.items()}
 
-    return keys, classes, {mu: (times_a(p), p) if mu else (p, None)
-                           for mu, p in projectors.items()}
+    blocks.projectors = {mu: (times_a(p), p) if mu else (p, None)
+                         for mu, p in projectors.items()}
+    return keys, classes, blocks.projectors
 
 
 def _dense(m: dict, classes, n: int) -> list:

@@ -23,16 +23,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .graphs import LFRSplit
 from .linalg import (
     ExactMatrix,
     Inconsistent,
     UniqueSolution,
-    normalize_vector,
     nullspace,
-    rank,
+    rank,  # noqa: F401  unused here; perfbench's tracer test rebinds it
     solve_linear,
 )
 from .scalars import rational_power, scalar_to_json
@@ -373,7 +372,6 @@ class TModule:
 class Decomposition:
     modules: list[TModule]
     vertex_count: int
-    certified_direct_sum: bool
 
     def multiplicities(self) -> dict[tuple[int, int], int]:
         table: dict[tuple[int, int], int] = {}
@@ -458,24 +456,28 @@ def _kernel_of_lowering(maps: _LevelMaps, r: int) -> list[list]:
     for col, y in enumerate(level):
         for z in maps.down[y]:
             rows[maps.pos[z]][col] = 1
-    kernel = nullspace(ExactMatrix.from_rows(rows))
-    return [normalize_vector(v) for v in kernel]
+    return nullspace(ExactMatrix.from_rows(rows))
 
 
-def decompose_modules(split: LFRSplit, params: UniformParams,
-                      certify: bool = True) -> Decomposition:
+def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     """Split the standard module into thin irreducible module chains.
 
-    For each endpoint r, generators of ker L on level r are filtered by
-    the exact length of their raising chain (longest chains first), so
-    each generator has a well-defined diameter; chains are normalised
-    with the solved x-scalars and every chain relation is re-verified
-    exactly.  Every vector is kept over the coordinates of its own
-    level.  With certify=True the chain vectors on each level are
-    certified to form a basis of it, which holds exactly when the
-    stacked bases form a direct sum.  Parameters already verified on
-    this split are not verified again.  Modules come ordered by
-    endpoint, then by decreasing diameter.
+    For each endpoint r, generators of ker L on level r are picked by the
+    exact length of their raising chain, shortest first.  With S_d the
+    kernel vectors whose chain dies by d, the diameter-d generators
+    extend those already kept, a basis of S_{d-1}, to a basis of S_d;
+    one exact integer pivot table per endpoint decides which to keep.
+    Chains are normalised with the solved x-scalars and every chain
+    relation is re-verified exactly.  Every vector is kept over the
+    coordinates of its own level.
+
+    This certifies the direct sum.  Given a dependency among the chain
+    vectors on level j with least endpoint r0, L^(j-r0) kills the chains
+    of larger endpoint (L w_r = 0) and maps those of endpoint r0 to their
+    generators (L w_{r+i} = w_{r+i-1}), which are independent; with the
+    dimensions summing to n, the chains form a basis.  Parameters
+    already verified on this split are not verified again.  Modules come
+    ordered by endpoint, then by increasing diameter.
     """
     if params not in split._verified:
         check = verify_uniform(split, params)
@@ -484,8 +486,7 @@ def decompose_modules(split: LFRSplit, params: UniformParams,
                 f"uniform verification failed at level {check.level}; "
                 "decomposition requires a uniform structure"
             )
-    ctx = split.ctx
-    eps = ctx.eccentricity
+    eps = split.ctx.eccentricity
     n = split.graph.n
     maps = _LevelMaps(split)
     chains: list[tuple] = []  # (r, d, level-local chain vectors, x-scalars)
@@ -504,78 +505,56 @@ def decompose_modules(split: LFRSplit, params: UniformParams,
             [maps.lower(r + i, v) for v in powers[i]]
             for i in range(1, max_d + 1)
         ]
-        # S_d = vectors (in kernel coordinates) whose R-chain dies by d
-        coord_bases: dict[int, list[list]] = {}
-        dims: dict[int, int] = {-1: 0}
+        table: list[tuple] = []  # spans S_{d-1}: the generators kept so far
         for d in range(max_d + 1):
+            # S_d in kernel coordinates: R^(d+1) v = 0
             if d == max_d:
-                basis = [
-                    [Fraction(1) if i == j else Fraction(0) for i in range(k)]
-                    for j in range(k)
-                ]
+                s_d = [[int(i == j) for i in range(k)] for j in range(k)]
             else:
                 rows = list(zip(*powers[d + 1]))  # level r+d+1 coordinates
-                basis = nullspace(ExactMatrix.from_rows(rows))
-            coord_bases[d] = basis
-            dims[d] = len(basis)
-        # Valid diameter-d generators satisfy, beyond R^(d+1) v = 0, the
-        # chain conditions L R^i v = x_{r+i} R^(i-1) v (1 <= i <= d); a
-        # bare complement of S_{d-1} in S_d could mix diameters and
-        # break the chain normalisation.
-        for d in range(max_d, -1, -1):
-            want = dims[d] - dims[d - 1]
-            if want <= 0:
+                s_d = nullspace(ExactMatrix.from_rows(rows))
+            want = len(s_d) - len(table)
+            if want == 0:
                 continue
-            gen_space = _generator_space(params, r, d, powers, lowered,
-                                         coord_bases[d])
-            lower = coord_bases[d - 1] if d > 0 else []
-            for coords in _complement_basis(gen_space, lower, want):
-                coords = normalize_vector(coords)  # an integer generator
-                gen = [sum(c * v[t] for c, v in zip(coords, kernel) if c)
-                       for t in range(len(kernel[0]))]
-                chains.append(_build_chain(maps, params, r, d, gen))
+            x = solve_x_scalars(params, r, d) if d else []
+            kept = 0
+            for coords in _generator_space(d, x, powers, lowered, s_d):
+                if not _extend(table, coords):
+                    continue
+                gen = [0] * len(kernel[0])
+                for c, v in zip(coords, kernel):
+                    if c:
+                        gen = [g + c * s for g, s in zip(gen, v)]
+                chains.append(_build_chain(maps, r, gen, x))
+                kept += 1
+                if kept == want:
+                    break
+            if kept != want:
+                raise ArithmeticError("chain filtration is inconsistent")
     total = sum(len(chain) for _, _, chain, _ in chains)
     if total != n:
         raise ArithmeticError(
             f"module dimensions sum to {total}, expected {n}"
         )
-    if certify:
-        by_level: list[list] = [[] for _ in ctx.levels]
-        for r, _, chain, _ in chains:
-            for i, w in enumerate(chain):
-                by_level[r + i].append(w)
-        _certify_direct_sum([len(level) for level in ctx.levels], by_level)
     modules = [
         TModule(r, d, [maps.full(r + i, w) for i, w in enumerate(chain)], x)
         for r, d, chain, x in chains
     ]
-    return Decomposition(modules, n, certify)
+    return Decomposition(modules, n)
 
 
-def _certify_direct_sum(sizes: Sequence[int], by_level: Sequence[list]
-                        ) -> None:
-    """Certify that the chain vectors on each level, given per level,
-    form a basis of it: as many as the level has vertices, of full exact
-    rank.  The stacked bases are block-diagonal by level, so this holds
-    exactly when they form a direct sum of the standard module."""
-    for size, vectors in zip(sizes, by_level):
-        if len(vectors) != size \
-                or rank(ExactMatrix.from_rows(vectors)) != size:
-            raise ArithmeticError("module bases do not form a direct sum")
-
-
-def _generator_space(params: UniformParams, r: int, d: int, powers, lowered,
+def _generator_space(d: int, x: list, powers, lowered,
                      s_d_basis: list[list]) -> list[list]:
     """Kernel-coordinate basis of the diameter-d generator space.
 
     Cuts S_d down by the linear chain conditions
     L R^i v = x_{r+i} R^(i-1) v for 1 <= i <= d.  The space still covers
     S_d modulo S_{d-1}: pure diameter-d generators satisfy every
-    condition.
+    condition, while a bare complement of S_{d-1} in S_d could mix
+    diameters and break the chain normalisation.
     """
     if d == 0:
         return s_d_basis
-    x = solve_x_scalars(params, r, d)
     # R^(d+1) v = 0 (no rows beyond the last level)
     rows: list = list(zip(*powers[d + 1]))
     # q L R^i v - p R^(i-1) v = 0 on level r+i-1, with x_{r+i} = p/q
@@ -586,48 +565,36 @@ def _generator_space(params: UniformParams, r: int, d: int, powers, lowered,
     return nullspace(ExactMatrix.from_rows(rows))
 
 
-def _complement_basis(space: list[list], lower: list[list], want: int) -> list[list]:
-    """Vectors of `space` extending `lower` to a basis, reduced greedily."""
-    k = len(space[0]) if space else 0
-    pivots: list[tuple[int, list]] = []
-
-    def insert(vec) -> bool:
-        v = list(vec)
-        for pi, pv in pivots:
-            f = v[pi] / pv[pi] if pv[pi] != 1 else v[pi]
-            if f:
-                v = [a - f * b for a, b in zip(v, pv)]
-        lead = next((i for i, x in enumerate(v) if x != 0), None)
-        if lead is None:
-            return False
-        pivots.append((lead, v))
-        return True
-
-    for vec in lower:
-        insert(vec)
-    chosen = []
-    for vec in space:
-        if insert(vec):
-            chosen.append(vec)
-            if len(chosen) == want:
-                break
-    if len(chosen) != want:
-        raise ArithmeticError("chain filtration is inconsistent")
-    return chosen
+def _extend(table: list, vec: list) -> bool:
+    """Append vec to the pivot table when it is independent of the rows
+    there.  Rows are (lead, primitive integer row): each is reduced,
+    fraction-free, against the earlier ones, so it vanishes at their
+    leads."""
+    v = vec
+    for lead, row in table:
+        c = v[lead]
+        if c:
+            g = gcd(c, row[lead])
+            a, b = row[lead] // g, c // g
+            v = [a * s - b * t for s, t in zip(v, row)]
+    lead = next((i for i, s in enumerate(v) if s), None)
+    if lead is None:
+        return False
+    content = gcd(*v)
+    table.append((lead, [s // content for s in v]))
+    return True
 
 
-def _build_chain(maps: _LevelMaps, params: UniformParams, r: int, d: int,
-                 gen: list) -> tuple:
-    """The chain w_{r+i} = R^i gen / (x_{r+1} ... x_{r+i}), scaled by one
-    integer to integer vectors of content 1 (the relations are linear, so
-    a common factor keeps them)."""
-    x = solve_x_scalars(params, r, d) if d else []
+def _build_chain(maps: _LevelMaps, r: int, gen: list, x: list) -> tuple:
+    """The chain w_{r+i} = R^i gen / (x_{r+1} ... x_{r+i}) of diameter
+    len(x), scaled by one integer to integer vectors of content 1 (the
+    relations are linear, so a common factor keeps them)."""
     if any(v == 0 for v in x):
         raise ArithmeticError(
-            f"x-scalar vanishes mid-chain for (r, d) = ({r}, {d})"
+            f"x-scalar vanishes mid-chain for (r, d) = ({r}, {len(x)})"
         )
     raised = [gen]
-    for i in range(d):
+    for i in range(len(x)):
         raised.append(maps.raise_(r + i, raised[-1]))
     scales = [Fraction(1)]
     for xi in x:
@@ -638,7 +605,7 @@ def _build_chain(maps: _LevelMaps, params: UniformParams, r: int, d: int,
     content = gcd(*(v for w in chain for v in w))
     chain = [[v // content for v in w] for w in chain]
     _assert_chain(maps, r, chain, x)
-    return r, d, chain, x
+    return r, len(x), chain, x
 
 
 def _assert_chain(maps: _LevelMaps, r: int, basis: list, x: list) -> None:

@@ -291,7 +291,9 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, monkeypatch):
                ("uniformq.linalg", "column_space_basis"),
                ("uniformq.candidate", "dual_diagonal"),
                ("uniformq.uniform", "fit_uniform_constant"),
-               ("uniformq.uniform", "verify_uniform")]
+               ("uniformq.uniform", "verify_uniform"),
+               ("uniformq.linalg", "rank"),
+               ("uniformq.uniform", "solve_x_scalars")]
     modules = [m for key, m in list(sys.modules.items())
                if key.startswith("uniformq") and m is not None]
     for modname, attr in targets:
@@ -306,6 +308,11 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, monkeypatch):
     assert res.exit_code == 1
     data = json.loads(res.stdout)
     assert data["skipped"] == {} and data["candidate"]["verified"] is True
+    # the thin modules need no exact rank, and one x-scalar solve per
+    # module type of positive diameter
+    assert "rank" not in counts
+    chains = [m for m in data["modules"] if m["d"] >= 1]
+    assert chains and counts.pop("solve_x_scalars") == len(chains)
     # A is validated, 2-coloured and its Gram block's charpoly taken
     # once; the idempotent pattern needs no eigenspace bases
     assert counts == {name: 1 for name in (

@@ -214,6 +214,22 @@ def test_nullspace_vectors_satisfy_kernel():
         assert rank(stacked) == c
 
 
+def test_integer_nullspace_is_primitive_integer():
+    from math import gcd
+
+    # the pivots 2 and 3 divide none of the back-substituted sums
+    m = ExactMatrix.from_rows([[2, 1, 1], [0, 3, 1]])
+    assert nullspace(m) == [[-1, -1, 3]]
+    rng = random.Random(5)
+    for _ in range(20):
+        r, c = rng.randint(1, 4), rng.randint(2, 6)
+        m = ExactMatrix(r, c, [rng.randint(-5, 5) for _ in range(r * c)])
+        for v in nullspace(m):
+            assert all(type(x) is int for x in v)
+            assert gcd(*v) == 1
+            assert all(x == 0 for x in m.apply(v))
+
+
 def test_nullspace_quadext():
     r2 = quad(0, 1, 2)
     m = ExactMatrix.from_rows([[r2, -2]])  # kernel spanned by (sqrt2, 1)

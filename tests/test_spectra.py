@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from conftest import random_connected_graph
+from test_uniform import certify_direct_sum, per_level
 from uniformq.candidate import dual_diagonal
 from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
 from uniformq.graphs import Graph, bfs_context, full_bipartite, lfr_split
@@ -476,6 +477,28 @@ def test_block_projectors_match_dense_products(graph):
             lambda u, v: u + value * v, x, y))) == m_theta
 
 
+def test_projectors_are_formed_once_per_spectrum(monkeypatch):
+    # eigenspace_bases and idempotent_pattern share one B^T B and one set
+    # of projectors; a reordered copy of the spectrum reuses them too
+    spec = spectrum_exact(hypercube(4)[0].adjacency_matrix())
+    real = spectra.int_matmul_flat
+    calls = []
+
+    def counting(a, b, n, k, m):
+        calls.append(a is spec.blocks.bt and b is spec.blocks.b)
+        return real(a, b, n, k, m)
+
+    monkeypatch.setattr(spectra, "int_matmul_flat", counting)
+    assert eigenspace_bases(spec).dimension == 16
+    formed = len(calls)
+    identity = ExactMatrix.identity(16)
+    pattern = idempotent_pattern(spec, identity)
+    reverse = replace(spec, eigenvalues=spec.eigenvalues[::-1])
+    assert idempotent_pattern(reverse, identity) == [row[::-1]
+                                                     for row in pattern[::-1]]
+    assert calls.count(True) == 1 and len(calls) == formed
+
+
 def test_idempotent_pattern_wrong_spectrum_rejected(cycle6):
     spec = spectrum_exact(cycle6.adjacency_matrix())
     assert spec.eigenvalues == [(2, 1), (1, 2), (-1, 2), (-2, 1)]
@@ -586,7 +609,7 @@ def test_full_stack_hamming_instance():
     split = lfr_split(fb, ctx)
     params = fit_uniform_constant(split)
     dec = decompose_modules(split, params)
-    assert dec.certified_direct_sum
+    certify_direct_sum(*per_level(dec.modules, ctx))
     assert sum(m.diameter + 1 for m in dec.modules) == 81
     res = candidate_search(params)
     assert res.accepted

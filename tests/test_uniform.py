@@ -309,11 +309,39 @@ def test_closed_form_x_rational_b():
 # -- module decomposition ------------------------------------------------------------
 
 
+def certify_direct_sum(sizes, by_level) -> None:
+    """Slow twin of the chain-relation certificate: the chain vectors on
+    each level, given per level, form a basis of it (as many as the
+    level has vertices, of full exact rank).  The stacked bases are
+    block-diagonal by level, so this holds exactly when they form a
+    direct sum of the standard module."""
+    for size, vectors in zip(sizes, by_level):
+        if len(vectors) != size \
+                or rank(ExactMatrix.from_rows(vectors)) != size:
+            raise ArithmeticError("module bases do not form a direct sum")
+
+
+def stacked_rank(modules, n):
+    """Slow twin of the whole certificate: the n x n exact rank of every
+    chain vector stacked, normalised as rows."""
+    rows = [normalize_vector(v) for m in modules for v in m.basis]
+    return len(rows), rank(ExactMatrix.from_rows(rows))
+
+
+def per_level(modules, ctx):
+    by_level = [[] for _ in ctx.levels]
+    for m in modules:
+        for i, v in enumerate(m.basis):
+            level = ctx.levels[m.endpoint + i]
+            by_level[m.endpoint + i].append([v[y] for y in level])
+    return [len(level) for level in ctx.levels], by_level
+
+
 def test_decompose_c32(c32_split, dp_params):
     dec = decompose_modules(c32_split, dp_params)
     assert isinstance(dec, Decomposition)
     assert sum(m.diameter + 1 for m in dec.modules) == 135
-    assert dec.certified_direct_sum
+    certify_direct_sum(*per_level(dec.modules, c32_split.ctx))
     table = dec.multiplicities()
     assert table[(0, 3)] == 1
     assert (1, 2) in table
@@ -428,27 +456,10 @@ def test_fitted_params_are_hashable(c6_split):
         assert params in {params}
 
 
-def stacked_rank(modules, n):
-    """Slow twin of the per-level certificate: the n x n exact rank of
-    every chain vector stacked, normalised as rows."""
-    rows = [normalize_vector(v) for m in modules for v in m.basis]
-    return len(rows), rank(ExactMatrix.from_rows(rows))
-
-
-def per_level(modules, ctx):
-    by_level = [[] for _ in ctx.levels]
-    for m in modules:
-        for i, v in enumerate(m.basis):
-            level = ctx.levels[m.endpoint + i]
-            by_level[m.endpoint + i].append([v[y] for y in level])
-    return [len(level) for level in ctx.levels], by_level
-
-
 @pytest.mark.parametrize("case", ["c32", "q6"])
 def test_direct_sum_certificate_matches_stacked_rank(case, c32_split,
                                                     dp_params):
     from uniformq.generators import hypercube
-    from uniformq.uniform import _certify_direct_sum
 
     if case == "c32":
         split, params = c32_split, dp_params
@@ -458,7 +469,7 @@ def test_direct_sum_certificate_matches_stacked_rank(case, c32_split,
         params = fit_uniform_constant(split)
     n = split.graph.n
     dec = decompose_modules(split, params)
-    assert dec.certified_direct_sum
+    certify_direct_sum(*per_level(dec.modules, split.ctx))
     assert stacked_rank(dec.modules, n) == (n, n)
     # a chain vector repeated on level 1 breaks both certificates alike
     first = dec.modules[0]  # endpoint 0: a vector on every level
@@ -469,22 +480,41 @@ def test_direct_sum_certificate_matches_stacked_rank(case, c32_split,
               for m in dec.modules]
     assert stacked_rank(broken, n)[1] < n
     with pytest.raises(ArithmeticError):
-        _certify_direct_sum(*per_level(broken, split.ctx))
-    _certify_direct_sum(*per_level(dec.modules, split.ctx))
+        certify_direct_sum(*per_level(broken, split.ctx))
 
 
 def test_direct_sum_certificate_rejects_bad_levels():
-    from uniformq.uniform import _certify_direct_sum
-
     msg = "module bases do not form a direct sum"
     good = [[[1]], [[1, 0, 2], [0, 1, 0], [0, 0, 3]]]
-    _certify_direct_sum([1, 3], good)
+    certify_direct_sum([1, 3], good)
     dependent = [[[1]], [[1, 0, 2], [0, 1, 0], [2, 1, 4]]]
     with pytest.raises(ArithmeticError, match=msg):
-        _certify_direct_sum([1, 3], dependent)
+        certify_direct_sum([1, 3], dependent)
     too_few = [[[1]], [[1, 0, 2], [0, 1, 0]]]
     with pytest.raises(ArithmeticError, match=msg):
-        _certify_direct_sum([1, 3], too_few)
+        certify_direct_sum([1, 3], too_few)
     too_many = [[[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]]
     with pytest.raises(ArithmeticError, match=msg):
-        _certify_direct_sum([1, 3], too_many)
+        certify_direct_sum([1, 3], too_many)
+
+
+def test_pivot_table_rejects_a_repeated_generator(c32_split, dp_params,
+                                                  monkeypatch):
+    # every generator space offers its first vector twice; the pivot
+    # table must keep it once, so the decomposition does not change
+    import uniformq.uniform as uniform_mod
+
+    plain = decompose_modules(c32_split, dp_params)
+    real = uniform_mod._generator_space
+
+    def repeating(*args):
+        space = real(*args)
+        return space[:1] + space
+
+    monkeypatch.setattr(uniform_mod, "_generator_space", repeating)
+    dec = decompose_modules(c32_split, dp_params)
+    assert [(m.endpoint, m.diameter, m.basis, m.x_scalars)
+            for m in dec.modules] == \
+        [(m.endpoint, m.diameter, m.basis, m.x_scalars)
+         for m in plain.modules]
+    certify_direct_sum(*per_level(dec.modules, c32_split.ctx))

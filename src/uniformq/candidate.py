@@ -27,8 +27,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .graphs import BaseContext, Graph
-from .linalg import ExactMatrix
-from .scalars import QuadExt, exact_sqrt, scalar_to_json
+from .scalars import QuadExt, exact_sqrt, is_rational, scalar_to_json
 from .uniform import UniformParams
 
 
@@ -51,8 +50,8 @@ class DualCandidate:
         }
 
 
-def dual_diagonal(ctx: BaseContext, theta_star: Sequence) -> ExactMatrix:
-    """Diagonal matrix with (y,y)-entry theta*_{dist(x,y)}."""
+def dual_diagonal(ctx: BaseContext, theta_star: Sequence) -> list:
+    """The diagonal of A*, one value per vertex: theta*_{dist(x,y)} at y."""
     eps = ctx.eccentricity
     if len(theta_star) != eps + 1:
         raise ValueError(
@@ -60,7 +59,7 @@ def dual_diagonal(ctx: BaseContext, theta_star: Sequence) -> ExactMatrix:
         )
     if len(set(theta_star)) != eps + 1:
         raise ValueError("level values must be mutually distinct")
-    return ExactMatrix.diagonal([theta_star[d] for d in ctx.dist])
+    return [theta_star[d] for d in ctx.dist]
 
 
 @dataclass
@@ -76,18 +75,10 @@ class TridiagReport:
         }
 
 
-def _diagonal_values(astar: ExactMatrix) -> list:
-    n = astar.rows
-    for i in range(n):
-        for j in range(n):
-            if i != j and astar.entries[i * n + j] != 0:
-                raise ValueError("dual adjacency candidate must be diagonal")
-    return [astar.entries[i * n + i] for i in range(n)]
-
-
-def verify_tridiagonal(a: ExactMatrix, astar: ExactMatrix, beta, gamma, rho,
+def verify_tridiagonal(g: Graph, astar: Sequence, beta, gamma, rho,
                        collect_all: bool = False) -> TridiagReport:
-    """Exactly evaluate the cubic commutator relation.
+    """Exactly evaluate the cubic commutator relation for the adjacency
+    matrix A of g and the diagonal A* = diag(astar).
 
     The residual matrix is
 
@@ -95,44 +86,33 @@ def verify_tridiagonal(a: ExactMatrix, astar: ExactMatrix, beta, gamma, rho,
             - gamma (A^2 A* - A* A^2) - rho (A A* - A* A);
 
     the relation holds iff it vanishes.  With D = A* = diag(d), its
-    column y is built from sparse applications of A to e_y:
+    column y is built from sparse applications of A to e_y, read from
+    the adjacency lists:
 
         (d_y - D)(A^3 e_y - gamma A^2 e_y - rho A e_y)
             + (beta+1)(A D A^2 e_y - A^2 D A e_y),
 
-    so entry (z, y) vanishes unless z is within three steps of y.  When
-    A, A*, beta+1, gamma and rho are all rational, A*, beta+1, gamma and
-    rho are scaled to integers first; QuadExt values take the same route
-    in exact arithmetic.  The
-    support lists (z, y) in row-major order; with collect_all=False it
-    holds only the first nonzero entry.
+    so entry (z, y) vanishes unless z is within three steps of y.  A*
+    must be rational: A*, beta+1, gamma and rho are scaled to integers
+    by one common denominator.  The support lists (z, y) in row-major
+    order; with collect_all=False it holds only the first nonzero entry.
     """
-    if not a.is_square() or a.rows != astar.rows or a.cols != astar.cols:
-        raise ValueError("matrices must be square of matching dimensions")
-    n = a.rows
-    beta, gamma, rho = Fraction(beta), Fraction(gamma), Fraction(rho)
-    diag = _diagonal_values(astar)
-    coeffs = [Fraction(1), beta + 1, gamma, rho]
-
-    cols: list[list] = [[] for _ in range(n)]  # column y: (z, a_zy) pairs
-    quadratic = any(isinstance(v, QuadExt) for v in diag)
-    for idx, v in enumerate(a.entries):
-        if v != 0:
-            cols[idx % n].append((idx // n, v))
-            quadratic = quadratic or isinstance(v, QuadExt)
-
-    scale = 1
-    if not quadratic:
-        scale = lcm(*(Fraction(v).denominator for v in diag + coeffs))
-        diag = [int(Fraction(v) * scale) for v in diag]
-        coeffs = [int(c * scale) for c in coeffs]
-    one, bp1, gamma, rho = coeffs
+    n = g.n
+    if len(astar) != n:
+        raise ValueError(f"A* needs {n} diagonal values, got {len(astar)}")
+    if not all(is_rational(d) for d in astar):
+        raise ValueError("A* must be rational")
+    coeffs = [Fraction(1), Fraction(beta) + 1, Fraction(gamma), Fraction(rho)]
+    scale = lcm(*(Fraction(v).denominator for v in [*astar, *coeffs]))
+    diag = [int(Fraction(v) * scale) for v in astar]
+    one, bp1, gamma, rho = (int(c * scale) for c in coeffs)
+    adj = g.adj
 
     def apply(vec: dict) -> dict:
         out: dict = {}
         for y, v in vec.items():
-            for z, ay in cols[y]:
-                out[z] = out.get(z, 0) + ay * v
+            for z in adj[y]:
+                out[z] = out.get(z, 0) + v
         return out
 
     def scaled(vec: dict) -> dict:

@@ -202,10 +202,6 @@ class _Instance:
         }
 
     @cached_property
-    def adjacency(self):
-        return self.ctx.graph.adjacency_matrix()
-
-    @cached_property
     def constant(self):
         return fit_uniform_constant(self.split)
 
@@ -262,7 +258,7 @@ class _Instance:
         if self.search.accepted:
             c = self.search.candidate
             report["verified"] = verify_tridiagonal(
-                self.adjacency, self.astar, c.beta, c.gamma, c.rho
+                self.ctx.graph, self.astar, c.beta, c.gamma, c.rho
             ).holds
         return report
 
@@ -272,7 +268,7 @@ class _Instance:
 
     @cached_property
     def spectrum(self):
-        return spectrum_exact(self.adjacency)
+        return spectrum_exact(self.ctx.graph)
 
     @cached_property
     def pattern(self):

@@ -155,26 +155,6 @@ class ExactMatrix:
             out.append(acc)
         return out
 
-    def scale_rows(self, diag: Sequence[Scalar]) -> "ExactMatrix":
-        """diag(d) * self."""
-        if len(diag) != self.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            d = diag[i]
-            out.extend(d * a if d != 1 else a for a in self.row(i))
-        return ExactMatrix(self.rows, self.cols, out)
-
-    def scale_cols(self, diag: Sequence[Scalar]) -> "ExactMatrix":
-        """self * diag(d)."""
-        if len(diag) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            out.extend(a * d if d != 1 else a for a, d in zip(row, diag))
-        return ExactMatrix(self.rows, self.cols, out)
-
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")

@@ -15,8 +15,8 @@ representation matrix is generated by the three-term recurrence
 h_{i+1} = t h_i - x_{r+i} h_{i-1}, a rescaled normalized dual
 b-Krawtchouk polynomial.
 
-``spectrum_exact`` takes a symmetric 0/1 matrix of a bipartite graph
-with rational squared spectrum; it 2-colours the graph of A itself, so
+``spectrum_exact`` takes a bipartite graph with rational squared
+spectrum; it 2-colours the graph from its adjacency lists, so
 A = [[0, B], [B^T, 0]], and works on the Gram block B B^T of the
 smaller colour class.  The roots of its characteristic polynomial
 modulo one prime in [0, Delta^2] (Delta the maximum degree) are the
@@ -42,7 +42,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels
-from .linalg import ExactMatrix, column_space_basis, int_matmul_flat
+from .graphs import Graph
+from .linalg import column_space_basis, int_matmul_flat
 from .poly import Poly
 from .scalars import (
     QuadExt,
@@ -184,28 +185,6 @@ class Spectrum:
         return {"radicand": self.radicand, "eigenvalues": eig}
 
 
-def _validate_symmetric01(a: ExactMatrix) -> list[int]:
-    ints = a.int_entries()
-    if ints is None or not a.is_square():
-        raise ValueError("need a square 0/1 integer matrix")
-    n = a.rows
-    for i in range(n):
-        for j in range(n):
-            v = ints[i * n + j]
-            if v not in (0, 1):
-                raise ValueError("entries must be 0 or 1")
-            if v != ints[j * n + i]:
-                raise ValueError("matrix must be symmetric")
-    return ints
-
-
-def _degree_bound(ints: list[int], n: int) -> int:
-    """Delta^2 for the maximum degree Delta: no eigenvalue of A^2 (or of
-    a diagonal block of it) exceeds it."""
-    return max((sum(ints[i * n:(i + 1) * n]) for i in range(n)),
-               default=0) ** 2
-
-
 def _square_roots(mus) -> tuple[int, dict[int, tuple[int, int]]]:
     """The radicand and, per nonzero mu (descending), (s, m) with
     sqrt(mu) = s sqrt(m); ValueError when two radicands are needed."""
@@ -231,26 +210,24 @@ def _root_value(s: int, m: int) -> Scalar:
     return Fraction(s) if m == 1 else quad(0, s, m)
 
 
-def _colour_classes(ints: list[int], n: int) -> Optional[list[list[int]]]:
-    """The two classes of a proper 2-colouring of the graph of A, the
-    smaller first; None when the graph has an odd cycle or a loop."""
-    colour = [-1] * n
-    for root in range(n):
+def _colour_classes(g: Graph) -> Optional[list[list[int]]]:
+    """The two classes of a proper 2-colouring of g, the smaller first;
+    None when the graph has an odd cycle or a loop."""
+    colour = [-1] * g.n
+    for root in range(g.n):
         if colour[root] >= 0:
             continue
         colour[root] = 0
         stack = [root]
         while stack:
             y = stack.pop()
-            for z, v in enumerate(ints[y * n:(y + 1) * n]):
-                if not v:
-                    continue
+            for z in g.adj[y]:
                 if colour[z] < 0:
                     colour[z] = 1 - colour[y]
                     stack.append(z)
                 elif colour[z] == colour[y]:
                     return None
-    classes = [[y for y in range(n) if colour[y] == c] for c in (0, 1)]
+    classes = [[y for y in range(g.n) if colour[y] == c] for c in (0, 1)]
     return sorted(classes, key=len)
 
 
@@ -276,8 +253,8 @@ def _evaluate(powers: list[list[int]], roots) -> list[int]:
     return [sum(map(mul, coeffs, column)) for column in zip(*powers)]
 
 
-def spectrum_exact(a: ExactMatrix) -> Spectrum:
-    """Exact spectrum of the symmetric 0/1 matrix A of a bipartite graph.
+def spectrum_exact(g: Graph) -> Spectrum:
+    """Exact spectrum of the adjacency matrix A of a bipartite graph g.
 
     A 2-colouring gives A = [[0, B], [B^T, 0]] with the Gram block
     D = B B^T on the smaller colour class.  Every eigenvalue of D lies in
@@ -293,24 +270,28 @@ def spectrum_exact(a: ExactMatrix) -> Spectrum:
 
     The Spectrum carries the blocks and the powers of D, for
     ``eigenspace_bases`` and ``idempotent_pattern``.  Raises ValueError
-    when A is not a symmetric 0/1 matrix, its graph is not bipartite,
-    the squared spectrum is not rational or the values need more than
-    one radicand.
+    when the graph is not bipartite, the squared spectrum is not
+    rational or the values need more than one radicand.
     """
-    ints = _validate_symmetric01(a)
-    n = a.rows
-    classes = _colour_classes(ints, n)
+    n = g.n
+    classes = _colour_classes(g)
     if classes is None:
         raise ValueError(
             "the graph is not bipartite; only bipartite graphs are supported"
         )
     rows, cols = classes
-    size = len(rows)
-    b = [ints[y * n + z] for y in rows for z in cols]
-    bt = [ints[z * n + y] for z in cols for y in rows]
-    gram = int_matmul_flat(b, bt, size, len(cols), size)
+    size, width = len(rows), len(cols)
+    position = {z: k for k, z in enumerate(cols)}
+    b = [0] * (size * width)
+    for k, y in enumerate(rows):
+        for z in g.adj[y]:
+            b[k * width + position[z]] = 1
+    bt = [b[k * width + j] for j in range(width) for k in range(size)]
+    gram = int_matmul_flat(b, bt, size, width, size)
     coeffs = _kernels.charpoly_mod(gram, size, _PRIME)[::-1]  # highest first
-    candidates = [mu for mu in range(_degree_bound(ints, n) + 1)
+    # no eigenvalue of A^2 exceeds Delta^2, Delta the maximum degree
+    bound = max(map(len, g.adj), default=0) ** 2
+    candidates = [mu for mu in range(bound + 1)
                   if not reduce(lambda r, c: (r * mu + c) % _PRIME,
                                 coeffs, 0)]
     powers = _powers(gram, size, len(candidates))
@@ -426,9 +407,10 @@ def eigenspace_bases(spectrum: Spectrum) -> EigenDecomposition:
 
 
 def idempotent_pattern(spectrum: Spectrum,
-                       astar: ExactMatrix) -> list[list[bool]]:
+                       astar: Sequence) -> list[list[bool]]:
     """P[i][j] = (E_i A* E_j != 0), indexed like spectrum.eigenvalues, for
-    the A whose spectrum ``spectrum_exact`` gave.
+    the A whose spectrum ``spectrum_exact`` gave and the rational
+    diagonal A* = diag(astar).
 
     A* is diagonal and the E_i are symmetric, so ||E_i A* E_j||_F^2 =
     tr(E_i A* E_j A*).  With M_i = c_i E_i from ``_spectral_projectors``
@@ -437,17 +419,12 @@ def idempotent_pattern(spectrum: Spectrum,
     it into four integer sums per pair of squared eigenvalues, each a
     sum over the blocks present in both factors (X and Y share none).
     """
-    n = astar.rows
-    if astar.cols != n or spectrum.vertex_count != n:
-        raise ValueError("A* must be square, of the size of A")
-    if any(astar.entries[i * n + j] != 0
-           for i in range(n) for j in range(n) if i != j):
-        raise ValueError("A* must be diagonal")
-    diag = [astar.entries[i * n + i] for i in range(n)]
-    if not all(is_rational(d) for d in diag):
+    if len(astar) != spectrum.vertex_count:
+        raise ValueError("A* must have one value per vertex of A")
+    if not all(is_rational(d) for d in astar):
         raise ValueError("A* must be rational")
-    den = lcm(*(Fraction(d).denominator for d in diag))
-    w = [int(Fraction(d) * den) for d in diag]  # same zeros as A*
+    den = lcm(*(Fraction(d).denominator for d in astar))
+    w = [int(Fraction(d) * den) for d in astar]  # same zeros as A*
 
     keys, classes, blocks = _spectral_projectors(spectrum)
     ww = {(i, j): [w[y] * w[z] for y in rows for z in cols]

@@ -78,7 +78,6 @@ def instance(c32, c32_fb, c32_ctx, c32_split, dp_params):
         "ctx": c32_ctx,
         "split": c32_split,
         "params": dp_params,
-        "adjacency": c32_fb.adjacency_matrix(),
     }
 
 
@@ -119,12 +118,10 @@ def test_criterion_3_candidate_synthesis(instance):
         assert cand.gamma == 0
         assert cand.rho == 36
         astar = dual_diagonal(instance["ctx"], cand.theta_star)
-        adjacency = instance["adjacency"]
-        report = verify_tridiagonal(
-            adjacency, astar, cand.beta, cand.gamma, cand.rho
-        )
+        fb = instance["fb"]
+        report = verify_tridiagonal(fb, astar, cand.beta, cand.gamma, cand.rho)
         assert report.holds and report.residual_support == []
-        negative = verify_tridiagonal(adjacency, astar, cand.beta, cand.gamma, 37)
+        negative = verify_tridiagonal(fb, astar, cand.beta, cand.gamma, 37)
         assert not negative.holds
         assert len(negative.residual_support) > 0
 
@@ -152,8 +149,7 @@ def test_criterion_4_module_decomposition(instance):
 
 def test_criterion_5_spectra(instance):
     with criterion(5, "exact spectra + dual Krawtchouk charpolys", 120):
-        adjacency = instance["adjacency"]
-        spec = spectrum_exact(adjacency)
+        spec = spectrum_exact(instance["fb"])
         squared = sorted(
             {int(Fraction(v * v)) for v in spec.values()}, reverse=True
         )
@@ -176,8 +172,7 @@ def test_criterion_5_spectra(instance):
 
 def test_criterion_6_q_polynomial_certification(instance):
     with criterion(6, "Q-polynomial certification", 120):
-        adjacency = instance["adjacency"]
-        spec = spectrum_exact(adjacency)
+        spec = spectrum_exact(instance["fb"])
         astar = dual_diagonal(
             instance["ctx"], (-1, 0, Fraction(1, 2), Fraction(3, 4))
         )
@@ -232,7 +227,7 @@ def test_criterion_7_property_suites():
                 k + Fraction(1, k + 2)
                 for k in range(ctx.eccentricity + 1)
             )
-            astar = dual_diagonal(ctx, theta)
+            astar = ExactMatrix.diagonal(dual_diagonal(ctx, theta))
             a2 = a * a
             a3 = a2 * a
             mats = [
@@ -269,7 +264,7 @@ def test_criterion_8_secondary_instance():
         constant = fit_uniform_constant(split)
         assert constant is not None
         assert verify_uniform(split, constant).passed
-        spec = spectrum_exact(fb.adjacency_matrix())
+        spec = spectrum_exact(fb)
         assert spec.values() == closed_form_spectrum(3, 1, 2)
         r3 = quad(0, 1, 3)
         assert spec.values() == [4 * r3, 3, 0, -3, -4 * r3]

@@ -14,9 +14,9 @@ from uniformq.candidate import (
     uniform_ratio,
     verify_tridiagonal,
 )
-from uniformq.graphs import bfs_context, lfr_split
+from uniformq.graphs import bfs_context, full_bipartite, lfr_split
 from uniformq.linalg import ExactMatrix
-from uniformq.scalars import QuadExt, quad
+from uniformq.scalars import quad
 from uniformq.uniform import UniformParams, fit_uniform
 
 from conftest import random_connected_graph
@@ -27,15 +27,14 @@ from conftest import random_connected_graph
 
 def test_dual_diagonal_cycle(cycle6):
     ctx = bfs_context(cycle6, 0)
-    m = dual_diagonal(ctx, (0, 1, 2, 3))
-    assert [m[(i, i)] for i in range(6)] == [0, 1, 2, 3, 2, 1]
+    assert dual_diagonal(ctx, (0, 1, 2, 3)) == [0, 1, 2, 3, 2, 1]
 
 
 def test_dual_diagonal_shift(cycle6):
     ctx = bfs_context(cycle6, 0)
     base = dual_diagonal(ctx, (0, 1, 2, 3))
     shifted = dual_diagonal(ctx, (5, 6, 7, 8))
-    assert shifted == base + ExactMatrix.identity(6).scale(5)
+    assert shifted == [v + 5 for v in base]
 
 
 def test_dual_diagonal_errors(cycle6):
@@ -50,49 +49,47 @@ def test_dual_diagonal_errors(cycle6):
 
 
 def test_verify_tridiagonal_c32(c32_fb, c32_ctx):
-    a = c32_fb.adjacency_matrix()
     astar = dual_diagonal(c32_ctx, (-1, 0, Fraction(1, 2), Fraction(3, 4)))
-    rep = verify_tridiagonal(a, astar, Fraction(5, 2), 0, 36)
+    rep = verify_tridiagonal(c32_fb, astar, Fraction(5, 2), 0, 36)
     assert rep.holds
     assert rep.residual_support == []
 
 
 def test_verify_tridiagonal_negative_control(c32_fb, c32_ctx):
-    a = c32_fb.adjacency_matrix()
     astar = dual_diagonal(c32_ctx, (-1, 0, Fraction(1, 2), Fraction(3, 4)))
-    rep = verify_tridiagonal(a, astar, Fraction(5, 2), 0, 37)
+    rep = verify_tridiagonal(c32_fb, astar, Fraction(5, 2), 0, 37)
     assert not rep.holds
     assert len(rep.residual_support) >= 1
-    full = verify_tridiagonal(a, astar, Fraction(5, 2), 0, 37, collect_all=True)
+    full = verify_tridiagonal(c32_fb, astar, Fraction(5, 2), 0, 37,
+                              collect_all=True)
     assert len(full.residual_support) == len(full.residual_values)
     assert all(v != 0 for v in full.residual_values)
 
 
 def test_gamma_vanishes_on_bipartite(c32_fb, c32_ctx):
     # if the relation holds with gamma = 0 it must fail for gamma != 0
-    a = c32_fb.adjacency_matrix()
     astar = dual_diagonal(c32_ctx, (-1, 0, Fraction(1, 2), Fraction(3, 4)))
     for gamma in (1, Fraction(-1, 3)):
-        assert not verify_tridiagonal(a, astar, Fraction(5, 2), gamma, 36).holds
+        assert not verify_tridiagonal(
+            c32_fb, astar, Fraction(5, 2), gamma, 36).holds
 
 
 def test_identity_astar_commutes(cycle6):
-    a = cycle6.adjacency_matrix()
-    astar = ExactMatrix.identity(6)
-    rep = verify_tridiagonal(a, astar, 7, 0, 0)
+    rep = verify_tridiagonal(cycle6, [1] * 6, 7, 0, 0)
     assert rep.holds  # all commutators vanish
 
 
 def test_verify_tridiagonal_dimension_mismatch(cycle6):
     with pytest.raises(ValueError):
-        verify_tridiagonal(
-            cycle6.adjacency_matrix(), ExactMatrix.identity(5), 0, 0, 0
-        )
+        verify_tridiagonal(cycle6, [1] * 5, 0, 0, 0)
+    with pytest.raises(ValueError):  # an irrational A*
+        verify_tridiagonal(cycle6, [quad(0, 1, 2)] + [1] * 5, 0, 0, 0)
 
 
-def dense_commutators(a, astar):
+def dense_commutators(g, astar):
     """Slow twin: the four commutators of the relation as dense
-    ExactMatrix products."""
+    ExactMatrix products of A and A* = diag(astar)."""
+    a, astar = g.adjacency_matrix(), ExactMatrix.diagonal(astar)
     a2 = a * a
     a3 = a2 * a
     return [a3 * astar - astar * a3,
@@ -116,68 +113,49 @@ def dense_residual(commutators, beta, gamma, rho):
     return support, values
 
 
-def assert_matches_dense(a, astar, commutators, beta, gamma, rho):
+def assert_matches_dense(g, astar, commutators, beta, gamma, rho):
     support, values = dense_residual(commutators, beta, gamma, rho)
-    full = verify_tridiagonal(a, astar, beta, gamma, rho, collect_all=True)
+    full = verify_tridiagonal(g, astar, beta, gamma, rho, collect_all=True)
     assert full.holds == (not support)
     assert full.residual_support == support
     assert full.residual_values == values
-    first = verify_tridiagonal(a, astar, beta, gamma, rho)
+    first = verify_tridiagonal(g, astar, beta, gamma, rho)
     assert first.holds == (not support)
     assert first.residual_support == support[:1]
     assert first.residual_values is None
 
 
 def test_verify_tridiagonal_matches_dense_twin_cycle6(cycle6):
-    a, astar = cycle6.adjacency_matrix(), ExactMatrix.identity(6)
-    assert_matches_dense(a, astar, dense_commutators(a, astar), 7, 0, 0)
+    astar = [1] * 6
+    assert_matches_dense(cycle6, astar, dense_commutators(cycle6, astar),
+                         7, 0, 0)
 
 
-def test_verify_tridiagonal_matches_dense_twin_general_matrix():
-    # neither symmetric nor 0/1: the route reads the columns of A as given
-    rng = random.Random(5)
-    a = ExactMatrix(7, 7, [rng.choice([0, 0, 0, 1, -2, Fraction(3, 2)])
-                           for _ in range(49)])
-    astar = ExactMatrix.diagonal(
-        [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(7)])
-    commutators = dense_commutators(a, astar)
-    assert_matches_dense(a, astar, commutators, Fraction(1, 3), 2, -5)
-
-
-def test_verify_tridiagonal_matches_dense_twin_quadext_matrix():
-    # QuadExt entries in A with a rational A* that needs scaling
-    rng = random.Random(7)
-    a = ExactMatrix(6, 6, [rng.choice([0, 0, 1, quad(0, 1, 2),
-                                       quad(Fraction(1, 2), -1, 2)])
-                           for _ in range(36)])
-    astar = ExactMatrix.diagonal(
-        [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(6)])
-    commutators = dense_commutators(a, astar)
-    assert_matches_dense(a, astar, commutators, Fraction(1, 3), 2, -5)
-    assert any(isinstance(v, QuadExt) for v in verify_tridiagonal(
-        a, astar, Fraction(1, 3), 2, -5, collect_all=True).residual_values)
+@pytest.mark.parametrize("bipartite", [True, False],
+                         ids=["bipartite", "odd-cycle"])
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_tridiagonal_matches_dense_twin_random(seed, bipartite):
+    # A* is a random rational per vertex, not constant on levels
+    rng = random.Random(seed)
+    while True:
+        g = random_connected_graph(rng, rng.randint(6, 14))
+        if bipartite:
+            g = full_bipartite(g, 0)
+        if lfr_split(g, bfs_context(g, 0)).is_bipartite() == bipartite:
+            break
+    astar = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(g.n)]
+    commutators = dense_commutators(g, astar)
+    for beta, gamma, rho in [(Fraction(1, 3), 2, -5), (2, Fraction(-1, 3), 4)]:
+        assert_matches_dense(g, astar, commutators, beta, gamma, rho)
 
 
 def test_verify_tridiagonal_matches_dense_twin_c32(c32_fb, c32_ctx):
-    a = c32_fb.adjacency_matrix()
     astar = dual_diagonal(c32_ctx, (-1, 0, Fraction(1, 2), Fraction(3, 4)))
-    commutators = dense_commutators(a, astar)
+    commutators = dense_commutators(c32_fb, astar)
     for gamma, rho in [(0, 36), (0, 37), (Fraction(-1, 3), 36)]:
-        assert_matches_dense(a, astar, commutators, Fraction(5, 2), gamma, rho)
-
-
-def test_verify_tridiagonal_matches_dense_twin_quadext():
-    from uniformq.generators import hypercube
-
-    q3 = hypercube(3)[0]
-    ctx = bfs_context(q3, 0)
-    theta = (quad(0, 1, 3), 1, quad(2, -1, 3), quad(Fraction(1, 2), 2, 3))
-    a, astar = q3.adjacency_matrix(), dual_diagonal(ctx, theta)
-    commutators = dense_commutators(a, astar)
-    for beta, gamma, rho in [(2, 0, 4), (Fraction(1, 2), 1, 3)]:
-        assert_matches_dense(a, astar, commutators, beta, gamma, rho)
-    assert any(isinstance(v, QuadExt) for v in verify_tridiagonal(
-        a, astar, Fraction(1, 2), 1, 3, collect_all=True).residual_values)
+        assert_matches_dense(c32_fb, astar, commutators, Fraction(5, 2),
+                             gamma, rho)
 
 
 # -- entrywise oracle ---------------------------------------------------------------
@@ -209,7 +187,7 @@ def test_oracle_matches_matrix_products(cycle6):
             k + Fraction(1, k + 2) for k in range(ctx.eccentricity + 1)
         )
         a = g.adjacency_matrix()
-        astar = dual_diagonal(ctx, theta)
+        astar = ExactMatrix.diagonal(dual_diagonal(ctx, theta))
         a2 = a * a
         a3 = a2 * a
         mats = [
@@ -333,7 +311,7 @@ def test_candidate_search_soundness(c32_fb, c32_ctx, dp_params):
     res = candidate_search(dp_params)
     astar = dual_diagonal(c32_ctx, res.candidate.theta_star)
     rep = verify_tridiagonal(
-        c32_fb.adjacency_matrix(), astar,
+        c32_fb, astar,
         res.candidate.beta, res.candidate.gamma, res.candidate.rho,
     )
     assert rep.holds
@@ -353,7 +331,6 @@ def test_candidate_soundness_other_families(maker, base):
     # uniform + successful search implies the exact relation holds,
     # whatever the family
     from uniformq.generators import hamming
-    from uniformq.graphs import full_bipartite
     from uniformq.uniform import fit_uniform_constant, verify_uniform
 
     g, _ = hamming(3, 3) if maker == "hamming33" else hamming(4, 2)
@@ -367,7 +344,7 @@ def test_candidate_soundness_other_families(maker, base):
     assert res.candidate.beta == 2  # the arithmetic-ladder branch
     astar = dual_diagonal(ctx, res.candidate.theta_star)
     rep = verify_tridiagonal(
-        fb.adjacency_matrix(), astar,
+        fb, astar,
         res.candidate.beta, res.candidate.gamma, res.candidate.rho,
     )
     assert rep.holds

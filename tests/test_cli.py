@@ -267,14 +267,17 @@ def test_single_vertex_fit_is_usage_error(runner, tmp_path, sub):
     assert "error: need eps >= 1" in res.stderr
 
 
-def test_pipeline_computes_each_artifact_once(runner, q4_file, monkeypatch):
+def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
+                                              monkeypatch):
     # every reference to each function, in every uniformq module, is
     # swapped for one counting wrapper, so nested calls count too
     import sys
 
     from uniformq.graphs import Graph
+    from uniformq.linalg import ExactMatrix
 
     counts = {}
+    shapes = set()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -282,10 +285,16 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    init = ExactMatrix.__init__
+
+    def recording(self, rows, cols, entries):
+        shapes.add((rows, cols))
+        init(self, rows, cols, entries)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", recording)
     monkeypatch.setattr(Graph, "adjacency_matrix",
                         counting("adjacency_matrix", Graph.adjacency_matrix))
     targets = [("uniformq.spectra", "spectrum_exact"),
-               ("uniformq.spectra", "_validate_symmetric01"),
                ("uniformq._kernels", "charpoly_mod"),
                ("uniformq.spectra", "eigenspace_bases"),
                ("uniformq.linalg", "column_space_basis"),
@@ -303,24 +312,28 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, monkeypatch):
             for key, value in list(vars(mod).items()):
                 if value is orig:
                     monkeypatch.setattr(mod, key, wrapper)
-    res = runner.invoke(main, ["pipeline", str(q4_file)])
-    # exit 1 only from the natural negative control of --qcheck both
-    assert res.exit_code == 1
-    data = json.loads(res.stdout)
-    assert data["skipped"] == {} and data["candidate"]["verified"] is True
-    # the thin modules need no exact rank, and one x-scalar solve per
-    # module type of positive diameter
-    assert "rank" not in counts
-    chains = [m for m in data["modules"] if m["d"] >= 1]
-    assert chains and counts.pop("solve_x_scalars") == len(chains)
-    # A is validated, 2-coloured and its Gram block's charpoly taken
-    # once; the idempotent pattern needs no eigenspace bases
-    assert counts == {name: 1 for name in (
-        "adjacency_matrix", "spectrum_exact", "_validate_symmetric01",
-        "charpoly_mod", "dual_diagonal", "fit_uniform_constant",
-        "verify_uniform")}
-    assert "eigenspace_bases" not in counts
-    assert "column_space_basis" not in counts
+    # Q_4 exits 1 only because its even-odd and odd-even orderings are
+    # not Q-polynomial; C_3(2) fb passes every stage
+    for path, code in [(q4_file, 1), (workdir / "c32fb.el", 0)]:
+        counts.clear()
+        shapes.clear()
+        res = runner.invoke(main, ["pipeline", str(path)])
+        assert res.exit_code == code
+        data = json.loads(res.stdout)
+        assert data["skipped"] == {} and data["candidate"]["verified"] is True
+        # the thin modules need no exact rank, and one x-scalar solve per
+        # module type of positive diameter
+        assert "rank" not in counts
+        chains = [m for m in data["modules"] if m["d"] >= 1]
+        assert chains and counts.pop("solve_x_scalars") == len(chains)
+        # A stays in adjacency lists and A* is one diagonal, made once;
+        # the Gram block's charpoly is taken once and the idempotent
+        # pattern needs no eigenspace bases
+        assert counts == {name: 1 for name in (
+            "spectrum_exact", "charpoly_mod", "dual_diagonal",
+            "fit_uniform_constant", "verify_uniform")}
+        n = data["graph"]["n"]
+        assert (n, n) not in shapes
 
 
 def test_bipartite_pipeline_works_on_colour_class_blocks(runner, q4_file,

@@ -13,7 +13,6 @@ from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
 from uniformq.graphs import Graph, bfs_context, full_bipartite, lfr_split
 from uniformq import spectra
 from uniformq.linalg import (
-    ExactMatrix,
     charpoly,
     charpoly_int,
     int_matmul_flat,
@@ -40,8 +39,7 @@ from uniformq.uniform import decompose_modules, module_rep_matrix
 
 @pytest.fixture(scope="module")
 def c32_spectral(c32_fb):
-    a = c32_fb.adjacency_matrix()
-    return a, spectrum_exact(a)
+    return c32_fb.adjacency_matrix(), spectrum_exact(c32_fb)
 
 
 @pytest.fixture(scope="module")
@@ -149,14 +147,14 @@ def test_verify_krat_wrong_count():
 
 
 def test_spectrum_cycle(cycle6):
-    spec = spectrum_exact(cycle6.adjacency_matrix())
+    spec = spectrum_exact(cycle6)
     assert spec.eigenvalues == [(2, 1), (1, 2), (-1, 2), (-2, 1)]
     assert spec.radicand == 1
 
 
 def test_spectrum_hypercube():
     q3, _ = hypercube(3)
-    spec = spectrum_exact(q3.adjacency_matrix())
+    spec = spectrum_exact(q3)
     assert spec.eigenvalues == [(3, 1), (1, 3), (-1, 3), (-3, 1)]
 
 
@@ -187,18 +185,17 @@ def test_spectrum_multiplicities_match_modules(c32_spectral, c32_split,
         assert spec.multiplicity(theta) == predicted
 
 
-def test_spectrum_rejects_non01():
+def test_spectrum_rejects_loop():
+    # the 2-colouring sees a loop as an odd cycle
     with pytest.raises(ValueError):
-        spectrum_exact(ExactMatrix.from_rows([[0, 2], [2, 0]]))
-    with pytest.raises(ValueError):
-        spectrum_exact(ExactMatrix.from_rows([[0, 1], [0, 0]]))
+        spectrum_exact(Graph(1, [[0]]))
 
 
 def test_spectrum_irrational_squared_rejected():
     # path P4: A^2 eigenvalues (3 +- sqrt 5)/2 are irrational
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError):
-        spectrum_exact(p4.adjacency_matrix())
+        spectrum_exact(p4)
 
 
 def test_spectrum_random_non_bipartite_rejected():
@@ -210,13 +207,13 @@ def test_spectrum_random_non_bipartite_rejected():
         if not lfr_split(g, bfs_context(g, 0)).is_bipartite():
             break
     with pytest.raises(ValueError):
-        spectrum_exact(g.adjacency_matrix())
+        spectrum_exact(g)
 
 
 def test_spectrum_path3():
     # P3 has spectrum {sqrt 2, 0, -sqrt 2}
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    spec = spectrum_exact(p3.adjacency_matrix())
+    spec = spectrum_exact(p3)
     r2 = quad(0, 1, 2)
     assert spec.eigenvalues == [(r2, 1), (0, 1), (-r2, 1)]
 
@@ -287,7 +284,7 @@ def test_block_spectrum_matches_sign_split(graph):
     # the slow twin: the CRT charpoly of B B^T and the exact deflation
     # scan of its integer roots
     g = graph()
-    fast = spectrum_exact(g.adjacency_matrix())
+    fast = spectrum_exact(g)
     assert (fast.eigenvalues, fast.radicand) == _deflation_spectrum(g)
 
 
@@ -298,7 +295,7 @@ def test_block_spectrum_matches_sign_split(graph):
                  (2, 1, 3), id="C_3(2)-fb"),
 ])
 def test_spectrum_matches_closed_form(graph, bed):
-    assert spectrum_exact(graph().adjacency_matrix()).values() == \
+    assert spectrum_exact(graph()).values() == \
         closed_form_spectrum(*bed)
 
 
@@ -314,13 +311,12 @@ def test_false_candidates_of_a_small_prime_are_dropped(graph, prime,
     # of B B^T on cycle6; modulo 3 every multiple of 3 in [0, 144] is a
     # root of the one of C_2(3)-fb, whose eigenvalues are 48, 9 and 0
     g = graph()
-    a = g.adjacency_matrix()
     ctx = bfs_context(g, 0)
     astar = dual_diagonal(ctx, [Fraction((-1) ** i, i + 2)
                                 for i in range(ctx.eccentricity + 1)])
-    spec = spectrum_exact(a)
+    spec = spectrum_exact(g)
     monkeypatch.setattr(spectra, "_PRIME", prime)
-    small = spectrum_exact(a)
+    small = spectrum_exact(g)
     # one power of B B^T per candidate, past the identity
     assert len(small.blocks.powers) > len(spec.blocks.powers)
     assert small == spec and small.to_json() == spec.to_json()
@@ -341,8 +337,7 @@ def test_spectrum_json(c32_spectral):
 
 
 def test_eigenspace_bases_cycle(cycle6):
-    a = cycle6.adjacency_matrix()
-    spec = spectrum_exact(a)
+    spec = spectrum_exact(cycle6)
     dec = eigenspace_bases(spec)
     assert dec.multiplicities == [1, 2, 2, 1]
     assert dec.bases[0] == [[1, 1, 1, 1, 1, 1]]
@@ -371,7 +366,7 @@ def test_eigenspace_bipartite_sign_flip(c32_spectral, c32_eigenspaces,
 
 
 def test_eigenspace_wrong_spectrum_rejected(cycle6):
-    spec = spectrum_exact(cycle6.adjacency_matrix())
+    spec = spectrum_exact(cycle6)
     # a spectrum is only built with the blocks that certify it
     with pytest.raises(TypeError):
         Spectrum(spec.eigenvalues, 1)
@@ -386,7 +381,7 @@ def test_eigenspace_wrong_spectrum_rejected(cycle6):
 def _pattern_from_bases(dec, astar):
     """The slow twin of idempotent_pattern: E_i A* E_j != 0 exactly
     when U_i^T A* U_j != 0 for eigenspace bases U_i, U_j."""
-    weighted = [[[(y, x * astar[y, y]) for y, x in enumerate(u) if x]
+    weighted = [[[(y, x * astar[y]) for y, x in enumerate(u) if x]
                  for u in basis] for basis in dec.bases]
     return [[any(sum(x * v[y] for y, x in u) != 0 for u in wi for v in bj)
              for bj in dec.bases] for wi in weighted]
@@ -405,16 +400,14 @@ def _pattern_from_bases(dec, astar):
 def test_idempotent_pattern_matches_eigenspace_bases(graph):
     g = graph()
     ctx = bfs_context(g, 0)
-    a = g.adjacency_matrix()
-    spec = spectrum_exact(a)
+    spec = spectrum_exact(g)
     dec = eigenspace_bases(spec)
     k = len(spec.eigenvalues)
     by_levels = dual_diagonal(ctx, [Fraction((-1) ** i, i + 2)
                                     for i in range(ctx.eccentricity + 1)])
     assert idempotent_pattern(spec, by_levels) == _pattern_from_bases(
         dec, by_levels)
-    identity = ExactMatrix.identity(g.n)
-    assert idempotent_pattern(spec, identity) == [
+    assert idempotent_pattern(spec, [1] * g.n) == [
         [i == j for j in range(k)] for i in range(k)]
 
 
@@ -463,9 +456,10 @@ def _assemble(m, classes, n):
                  id="C_2(3)-fb"),
 ])
 def test_block_projectors_match_dense_products(graph):
-    a = graph().adjacency_matrix()
+    g = graph()
+    a = g.adjacency_matrix()
     n = a.rows
-    spec = spectrum_exact(a)
+    spec = spectrum_exact(g)
     keys, classes, blocks = _spectral_projectors(spec)
     assert sorted(y for c in classes for y in c) == list(range(n))
     projectors, idempotents = _dense_projectors(a, spec)
@@ -480,7 +474,7 @@ def test_block_projectors_match_dense_products(graph):
 def test_projectors_are_formed_once_per_spectrum(monkeypatch):
     # eigenspace_bases and idempotent_pattern share one B^T B and one set
     # of projectors; a reordered copy of the spectrum reuses them too
-    spec = spectrum_exact(hypercube(4)[0].adjacency_matrix())
+    spec = spectrum_exact(hypercube(4)[0])
     real = spectra.int_matmul_flat
     calls = []
 
@@ -491,7 +485,7 @@ def test_projectors_are_formed_once_per_spectrum(monkeypatch):
     monkeypatch.setattr(spectra, "int_matmul_flat", counting)
     assert eigenspace_bases(spec).dimension == 16
     formed = len(calls)
-    identity = ExactMatrix.identity(16)
+    identity = [1] * 16
     pattern = idempotent_pattern(spec, identity)
     reverse = replace(spec, eigenvalues=spec.eigenvalues[::-1])
     assert idempotent_pattern(reverse, identity) == [row[::-1]
@@ -500,14 +494,16 @@ def test_projectors_are_formed_once_per_spectrum(monkeypatch):
 
 
 def test_idempotent_pattern_wrong_spectrum_rejected(cycle6):
-    spec = spectrum_exact(cycle6.adjacency_matrix())
+    spec = spectrum_exact(cycle6)
     assert spec.eigenvalues == [(2, 1), (1, 2), (-1, 2), (-2, 1)]
     # the spectrum of a graph on 6 vertices and A* on 4
     with pytest.raises(ValueError):
-        idempotent_pattern(spec, ExactMatrix.identity(4))
+        idempotent_pattern(spec, [1] * 4)
+    with pytest.raises(ValueError):  # an irrational A*
+        idempotent_pattern(spec, [quad(0, 1, 2)] + [1] * 5)
     # reversed order is fine: same data, reversed indices
     reverse = replace(spec, eigenvalues=spec.eigenvalues[::-1])
-    assert idempotent_pattern(reverse, ExactMatrix.identity(6)) == [
+    assert idempotent_pattern(reverse, [1] * 6) == [
         [i == j for j in range(4)] for i in range(4)]
 
 
@@ -522,7 +518,7 @@ def test_idempotent_pattern_band(c32_pattern):
 
 
 def test_idempotent_pattern_identity(c32_spectral):
-    pattern = idempotent_pattern(c32_spectral[1], ExactMatrix.identity(135))
+    pattern = idempotent_pattern(c32_spectral[1], [1] * 135)
     for i in range(7):
         for j in range(7):
             assert pattern[i][j] == (i == j)
@@ -584,8 +580,7 @@ def test_hypercube_natural_order_is_q_polynomial():
     res = candidate_search(fit_uniform_constant(split))
     assert res.accepted and res.candidate.beta == 2 and res.candidate.rho == 4
     astar = dual_diagonal(ctx, res.candidate.theta_star)
-    a = g.adjacency_matrix()
-    spec = spectrum_exact(a)
+    spec = spectrum_exact(g)
     assert [m for _, m in spec.eigenvalues] == [1, 5, 10, 10, 5, 1]
     pattern = idempotent_pattern(spec, astar)
     for i in range(6):
@@ -615,10 +610,9 @@ def test_full_stack_hamming_instance():
     assert res.accepted
     astar = dual_diagonal(ctx, res.candidate.theta_star)
     assert verify_tridiagonal(
-        fb.adjacency_matrix(), astar,
-        res.candidate.beta, 0, res.candidate.rho,
+        fb, astar, res.candidate.beta, 0, res.candidate.rho,
     ).holds
-    spec = spectrum_exact(fb.adjacency_matrix())
+    spec = spectrum_exact(fb)
     pattern = idempotent_pattern(spec, astar)
     k = len(spec.eigenvalues)
     assert check_q_ordering(pattern, even_odd_ordering(k)).tridiagonal

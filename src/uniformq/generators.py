@@ -19,13 +19,27 @@ re-derives these observationally from the graph and accepts rational e
 so the formulas of the Hermitean families remain evaluable even though
 no generator produces those graphs.
 
-Subspaces are canonicalised by reduced row echelon form, so enumeration
+The graph is built from each vertex's neighbours, at a cost of
+O(n * degree) subspace steps rather than a rank test of every pair.  Two
+maximal isotropic subspaces are adjacent exactly when they meet in a
+hyperplane, so the neighbours of M through a hyperplane H of M are the
+subspaces H + <v>, one for each isotropic point <v> of H^perp/H other
+than M/H (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, §9.4).
+H^perp/H is 2-dimensional for C, and all p + 1 of its points are
+isotropic; for B it is 3-dimensional, and p + 1 of its points lie on a
+conic.  A breadth-first search from one subspace reaches every vertex;
+each construction is rechecked (vertex count, total isotropy, degree,
+and every edge found from both ends) and a failure is an
+ArithmeticError.
+
+Subspaces are canonicalised by reduced row echelon form, so the search
 order cannot affect the vertex set, and vertices are emitted in sorted
 canonical order for reproducibility.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -102,35 +116,6 @@ def _rref_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], .
     return tuple(tuple(row) for row in mat[:r])
 
 
-def _rank_mod_small(rows: Sequence[Sequence[int]], p: int) -> int:
-    return len(_rref_mod(rows, p))
-
-
-def _reduce_against(v: list[int], basis, p: int) -> list[int]:
-    """Reduce v against RREF basis rows (pivot = first nonzero, coeff 1)."""
-    v = [x % p for x in v]
-    for row in basis:
-        lead = next(i for i, x in enumerate(row) if x)
-        f = v[lead]
-        if f:
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return v
-
-
-def _span_mod(basis: Sequence[Sequence[int]], p: int, dim: int):
-    """Iterate all vectors in the span of the given rows."""
-    if not basis:
-        yield tuple([0] * dim)
-        return
-    for coeffs in product(range(p), repeat=len(basis)):
-        v = [0] * dim
-        for c, row in zip(coeffs, basis):
-            if c:
-                for i, x in enumerate(row):
-                    v[i] = (v[i] + c * x) % p
-        yield tuple(v)
-
-
 class _FormSpace:
     def __init__(self, spec: FormSpec):
         self.spec = spec
@@ -163,86 +148,118 @@ class _FormSpace:
         q = self.quadratic(v)
         return q is None or q == 0
 
-    def perp_basis(self, basis) -> list[list[int]]:
-        """Basis of the common radical {v : B(v, row) = 0 for all rows}."""
-        if not basis:
-            return [[1 if i == j else 0 for i in range(self.dim)]
-                    for j in range(self.dim)]
-        # rows of the constraint matrix: v -> B(row, v) as a linear form
-        cons = []
-        p, D = self.p, self.D
-        for u in basis:
-            if self.spec.family == "C":
-                form = [0] * self.dim
-                for i in range(D):
-                    form[D + i] = u[i] % p
-                    form[i] = (-u[D + i]) % p
-            else:
-                form = [0] * self.dim
-                form[0] = (2 * u[0]) % p
-                for i in range(1, D + 1):
-                    form[D + i] = u[i] % p
-                    form[i] = u[D + i] % p
-            cons.append(form)
-        return [list(v) for v in _nullspace_mod(cons, p)]
+    def start(self) -> tuple[tuple[int, ...], ...]:
+        """A maximal isotropic subspace in RREF: span(e_0..e_{D-1}) for C,
+        span(e_1..e_D) for B."""
+        shift = 0 if self.spec.family == "C" else 1
+        return tuple(
+            tuple(1 if c == i + shift else 0 for c in range(self.dim))
+            for i in range(self.D)
+        )
 
 
-def _nullspace_mod(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]]:
-    ncols = len(rows[0])
-    rref = _rref_mod(rows, p)
-    pivots = [next(i for i, x in enumerate(row) if x) for row in rref]
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for row, piv in zip(rref, pivots):
-            v[piv] = (-row[free]) % p
-        basis.append(tuple(v))
-    return basis
+def _dual_vectors(space: _FormSpace, rows, pivots):
+    """Vectors u_j with B(rows[i], u_j) = [i == j], plus (family B) a
+    vector z spanning M^perp modulo M, all zero on the pivot columns.
 
-
-def _enumerate_maximal_isotropic(space: _FormSpace) -> list[tuple[tuple[int, ...], ...]]:
-    """All maximal totally isotropic subspaces, as canonical RREF tuples.
-
-    Extends isotropic flags one dimension at a time inside the common
-    perp space, canonicalising after every extension so each partial
-    subspace is visited once.
+    The coordinate subspace off the pivots is a complement of M = span(rows),
+    so the pairing of M with it has rank D; for B it also meets M^perp in
+    the line spanned by z.
     """
-    p, D, dim = space.p, space.D, space.dim
-    seen: list[set] = [set() for _ in range(D + 1)]
-    results: list = []
+    p, D = space.p, space.D
+    free = [c for c in range(space.dim) if c not in pivots]
+    unit = [0] * space.dim
+    gram = []
+    for i, r in enumerate(rows):
+        row = []
+        for c in free:
+            unit[c] = 1
+            row.append(space.bilinear(r, unit))
+            unit[c] = 0
+        gram.append(row + [int(i == j) for j in range(D)])
+    rref = _rref_mod(gram, p)
+    lead = [next(c for c, x in enumerate(row) if x) for row in rref]
+    if lead[-1] >= len(free):
+        raise ArithmeticError("subspace does not pair nondegenerately")
+    us = []
+    for j in range(D):
+        u = [0] * space.dim
+        for row, c in zip(rref, lead):
+            u[free[c]] = row[len(free) + j]
+        us.append(u)
+    z = None
+    if len(free) > D:
+        (f,) = [c for c in range(len(free)) if c not in lead]
+        z = [0] * space.dim
+        z[free[f]] = 1
+        for row, c in zip(rref, lead):
+            z[free[c]] = -row[f] % p
+    return us, z
 
-    def extend(basis) -> None:
-        k = len(basis)
-        if k == D:
-            results.append(basis)
-            return
-        perp = space.perp_basis(basis)
-        for v in _span_mod(perp, p, dim):
-            if not any(v):
-                continue
-            if not space.is_isotropic_vector(v):
-                continue
-            if not any(_reduce_against(list(v), basis, p)):
-                continue  # already inside the subspace
-            new = _rref_mod(list(basis) + [list(v)], p)
-            if new in seen[k + 1]:
-                continue
-            seen[k + 1].add(new)
-            extend(new)
 
-    extend(())
-    return sorted(results)
+def _insert_row(rows, lead_cols, v, p):
+    """RREF of rows + [v], for rows in RREF with pivots lead_cols and v
+    nonzero and zero on those pivots."""
+    lead = next(c for c, x in enumerate(v) if x)
+    inv = pow(v[lead], p - 2, p)
+    v = tuple(x * inv % p for x in v)
+    out = [
+        tuple((a - r[lead] * b) % p for a, b in zip(r, v)) if r[lead] else r
+        for r in rows
+    ]
+    out.insert(bisect_left(lead_cols, lead), v)
+    return tuple(out)
+
+
+def _neighbours(space: _FormSpace, rows) -> list[tuple[tuple[int, ...], ...]]:
+    """The maximal isotropic subspaces meeting M = span(rows) in a
+    hyperplane, each in RREF.
+
+    A hyperplane H of M is the kernel of a functional a on the RREF
+    coordinates, scaled so its last nonzero entry a_k is 1; then
+    H = span(r_i - a_i r_k (i < k), r_i (i > k)) is already in RREF and
+    H^perp = M^perp + <w> with w = sum a_j u_j.  The neighbours through H
+    are H + <v> for the isotropic points <v> of H^perp/H other than M/H:
+    v = w + t r_k for C, and v = alpha r_k + beta z + w with
+    Q(v) = 0, i.e. alpha = -(beta^2 Q(z) + Q(w) + beta B(z, w)), for B.
+    """
+    p, D = space.p, space.D
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+    us, z = _dual_vectors(space, rows, pivots)
+    u_cols = list(zip(*us))
+    if z is not None:
+        qz = space.quadratic(z)
+    out = []
+    for k in range(D):
+        rk = rows[k]
+        h_pivots = pivots[:k] + pivots[k + 1:]
+        for prefix in product(range(p), repeat=k):
+            a = prefix + (1,)
+            h = tuple(
+                tuple((x - ai * y) % p for x, y in zip(rows[i], rk)) if ai else rows[i]
+                for i, ai in enumerate(prefix)
+            ) + rows[k + 1:]
+            w = [sum(aj * uj for aj, uj in zip(a, col)) % p for col in u_cols]
+            if z is None:
+                vs = [[(x + t * y) % p for x, y in zip(w, rk)] for t in range(p)]
+            else:
+                qw, bzw = space.quadratic(w), space.bilinear(z, w)
+                vs = []
+                for beta in range(p):
+                    alpha = -(beta * beta * qz + qw + beta * bzw)
+                    vs.append([(alpha * x + beta * y + c) % p
+                               for x, y, c in zip(rk, z, w)])
+            out.extend(_insert_row(h, h_pivots, v, p) for v in vs)
+    return out
 
 
 def dual_polar(spec: FormSpec) -> tuple[Graph, list]:
     """Dual polar graph of the given form space, plus subspace labels.
 
     Vertices are maximal totally isotropic subspaces in sorted canonical
-    order; adjacency is intersection in dimension D - 1.
+    order; adjacency is intersection in dimension D - 1.  The graph is
+    grown breadth-first from one subspace by writing down each vertex's
+    neighbours (see ``_neighbours``), then relabelled in sorted order.
     """
     expected = spec.vertex_count()
     if expected > SIZE_CAP:
@@ -251,10 +268,31 @@ def dual_polar(spec: FormSpec) -> tuple[Graph, list]:
             f"(cap {SIZE_CAP})"
         )
     space = _FormSpace(spec)
-    subspaces = _enumerate_maximal_isotropic(space)
+    degree = spec.degree()
+    subspaces = [space.start()]
+    index = {subspaces[0]: 0}
+    adj: list[set[int]] = []
+    # the list grows while it is read, so this is a breadth-first search
+    for i, rows in enumerate(subspaces):
+        if len(subspaces) > expected:
+            break
+        nbrs = []
+        for nb in _neighbours(space, rows):
+            j = index.get(nb)
+            if j is None:
+                j = index[nb] = len(subspaces)
+                subspaces.append(nb)
+            nbrs.append(j)
+        distinct = set(nbrs) - {i}
+        if len(nbrs) != degree or len(distinct) != degree:
+            raise ArithmeticError(
+                f"subspace {i} has {len(distinct)} distinct neighbours "
+                f"in a list of {len(nbrs)}, expected {degree}"
+            )
+        adj.append(distinct)
     if len(subspaces) != expected:
         raise ArithmeticError(
-            f"enumerated {len(subspaces)} maximal isotropic subspaces, "
+            f"found {len(subspaces)} maximal isotropic subspaces, "
             f"expected {expected}"
         )
     # post-construction recheck: every subspace totally isotropic
@@ -265,17 +303,18 @@ def dual_polar(spec: FormSpec) -> tuple[Graph, list]:
             for v in rows[i:]:
                 if space.bilinear(u, v) != 0:
                     raise ArithmeticError("subspace is not totally isotropic")
-    n = len(subspaces)
-    D = spec.D
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            stacked = list(subspaces[i]) + list(subspaces[j])
-            # dim(U /\ W) = 2D - rank(U u W); adjacency means D - 1
-            if _rank_mod_small(stacked, spec.p) == D + 1:
-                edges.append((i, j))
-    g = Graph.from_edges(n, edges)
-    labels = [[list(row) for row in rows] for rows in subspaces]
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
+            if u not in adj[v]:
+                raise ArithmeticError(
+                    f"edge ({u},{v}) was found from subspace {u} only"
+                )
+    order = sorted(range(expected), key=subspaces.__getitem__)
+    rank = [0] * expected
+    for new, old in enumerate(order):
+        rank[old] = new
+    g = Graph(expected, [[rank[v] for v in adj[old]] for old in order])
+    labels = [[list(row) for row in subspaces[old]] for old in order]
     return g, labels
 
 

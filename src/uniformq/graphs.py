@@ -28,21 +28,36 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
+        """Adjacency lists of a simple undirected graph: v is listed at u
+        exactly when u is listed at v, with no loops or repeats."""
+        if len(adj) != n:
+            raise ValueError(f"{len(adj)} adjacency lists for n={n}")
         self.n = n
         self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        # u ascends, so each back[v] comes out sorted and must equal adj[v]
+        back: list[list[int]] = [[] for _ in range(n)]
+        for u, nbrs in enumerate(self.adj):
+            if nbrs and not (0 <= nbrs[0] and nbrs[-1] < n):
+                raise ValueError(f"neighbour of vertex {u} out of range for n={n}")
+            for i, v in enumerate(nbrs):
+                if v == u:
+                    raise ValueError(f"loop at vertex {u}")
+                if i and nbrs[i - 1] == v:
+                    raise ValueError(f"duplicate edge ({u},{v})")
+                back[v].append(u)
+        for v, nbrs in enumerate(self.adj):
+            if tuple(back[v]) != nbrs:
+                raise ValueError(f"adjacency lists are not symmetric at vertex {v}")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if v in adj[u]:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            if u != v:
+                adj[v].append(u)
         g = Graph(n, adj)
         g._check_connected()
         return g

@@ -212,7 +212,7 @@ def _root_value(s: int, m: int) -> Scalar:
 
 def _colour_classes(g: Graph) -> Optional[list[list[int]]]:
     """The two classes of a proper 2-colouring of g, the smaller first;
-    None when the graph has an odd cycle or a loop."""
+    None when the graph has an odd cycle."""
     colour = [-1] * g.n
     for root in range(g.n):
         if colour[root] >= 0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,21 @@ def test_gen_dual_polar(runner, tmp_path):
     assert g.n == 135
     table = json.loads(labels.read_text())
     assert len(table) == 135
+
+
+def test_gen_dual_polar_c32_bytes_are_pinned(runner, tmp_path):
+    # the benchmark's c32fb-full workload starts from exactly these bytes
+    out = tmp_path / "c32.el"
+    labels = tmp_path / "labels.json"
+    res = runner.invoke(main, [
+        "gen", "dual-polar-C", "--b", "2", "--D", "3",
+        "-o", str(out), "--labels", str(labels),
+    ])
+    assert res.exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b4bf84634dbd5dceb99710141ac772bf359c91cb16cec00ec40badd09e7c0769")
+    assert hashlib.sha256(labels.read_bytes()).hexdigest() == (
+        "6cadc2770c42f3a1c617e50d5e9d8fc5c951ee836658724f856c182498a76a1a")
 
 
 def test_gen_size_cap_exit2(runner):

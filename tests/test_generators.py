@@ -1,15 +1,149 @@
+from itertools import product
+
 import pytest
 
+from uniformq import generators
 from uniformq.generators import (
     FormSpec,
     SizeCapError,
+    _FormSpace,
+    _rref_mod,
     dual_polar,
     expected_intersection_numbers,
     hamming,
     hypercube,
     verify_intersection_numbers,
 )
-from uniformq.graphs import bfs_context
+from uniformq.graphs import Graph, bfs_context, format_edge_list
+
+
+# -- slow twin: enumerate every maximal isotropic subspace, then test every
+# pair by rank (the construction dual_polar replaced) -------------------------
+
+
+def _rank_mod_small(rows, p):
+    return len(_rref_mod(rows, p))
+
+
+def _reduce_against(v, basis, p):
+    """Reduce v against RREF basis rows (pivot = first nonzero, coeff 1)."""
+    v = [x % p for x in v]
+    for row in basis:
+        lead = next(i for i, x in enumerate(row) if x)
+        f = v[lead]
+        if f:
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    return v
+
+
+def _span_mod(basis, p, dim):
+    """Iterate all vectors in the span of the given rows."""
+    if not basis:
+        yield tuple([0] * dim)
+        return
+    for coeffs in product(range(p), repeat=len(basis)):
+        v = [0] * dim
+        for c, row in zip(coeffs, basis):
+            if c:
+                for i, x in enumerate(row):
+                    v[i] = (v[i] + c * x) % p
+        yield tuple(v)
+
+
+def _perp_basis(space, basis):
+    """Basis of {v : B(row, v) = 0 for all rows}."""
+    dim, p = space.dim, space.p
+    units = [[int(i == c) for i in range(dim)] for c in range(dim)]
+    if not basis:
+        return units
+    forms = [[space.bilinear(u, e) for e in units] for u in basis]
+    rref = _rref_mod(forms, p)
+    pivots = [next(i for i, x in enumerate(row) if x) for row in rref]
+    out = []
+    for free in range(dim):
+        if free in pivots:
+            continue
+        v = [0] * dim
+        v[free] = 1
+        for row, piv in zip(rref, pivots):
+            v[piv] = (-row[free]) % p
+        out.append(v)
+    return out
+
+
+def _enumerate_maximal_isotropic(space):
+    """All maximal totally isotropic subspaces, as canonical RREF tuples,
+    by extending isotropic flags one dimension at a time."""
+    p, D, dim = space.p, space.D, space.dim
+    seen = [set() for _ in range(D + 1)]
+    results = []
+
+    def extend(basis):
+        k = len(basis)
+        if k == D:
+            results.append(basis)
+            return
+        for v in _span_mod(_perp_basis(space, basis), p, dim):
+            if not any(v) or not space.is_isotropic_vector(v):
+                continue
+            if not any(_reduce_against(list(v), basis, p)):
+                continue  # already inside the subspace
+            new = _rref_mod(list(basis) + [list(v)], p)
+            if new not in seen[k + 1]:
+                seen[k + 1].add(new)
+                extend(new)
+
+    extend(())
+    return sorted(results)
+
+
+def dual_polar_pairwise(spec):
+    subspaces = _enumerate_maximal_isotropic(_FormSpace(spec))
+    n = len(subspaces)
+    edges = [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        # dim(U /\ W) = 2D - rank(U u W); adjacency means D - 1
+        if _rank_mod_small(subspaces[i] + subspaces[j], spec.p) == spec.D + 1
+    ]
+    labels = [[list(row) for row in rows] for rows in subspaces]
+    return Graph.from_edges(n, edges), labels
+
+
+@pytest.mark.parametrize("family, D, p", [
+    ("C", 2, 2), ("C", 2, 3), ("C", 3, 2), ("B", 2, 3),
+])
+def test_neighbour_construction_matches_pairwise_twin(family, D, p):
+    spec = FormSpec(family, D, p)
+    g, labels = dual_polar(spec)
+    slow_g, slow_labels = dual_polar_pairwise(spec)
+    assert len(slow_labels) == spec.vertex_count()
+    assert format_edge_list(g) == format_edge_list(slow_g)
+    assert labels == slow_labels
+
+
+def test_dropped_neighbour_is_rejected(monkeypatch):
+    real = generators._neighbours
+    monkeypatch.setattr(generators, "_neighbours",
+                        lambda space, rows: real(space, rows)[:-1])
+    with pytest.raises(ArithmeticError, match="neighbours"):
+        dual_polar(FormSpec("C", 2, 3))
+
+
+def test_one_way_edge_is_rejected(monkeypatch):
+    # the start's last neighbour is swapped for a subspace at distance 2:
+    # every degree stays right, but that edge is seen from one end only
+    real = generators._neighbours
+
+    def swap_at_start(space, rows):
+        out = real(space, rows)
+        if rows == space.start():
+            out[-1] = next(r for r in real(space, out[0])
+                           if r != rows and r not in out)
+        return out
+
+    monkeypatch.setattr(generators, "_neighbours", swap_at_start)
+    with pytest.raises(ArithmeticError, match="found from"):
+        dual_polar(FormSpec("C", 2, 3))
 
 
 def test_form_spec_validation():
@@ -109,8 +243,6 @@ def test_expected_intersection_closed_forms():
 def test_subspace_conditions(c32):
     # every generated label is a basis of a totally isotropic subspace,
     # rechecked via the symplectic form directly
-    from uniformq.generators import _FormSpace
-
     spec = FormSpec("C", 3, 2)
     space = _FormSpace(spec)
     _, labels = dual_polar(spec)
@@ -121,8 +253,6 @@ def test_subspace_conditions(c32):
 
 
 def test_adjacent_subspaces_meet_in_codim_one():
-    from uniformq.generators import _rank_mod_small
-
     spec = FormSpec("C", 2, 3)
     g, labels = dual_polar(spec)
     for u, v in list(g.edges())[:30]:

@@ -40,6 +40,21 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 5)])  # out of range
 
 
+@pytest.mark.parametrize("n, adj, reason", [
+    (2, [[1], []], "not symmetric"),  # one-way list
+    (1, [[0]], "loop"),
+    (2, [[1, 1], [0, 0]], "duplicate"),
+    (2, [[1, 2], [0]], "out of range"),
+    (2, [[-1], [0]], "out of range"),
+    (3, [[1], [0]], "adjacency lists"),  # fewer lists than vertices
+])
+def test_graph_constructor_rejects_malformed_lists(n, adj, reason):
+    # spectrum_exact and verify_tridiagonal read adjacency lists
+    # differently, so only simple undirected graphs may be built
+    with pytest.raises(ValueError, match=reason):
+        Graph(n, adj)
+
+
 def test_bfs_context_examples(cycle6):
     ctx = bfs_context(cycle6, 0)
     assert [len(l) for l in ctx.levels] == [1, 2, 2, 1]

@@ -186,9 +186,9 @@ def test_spectrum_multiplicities_match_modules(c32_spectral, c32_split,
 
 
 def test_spectrum_rejects_loop():
-    # the 2-colouring sees a loop as an odd cycle
-    with pytest.raises(ValueError):
-        spectrum_exact(Graph(1, [[0]]))
+    # a graph with a loop cannot be built, so spectrum_exact never sees one
+    with pytest.raises(ValueError, match="loop"):
+        Graph(1, [[0]])
 
 
 def test_spectrum_irrational_squared_rejected():

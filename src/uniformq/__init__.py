@@ -50,7 +50,6 @@ from .linalg import (
     Inconsistent,
     UniqueSolution,
     charpoly,
-    det,
     nullspace,
     rank,
     solve_linear,

@@ -328,16 +328,12 @@ def _candidate_section(inst: _Instance) -> dict:
 @main.command()
 @click.argument("input", type=click.Path())
 @click.option("--base", type=int, default=0, show_default=True)
-@click.option("--fit", "fit_requested", is_flag=True,
-              help="Fit the per-level solution sets (default).")
 @click.option("--verify", "params_file", type=click.Path(), default=None,
               help="Verify the parameters in this JSON file instead.")
 @click.option("-o", "--out", type=click.Path(), default=None)
 @click.option("--json/--no-json", "as_json", default=True)
-def uniform(input, base, fit_requested, params_file, out, as_json) -> None:
+def uniform(input, base, params_file, out, as_json) -> None:
     """Fit or verify a uniform structure."""
-    if fit_requested and params_file:
-        _fail_usage("--fit and --verify are mutually exclusive")
     inst = _open(input, base, params_file)
     params = inst.params
     section = {}

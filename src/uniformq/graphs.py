@@ -128,9 +128,6 @@ class BaseContext:
             levels[d].append(v)
         self.levels = tuple(tuple(lv) for lv in levels)
 
-    def level_of(self, v: int) -> int:
-        return self.dist[v]
-
     def dual_idempotent(self, i: int) -> ExactMatrix:
         """The diagonal 0/1 projector onto level i, as a dense matrix."""
         n = self.graph.n
@@ -232,9 +229,6 @@ class LFRSplit:
 
     def apply_raising(self, vec: Sequence) -> list:
         return self._apply(self.up, vec)
-
-    def apply_flat(self, vec: Sequence) -> list:
-        return self._apply(self.same, vec)
 
     def _apply(self, step_nbrs, vec) -> list:
         # (M v)[z] = sum of v[y] over edges y -> z of this step type:

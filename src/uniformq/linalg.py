@@ -2,9 +2,12 @@
 
 Matrices are dense and row-major; entries may be ints, Fractions or
 QuadExt values sharing one radicand.  No floating point is used
-anywhere.  Integer matrices get fraction-free (Bareiss) elimination and
-a CRT/modular characteristic polynomial with a rigorous Hadamard-style
-coefficient bound; everything else runs textbook field elimination.
+anywhere.  Kernels, ranks and linear solves over Q run through one
+fraction-free pivot table of integer rows (rational rows scaled to
+integers); characteristic polynomials of rational matrices come from a
+CRT/modular computation with a rigorous Hadamard-style coefficient
+bound.  QuadExt entries take part in the arithmetic and in
+column_space_basis only.
 
 The word-size inner loops (integer products, modular charpoly) are
 delegated to the pure-Python kernels in :mod:`uniformq._kernels`.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -207,7 +210,7 @@ def int_matmul_flat(a: list, b: list, n: int, k: int, m: int) -> list:
     return _kernels.imat_mul(a, b, n, k, m)
 
 
-# -- linear solving ----------------------------------------------------------
+# -- kernels, ranks and linear solving ---------------------------------------
 
 
 @dataclass
@@ -226,238 +229,116 @@ class Inconsistent:
     pass
 
 
-def _as_field(x) -> Scalar:
-    return Fraction(x) if isinstance(x, int) else x
-
-
-def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form over the scalar field.
-
-    Returns (rows, pivot column indices).  Rows shorter than the pivot
-    search width (augmented systems) are supported by passing ncols.
-    """
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    width = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][col]
-        if lead != 1:
-            inv_row = rows[r]
-            for j in range(col, width):
-                if inv_row[j] != 0:
-                    inv_row[j] = _as_field(inv_row[j]) / lead
-        prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][col]
-            if f == 0:
-                continue
-            ri = rows[i]
-            for j in range(col, width):
-                pv = prow[j]
-                if pv != 0:
-                    ri[j] = ri[j] - f * pv
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 def solve_linear(a: ExactMatrix, b: Sequence[Scalar]):
-    """Exact solution set of a x = b.
+    """Exact solution set of a x = b over Q.
 
-    Returns UniqueSolution, AffineSolution (particular + nullspace
-    basis) or Inconsistent.  Any returned solution satisfies a x = b
-    exactly.
+    Returns UniqueSolution, AffineSolution (particular solution, zero at
+    the free columns, plus one kernel vector per free column, 1 there
+    and 0 at the others) or Inconsistent.  Both come from the kernel of
+    the augmented matrix [a | b]: the system is inconsistent when the
+    rhs column is a lead of its pivot table.  Any returned solution
+    satisfies a x = b exactly.
     """
     if len(b) != a.rows:
         raise ValueError("dimension mismatch between matrix and rhs")
     n = a.cols
-    rows = [list(a.row(i)) + [b[i]] for i in range(a.rows)]
-    rows, pivots = _rref(rows, n)
-    rank = len(pivots)
-    for i in range(rank, len(rows)):
-        if rows[i][n] != 0:
-            return Inconsistent()
-    particular: list = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        particular[col] = rows[r][n]
-    if rank == n:
+    aug = ExactMatrix(a.rows, n + 1, [
+        x for i in range(a.rows) for x in (*a.row(i), b[i])
+    ])
+    table = _pivot_table(aug)
+    leads = {lead for lead, _ in table}
+    if n in leads:
+        return Inconsistent()
+    *kernel, rhs = _table_kernel(table, n + 1)
+    particular = [Fraction(-x, rhs[n]) for x in rhs[:n]]
+    if not kernel:
         return UniqueSolution(particular)
-    basis = _nullspace_from_rref(rows, pivots, n)
+    free = [c for c in range(n) if c not in leads]
+    basis = [[Fraction(x, v[f]) for x in v[:n]] for f, v in zip(free, kernel)]
     return AffineSolution(particular, basis)
 
 
-def _nullspace_from_rref(rows, pivots, ncols) -> list[list]:
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v: list = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -_as_field(rows[r][f])
-        basis.append(v)
-    return basis
-
-
 def nullspace(a: ExactMatrix) -> list[list]:
-    """Basis of the right kernel of a; empty list for injective maps."""
-    ints = a.int_entries()
-    if ints is not None and a.rows and a.cols:
-        return _int_nullspace(ints, a.rows, a.cols)
-    rows = a.to_rows()
-    if not rows:
-        return [
-            [Fraction(1) if i == j else Fraction(0) for i in range(a.cols)]
-            for j in range(a.cols)
-        ]
-    rows, pivots = _rref(rows, a.cols)
-    return _nullspace_from_rref(rows, pivots, a.cols)
+    """Basis of the right kernel of a rational matrix; empty list for
+    injective maps.  One primitive integer vector per free column,
+    positive there and 0 at the other free columns."""
+    return _table_kernel(_pivot_table(a), a.cols)
 
 
 def rank(a: ExactMatrix) -> int:
+    """Exact rank of a rational matrix."""
+    return len(_pivot_table(a))
+
+
+# -- the pivot table: the one elimination over Q -------------------------------
+
+
+def extend_pivot_table(table: list, vec: list) -> bool:
+    """Append the integer vector vec to the pivot table when it is
+    independent of the rows there.  Rows are (lead, primitive integer
+    row): each is reduced, fraction-free, against the earlier ones, so
+    it vanishes at their leads.  The leads are distinct, so the rows
+    sorted by lead are an echelon form of the span."""
+    v = vec
+    for lead, row in table:
+        c = v[lead]
+        if c:
+            g = gcd(c, row[lead])
+            a, b = row[lead] // g, c // g
+            v = [a * s - b * t for s, t in zip(v, row)]
+    lead = next((i for i, s in enumerate(v) if s), None)
+    if lead is None:
+        return False
+    content = gcd(*v)
+    table.append((lead, [s // content for s in v]))
+    return True
+
+
+def _pivot_table(a: ExactMatrix) -> list:
+    """The pivot table of a's rows, each rational row scaled to integers
+    by the lcm of its denominators."""
+    c = a.cols
     ints = a.int_entries()
     if ints is not None:
-        return _bareiss_echelon(ints, a.rows, a.cols)[1]
-    rows = a.to_rows()
-    if not rows:
-        return 0
-    return len(_rref(rows, a.cols)[1])
+        rows = [ints[i * c:(i + 1) * c] for i in range(a.rows)]
+    else:
+        rows = []
+        for i in range(a.rows):
+            row = a.row(i)
+            if not all(isinstance(e, (int, Fraction)) for e in row):
+                raise ValueError("exact elimination needs rational entries")
+            d = lcm(*(Fraction(e).denominator for e in row))
+            rows.append([int(e * d) for e in row])
+    table: list = []
+    for row in rows:
+        extend_pivot_table(table, row)
+    return table
 
 
-def det(a: ExactMatrix) -> Scalar:
-    if not a.is_square():
-        raise ValueError("determinant needs a square matrix")
-    n = a.rows
-    if n == 0:
-        return Fraction(1)
-    ints = a.int_entries()
-    if ints is not None:
-        rows, nrank, pivots, sign = _bareiss_echelon_full(ints, n, n)
-        if nrank < n:
-            return Fraction(0)
-        return Fraction(sign * rows[n - 1][n - 1])
-    # field elimination with product of pivots
-    rows = a.to_rows()
-    d: Scalar = Fraction(1)
-    r = 0
-    for col in range(n):
-        piv = -1
-        for i in range(r, n):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv < 0:
-            return Fraction(0)
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            d = -d
-        lead = rows[r][col]
-        d = d * lead
-        for i in range(r + 1, n):
-            f = _as_field(rows[i][col]) / lead
-            if f == 0:
-                continue
-            for j in range(col, n):
-                rows[i][j] = rows[i][j] - f * rows[r][j]
-        r += 1
-    return d
-
-
-# -- fraction-free (Bareiss) elimination for integer matrices ---------------
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
-
-
-def _bareiss_echelon_full(flat: list[int], nrows: int, ncols: int):
-    """Fraction-free row echelon form of an integer matrix.
-
-    Returns (rows, rank, pivot columns, row-swap sign).  The returned
-    rows span the same row space as the input.
-    """
-    rows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    sign = 1
-    for col in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        pv = rows[r][col]
-        prow = rows[r]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            f = ri[col]
-            if f == 0:
-                # update degenerates to a rescale; identity when pv == prev
-                if pv != prev:
-                    for j in range(col, ncols):
-                        if ri[j]:
-                            ri[j] = _exact_div(pv * ri[j], prev)
-                continue
-            for j in range(col, ncols):
-                ri[j] = _exact_div(pv * ri[j] - f * prow[j], prev)
-        prev = pv
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, r, pivots, sign
-
-
-def _bareiss_echelon(flat: list[int], nrows: int, ncols: int):
-    rows, nrank, pivots, _ = _bareiss_echelon_full(flat, nrows, ncols)
-    return rows, nrank, pivots
-
-
-def _int_nullspace(flat: list[int], nrows: int, ncols: int) -> list[list]:
-    """Kernel basis of an integer matrix as primitive integer vectors,
-    one per free column, whose entry there is positive."""
-    rows, nrank, pivots = _bareiss_echelon(flat, nrows, ncols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+def _table_kernel(table: list, ncols: int) -> list[list]:
+    """The primitive integer kernel vector of each free column, in
+    column order.  Back-substitution runs over the rows last first: a
+    row vanishes at the leads of the rows before it, and those of the
+    rows after it are solved already, so only its own lead is unknown.
+    When that lead does not divide, the partial vector is scaled by the
+    least factor that makes it divide, which keeps it primitive."""
+    leads = {lead for lead, _ in table}
     basis = []
-    for f in free_cols:
+    for f in range(ncols):
+        if f in leads:
+            continue
         v = [0] * ncols
         v[f] = 1
-        # echelon rows: solve pivots bottom-up; when a pivot does not
-        # divide, scale the partial solution so that it does
-        for r in range(nrank - 1, -1, -1):
-            col = pivots[r]
-            row = rows[r]
-            acc = sum(map(mul, row[col + 1:], v[col + 1:]))
-            scale = abs(row[col]) // gcd(acc, row[col])
-            if scale != 1:
-                v = [x * scale for x in v]
-                acc *= scale
-            v[col] = -acc // row[col]
-        content = gcd(*v)
-        basis.append([x // content for x in v])
+        for lead, row in reversed(table):
+            acc = sum(map(mul, row, v))
+            if acc:
+                p = row[lead]
+                scale = abs(p) // gcd(acc, p)
+                if scale != 1:
+                    v = [x * scale for x in v]
+                    acc *= scale
+                v[lead] = -acc // p
+        basis.append(v)
     return basis
 
 
@@ -546,55 +427,11 @@ def charpoly_int(flat: list[int], n: int) -> Poly:
     return Poly(coeffs)
 
 
-def _charpoly_field(a: ExactMatrix) -> Poly:
-    """Hessenberg-based charpoly over Fraction or QuadExt entries."""
-    n = a.rows
-    h = [[_as_field(x) for x in a.row(i)] for i in range(n)]
-    for j in range(n - 2):
-        piv = -1
-        for i in range(j + 1, n):
-            if h[i][j] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != j + 1:
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for row in h:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        lead = h[j + 1][j]
-        for i in range(j + 2, n):
-            f = _as_field(h[i][j]) / lead
-            if f == 0:
-                continue
-            hrow, prow = h[i], h[j + 1]
-            for c in range(j, n):
-                hrow[c] = hrow[c] - f * prow[c]
-            for r in range(n):
-                hr = h[r]
-                hr[j + 1] = hr[j + 1] + f * hr[i]
-    polys = [Poly([1])]
-    t = Poly.x()
-    for s in range(1, n + 1):
-        cur = (t - h[s - 1][s - 1]) * polys[s - 1]
-        prod: Scalar = Fraction(1)
-        for i in range(1, s):
-            prod = prod * h[s - i][s - i - 1]
-            if prod == 0:
-                break
-            coef = prod * h[s - 1 - i][s - 1]
-            if coef != 0:
-                cur = cur - coef * polys[s - 1 - i]
-        polys.append(cur)
-    return polys[n]
-
-
 def charpoly(a: ExactMatrix) -> Poly:
     """Monic characteristic polynomial det(t I - a), exact.
 
     Integer matrices go through the modular/CRT path; rational matrices
-    are scaled to integers; QuadExt matrices use field Hessenberg
-    reduction.
+    are scaled to integers.  Irrational entries are a ValueError.
     """
     if not a.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
@@ -602,19 +439,19 @@ def charpoly(a: ExactMatrix) -> Poly:
     ints = a.int_entries()
     if ints is not None:
         return charpoly_int(ints, n)
-    if all(isinstance(e, (int, Fraction)) for e in a.entries):
-        d = 1
-        for e in a.entries:
-            if isinstance(e, Fraction):
-                d = d * e.denominator // gcd(d, e.denominator)
-        scaled = [int(e * d) for e in a.entries]
-        cp = charpoly_int(scaled, n)
-        # charpoly(dA)(d t) = d^n charpoly(A)(t)
-        coeffs = [
-            Fraction(cp[k], 1) / Fraction(d) ** (n - k) for k in range(n + 1)
-        ]
-        return Poly(coeffs)
-    return _charpoly_field(a)
+    if not all(isinstance(e, (int, Fraction)) for e in a.entries):
+        raise ValueError("characteristic polynomial needs rational entries")
+    d = 1
+    for e in a.entries:
+        if isinstance(e, Fraction):
+            d = d * e.denominator // gcd(d, e.denominator)
+    scaled = [int(e * d) for e in a.entries]
+    cp = charpoly_int(scaled, n)
+    # charpoly(dA)(d t) = d^n charpoly(A)(t)
+    coeffs = [
+        Fraction(cp[k], 1) / Fraction(d) ** (n - k) for k in range(n + 1)
+    ]
+    return Poly(coeffs)
 
 
 # -- column space helpers -----------------------------------------------------
@@ -664,6 +501,10 @@ def normalize_vector(v: list) -> list:
         else:
             out.append(int(Fraction(x) / content))
     return out
+
+
+def _as_field(x) -> Scalar:
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def column_space_basis(vectors: list[list], expected_rank: Optional[int] = None

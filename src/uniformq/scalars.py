@@ -17,7 +17,6 @@ inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -207,12 +206,6 @@ class QuadExt:
         return float(self.a) + float(self.c) * self.m ** 0.5
 
 
-def scalar_sign(x: Scalar) -> int:
-    if isinstance(x, QuadExt):
-        return x._sign()
-    return (x > 0) - (x < 0)
-
-
 def scalar_sort_key(x: Scalar):
     """Key ordering scalars by their real value (exact)."""
     if isinstance(x, QuadExt):
@@ -303,10 +296,6 @@ def exact_sqrt(x) -> Scalar:
     if x == 0:
         return Fraction(0)
     return rational_power(x, Fraction(1, 2))
-
-
-def is_perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
 
 
 # -- JSON serialisation -------------------------------------------------

@@ -30,6 +30,7 @@ from .linalg import (
     ExactMatrix,
     Inconsistent,
     UniqueSolution,
+    extend_pivot_table,
     nullspace,
     rank,  # noqa: F401  unused here; perfbench's tracer test rebinds it
     solve_linear,
@@ -519,7 +520,7 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
             x = solve_x_scalars(params, r, d) if d else []
             kept = 0
             for coords in _generator_space(d, x, powers, lowered, s_d):
-                if not _extend(table, coords):
+                if not extend_pivot_table(table, coords):
                     continue
                 gen = [0] * len(kernel[0])
                 for c, v in zip(coords, kernel):
@@ -563,26 +564,6 @@ def _generator_space(d: int, x: list, powers, lowered,
         for low, prev in zip(zip(*lowered[i]), zip(*powers[i - 1])):
             rows.append([q * a - p * b for a, b in zip(low, prev)])
     return nullspace(ExactMatrix.from_rows(rows))
-
-
-def _extend(table: list, vec: list) -> bool:
-    """Append vec to the pivot table when it is independent of the rows
-    there.  Rows are (lead, primitive integer row): each is reduced,
-    fraction-free, against the earlier ones, so it vanishes at their
-    leads."""
-    v = vec
-    for lead, row in table:
-        c = v[lead]
-        if c:
-            g = gcd(c, row[lead])
-            a, b = row[lead] // g, c // g
-            v = [a * s - b * t for s, t in zip(v, row)]
-    lead = next((i for i, s in enumerate(v) if s), None)
-    if lead is None:
-        return False
-    content = gcd(*v)
-    table.append((lead, [s // content for s in v]))
-    return True
 
 
 def _build_chain(maps: _LevelMaps, r: int, gen: list, x: list) -> tuple:

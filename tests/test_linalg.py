@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,6 @@ from uniformq.linalg import (
     UniqueSolution,
     charpoly,
     column_space_basis,
-    det,
     normalize_vector,
     nullspace,
     rank,
@@ -21,24 +22,6 @@ from uniformq.linalg import (
 )
 from uniformq.poly import Poly
 from uniformq.scalars import quad
-
-
-def det_by_permutations(m: ExactMatrix):
-    """Leibniz-formula determinant: the independent oracle for tiny sizes."""
-    n = m.rows
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = Fraction(1)
-        for i in range(n):
-            term *= m[(i, perm[i])]
-        total += sign * term
-    return total
 
 
 def charpoly_by_cofactors(m: ExactMatrix) -> Poly:
@@ -63,6 +46,108 @@ def charpoly_by_cofactors(m: ExactMatrix) -> Poly:
             term = term * entries[i * n + perm[i]]
         total = total + (sign * term if sign < 0 else term)
     return total
+
+
+# -- slow twin of the pivot table: fraction-free (Bareiss) elimination ----------
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
+
+
+def _bareiss_echelon_full(flat: list[int], nrows: int, ncols: int):
+    """Fraction-free row echelon form of an integer matrix: (rows, rank,
+    pivot columns).  The returned rows span the same row space as the
+    input."""
+    rows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        piv = -1
+        for i in range(r, nrows):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        prow = rows[r]
+        for i in range(r + 1, nrows):
+            ri = rows[i]
+            f = ri[col]
+            if f == 0:
+                # update degenerates to a rescale; identity when pv == prev
+                if pv != prev:
+                    for j in range(col, ncols):
+                        if ri[j]:
+                            ri[j] = _exact_div(pv * ri[j], prev)
+                continue
+            for j in range(col, ncols):
+                ri[j] = _exact_div(pv * ri[j] - f * prow[j], prev)
+        prev = pv
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return rows, r, pivots
+
+
+def _int_nullspace(flat: list[int], nrows: int, ncols: int) -> list[list]:
+    """Kernel basis of an integer matrix as primitive integer vectors,
+    one per free column, whose entry there is positive."""
+    rows, nrank, pivots = _bareiss_echelon_full(flat, nrows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        v = [0] * ncols
+        v[f] = 1
+        # echelon rows: solve pivots bottom-up; when a pivot does not
+        # divide, scale the partial solution so that it does
+        for r in range(nrank - 1, -1, -1):
+            col = pivots[r]
+            row = rows[r]
+            acc = sum(map(mul, row[col + 1:], v[col + 1:]))
+            scale = abs(row[col]) // gcd(acc, row[col])
+            if scale != 1:
+                v = [x * scale for x in v]
+                acc *= scale
+            v[col] = -acc // row[col]
+        content = gcd(*v)
+        basis.append([x // content for x in v])
+    return basis
+
+
+def bareiss_nullspace(m: ExactMatrix) -> list[list]:
+    """The Bareiss kernel of m, each row scaled to integers first."""
+    flat = []
+    for row in m.to_rows():
+        d = lcm(*(Fraction(x).denominator for x in row))
+        flat.extend(int(x * d) for x in row)
+    return _int_nullspace(flat, m.rows, m.cols)
+
+
+def random_matrix(rng: random.Random, rational: bool) -> ExactMatrix:
+    """A random matrix of 0..6 rows and 0..7 columns, often of low rank
+    (a product through a narrow middle), with integer or rational
+    entries."""
+    r, c = rng.randint(0, 6), rng.randint(0, 7)
+
+    def entry():
+        if rational:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return rng.choice([0, 0, 0, 1, -1, 2, -3, 5])
+
+    if rng.random() < 0.4:
+        k = rng.randint(1, 3)
+        left = ExactMatrix(r, k, [entry() for _ in range(r * k)])
+        right = ExactMatrix(k, c, [entry() for _ in range(k * c)])
+        return left * right
+    return ExactMatrix(r, c, [entry() for _ in range(r * c)])
 
 
 # -- solve_linear ---------------------------------------------------------------
@@ -156,21 +241,6 @@ def test_charpoly_rational_and_field_paths_agree():
         assert charpoly(m) == charpoly_by_cofactors(m)
 
 
-def test_charpoly_quadext_field_path():
-    r2 = quad(0, 1, 2)
-    m = ExactMatrix.from_rows([[r2, 1], [0, r2]])
-    assert charpoly(m) == Poly([2, -2 * r2, 1])
-
-
-def test_det_examples():
-    assert det(ExactMatrix.from_rows([[1, 2], [3, 4]])) == -2
-    assert det(ExactMatrix.identity(4)) == 1
-    rng = random.Random(3)
-    for n in (2, 3, 4):
-        m = ExactMatrix(n, n, [rng.randint(-4, 4) for _ in range(n * n)])
-        assert det(m) == det_by_permutations(m)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 4), st.data())
 def test_cayley_hamilton(n, data):
@@ -204,19 +274,17 @@ def test_nullspace_vectors_satisfy_kernel():
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         m = ExactMatrix(r, c, [rng.randint(-3, 3) for _ in range(r * c)])
         basis = nullspace(m)
-        assert len(basis) == c - rank(m)
+        assert len(basis) == len(bareiss_nullspace(m))
         for v in basis:
             assert all(x == 0 for x in m.apply(v))
         # stacked with the row space the basis has full rank
         stacked = ExactMatrix.from_rows(
             m.to_rows() + [[Fraction(x) for x in v] for v in basis]
         )
-        assert rank(stacked) == c
+        assert bareiss_nullspace(stacked) == []
 
 
 def test_integer_nullspace_is_primitive_integer():
-    from math import gcd
-
     # the pivots 2 and 3 divide none of the back-substituted sums
     m = ExactMatrix.from_rows([[2, 1, 1], [0, 3, 1]])
     assert nullspace(m) == [[-1, -1, 3]]
@@ -230,13 +298,54 @@ def test_integer_nullspace_is_primitive_integer():
             assert all(x == 0 for x in m.apply(v))
 
 
-def test_nullspace_quadext():
+def test_nullspace_and_rank_match_bareiss_twin():
+    # byte-identical bases (repr tells 1 from Fraction(1)) on integer and
+    # rational matrices, the empty shapes included
+    rng = random.Random(23)
+    shapes = [ExactMatrix.zeros(0, 0), ExactMatrix.zeros(0, 3),
+              ExactMatrix.zeros(3, 0)]
+    for m in shapes + [random_matrix(rng, rng.random() < 0.5)
+                       for _ in range(400)]:
+        twin = bareiss_nullspace(m)
+        assert repr(nullspace(m)) == repr(twin)
+        assert rank(m) == m.cols - len(twin)
+
+
+@pytest.mark.parametrize("case", ["c32fb", "q6"])
+def test_module_kernels_match_bareiss_twin(case, c32_split, dp_params,
+                                          monkeypatch):
+    # every matrix the module decomposition takes the kernel of
+    import uniformq.uniform as uniform_mod
+    from uniformq.generators import hypercube
+    from uniformq.graphs import bfs_context, lfr_split
+
+    if case == "c32fb":
+        split, params = c32_split, dp_params
+    else:
+        q6 = hypercube(6)[0]
+        split = lfr_split(q6, bfs_context(q6, 0))
+        params = uniform_mod.fit_uniform_constant(split)
+    seen = []
+
+    def recording(a):
+        seen.append(a)
+        return nullspace(a)
+
+    monkeypatch.setattr(uniform_mod, "nullspace", recording)
+    uniform_mod.decompose_modules(split, params)
+    assert len(seen) > split.ctx.eccentricity
+    for a in seen:
+        assert repr(nullspace(a)) == repr(bareiss_nullspace(a))
+
+
+def test_irrational_entries_are_rejected():
     r2 = quad(0, 1, 2)
-    m = ExactMatrix.from_rows([[r2, -2]])  # kernel spanned by (sqrt2, 1)
-    basis = nullspace(m)
-    assert len(basis) == 1
-    v = basis[0]
-    assert r2 * v[0] - 2 * v[1] == 0
+    m = ExactMatrix.from_rows([[r2, -2], [0, 1]])
+    for op in (nullspace, rank, charpoly, lambda a: solve_linear(a, [1, 0])):
+        with pytest.raises(ValueError):
+            op(m)
+    with pytest.raises(ValueError):
+        solve_linear(ExactMatrix.identity(2), [r2, 0])
 
 
 def test_normalize_vector():

@@ -76,6 +76,7 @@ from .spectra import (
     idempotent_pattern,
     krawtchouk_charpoly,
     module_eigenvalues,
+    module_pattern,
     natural_ordering,
     odd_even_ordering,
     spectrum_exact,

@@ -34,7 +34,7 @@ from .graphs import (
 from .spectra import (
     check_q_ordering,
     even_odd_ordering,
-    idempotent_pattern,
+    module_pattern,
     natural_ordering,
     odd_even_ordering,
     spectrum_exact,
@@ -272,7 +272,10 @@ class _Instance:
 
     @cached_property
     def pattern(self):
-        return idempotent_pattern(self.spectrum, self.astar)
+        """The idempotent pattern, decided on the thin modules and
+        checked against the spectrum there."""
+        return module_pattern(self.spectrum, self.modules,
+                              self.search.candidate.theta_star)
 
     def orderings(self, ordering_name: str) -> tuple[list, bool]:
         """Check the requested orderings; with "both", natural is the
@@ -436,7 +439,11 @@ def qcheck(input, base, theta, ordering_name, out, as_json) -> None:
         _emit({"candidate": cand_report,
                "skipped": "no verified candidate"}, out, as_json)
         sys.exit(MATH_FAIL)
-    reports, ok = inst.orderings(ordering_name)
+    try:
+        reports, ok = inst.orderings(ordering_name)
+    except (ValueError, ArithmeticError) as exc:
+        _emit({"candidate": cand_report, "error": str(exc)}, out, as_json)
+        sys.exit(MATH_FAIL)
     _emit({"candidate": cand_report, "orderings": reports}, out, as_json)
     sys.exit(0 if ok else MATH_FAIL)
 
@@ -460,7 +467,6 @@ def _timed(clock: dict, name: str):
 @click.option("--qcheck", "ordering_name", default="both",
               type=click.Choice(["both", "even-odd", "odd-even", "natural"]),
               show_default=True)
-@click.option("--no-modules", is_flag=True, help="Skip module decomposition.")
 @click.option("--no-spectrum", is_flag=True,
               help="Skip the spectrum and ordering stages.")
 @click.option("--timings", is_flag=True,
@@ -468,7 +474,7 @@ def _timed(clock: dict, name: str):
 @click.option("-o", "--out", type=click.Path(), default=None)
 @click.option("--json/--no-json", "as_json", default=True)
 def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
-             no_modules, no_spectrum, timings, out, as_json) -> None:
+             no_spectrum, timings, out, as_json) -> None:
     """Run the full chain: uniform -> candidate -> modules -> spectrum ->
     Q-polynomial ordering checks."""
     g = _load_graph(input)
@@ -517,14 +523,14 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
             accepted = inst.search.accepted
             failed |= not inst.candidate["verified"]
 
+    modules_ok = False
     with _timed(clock, "modules"):
-        if no_modules:
-            skipped["modules"] = "disabled"
-        elif not verified:
+        if not verified:
             skipped["modules"] = "no verified uniform structure"
         else:
             try:
                 report["modules"] = inst.modules.to_json()
+                modules_ok = True
             except (ValueError, ArithmeticError) as exc:
                 report["modules"] = {"error": str(exc)}
                 failed = True
@@ -546,8 +552,16 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
             skipped["qcheck"] = "disabled"
         elif not accepted:
             skipped["qcheck"] = "no verified candidate"
-        elif spectrum_ok:
-            report["ordering"], ok = inst.orderings(ordering_name)
+        elif not modules_ok:
+            skipped["qcheck"] = "no module decomposition"
+        elif not spectrum_ok:
+            skipped["qcheck"] = "no spectrum"
+        else:
+            try:
+                report["ordering"], ok = inst.orderings(ordering_name)
+            except (ValueError, ArithmeticError) as exc:
+                report["ordering"] = {"error": str(exc)}
+                ok = False
             failed |= not ok
 
     if timings:

@@ -26,10 +26,18 @@ eigenvalues of A are +-sqrt(mu) for the nonzero eigenvalues mu of
 B B^T, each with the multiplicity of mu, and 0 takes the rest.
 Non-bipartite input is rejected.
 
-The returned Spectrum carries those blocks and powers.
-``idempotent_pattern`` decides which E_i A* E_j vanish from the integer
-spectral projectors of A^2 = diag(B B^T, B^T B) built from them,
-without eigenspace bases.
+``module_pattern`` decides which E_i A* E_j vanish on the certified
+thin modules: each module type is a small tridiagonal pair (T, diag
+theta*), so the pattern needs O(d) work per pair of eigenvalues and
+type, whatever n, and it checks the modules' eigenvalue counts against
+the spectrum's multiplicities.  It is the pattern of ``pipeline`` and
+``qcheck``.
+
+The returned Spectrum also carries its blocks and powers, for the
+dense twin that the tests compare ``module_pattern`` with:
+``idempotent_pattern`` decides the pattern from the integer spectral
+projectors of A^2 = diag(B B^T, B^T B), and ``eigenspace_bases`` takes
+eigenspace bases from them.  Neither lies on the certified path.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import lcm, prod
 from operator import mul
 from typing import Optional, Sequence
@@ -54,6 +63,7 @@ from .scalars import (
     scalar_sort_key,
     squarefree_decompose,
 )
+from .uniform import Decomposition
 
 
 # -- closed forms --------------------------------------------------------------
@@ -318,7 +328,64 @@ def spectrum_exact(g: Graph) -> Spectrum:
                     _Blocks(classes, b, bt, powers))
 
 
-# -- spectral projectors, eigenspace bases and the idempotent pattern ------------
+# -- the idempotent pattern on the thin modules ----------------------------------
+
+
+def module_pattern(spectrum: Spectrum, decomposition: Decomposition,
+                   theta_star: Sequence) -> list[list[bool]]:
+    """P[i][j] = (E_i A* E_j != 0), indexed like spectrum.eigenvalues, for
+    the A* with value theta_star[i] on level i, decided on the certified
+    thin modules of ``decomposition`` with no matrix algebra.
+
+    V is the direct sum of the modules, and each is invariant under A
+    and A*.  On the chain basis w_r, ..., w_{r+d} of a module of type
+    (r, d), A acts by the tridiagonal ``module_rep_matrix`` T and A* by
+    diag(theta*_r, ..., theta*_{r+d}).  The x-scalars are nonzero, so
+    T has d + 1 simple eigenvalues, the roots of h_{d+1}.  At a root
+    theta, v_theta = (h_k(theta))_k is a right eigenvector of T and
+    u_theta = (h_k(theta) / (x_{r+1} ... x_{r+k}))_k a left one, and
+    E_theta acts on the module as v_theta u_theta^T / (u_theta^T
+    v_theta).  So E_theta A* E_theta' vanishes on it exactly when
+
+        sum_k theta*_{r+k} h_k(theta) h_k(theta') / (x_{r+1} ... x_{r+k})
+
+    is 0, and on V exactly when that holds for every module type.  The
+    roots are looked up among the spectrum's values: each type must
+    have d + 1 of them, and counting each root once per module must
+    give the spectrum's multiplicities, an independent check of the
+    modules against the spectrum.  ArithmeticError otherwise.
+    """
+    values = spectrum.values()
+    found = [0] * len(values)
+    pattern = [[False] * len(values) for _ in values]
+    for (r, d), (x, count) in decomposition.types().items():
+        if r + d >= len(theta_star):
+            raise ValueError(f"need a theta* value for level {r + d}")
+        hs = krawtchouk_charpoly(x)
+        roots = [(i, [h(theta) for h in hs[:-1]])
+                 for i, theta in enumerate(values) if hs[-1](theta) == 0]
+        if len(roots) != d + 1:
+            raise ArithmeticError(
+                f"module type (r, d) = ({r}, {d}) has {len(roots)} of its "
+                f"{d + 1} eigenvalues in the spectrum"
+            )
+        weights = [theta_star[r + k] / scale for k, scale in
+                   enumerate(accumulate(x, mul, initial=Fraction(1)))]
+        for i, hi in roots:
+            found[i] += count
+            for j, hj in roots:
+                if sum(map(mul, weights, map(mul, hi, hj))) != 0:
+                    pattern[i][j] = True
+    mults = [m for _, m in spectrum.eigenvalues]
+    if found != mults:
+        raise ArithmeticError(
+            f"module multiplicities {found} disagree with the "
+            f"spectrum's {mults}"
+        )
+    return pattern
+
+
+# -- the dense twin: spectral projectors, eigenspace bases and the pattern --------
 
 
 @dataclass

@@ -374,26 +374,23 @@ class Decomposition:
     modules: list[TModule]
     vertex_count: int
 
-    def multiplicities(self) -> dict[tuple[int, int], int]:
-        table: dict[tuple[int, int], int] = {}
+    def types(self) -> dict[tuple[int, int], tuple[list[Fraction], int]]:
+        """(r, d) -> (x-scalars, multiplicity) per module type, sorted;
+        the x-scalars are solved once per type, so modules share them."""
+        table: dict[tuple[int, int], tuple[list[Fraction], int]] = {}
         for m in self.modules:
             key = (m.endpoint, m.diameter)
-            table[key] = table.get(key, 0) + 1
-        return table
+            x, count = table.get(key, (m.x_scalars, 0))
+            table[key] = (x, count + 1)
+        return dict(sorted(table.items()))
+
+    def multiplicities(self) -> dict[tuple[int, int], int]:
+        return {key: count for key, (_, count) in self.types().items()}
 
     def to_json(self) -> list:
-        mult = self.multiplicities()
-        out = []
-        for (r, d) in sorted(mult):
-            x = None
-            for m in self.modules:
-                if (m.endpoint, m.diameter) == (r, d):
-                    x = [str(v) for v in m.x_scalars]
-                    break
-            out.append(
-                {"r": r, "d": d, "x": x, "multiplicity": mult[(r, d)]}
-            )
-        return out
+        return [{"r": r, "d": d, "x": [str(v) for v in x],
+                 "multiplicity": count}
+                for (r, d), (x, count) in self.types().items()]
 
 
 def module_rep_matrix(module: TModule) -> ExactMatrix:

@@ -313,6 +313,9 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
     targets = [("uniformq.spectra", "spectrum_exact"),
                ("uniformq._kernels", "charpoly_mod"),
                ("uniformq.spectra", "eigenspace_bases"),
+               ("uniformq.spectra", "idempotent_pattern"),
+               ("uniformq.spectra", "_spectral_projectors"),
+               ("uniformq.uniform", "decompose_modules"),
                ("uniformq.linalg", "column_space_basis"),
                ("uniformq.candidate", "dual_diagonal"),
                ("uniformq.uniform", "fit_uniform_constant"),
@@ -343,13 +346,96 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
         chains = [m for m in data["modules"] if m["d"] >= 1]
         assert chains and counts.pop("solve_x_scalars") == len(chains)
         # A stays in adjacency lists and A* is one diagonal, made once;
-        # the Gram block's charpoly is taken once and the idempotent
-        # pattern needs no eigenspace bases
+        # the Gram block's charpoly is taken once, and the idempotent
+        # pattern is decided on the modules, with no spectral projector
+        # and no eigenspace basis
         assert counts == {name: 1 for name in (
             "spectrum_exact", "charpoly_mod", "dual_diagonal",
-            "fit_uniform_constant", "verify_uniform")}
+            "fit_uniform_constant", "verify_uniform", "decompose_modules")}
         n = data["graph"]["n"]
         assert (n, n) not in shapes
+    # qcheck is a view over the same artifacts: the modules once, and
+    # the pattern from them
+    counts.clear()
+    res = runner.invoke(main, ["qcheck", str(workdir / "c32fb.el")])
+    assert res.exit_code == 0
+    assert counts.pop("solve_x_scalars") == len(chains)
+    assert counts == {name: 1 for name in (
+        "spectrum_exact", "charpoly_mod", "dual_diagonal",
+        "fit_uniform_constant", "verify_uniform", "decompose_modules")}
+
+
+def _drop_last_module(monkeypatch):
+    """Make the modules miss their last module, so that they no longer
+    cover the spectrum."""
+    from uniformq import cli
+    from uniformq.uniform import Decomposition
+
+    real = cli.decompose_modules
+
+    def fewer(split, params):
+        dec = real(split, params)
+        return Decomposition(dec.modules[:-1], dec.vertex_count)
+
+    monkeypatch.setattr(cli, "decompose_modules", fewer)
+
+
+def _swap_multiplicities(monkeypatch):
+    """Give the spectrum its values with the first two multiplicities
+    swapped."""
+    from dataclasses import replace
+
+    from uniformq import cli
+
+    real = cli.spectrum_exact
+
+    def swapped(g):
+        spec = real(g)
+        (v0, m0), (v1, m1), *rest = spec.eigenvalues
+        return replace(spec, eigenvalues=[(v0, m1), (v1, m0), *rest])
+
+    monkeypatch.setattr(cli, "spectrum_exact", swapped)
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_module, _swap_multiplicities])
+def test_pattern_rejection_is_structured(runner, workdir, monkeypatch,
+                                         corrupt):
+    # modules that disagree with the spectrum reject the pattern: an
+    # error in the report and exit 1, not a traceback
+    corrupt(monkeypatch)
+    path = str(workdir / "c32fb.el")
+    res = runner.invoke(main, ["pipeline", path])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    data = json.loads(res.stdout)
+    assert "qcheck" not in data["skipped"]
+    assert "disagree" in data["ordering"]["error"]
+    res = runner.invoke(main, ["qcheck", path])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    data = json.loads(res.stdout)
+    assert data["candidate"]["verified"] and "disagree" in data["error"]
+
+
+@pytest.mark.parametrize("stage, target, reason", [
+    ("modules", "decompose_modules", "no module decomposition"),
+    ("spectrum", "spectrum_exact", "no spectrum"),
+])
+def test_failed_stage_skips_qcheck(runner, workdir, monkeypatch, stage,
+                                   target, reason):
+    from uniformq import cli
+
+    def failing(*args):
+        raise ArithmeticError("stage failed")
+
+    monkeypatch.setattr(cli, target, failing)
+    path = str(workdir / "c32fb.el")
+    res = runner.invoke(main, ["pipeline", path])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    data = json.loads(res.stdout)
+    assert data[stage] == {"error": "stage failed"}
+    assert data["skipped"] == {"qcheck": reason} and "ordering" not in data
+    res = runner.invoke(main, ["qcheck", path])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert json.loads(res.stdout)["error"] == "stage failed"
 
 
 def test_bipartite_pipeline_works_on_colour_class_blocks(runner, q4_file,

@@ -51,7 +51,6 @@ COMMANDS = [
     ("spectrum",),
     ("qcheck", "--ordering", "even-odd"),
     ("pipeline",),
-    ("pipeline", "--no-modules"),
     ("pipeline", "--no-spectrum"),
     ("pipeline", "--qcheck", "natural"),
     ("pipeline", "--verify-uniform", "params.json"),

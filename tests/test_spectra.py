@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph
 from test_uniform import certify_direct_sum, per_level
@@ -29,12 +31,19 @@ from uniformq.spectra import (
     idempotent_pattern,
     krawtchouk_charpoly,
     module_eigenvalues,
+    module_pattern,
     natural_ordering,
     odd_even_ordering,
     spectrum_exact,
     verify_krat_scaling,
 )
-from uniformq.uniform import decompose_modules, module_rep_matrix
+from uniformq.uniform import (
+    Decomposition,
+    decompose_modules,
+    fit_uniform,
+    fit_uniform_constant,
+    module_rep_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +548,107 @@ def test_quadratic_factor_on_pattern(c32_spectral, c32_pattern):
                 ti, tj = vals[i], vals[j]
                 assert ti * ti + tj * tj - beta * ti * tj - rho == 0
     assert found_off_diagonal > 0
+
+
+# -- the idempotent pattern on the thin modules against its dense twin --------------
+
+
+MODULE_INSTANCES = {
+    "cycle6": lambda: Graph.from_edges(  # the per-level fit
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),
+    "C_2(3)-fb": lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),
+    "Q_4": lambda: hypercube(4)[0],
+    "Q_6": lambda: hypercube(6)[0],
+    "H(3,3)-fb": lambda: full_bipartite(hamming(3, 3)[0], 0),
+    "C_3(2)-fb": lambda: full_bipartite(dual_polar(FormSpec("C", 3, 2))[0], 0),
+}
+
+
+@cache
+def _module_instance(name):
+    """(ctx, spectrum, thin modules) at base 0, with the constant fit
+    when there is one, else the per-level fit."""
+    g = MODULE_INSTANCES[name]()
+    ctx = bfs_context(g, 0)
+    split = lfr_split(g, ctx)
+    params = fit_uniform_constant(split)
+    if params is None:
+        params = fit_uniform(split).canonical
+    return ctx, spectrum_exact(g), decompose_modules(split, params)
+
+
+def _assert_twins_agree(name, theta_star):
+    # the modules' argument holds for any A* constant on the levels, so
+    # the level values need not be distinct here
+    ctx, spec, dec = _module_instance(name)
+    astar = [theta_star[i] for i in ctx.dist]
+    assert module_pattern(spec, dec, theta_star) == idempotent_pattern(
+        spec, astar)
+
+
+@pytest.mark.parametrize("name", list(MODULE_INSTANCES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_module_pattern_matches_dense_twin(name, data):
+    # random distinct rational level values, then values from a small
+    # set, whose repeats make E_i A* E_j vanish for more pairs
+    size = _module_instance(name)[0].eccentricity + 1
+    _assert_twins_agree(name, data.draw(st.lists(
+        st.fractions(-9, 9, max_denominator=9),
+        min_size=size, max_size=size, unique=True)))
+    _assert_twins_agree(name, data.draw(st.lists(
+        st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2)]),
+        min_size=size, max_size=size)))
+
+
+@pytest.mark.parametrize("name", ["Q_4", "Q_6", "H(3,3)-fb", "C_3(2)-fb"])
+def test_module_pattern_matches_dense_twin_at_the_candidate(name):
+    # the accepted candidate's A* is the one whose pattern is a band,
+    # with every cancellation the pipeline's verdict rests on
+    from uniformq.candidate import candidate_search
+
+    ctx, spec, _ = _module_instance(name)
+    res = candidate_search(fit_uniform_constant(lfr_split(ctx.graph, ctx)))
+    assert res.accepted
+    _assert_twins_agree(name, res.candidate.theta_star)
+    _assert_twins_agree(name, [1] * (ctx.eccentricity + 1))  # A* = I
+
+
+@pytest.mark.parametrize("name", list(MODULE_INSTANCES))
+def test_module_eigenvalue_counts_match_spectrum(name):
+    # each type contributes the d + 1 roots of its charpoly h_{d+1},
+    # once per module: together they are the spectrum with multiplicities
+    _, spec, dec = _module_instance(name)
+    counts = Counter()
+    for (r, d), (x, count) in dec.types().items():
+        charpoly_t = krawtchouk_charpoly(x)[-1]
+        roots = [t for t in spec.values() if charpoly_t(t) == 0]
+        assert len(roots) == d + 1
+        for t in roots:
+            counts[t] += count
+    assert [counts[t] for t in spec.values()] == [
+        m for _, m in spec.eigenvalues]
+
+
+def test_module_pattern_rejects_a_mismatched_spectrum():
+    ctx, spec, dec = _module_instance("C_2(3)-fb")
+    theta_star = [-1, 0, Fraction(1, 3)]
+    assert [m for _, m in spec.eigenvalues] == [1, 8, 22, 8, 1]
+    # the same values with two multiplicities swapped
+    (v0, m0), (v1, m1), *rest = spec.eigenvalues
+    swapped = replace(spec, eigenvalues=[(v0, m1), (v1, m0), *rest])
+    with pytest.raises(ArithmeticError, match="disagree"):
+        module_pattern(swapped, dec, theta_star)
+    # a value missing: the (0, 2) type finds two of its three roots
+    missing = replace(spec, eigenvalues=spec.eigenvalues[1:])
+    with pytest.raises(ArithmeticError, match=r"\(0, 2\) has 2 of its 3"):
+        module_pattern(missing, dec, theta_star)
+    # one module dropped: the multiplicities no longer add up
+    fewer = Decomposition(dec.modules[:-1], dec.vertex_count)
+    with pytest.raises(ArithmeticError, match="disagree"):
+        module_pattern(spec, fewer, theta_star)
+    with pytest.raises(ValueError, match="level 2"):
+        module_pattern(spec, dec, theta_star[:2])
 
 
 def test_q_orderings(c32_pattern):

@@ -14,7 +14,8 @@ When the identity holds, the standard module splits into thin
 irreducible modules; each module is a chain w_r, ..., w_{r+d} with
 L w_r = 0, L w_{r+i} = w_{r+i-1} and R w_{r+i-1} = x_{r+i} w_{r+i},
 where the x-scalars solve the linear system U(r,d) x = (f_{r+1}, ...,
-f_{r+d}) over the corresponding principal block.
+f_{r+d}) over the corresponding principal block.  So the generators
+w_r are eigenvectors of L R on ker L, with eigenvalue x_{r+1}(r, d).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .linalg import (
     ExactMatrix,
     Inconsistent,
     UniqueSolution,
-    extend_pivot_table,
     nullspace,
     rank,  # noqa: F401  unused here; perfbench's tracer test rebinds it
     solve_linear,
@@ -376,7 +376,8 @@ class Decomposition:
 
     def types(self) -> dict[tuple[int, int], tuple[list[Fraction], int]]:
         """(r, d) -> (x-scalars, multiplicity) per module type, sorted;
-        the x-scalars are solved once per type, so modules share them."""
+        the x-scalars are solved once per (r, d) at each endpoint, for
+        the eigenvalues of L R there, so modules of a type share them."""
         table: dict[tuple[int, int], tuple[list[Fraction], int]] = {}
         for m in self.modules:
             key = (m.endpoint, m.diameter)
@@ -429,6 +430,8 @@ class _LevelMaps:
 
     def _step(self, nbrs, i: int, vec: list, j: int) -> list:
         out = [0] * self.size(j)
+        if not 0 <= i < len(self.levels):
+            return out
         pos = self.pos
         for y, val in zip(self.levels[i], vec):
             if val:
@@ -460,22 +463,23 @@ def _kernel_of_lowering(maps: _LevelMaps, r: int) -> list[list]:
 def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     """Split the standard module into thin irreducible module chains.
 
-    For each endpoint r, generators of ker L on level r are picked by the
-    exact length of their raising chain, shortest first.  With S_d the
-    kernel vectors whose chain dies by d, the diameter-d generators
-    extend those already kept, a basis of S_{d-1}, to a basis of S_d;
-    one exact integer pivot table per endpoint decides which to keep.
-    Chains are normalised with the solved x-scalars and every chain
-    relation is re-verified exactly.  Every vector is kept over the
-    coordinates of its own level.
+    For each endpoint r, the generators are the eigenvectors of L R on
+    ker L at level r (checked to map it into itself) for the eigenvalues
+    0 and x_{r+1}(r, d), 1 <= d <= eps - r.  A generator's diameter is
+    the exact length of its raising chain and must agree with its
+    eigenvalue.  Chains are normalised with the solved x-scalars and
+    every chain relation is re-verified exactly.  Every vector is kept
+    over the coordinates of its own level.
 
-    This certifies the direct sum.  Given a dependency among the chain
-    vectors on level j with least endpoint r0, L^(j-r0) kills the chains
-    of larger endpoint (L w_r = 0) and maps those of endpoint r0 to their
-    generators (L w_{r+i} = w_{r+i-1}), which are independent; with the
-    dimensions summing to n, the chains form a basis.  Parameters
-    already verified on this split are not verified again.  Modules come
-    ordered by endpoint, then by increasing diameter.
+    This certifies the direct sum.  Eigenvectors for distinct eigenvalues
+    are independent, and so is each eigenspace basis; together they must
+    span ker L.  Given a dependency among the chain vectors on level j
+    with least endpoint r0, L^(j-r0) kills the chains of larger endpoint
+    (L w_r = 0) and maps those of endpoint r0 to their generators
+    (L w_{r+i} = w_{r+i-1}), which are independent; with the dimensions
+    summing to n, the chains form a basis.  Parameters already verified
+    on this split are not verified again.  Modules come ordered by
+    endpoint, then by increasing diameter.
     """
     if params not in split._verified:
         check = verify_uniform(split, params)
@@ -490,50 +494,33 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     chains: list[tuple] = []  # (r, d, level-local chain vectors, x-scalars)
     for r in range(eps + 1):
         kernel = _kernel_of_lowering(maps, r)
-        k = len(kernel)
-        if k == 0:
+        if not kernel:
             continue
-        max_d = eps - r
-        # R-powers of the kernel basis (powers[i] on level r+i) and
-        # their lowerings (for the chain conditions below)
-        powers = [kernel]
-        for i in range(max_d + 1):
-            powers.append([maps.raise_(r + i, v) for v in powers[-1]])
-        lowered = [None] + [
-            [maps.lower(r + i, v) for v in powers[i]]
-            for i in range(1, max_d + 1)
-        ]
-        table: list[tuple] = []  # spans S_{d-1}: the generators kept so far
-        for d in range(max_d + 1):
-            # S_d in kernel coordinates: R^(d+1) v = 0
-            if d == max_d:
-                s_d = [[int(i == j) for i in range(k)] for j in range(k)]
-            else:
-                rows = list(zip(*powers[d + 1]))  # level r+d+1 coordinates
-                s_d = nullspace(ExactMatrix.from_rows(rows))
-            want = len(s_d) - len(table)
-            if want == 0:
-                continue
-            x = solve_x_scalars(params, r, d) if d else []
-            kept = 0
-            for coords in _generator_space(d, x, powers, lowered, s_d):
-                if not extend_pivot_table(table, coords):
-                    continue
+        xs = {d: solve_x_scalars(params, r, d) for d in range(1, eps - r + 1)}
+        lr, scales = _lowering_raising(maps, r, kernel)
+        before = len(chains)
+        for value in dict.fromkeys([0] + [x[0] for x in xs.values()]):
+            # (M_r - value I) c = 0 with row i scaled by q s_i, value = p/q
+            shifted = [[value.denominator * u for u in row] for row in lr]
+            for i, s in enumerate(scales):
+                shifted[i][i] -= value.numerator * s
+            for coords in nullspace(ExactMatrix.from_rows(shifted)):
                 gen = [0] * len(kernel[0])
                 for c, v in zip(coords, kernel):
                     if c:
                         gen = [g + c * s for g, s in zip(gen, v)]
-                chains.append(_build_chain(maps, r, gen, x))
-                kept += 1
-                if kept == want:
-                    break
-            if kept != want:
-                raise ArithmeticError("chain filtration is inconsistent")
+                chains.append(_build_chain(maps, r, gen, xs, value))
+        if len(chains) - before != len(kernel):
+            raise ArithmeticError(
+                f"L R on ker L at level {r} has eigenspaces spanning "
+                f"{len(chains) - before} of {len(kernel)} dimensions"
+            )
     total = sum(len(chain) for _, _, chain, _ in chains)
     if total != n:
         raise ArithmeticError(
             f"module dimensions sum to {total}, expected {n}"
         )
+    chains.sort(key=lambda chain: chain[:2])
     modules = [
         TModule(r, d, [maps.full(r + i, w) for i, w in enumerate(chain)], x)
         for r, d, chain, x in chains
@@ -541,39 +528,42 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     return Decomposition(modules, n)
 
 
-def _generator_space(d: int, x: list, powers, lowered,
-                     s_d_basis: list[list]) -> list[list]:
-    """Kernel-coordinate basis of the diameter-d generator space.
-
-    Cuts S_d down by the linear chain conditions
-    L R^i v = x_{r+i} R^(i-1) v for 1 <= i <= d.  The space still covers
-    S_d modulo S_{d-1}: pure diameter-d generators satisfy every
-    condition, while a bare complement of S_{d-1} in S_d could mix
-    diameters and break the chain normalisation.
-    """
-    if d == 0:
-        return s_d_basis
-    # R^(d+1) v = 0 (no rows beyond the last level)
-    rows: list = list(zip(*powers[d + 1]))
-    # q L R^i v - p R^(i-1) v = 0 on level r+i-1, with x_{r+i} = p/q
-    for i in range(1, d + 1):
-        p, q = x[i - 1].numerator, x[i - 1].denominator
-        for low, prev in zip(zip(*lowered[i]), zip(*powers[i - 1])):
-            rows.append([q * a - p * b for a, b in zip(low, prev)])
-    return nullspace(ExactMatrix.from_rows(rows))
+def _lowering_raising(maps: _LevelMaps, r: int, kernel: list[list]) -> tuple:
+    """M_r, L R on ker L at level r in kernel coordinates, as integers:
+    each kernel vector v_i is alone nonzero at some column f_i (nullspace
+    gives it its free column), so once L (L R v_j) = 0 is checked, M_r
+    has entries U[i][j] / s_i with U[i][j] = (L R v_j)[f_i] and
+    s_i = v_i[f_i].  Returns U and the s_i."""
+    owners = Counter(j for v in kernel for j, s in enumerate(v) if s)
+    free = [next(j for j, s in enumerate(v) if s and owners[j] == 1)
+            for v in kernel]
+    images = [maps.lower(r + 1, maps.raise_(r, v)) for v in kernel]
+    if any(any(maps.lower(r, u)) for u in images):
+        raise ArithmeticError(
+            f"L R does not map ker L on level {r} into itself")
+    return ([[u[f] for u in images] for f in free],
+            [v[f] for v, f in zip(kernel, free)])
 
 
-def _build_chain(maps: _LevelMaps, r: int, gen: list, x: list) -> tuple:
-    """The chain w_{r+i} = R^i gen / (x_{r+1} ... x_{r+i}) of diameter
-    len(x), scaled by one integer to integer vectors of content 1 (the
-    relations are linear, so a common factor keeps them)."""
+def _build_chain(maps: _LevelMaps, r: int, gen: list, xs: dict,
+                 value: Fraction) -> tuple:
+    """The chain w_{r+i} = R^i gen / (x_{r+1} ... x_{r+i}), d the raising
+    length of gen and x = xs[d], whose x_{r+1} (0 for d = 0) must be the
+    eigenvalue; scaled by one integer to integer vectors of content 1
+    (the relations are linear, so a common factor keeps them)."""
+    raised = [gen]
+    while any(top := maps.raise_(r + len(raised) - 1, raised[-1])):
+        raised.append(top)
+    d = len(raised) - 1
+    x = xs[d] if d else []
+    if (x[0] if x else 0) != value:
+        raise ArithmeticError(
+            f"generator of diameter {d} at r = {r} has L R eigenvalue "
+            f"{value}, not x_{r + 1}({r}, {d})")
     if any(v == 0 for v in x):
         raise ArithmeticError(
-            f"x-scalar vanishes mid-chain for (r, d) = ({r}, {len(x)})"
+            f"x-scalar vanishes mid-chain for (r, d) = ({r}, {d})"
         )
-    raised = [gen]
-    for i in range(len(x)):
-        raised.append(maps.raise_(r + i, raised[-1]))
     scales = [Fraction(1)]
     for xi in x:
         scales.append(scales[-1] / xi)
@@ -583,7 +573,7 @@ def _build_chain(maps: _LevelMaps, r: int, gen: list, x: list) -> tuple:
     content = gcd(*(v for w in chain for v in w))
     chain = [[v // content for v in w] for w in chain]
     _assert_chain(maps, r, chain, x)
-    return r, len(x), chain, x
+    return r, d, chain, x
 
 
 def _assert_chain(maps: _LevelMaps, r: int, basis: list, x: list) -> None:

@@ -294,10 +294,13 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
 
     counts = {}
     shapes = set()
+    solved = []  # the (r, d) of each solve_x_scalars call
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] = counts.get(name, 0) + 1
+            if name == "solve_x_scalars":
+                solved.append(args[1:])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -336,15 +339,21 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
     for path, code in [(q4_file, 1), (workdir / "c32fb.el", 0)]:
         counts.clear()
         shapes.clear()
+        solved.clear()
         res = runner.invoke(main, ["pipeline", str(path)])
         assert res.exit_code == code
         data = json.loads(res.stdout)
         assert data["skipped"] == {} and data["candidate"]["verified"] is True
         # the thin modules need no exact rank, and one x-scalar solve per
-        # module type of positive diameter
+        # (r, d) with 1 <= d <= eps - r at each endpoint where ker L != 0
+        # (each such endpoint has a module), absent types included, and
+        # no (r, d) solved twice
         assert "rank" not in counts
-        chains = [m for m in data["modules"] if m["d"] >= 1]
-        assert chains and counts.pop("solve_x_scalars") == len(chains)
+        eps = max(m["r"] + m["d"] for m in data["modules"])
+        expected = [(r, d) for r in sorted({m["r"] for m in data["modules"]})
+                    for d in range(1, eps - r + 1)]
+        assert expected and sorted(solved) == expected
+        assert counts.pop("solve_x_scalars") == len(expected)
         # A stays in adjacency lists and A* is one diagonal, made once;
         # the Gram block's charpoly is taken once, and the idempotent
         # pattern is decided on the modules, with no spectral projector
@@ -357,9 +366,11 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
     # qcheck is a view over the same artifacts: the modules once, and
     # the pattern from them
     counts.clear()
+    solved.clear()
     res = runner.invoke(main, ["qcheck", str(workdir / "c32fb.el")])
     assert res.exit_code == 0
-    assert counts.pop("solve_x_scalars") == len(chains)
+    assert sorted(solved) == expected
+    assert counts.pop("solve_x_scalars") == len(expected)
     assert counts == {name: 1 for name in (
         "spectrum_exact", "charpoly_mod", "dual_diagonal",
         "fit_uniform_constant", "verify_uniform", "decompose_modules")}

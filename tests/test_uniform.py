@@ -1,13 +1,18 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from conftest import random_connected_graph
 from uniformq._kernels import pykernels
+from uniformq.cli import main
+from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
 from uniformq.graphs import (
     Graph,
     bfs_context,
+    format_edge_list,
     full_bipartite,
     lfr_split,
     walk_counts_from,
@@ -18,13 +23,17 @@ from uniformq.linalg import (
     ExactMatrix,
     Inconsistent,
     UniqueSolution,
+    extend_pivot_table,
     normalize_vector,
+    nullspace,
     solve_linear,
 )
 from uniformq.uniform import (
     Decomposition,
     TModule,
     UniformParams,
+    _kernel_of_lowering,
+    _LevelMaps,
     closed_form_x,
     decompose_modules,
     fit_uniform,
@@ -405,8 +414,6 @@ def test_decompose_requires_valid_params(c32_split):
 
 def test_decompose_module_count_per_endpoint(c32_split, dp_params):
     # endpoint-r module count equals dim(ker L) on level r
-    from uniformq.uniform import _kernel_of_lowering, _LevelMaps
-
     dec = decompose_modules(c32_split, dp_params)
     for r in range(4):
         expected = len(_kernel_of_lowering(_LevelMaps(c32_split), r))
@@ -458,8 +465,6 @@ def test_decompose_skips_params_already_verified(c6_split, monkeypatch):
 
 
 def test_fitted_params_are_hashable(c6_split):
-    from uniformq.generators import hypercube
-
     q3 = hypercube(3)[0]
     for params in (fit_uniform(c6_split).canonical,
                    fit_uniform_constant(lfr_split(q3, bfs_context(q3, 0))),
@@ -472,8 +477,6 @@ def test_fitted_params_are_hashable(c6_split):
 @pytest.mark.parametrize("case", ["c32", "q6"])
 def test_direct_sum_certificate_matches_stacked_rank(case, c32_split,
                                                     dp_params):
-    from uniformq.generators import hypercube
-
     if case == "c32":
         split, params = c32_split, dp_params
     else:
@@ -511,23 +514,179 @@ def test_direct_sum_certificate_rejects_bad_levels():
         certify_direct_sum([1, 3], too_many)
 
 
-def test_pivot_table_rejects_a_repeated_generator(c32_split, dp_params,
-                                                  monkeypatch):
-    # every generator space offers its first vector twice; the pivot
-    # table must keep it once, so the decomposition does not change
+# -- the LR eigenspaces against the S_d filtration --------------------------------
+
+
+def _filtration_generator_space(d, x, powers, lowered, s_d_basis):
+    """Kernel-coordinate basis of the diameter-d generator space: S_d cut
+    down by the linear chain conditions L R^i v = x_{r+i} R^(i-1) v for
+    1 <= i <= d.  It still covers S_d modulo S_{d-1}."""
+    if d == 0:
+        return s_d_basis
+    # R^(d+1) v = 0 (no rows beyond the last level)
+    rows = list(zip(*powers[d + 1]))
+    # q L R^i v - p R^(i-1) v = 0 on level r+i-1, with x_{r+i} = p/q
+    for i in range(1, d + 1):
+        p, q = x[i - 1].numerator, x[i - 1].denominator
+        for low, prev in zip(zip(*lowered[i]), zip(*powers[i - 1])):
+            rows.append([q * a - p * b for a, b in zip(low, prev)])
+    return nullspace(ExactMatrix.from_rows(rows))
+
+
+def filtration_generators(split, params):
+    """Slow twin of the LR eigenspaces: the S_d filtration.  For each
+    endpoint r, S_d is the kernel vectors whose raising chain dies by d;
+    the diameter-d generators extend those kept so far, a basis of
+    S_{d-1}, to a basis of S_d, and one exact pivot table per endpoint
+    decides which to keep.  Returns (r, d) -> (x-scalars, level-local
+    generators)."""
+    maps = _LevelMaps(split)
+    eps = split.ctx.eccentricity
+    out = {}
+    for r in range(eps + 1):
+        kernel = _kernel_of_lowering(maps, r)
+        k = len(kernel)
+        if k == 0:
+            continue
+        max_d = eps - r
+        # R-powers of the kernel basis (powers[i] on level r+i) and
+        # their lowerings (for the chain conditions)
+        powers = [kernel]
+        for i in range(max_d + 1):
+            powers.append([maps.raise_(r + i, v) for v in powers[-1]])
+        lowered = [None] + [[maps.lower(r + i, v) for v in powers[i]]
+                            for i in range(1, max_d + 1)]
+        table = []  # spans S_{d-1}: the generators kept so far
+        for d in range(max_d + 1):
+            # S_d in kernel coordinates: R^(d+1) v = 0
+            if d == max_d:
+                s_d = [[int(i == j) for i in range(k)] for j in range(k)]
+            else:
+                rows = list(zip(*powers[d + 1]))  # level r+d+1 coordinates
+                s_d = nullspace(ExactMatrix.from_rows(rows))
+            want = len(s_d) - len(table)
+            if want == 0:
+                continue
+            x = solve_x_scalars(params, r, d) if d else []
+            kept = []
+            for coords in _filtration_generator_space(d, x, powers, lowered,
+                                                      s_d):
+                if extend_pivot_table(table, coords):
+                    kept.append([sum(c * v[j] for c, v in zip(coords, kernel))
+                                 for j in range(len(kernel[0]))])
+                    if len(kept) == want:
+                        break
+            assert len(kept) == want, "chain filtration is inconsistent"
+            out[r, d] = (x, kept)
+    return out
+
+
+TWIN_INSTANCES = {
+    "cycle6": lambda: Graph.from_edges(  # the per-level fit
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),
+    "C_2(3)-fb": lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),
+    "B_2(3)-fb": lambda: full_bipartite(dual_polar(FormSpec("B", 2, 3))[0], 0),
+    "Q_4": lambda: hypercube(4)[0],
+    "Q_6": lambda: hypercube(6)[0],
+    "H(3,3)-fb": lambda: full_bipartite(hamming(3, 3)[0], 0),
+    "C_3(2)-fb": lambda: full_bipartite(dual_polar(FormSpec("C", 3, 2))[0], 0),
+}
+
+
+@pytest.mark.parametrize("name", list(TWIN_INSTANCES))
+def test_lr_eigenspaces_match_filtration_twin(name):
+    # per type: the same x-scalars and multiplicity, and generators of
+    # the same span (stacked ranks modulo 2^61 - 1; they are a basis of
+    # the type's generator space, so the spans are equal when stacking
+    # both adds no rank)
+    g = TWIN_INSTANCES[name]()
+    split = lfr_split(g, bfs_context(g, 0))
+    params = fit_uniform_constant(split)
+    if params is None:
+        params = fit_uniform(split).canonical
+    dec = decompose_modules(split, params)
+    twin = filtration_generators(split, params)
+    generators = {}
+    for m in dec.modules:
+        level = split.ctx.levels[m.endpoint]
+        generators.setdefault((m.endpoint, m.diameter), []).append(
+            [m.basis[0][y] for y in level])
+    assert generators.keys() == twin.keys()
+    for key, (x, count) in dec.types().items():
+        twin_x, twin_gens = twin[key]
+        gens = generators[key]
+        assert x == twin_x and count == len(gens) == len(twin_gens)
+        assert rank_mod_p61(gens) == rank_mod_p61(twin_gens) == count
+        assert rank_mod_p61(gens + twin_gens) == count
+
+
+def _leaky_raising(monkeypatch):
+    """Raising a nonzero vector of ker L on a level i >= 1 adds 1 at the
+    first vertex of level i + 1, so L R leaves ker L from r = 1 on."""
+    real = _LevelMaps.raise_
+
+    def leaky(self, i, vec):
+        out = real(self, i, vec)
+        if i >= 1 and out and any(vec) and not any(self.lower(i, vec)):
+            out = [out[0] + 1] + out[1:]
+        return out
+
+    monkeypatch.setattr(_LevelMaps, "raise_", leaky)
+
+
+def _perturbed_x(monkeypatch, change):
     import uniformq.uniform as uniform_mod
 
-    plain = decompose_modules(c32_split, dp_params)
-    real = uniform_mod._generator_space
+    real = uniform_mod.solve_x_scalars
+    monkeypatch.setattr(uniform_mod, "solve_x_scalars",
+                        lambda params, r, d: change(real, params, r, d))
 
-    def repeating(*args):
-        space = real(*args)
-        return space[:1] + space
 
-    monkeypatch.setattr(uniform_mod, "_generator_space", repeating)
-    dec = decompose_modules(c32_split, dp_params)
-    assert [(m.endpoint, m.diameter, m.basis, m.x_scalars)
-            for m in dec.modules] == \
-        [(m.endpoint, m.diameter, m.basis, m.x_scalars)
-         for m in plain.modules]
-    certify_direct_sum(*per_level(dec.modules, c32_split.ctx))
+def _swapped_x(monkeypatch):
+    """x_2(1, 1) and x_2(1, 2) trade places (8 and 12 on C_3(2) fb): the
+    eigenvalues stay, and each one's generators get the wrong diameter."""
+    def change(real, params, r, d):
+        x = real(params, r, d)
+        if r == 1 and d in (1, 2):
+            x = [real(params, 1, 3 - d)[0]] + x[1:]
+        return x
+
+    _perturbed_x(monkeypatch, change)
+
+
+def _shifted_x(monkeypatch):
+    """x_2(1, 1) is off by one, so its eigenspace is missed."""
+    def change(real, params, r, d):
+        x = real(params, r, d)
+        return [x[0] + 1] + x[1:] if (r, d) == (1, 1) else x
+
+    _perturbed_x(monkeypatch, change)
+
+
+@pytest.mark.parametrize("perturb, message", [
+    (_leaky_raising, "L R does not map ker L on level 1 into itself"),
+    (_swapped_x, "has L R eigenvalue 12, not x_2(1, 2)"),
+    (_shifted_x, "L R on ker L at level 1 has eigenspaces spanning"),
+])
+def test_decompose_rejects_a_broken_eigenspace_split(perturb, message,
+                                                     c32_fb, c32_split,
+                                                     dp_params, tmp_path,
+                                                     monkeypatch):
+    # a structured ArithmeticError, never a wrong decomposition or an
+    # IndexError; the CLI reports it with exit code 1
+    perturb(monkeypatch)
+    with pytest.raises(ArithmeticError) as exc:
+        decompose_modules(c32_split, dp_params)
+    assert message in str(exc.value)
+    path = tmp_path / "c32fb.el"
+    path.write_text(format_edge_list(c32_fb))
+    res = CliRunner().invoke(main, ["modules", str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert message in json.loads(res.stdout)["error"]
+
+
+def test_level_maps_outside_the_levels(c32_split):
+    # level 4 of C_3(2) fb has no coordinates: L maps its empty vector
+    # to the zero vector of level 3, and R to the empty vector
+    maps = _LevelMaps(c32_split)
+    assert maps.lower(4, []) == [0] * maps.size(3) and maps.raise_(4, []) == []

@@ -17,10 +17,15 @@ Verification is double-tracked: the sparse column route evaluates the
 relation exactly, column by column from applications of A to basis
 vectors, and an independent entrywise oracle recomputes each commutator
 entry from brute-force walk enumeration, never from matrix products.
+A is symmetric and A* diagonal, so the residual of the relation is
+antisymmetric and the column route computes its entries above the
+diagonal only; it takes the mixed term as A A* A^2 - A^2 A* A =
+A (A* A - A A*) A, one more application of A after A^2.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -85,17 +90,23 @@ def verify_tridiagonal(g: Graph, astar: Sequence, beta, gamma, rho,
         A^3 A* - A* A^3 + (beta+1)(A A* A^2 - A^2 A* A)
             - gamma (A^2 A* - A* A^2) - rho (A A* - A* A);
 
-    the relation holds iff it vanishes.  With D = A* = diag(d), its
-    column y is built from sparse applications of A to e_y, read from
-    the adjacency lists:
+    the relation holds iff it vanishes.  A is symmetric and A* diagonal,
+    so every term is some X - X^T and the residual is antisymmetric: its
+    entries (z, y) with z < y decide it, and entry (y, z) is their
+    negative.  With D = A* = diag(d) and A D A^2 - A^2 D A = A (D A^2 -
+    A D A), those entries of column y are
 
-        (d_y - D)(A^3 e_y - gamma A^2 e_y - rho A e_y)
-            + (beta+1)(A D A^2 e_y - A^2 D A e_y),
+        (d_y - d_z)(A^3 e_y - gamma A^2 e_y - rho A e_y)_z
+            + (beta+1) (A (D A^2 e_y - A D A e_y))_z,
 
-    so entry (z, y) vanishes unless z is within three steps of y.  A*
-    must be rational: A*, beta+1, gamma and rho are scaled to integers
-    by one common denominator.  The support lists (z, y) in row-major
-    order; with collect_all=False it holds only the first nonzero entry.
+    from two passes over the adjacency lists: one over the neighbours u
+    of y gives A^2 e_y and A D A e_y, one over the support w of A^2 e_y
+    gives A^3 e_y and the mixed term, reading only the neighbours z < y
+    of w (the lists are sorted, see Graph).  So entry (z, y) vanishes
+    unless z is within three steps of y.  A* must be rational: A*,
+    beta+1, gamma and rho are scaled to integers by one common
+    denominator.  The support lists (z, y) in row-major order; with
+    collect_all=False it holds only the first nonzero entry.
     """
     n = g.n
     if len(astar) != n:
@@ -108,31 +119,39 @@ def verify_tridiagonal(g: Graph, astar: Sequence, beta, gamma, rho,
     one, bp1, gamma, rho = (int(c * scale) for c in coeffs)
     adj = g.adj
 
-    def apply(vec: dict) -> dict:
-        out: dict = {}
-        for y, v in vec.items():
-            for z in adj[y]:
-                out[z] = out.get(z, 0) + v
-        return out
-
-    def scaled(vec: dict) -> dict:
-        return {z: diag[z] * v for z, v in vec.items()}
-
     found = []
     for y in range(n):
-        a1 = apply({y: 1})
-        a2 = apply(a1)
-        a3 = apply(a2)
-        mix = apply(scaled(a2))
-        for z, v in apply(apply(scaled(a1))).items():
-            mix[z] = mix.get(z, 0) - v
+        a2: dict = {}  # A^2 e_y
+        t2: dict = {}  # A D A e_y, on the same support
+        for u in adj[y]:
+            du = diag[u]
+            for w in adj[u]:
+                a2[w] = a2.get(w, 0) + 1
+                t2[w] = t2.get(w, 0) + du
+        # rows z < y only: poly = A^3 e_y - gamma A^2 e_y - rho A e_y and
+        # mix = (beta+1) A (D A^2 e_y - A D A e_y)
+        poly: dict = {}
+        mix: dict = {}
+        for w, c in a2.items():
+            oc, m = one * c, bp1 * (diag[w] * c - t2[w])
+            nbrs = adj[w]
+            for z in nbrs[:bisect_left(nbrs, y)]:
+                poly[z] = poly.get(z, 0) + oc
+                mix[z] = mix.get(z, 0) + m
+        if gamma:
+            for w, c in a2.items():
+                if w < y:
+                    poly[w] = poly.get(w, 0) - gamma * c
+        if rho:
+            nbrs = adj[y]
+            for z in nbrs[:bisect_left(nbrs, y)]:
+                poly[z] = poly.get(z, 0) - rho
         dy = diag[y]
-        for z in a1.keys() | a2.keys() | a3.keys() | mix.keys():
-            r = (dy - diag[z]) * (one * a3.get(z, 0) - gamma * a2.get(z, 0)
-                                  - rho * a1.get(z, 0)) \
-                + bp1 * mix.get(z, 0)
+        for z, p in poly.items():
+            r = (dy - diag[z]) * p + mix.get(z, 0)
             if r != 0:
                 found.append((z, y, r))
+                found.append((y, z, -r))
     found.sort(key=lambda t: (t[0], t[1]))
     support = [(z, y) for z, y, _ in found]
     if not collect_all:

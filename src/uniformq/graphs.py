@@ -25,6 +25,13 @@ _STEP = {"l": -1, "f": 0, "r": 1}
 
 
 class Graph:
+    """A simple undirected graph on the vertices 0..n-1.
+
+    ``adj[v]`` is the tuple of v's neighbours in increasing order.  Every
+    constructor goes through ``__init__``, which sorts the lists, and
+    ``verify_tridiagonal`` relies on the order: it bisects them.
+    """
+
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):

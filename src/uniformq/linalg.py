@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -320,8 +319,11 @@ def _table_kernel(table: list, ncols: int) -> list[list]:
     column order.  Back-substitution runs over the rows last first: a
     row vanishes at the leads of the rows before it, and those of the
     rows after it are solved already, so only its own lead is unknown.
-    When that lead does not divide, the partial vector is scaled by the
-    least factor that makes it divide, which keeps it primitive."""
+    The vector is nonzero only at its free column and the leads solved
+    to nonzero values so far, so each row's sum and each rescaling run
+    over that support alone.  When the lead does not divide, the
+    partial vector is scaled by the least factor that makes it divide,
+    which keeps it primitive."""
     leads = {lead for lead, _ in table}
     basis = []
     for f in range(ncols):
@@ -329,15 +331,18 @@ def _table_kernel(table: list, ncols: int) -> list[list]:
             continue
         v = [0] * ncols
         v[f] = 1
+        support = [f]
         for lead, row in reversed(table):
-            acc = sum(map(mul, row, v))
+            acc = sum([row[j] * v[j] for j in support])
             if acc:
                 p = row[lead]
                 scale = abs(p) // gcd(acc, p)
                 if scale != 1:
-                    v = [x * scale for x in v]
+                    for j in support:
+                        v[j] *= scale
                     acc *= scale
                 v[lead] = -acc // p
+                support.append(lead)
         basis.append(v)
     return basis
 

@@ -198,10 +198,13 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
     """Check the identity on every standard basis vector of every level.
 
     Linearity makes the standard basis sufficient.  The identity maps
-    e_y on level i to level i-1, so each column is checked on the
-    support of its four sparse terms, in integers scaled by the common
-    denominator of the level's parameters.  A failing column's residual
-    is returned as a full-length list.
+    e_y on level i to level i-1, in integers scaled by the common
+    denominator of the level's parameters.  Its left side factors as
+    e-_i R L^2 + L (R L + e+_i L R), so each column is one sparse sum:
+    e-_i times L^2 e_y raised, plus the lowering of the level-i vector
+    R L e_y + e+_i L R e_y, minus f_i L e_y.  A failing column's
+    residual is rebuilt from the four terms and returned as a
+    full-length list.
     """
     _require_bipartite(split)
     ctx = split.ctx
@@ -209,14 +212,32 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
         raise ValueError(
             f"parameter length {params.eps} != eccentricity {ctx.eccentricity}"
         )
+    down, up = split.down, split.up
     for i in range(1, ctx.eccentricity + 1):
         em, ep, f = params.em(i), params.ep(i), params.fi(i)
         den = lcm(em.denominator, ep.denominator, f.denominator)
         sem, sep, sf = int(em * den), int(ep * den), int(f * den)
         for y in ctx.levels[i]:
-            rl2, lrl, l2r, lv = _level_columns(split, y)
-            if any(sem * rl2[z] + den * lrl[z] + sep * l2r[z] != sf * lv[z]
-                   for z in rl2.keys() | lrl.keys() | l2r.keys() | lv.keys()):
+            l2: dict = {}  # L^2 e_y
+            mid: dict = {}  # R L e_y + e+_i L R e_y, on level i
+            for u in down[y]:
+                for w in down[u]:
+                    l2[w] = l2.get(w, 0) + 1
+                for z in up[u]:
+                    mid[z] = mid.get(z, 0) + den
+            for u in up[y]:
+                for z in down[u]:
+                    mid[z] = mid.get(z, 0) + sep
+            out = dict.fromkeys(down[y], -sf)
+            for w, c in l2.items():
+                c *= sem
+                for z in up[w]:
+                    out[z] = out.get(z, 0) + c
+            for z, c in mid.items():
+                for w in down[z]:
+                    out[w] = out.get(w, 0) + c
+            if any(out.values()):
+                rl2, lrl, l2r, lv = _level_columns(split, y)
                 residual = [
                     em * rl2[z] + lrl[z] + ep * l2r[z] - f * lv[z]
                     for z in range(split.graph.n)
@@ -480,6 +501,15 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     summing to n, the chains form a basis.  Parameters already verified
     on this split are not verified again.  Modules come ordered by
     endpoint, then by increasing diameter.
+
+    The same argument skips the elimination for ker L where the chains
+    already fill a level.  When the chains of endpoints r0 < r with
+    r0 + d >= r have as many vectors on level r as it has vertices, those
+    vectors are independent, as above, so they are a basis of level r.
+    L maps each of them, w_{r0+i} with i >= 1, to the chain vector
+    w_{r0+i-1} on level r-1 (checked by _assert_chain), and those images
+    are independent again.  So L is injective on level r, ker L is 0
+    there, and level r has no generators.
     """
     if params not in split._verified:
         check = verify_uniform(split, params)
@@ -493,6 +523,8 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     maps = _LevelMaps(split)
     chains: list[tuple] = []  # (r, d, level-local chain vectors, x-scalars)
     for r in range(eps + 1):
+        if _chains_fill_level(maps, chains, r):
+            continue
         kernel = _kernel_of_lowering(maps, r)
         if not kernel:
             continue
@@ -526,6 +558,12 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
         for r, d, chain, x in chains
     ]
     return Decomposition(modules, n)
+
+
+def _chains_fill_level(maps: _LevelMaps, chains: list, r: int) -> bool:
+    """Whether the chains of endpoints below r have as many vectors on
+    level r as it has vertices, which makes ker L 0 there."""
+    return sum(r0 + d >= r for r0, d, _, _ in chains) == maps.size(r)
 
 
 def _lowering_raising(maps: _LevelMaps, r: int, kernel: list[list]) -> tuple:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from uniformq.generators import FormSpec, dual_polar, hypercube
 from uniformq.graphs import (
     Graph,
     bfs_context,
@@ -53,6 +54,23 @@ def test_graph_constructor_rejects_malformed_lists(n, adj, reason):
     # differently, so only simple undirected graphs may be built
     with pytest.raises(ValueError, match=reason):
         Graph(n, adj)
+
+
+def test_adjacency_lists_are_sorted():
+    # verify_tridiagonal bisects them; every builder is fed its
+    # neighbours or edges out of order where it takes them as input
+    rng = random.Random(3)
+    graphs = [
+        Graph(4, [[3, 1], [2, 0], [3, 1], [2, 0]]),
+        Graph.from_edges(4, [(3, 2), (2, 1), (3, 0), (1, 0)]),
+        parse_edge_list("4 4\n2 3\n1 2\n0 3\n0 1\n"),
+        full_bipartite(random_connected_graph(rng, 12), 5),
+        hypercube(4)[0],
+        dual_polar(FormSpec("C", 2, 3))[0],
+    ]
+    for g in graphs:
+        assert all(isinstance(nbrs, tuple) and list(nbrs) == sorted(nbrs)
+                   for nbrs in g.adj)
 
 
 def test_bfs_context_examples(cycle6):

@@ -13,6 +13,7 @@ from uniformq.linalg import (
     ExactMatrix,
     Inconsistent,
     UniqueSolution,
+    _pivot_table,
     charpoly,
     column_space_basis,
     normalize_vector,
@@ -309,6 +310,44 @@ def test_nullspace_and_rank_match_bareiss_twin():
         twin = bareiss_nullspace(m)
         assert repr(nullspace(m)) == repr(twin)
         assert rank(m) == m.cols - len(twin)
+
+
+def full_length_table_kernel(table, ncols, rescales):
+    """Slow twin of the support-tracking back-substitution: every row's
+    sum and every rescaling run over the whole vector.  Appends each
+    rescaling factor to rescales."""
+    leads = {lead for lead, _ in table}
+    basis = []
+    for f in range(ncols):
+        if f in leads:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for lead, row in reversed(table):
+            acc = sum(map(mul, row, v))
+            if acc:
+                p = row[lead]
+                scale = abs(p) // gcd(acc, p)
+                if scale != 1:
+                    rescales.append(scale)
+                    v = [x * scale for x in v]
+                    acc *= scale
+                v[lead] = -acc // p
+        basis.append(v)
+    return basis
+
+
+def test_nullspace_matches_full_length_back_substitution():
+    # wide random integer matrices, whose leads mostly do not divide the
+    # back-substituted sums: the rescaling path, many times over
+    rng = random.Random(41)
+    rescales = []
+    for _ in range(200):
+        r, c = rng.randint(1, 6), rng.randint(2, 10)
+        m = ExactMatrix(r, c, [rng.randint(-9, 9) for _ in range(r * c)])
+        twin = full_length_table_kernel(_pivot_table(m), c, rescales)
+        assert repr(nullspace(m)) == repr(twin)
+    assert len(rescales) > 500
 
 
 @pytest.mark.parametrize("case", ["c32fb", "q6"])

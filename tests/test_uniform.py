@@ -119,10 +119,51 @@ def dense_uniform_check(split, params):
     return None
 
 
+def assert_uniform_matches_dense(split, params):
+    """verify_uniform and its dense twin agree: the same verdict and, on
+    failure, the same (level, witness, residual).  Returns the twin's."""
+    check = verify_uniform(split, params)
+    twin = dense_uniform_check(split, params)
+    assert check.passed == (twin is None)
+    if twin is not None:
+        assert (check.level, check.witness, check.residual) == twin
+    return twin
+
+
+def perturbed_params(split):
+    """A base triple per level, the per-level fit where it has one and
+    zeros elsewhere, then that base with e-, e+ or f moved by 1/3 at the
+    first, a middle and the last level (the convention slots e-_1 and
+    e+_eps stay 0)."""
+    eps = split.ctx.eccentricity
+    base = [list(fit.canonical) if fit.is_consistent() else [0, 0, 0]
+            for fit in fit_uniform(split).levels]
+    yield UniformParams(*zip(*base))
+    for level in sorted({1, (eps + 1) // 2, eps}):
+        for k in range(3):
+            if (k, level) in ((0, 1), (1, eps)):
+                continue
+            triples = [list(t) for t in base]
+            triples[level - 1][k] += Fraction(1, 3)
+            yield UniformParams(*zip(*triples))
+
+
 @pytest.mark.parametrize("case", ["c6-zero", "c6-f", "c32-f3", "c32-f1",
-                                  "c32-ep2"])
+                                  "c32-ep2", "random"])
 def test_verify_uniform_matches_dense_twin(case, c6_split, c32_split,
                                            dp_params):
+    if case == "random":
+        # full bipartite graphs with and without a uniform structure
+        # (two of the six, both with eps = 4, have one); a perturbation
+        # fails at the level it moves unless an earlier level fails
+        failures = []
+        for split in random_fb_splits(6):
+            for params in perturbed_params(split):
+                twin = assert_uniform_matches_dense(split, params)
+                failures.append(twin[0] if twin else None)
+        assert failures.count(None) == 2
+        assert set(failures) == {None, 1, 2, 4}
+        return
     if case.startswith("c6"):
         split = c6_split
         good = UniformParams((0, 2, 3), (1, -2, 0), (3, 1, 5))
@@ -137,14 +178,8 @@ def test_verify_uniform_matches_dense_twin(case, c6_split, c32_split,
         f[0] = Fraction(15, 2)
     else:
         ep[1] = Fraction(-1, 7)
-    params = UniformParams(em, ep, f)
-    check = verify_uniform(split, params)
-    level, witness, residual = dense_uniform_check(split, params)
-    assert not check.passed
-    assert (check.level, check.witness) == (level, witness)
-    assert check.residual == residual
-    assert dense_uniform_check(split, good) is None
-    assert verify_uniform(split, good).passed
+    assert assert_uniform_matches_dense(split, UniformParams(em, ep, f))
+    assert assert_uniform_matches_dense(split, good) is None
 
 
 def random_fb_splits(count):
@@ -618,6 +653,39 @@ def test_lr_eigenspaces_match_filtration_twin(name):
         assert x == twin_x and count == len(gens) == len(twin_gens)
         assert rank_mod_p61(gens) == rank_mod_p61(twin_gens) == count
         assert rank_mod_p61(gens + twin_gens) == count
+
+
+@pytest.mark.parametrize("name, levels", [
+    ("Q_6", [0, 1, 2, 3]),  # the chains of endpoints 0..3 fill levels 4..6
+    ("C_3(2)-fb", [0, 1, 2, 3]),  # every level has generators
+])
+def test_kernel_elimination_skips_levels_the_chains_fill(name, levels,
+                                                        monkeypatch):
+    import uniformq.uniform as uniform_mod
+
+    g = TWIN_INSTANCES[name]()
+    split = lfr_split(g, bfs_context(g, 0))
+    params = fit_uniform_constant(split)
+    real = uniform_mod._kernel_of_lowering
+    calls = []
+
+    def counting(maps, r):
+        calls.append(r)
+        return real(maps, r)
+
+    def bases(dec):
+        return [(m.endpoint, m.diameter, m.basis, m.x_scalars)
+                for m in dec.modules]
+
+    monkeypatch.setattr(uniform_mod, "_kernel_of_lowering", counting)
+    skipping = bases(decompose_modules(split, params))
+    assert calls == levels
+    # level 0 is ker L = [[1]] without an elimination; with the skip
+    # patched out it is called on every level, and the modules agree
+    calls.clear()
+    monkeypatch.setattr(uniform_mod, "_chains_fill_level", lambda *_: False)
+    assert bases(decompose_modules(split, params)) == skipping
+    assert calls == list(range(split.ctx.eccentricity + 1))
 
 
 def _leaky_raising(monkeypatch):

@@ -56,16 +56,25 @@ def _fail_usage(message: str):
     sys.exit(USAGE_ERROR)
 
 
+def _write(text: str, out) -> None:
+    """Write text to the file out, or to standard output when out is
+    None; a file that cannot be written is an I/O error."""
+    if not out:
+        click.echo(text, nl=False)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail_usage(f"cannot write {out}: {exc}")
+
+
 def _emit(obj, out, as_json: bool = True) -> None:
     if as_json:
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     else:
         text = _render_text(obj) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(text, out)
 
 
 def _render_text(obj, indent: int = 0) -> str:
@@ -148,16 +157,9 @@ def gen(family, field, diameter, alphabet, out, labels) -> None:
             graph, label_table = hamming(diameter, alphabet)
     except (SizeCapError, ValueError) as exc:
         _fail_usage(str(exc))
-    text = format_edge_list(graph)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(format_edge_list(graph), out)
     if labels:
-        with open(labels, "w") as fh:
-            json.dump(label_table, fh, sort_keys=True)
-            fh.write("\n")
+        _write(json.dumps(label_table, sort_keys=True) + "\n", labels)
 
 
 @main.command()
@@ -171,12 +173,7 @@ def fb(input, base, out) -> None:
         result = full_bipartite(g, base)
     except ValueError as exc:
         _fail_usage(str(exc))
-    text = format_edge_list(result)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(format_edge_list(result), out)
 
 
 class _Instance:
@@ -268,7 +265,7 @@ class _Instance:
 
     @cached_property
     def spectrum(self):
-        return spectrum_exact(self.ctx.graph)
+        return spectrum_exact(self.split)
 
     @cached_property
     def pattern(self):

@@ -121,9 +121,15 @@ class Graph:
 
 
 class BaseContext:
-    """Distance partition of a graph relative to a base vertex."""
+    """Distance partition of a graph relative to a base vertex.
 
-    __slots__ = ("graph", "base", "dist", "eccentricity", "levels")
+    ``levels[i]`` lists the vertices at distance i in increasing order,
+    and ``position[v]`` is v's index in its level: the level coordinates
+    that level-local vectors use.
+    """
+
+    __slots__ = ("graph", "base", "dist", "eccentricity", "levels",
+                 "position")
 
     def __init__(self, graph: Graph, base: int, dist: Sequence[int]):
         self.graph = graph
@@ -131,9 +137,12 @@ class BaseContext:
         self.dist = tuple(dist)
         self.eccentricity = max(dist)
         levels: list[list[int]] = [[] for _ in range(self.eccentricity + 1)]
+        position = [0] * len(dist)
         for v, d in enumerate(dist):
+            position[v] = len(levels[d])
             levels[d].append(v)
         self.levels = tuple(tuple(lv) for lv in levels)
+        self.position = tuple(position)
 
     def dual_idempotent(self, i: int) -> ExactMatrix:
         """The diagonal 0/1 projector onto level i, as a dense matrix."""
@@ -167,6 +176,7 @@ class LFRSplit:
     """The split A = L + F + R relative to a base context.
 
     Neighbour lists sorted by level step are the primary representation;
+    ``lower`` and ``raise_`` apply L and R to level-local vectors, and
     the dense matrices are built lazily.  ``_verified`` holds the uniform
     parameters that ``verify_uniform`` has passed on this split.
     """
@@ -229,23 +239,31 @@ class LFRSplit:
             self._R = self._materialize(self.up)
         return self._R
 
-    # sparse applications: vectors are dense coordinate lists
+    # level-local vectors: a vector on level i lists its coordinates in
+    # ctx.levels[i] order; levels outside 0..eps have no coordinates
 
-    def apply_lowering(self, vec: Sequence) -> list:
-        return self._apply(self.down, vec)
+    def size(self, i: int) -> int:
+        levels = self.ctx.levels
+        return len(levels[i]) if 0 <= i < len(levels) else 0
 
-    def apply_raising(self, vec: Sequence) -> list:
-        return self._apply(self.up, vec)
+    def lower(self, i: int, vec: Sequence) -> list:
+        """L of a vector on level i, a vector on level i-1."""
+        return self._step(self.down, i, vec, i - 1)
 
-    def _apply(self, step_nbrs, vec) -> list:
-        # (M v)[z] = sum of v[y] over edges y -> z of this step type:
-        # each unit at y scatters onto the step targets of y.
-        out = [0] * len(vec)
-        for y, val in enumerate(vec):
-            if val == 0:
-                continue
-            for z in step_nbrs[y]:
-                out[z] = out[z] + val
+    def raise_(self, i: int, vec: Sequence) -> list:
+        """R of a vector on level i, a vector on level i+1."""
+        return self._step(self.up, i, vec, i + 1)
+
+    def _step(self, nbrs, i: int, vec: Sequence, j: int) -> list:
+        # each unit at y scatters onto the step targets of y
+        out = [0] * self.size(j)
+        if not self.size(i):
+            return out
+        pos = self.ctx.position
+        for y, val in zip(self.ctx.levels[i], vec):
+            if val:
+                for z in nbrs[y]:
+                    out[pos[z]] += val
         return out
 
 

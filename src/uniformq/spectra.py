@@ -15,16 +15,16 @@ representation matrix is generated by the three-term recurrence
 h_{i+1} = t h_i - x_{r+i} h_{i-1}, a rescaled normalized dual
 b-Krawtchouk polynomial.
 
-``spectrum_exact`` takes a bipartite graph with rational squared
-spectrum; it 2-colours the graph from its adjacency lists, so
-A = [[0, B], [B^T, 0]], and works on the Gram block B B^T of the
-smaller colour class.  The roots of its characteristic polynomial
-modulo one prime in [0, Delta^2] (Delta the maximum degree) are the
-candidate eigenvalues; the powers of B B^T certify that they hold every
-eigenvalue and give each multiplicity by a trace.  The nonzero
-eigenvalues of A are +-sqrt(mu) for the nonzero eigenvalues mu of
-B B^T, each with the multiplicity of mu, and 0 takes the rest.
-Non-bipartite input is rejected.
+``spectrum_exact`` takes the level split of a bipartite graph with
+rational squared spectrum.  Its colour classes are the even and the odd
+levels of the base's distance partition, so A = [[0, B], [B^T, 0]], and
+it works on the Gram block B B^T of the smaller class.  The roots of
+its characteristic polynomial modulo one prime in [0, Delta^2] (Delta
+the maximum degree) are the candidate eigenvalues; the powers of
+B B^T certify that they hold every eigenvalue and give each
+multiplicity by a trace.  The nonzero eigenvalues of A are +-sqrt(mu)
+for the nonzero eigenvalues mu of B B^T, each with the multiplicity of
+mu, and 0 takes the rest.  Non-bipartite input is rejected.
 
 ``module_pattern`` decides which E_i A* E_j vanish on the certified
 thin modules: each module type is a small tridiagonal pair (T, diag
@@ -51,7 +51,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels
-from .graphs import Graph
+from .graphs import LFRSplit
 from .linalg import column_space_basis, int_matmul_flat
 from .poly import Poly
 from .scalars import (
@@ -220,27 +220,6 @@ def _root_value(s: int, m: int) -> Scalar:
     return Fraction(s) if m == 1 else quad(0, s, m)
 
 
-def _colour_classes(g: Graph) -> Optional[list[list[int]]]:
-    """The two classes of a proper 2-colouring of g, the smaller first;
-    None when the graph has an odd cycle."""
-    colour = [-1] * g.n
-    for root in range(g.n):
-        if colour[root] >= 0:
-            continue
-        colour[root] = 0
-        stack = [root]
-        while stack:
-            y = stack.pop()
-            for z in g.adj[y]:
-                if colour[z] < 0:
-                    colour[z] = 1 - colour[y]
-                    stack.append(z)
-                elif colour[z] == colour[y]:
-                    return None
-    classes = [[y for y in range(g.n) if colour[y] == c] for c in (0, 1)]
-    return sorted(classes, key=len)
-
-
 def _powers(d: list[int], size: int, k: int) -> list[list[int]]:
     """D^0, ..., D^k (at least D^0 and D^1) of the size x size matrix d."""
     powers = [[int(i % (size + 1) == 0) for i in range(size * size)], d]
@@ -263,16 +242,19 @@ def _evaluate(powers: list[list[int]], roots) -> list[int]:
     return [sum(map(mul, coeffs, column)) for column in zip(*powers)]
 
 
-def spectrum_exact(g: Graph) -> Spectrum:
-    """Exact spectrum of the adjacency matrix A of a bipartite graph g.
+def spectrum_exact(split: LFRSplit) -> Spectrum:
+    """Exact spectrum of the adjacency matrix A of the graph of a
+    bipartite split.
 
-    A 2-colouring gives A = [[0, B], [B^T, 0]] with the Gram block
-    D = B B^T on the smaller colour class.  Every eigenvalue of D lies in
-    [0, Delta^2] (Delta the maximum degree); the candidates are the mu
-    there that are roots of the characteristic polynomial of D modulo
-    one fixed prime, since every integer root is one.  From the powers
-    D^0, ..., D^k for k candidates, prod_mu (D - mu I) = 0 proves that
-    the candidates hold every eigenvalue of D.  D is symmetric, so
+    Every edge joins consecutive levels, so the even and the odd levels
+    are the colour classes, A = [[0, B], [B^T, 0]], with the Gram block
+    D = B B^T on the smaller class (the even levels on a tie).  Every
+    eigenvalue of D lies in [0, Delta^2] (Delta the maximum degree); the
+    candidates are the mu there that are roots of the characteristic
+    polynomial of D modulo one fixed prime, since every integer root is
+    one.  From the powers D^0, ..., D^k for k candidates,
+    prod_mu (D - mu I) = 0 proves that the candidates hold every
+    eigenvalue of D.  D is symmetric, so
     P_mu = prod_{nu != mu} (D - nu I) has trace mult_mu prod_{nu != mu}
     (mu - nu), which gives each multiplicity; a false candidate gets 0
     and is dropped.  Then mult(+-sqrt mu) = mult_D(mu) for mu != 0 and
@@ -283,12 +265,15 @@ def spectrum_exact(g: Graph) -> Spectrum:
     when the graph is not bipartite, the squared spectrum is not
     rational or the values need more than one radicand.
     """
-    n = g.n
-    classes = _colour_classes(g)
-    if classes is None:
+    if not split.is_bipartite():
         raise ValueError(
             "the graph is not bipartite; only bipartite graphs are supported"
         )
+    g = split.graph
+    n = g.n
+    levels = split.ctx.levels
+    classes = sorted(([v for level in levels[parity::2] for v in level]
+                      for parity in (0, 1)), key=len)
     rows, cols = classes
     size, width = len(rows), len(cols)
     position = {z: k for k, z in enumerate(cols)}

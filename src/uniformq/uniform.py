@@ -203,8 +203,7 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
     e-_i R L^2 + L (R L + e+_i L R), so each column is one sparse sum:
     e-_i times L^2 e_y raised, plus the lowering of the level-i vector
     R L e_y + e+_i L R e_y, minus f_i L e_y.  A failing column's
-    residual is rebuilt from the four terms and returned as a
-    full-length list.
+    residual is that sum over the denominator, as a full-length list.
     """
     _require_bipartite(split)
     ctx = split.ctx
@@ -237,11 +236,8 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
                 for w in down[z]:
                     out[w] = out.get(w, 0) + c
             if any(out.values()):
-                rl2, lrl, l2r, lv = _level_columns(split, y)
-                residual = [
-                    em * rl2[z] + lrl[z] + ep * l2r[z] - f * lv[z]
-                    for z in range(split.graph.n)
-                ]
+                residual = [Fraction(out.get(z, 0), den)
+                            for z in range(split.graph.n)]
                 return UniformCheck(False, i, y, residual)
     split._verified.add(params)
     return UniformCheck(True)
@@ -384,9 +380,13 @@ def closed_form_x(b, e, D: int, d: int, i: int) -> Fraction:
 
 @dataclass
 class TModule:
+    """A thin module's chain w_r, ..., w_{r+d}: ``basis[i]`` is w_{r+i}, a
+    primitive integer vector over the coordinates of level r+i, listed
+    in ``ctx.levels[r + i]`` order."""
+
     endpoint: int
     diameter: int
-    basis: list[list]  # w_r .. w_{r+d}, full-length coordinate vectors
+    basis: list[list]  # w_r .. w_{r+d}, level-local
     x_scalars: list[Fraction]  # x_{r+1} .. x_{r+d}
 
 
@@ -426,58 +426,16 @@ def module_rep_matrix(module: TModule) -> ExactMatrix:
     return m
 
 
-class _LevelMaps:
-    """Lowering and raising on level-local vectors: a vector on level i
-    lists its coordinates in ``ctx.levels[i]`` order, and L and R map it
-    to a vector on level i-1 or i+1 through one vertex -> position index.
-    Levels outside 0..eps have no coordinates."""
-
-    def __init__(self, split: LFRSplit):
-        self.levels = split.ctx.levels
-        self.down, self.up = split.down, split.up
-        self.pos = [0] * split.graph.n
-        for level in self.levels:
-            for k, v in enumerate(level):
-                self.pos[v] = k
-
-    def size(self, i: int) -> int:
-        return len(self.levels[i]) if 0 <= i < len(self.levels) else 0
-
-    def lower(self, i: int, vec: list) -> list:
-        return self._step(self.down, i, vec, i - 1)
-
-    def raise_(self, i: int, vec: list) -> list:
-        return self._step(self.up, i, vec, i + 1)
-
-    def _step(self, nbrs, i: int, vec: list, j: int) -> list:
-        out = [0] * self.size(j)
-        if not 0 <= i < len(self.levels):
-            return out
-        pos = self.pos
-        for y, val in zip(self.levels[i], vec):
-            if val:
-                for z in nbrs[y]:
-                    out[pos[z]] += val
-        return out
-
-    def full(self, i: int, vec: list) -> list:
-        """The level-i vector as a full-length coordinate vector."""
-        out = [0] * len(self.pos)
-        for y, val in zip(self.levels[i], vec):
-            out[y] = val
-        return out
-
-
-def _kernel_of_lowering(maps: _LevelMaps, r: int) -> list[list]:
+def _kernel_of_lowering(split: LFRSplit, r: int) -> list[list]:
     """Basis of ker L restricted to level r, as primitive integer
     vectors over level r."""
     if r == 0:
         return [[1]]
-    level = maps.levels[r]
-    rows = [[0] * len(level) for _ in range(maps.size(r - 1))]
+    level, pos = split.ctx.levels[r], split.ctx.position
+    rows = [[0] * len(level) for _ in range(split.size(r - 1))]
     for col, y in enumerate(level):
-        for z in maps.down[y]:
-            rows[maps.pos[z]][col] = 1
+        for z in split.down[y]:
+            rows[pos[z]][col] = 1
     return nullspace(ExactMatrix.from_rows(rows))
 
 
@@ -520,16 +478,15 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
             )
     eps = split.ctx.eccentricity
     n = split.graph.n
-    maps = _LevelMaps(split)
-    chains: list[tuple] = []  # (r, d, level-local chain vectors, x-scalars)
+    chains: list[TModule] = []
     for r in range(eps + 1):
-        if _chains_fill_level(maps, chains, r):
+        if _chains_fill_level(split, chains, r):
             continue
-        kernel = _kernel_of_lowering(maps, r)
+        kernel = _kernel_of_lowering(split, r)
         if not kernel:
             continue
         xs = {d: solve_x_scalars(params, r, d) for d in range(1, eps - r + 1)}
-        lr, scales = _lowering_raising(maps, r, kernel)
+        lr, scales = _lowering_raising(split, r, kernel)
         before = len(chains)
         for value in dict.fromkeys([0] + [x[0] for x in xs.values()]):
             # (M_r - value I) c = 0 with row i scaled by q s_i, value = p/q
@@ -541,32 +498,29 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
                 for c, v in zip(coords, kernel):
                     if c:
                         gen = [g + c * s for g, s in zip(gen, v)]
-                chains.append(_build_chain(maps, r, gen, xs, value))
+                chains.append(_build_chain(split, r, gen, xs, value))
         if len(chains) - before != len(kernel):
             raise ArithmeticError(
                 f"L R on ker L at level {r} has eigenspaces spanning "
                 f"{len(chains) - before} of {len(kernel)} dimensions"
             )
-    total = sum(len(chain) for _, _, chain, _ in chains)
+    total = sum(m.diameter + 1 for m in chains)
     if total != n:
         raise ArithmeticError(
             f"module dimensions sum to {total}, expected {n}"
         )
-    chains.sort(key=lambda chain: chain[:2])
-    modules = [
-        TModule(r, d, [maps.full(r + i, w) for i, w in enumerate(chain)], x)
-        for r, d, chain, x in chains
-    ]
-    return Decomposition(modules, n)
+    chains.sort(key=lambda m: (m.endpoint, m.diameter))
+    return Decomposition(chains, n)
 
 
-def _chains_fill_level(maps: _LevelMaps, chains: list, r: int) -> bool:
+def _chains_fill_level(split: LFRSplit, chains: list[TModule],
+                       r: int) -> bool:
     """Whether the chains of endpoints below r have as many vectors on
     level r as it has vertices, which makes ker L 0 there."""
-    return sum(r0 + d >= r for r0, d, _, _ in chains) == maps.size(r)
+    return sum(m.endpoint + m.diameter >= r for m in chains) == split.size(r)
 
 
-def _lowering_raising(maps: _LevelMaps, r: int, kernel: list[list]) -> tuple:
+def _lowering_raising(split: LFRSplit, r: int, kernel: list[list]) -> tuple:
     """M_r, L R on ker L at level r in kernel coordinates, as integers:
     each kernel vector v_i is alone nonzero at some column f_i (nullspace
     gives it its free column), so once L (L R v_j) = 0 is checked, M_r
@@ -575,22 +529,22 @@ def _lowering_raising(maps: _LevelMaps, r: int, kernel: list[list]) -> tuple:
     owners = Counter(j for v in kernel for j, s in enumerate(v) if s)
     free = [next(j for j, s in enumerate(v) if s and owners[j] == 1)
             for v in kernel]
-    images = [maps.lower(r + 1, maps.raise_(r, v)) for v in kernel]
-    if any(any(maps.lower(r, u)) for u in images):
+    images = [split.lower(r + 1, split.raise_(r, v)) for v in kernel]
+    if any(any(split.lower(r, u)) for u in images):
         raise ArithmeticError(
             f"L R does not map ker L on level {r} into itself")
     return ([[u[f] for u in images] for f in free],
             [v[f] for v, f in zip(kernel, free)])
 
 
-def _build_chain(maps: _LevelMaps, r: int, gen: list, xs: dict,
-                 value: Fraction) -> tuple:
+def _build_chain(split: LFRSplit, r: int, gen: list, xs: dict,
+                 value: Fraction) -> TModule:
     """The chain w_{r+i} = R^i gen / (x_{r+1} ... x_{r+i}), d the raising
     length of gen and x = xs[d], whose x_{r+1} (0 for d = 0) must be the
     eigenvalue; scaled by one integer to integer vectors of content 1
     (the relations are linear, so a common factor keeps them)."""
     raised = [gen]
-    while any(top := maps.raise_(r + len(raised) - 1, raised[-1])):
+    while any(top := split.raise_(r + len(raised) - 1, raised[-1])):
         raised.append(top)
     d = len(raised) - 1
     x = xs[d] if d else []
@@ -610,27 +564,27 @@ def _build_chain(maps: _LevelMaps, r: int, gen: list, xs: dict,
     chain = [[c * v for v in u] for c, u in zip(factors, raised)]
     content = gcd(*(v for w in chain for v in w))
     chain = [[v // content for v in w] for w in chain]
-    _assert_chain(maps, r, chain, x)
-    return r, d, chain, x
+    _assert_chain(split, r, chain, x)
+    return TModule(r, d, chain, x)
 
 
-def _assert_chain(maps: _LevelMaps, r: int, basis: list, x: list) -> None:
+def _assert_chain(split: LFRSplit, r: int, basis: list, x: list) -> None:
     """Re-verify every chain relation; failures signal internal bugs."""
     d = len(basis) - 1
     for i, w in enumerate(basis):
-        if len(w) != maps.size(r + i):
+        if len(w) != split.size(r + i):
             raise ArithmeticError("chain vector leaves its level")
-    if any(maps.lower(r, basis[0])):
+    if any(split.lower(r, basis[0])):
         raise ArithmeticError("chain generator is not in ker L")
     for i in range(1, d + 1):
-        if maps.lower(r + i, basis[i]) != basis[i - 1]:
+        if split.lower(r + i, basis[i]) != basis[i - 1]:
             raise ArithmeticError("lowering does not step down the chain")
-    if any(maps.raise_(r + d, basis[d])):
+    if any(split.raise_(r + d, basis[d])):
         raise ArithmeticError("raising does not vanish at the chain top")
     # chain-derived x-scalars: L R w_{r+i-1} = x_{r+i} w_{r+i-1}
     for i in range(1, d + 1):
         w = basis[i - 1]
-        u = maps.lower(r + i, maps.raise_(r + i - 1, w))
+        u = split.lower(r + i, split.raise_(r + i - 1, w))
         lead = next(idx for idx, v in enumerate(w) if v != 0)
         ratio = Fraction(u[lead], w[lead])
         if ratio != x[i - 1]:

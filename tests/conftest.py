@@ -44,6 +44,11 @@ def cycle6():
     return Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
 
 
+def split_at(g: Graph, base: int = 0):
+    """The level split of g at the base vertex."""
+    return lfr_split(g, bfs_context(g, base))
+
+
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
     """Random tree plus a few extra edges: connected, simple, modest degree."""
     edges = set()

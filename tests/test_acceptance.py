@@ -149,7 +149,7 @@ def test_criterion_4_module_decomposition(instance):
 
 def test_criterion_5_spectra(instance):
     with criterion(5, "exact spectra + dual Krawtchouk charpolys", 120):
-        spec = spectrum_exact(instance["fb"])
+        spec = spectrum_exact(instance["split"])
         squared = sorted(
             {int(Fraction(v * v)) for v in spec.values()}, reverse=True
         )
@@ -172,7 +172,7 @@ def test_criterion_5_spectra(instance):
 
 def test_criterion_6_q_polynomial_certification(instance):
     with criterion(6, "Q-polynomial certification", 120):
-        spec = spectrum_exact(instance["fb"])
+        spec = spectrum_exact(instance["split"])
         astar = dual_diagonal(
             instance["ctx"], (-1, 0, Fraction(1, 2), Fraction(3, 4))
         )
@@ -264,7 +264,7 @@ def test_criterion_8_secondary_instance():
         constant = fit_uniform_constant(split)
         assert constant is not None
         assert verify_uniform(split, constant).passed
-        spec = spectrum_exact(fb)
+        spec = spectrum_exact(split)
         assert spec.values() == closed_form_spectrum(3, 1, 2)
         r3 = quad(0, 1, 3)
         assert spec.values() == [4 * r3, 3, 0, -3, -4 * r3]

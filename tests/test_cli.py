@@ -218,6 +218,22 @@ def test_pipeline_missing_file(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "hypercube", "--D", "3", "-o", "{bad}"],
+    ["gen", "hypercube", "--D", "3", "--labels", "{bad}"],
+    ["fb", "{c6}", "-o", "{bad}"],
+    ["pipeline", "{c6}", "-o", "{bad}"],
+])
+def test_unwritable_output_is_io_error(runner, tmp_path, cycle6, argv):
+    # a file in a missing directory: exit 2 and one line, not a traceback
+    src = tmp_path / "c6.el"
+    src.write_text(format_edge_list(cycle6))
+    paths = {"bad": str(tmp_path / "missing" / "out"), "c6": str(src)}
+    res = runner.invoke(main, [a.format(**paths) for a in argv])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith(f"error: cannot write {paths['bad']}: ")
+
+
 def test_pipeline_c6_rejection(runner, tmp_path, cycle6):
     src = tmp_path / "c6.el"
     src.write_text(format_edge_list(cycle6))
@@ -400,8 +416,8 @@ def _swap_multiplicities(monkeypatch):
 
     real = cli.spectrum_exact
 
-    def swapped(g):
-        spec = real(g)
+    def swapped(split):
+        spec = real(split)
         (v0, m0), (v1, m1), *rest = spec.eigenvalues
         return replace(spec, eigenvalues=[(v0, m1), (v1, m0), *rest])
 

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, split_at
 from test_uniform import certify_direct_sum, per_level
 from uniformq.candidate import dual_diagonal
 from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
@@ -47,8 +47,8 @@ from uniformq.uniform import (
 
 
 @pytest.fixture(scope="module")
-def c32_spectral(c32_fb):
-    return c32_fb.adjacency_matrix(), spectrum_exact(c32_fb)
+def c32_spectral(c32_fb, c32_split):
+    return c32_fb.adjacency_matrix(), spectrum_exact(c32_split)
 
 
 @pytest.fixture(scope="module")
@@ -156,14 +156,14 @@ def test_verify_krat_wrong_count():
 
 
 def test_spectrum_cycle(cycle6):
-    spec = spectrum_exact(cycle6)
+    spec = spectrum_exact(split_at(cycle6))
     assert spec.eigenvalues == [(2, 1), (1, 2), (-1, 2), (-2, 1)]
     assert spec.radicand == 1
 
 
 def test_spectrum_hypercube():
     q3, _ = hypercube(3)
-    spec = spectrum_exact(q3)
+    spec = spectrum_exact(split_at(q3))
     assert spec.eigenvalues == [(3, 1), (1, 3), (-1, 3), (-3, 1)]
 
 
@@ -204,25 +204,48 @@ def test_spectrum_irrational_squared_rejected():
     # path P4: A^2 eigenvalues (3 +- sqrt 5)/2 are irrational
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError):
-        spectrum_exact(p4)
+        spectrum_exact(split_at(p4))
 
 
 def test_spectrum_random_non_bipartite_rejected():
-    # 120 vertices and an odd cycle: the 2-colouring rejects it before
-    # any characteristic polynomial is taken
+    # 120 vertices and an odd cycle: an edge within a level rejects it
+    # before any characteristic polynomial is taken
     rng = random.Random(1)
     while True:
-        g = random_connected_graph(rng, 120)
-        if not lfr_split(g, bfs_context(g, 0)).is_bipartite():
+        split = split_at(random_connected_graph(rng, 120))
+        if not split.is_bipartite():
             break
     with pytest.raises(ValueError):
-        spectrum_exact(g)
+        spectrum_exact(split)
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda: Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]), id="cycle6"),
+    pytest.param(lambda: hypercube(3)[0], id="Q_3"),
+    pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),
+                 id="C_2(3)-fb"),
+])
+def test_spectrum_at_bases_of_both_parities(graph):
+    # the classes are the even and the odd levels, smaller first; a base
+    # at odd distance swaps them, so on a tie the Gram block moves to the
+    # other class
+    g = graph()
+    even = spectrum_exact(split_at(g, 0))
+    odd = spectrum_exact(split_at(g, g.adj[0][0]))
+    assert odd == even and odd.to_json() == even.to_json()
+    for spec in (even, odd):
+        rows, cols = spec.blocks.classes
+        assert len(rows) <= len(cols)
+        assert sorted(rows + cols) == list(range(g.n))
+    if len(even.blocks.classes[0]) == len(even.blocks.classes[1]):
+        assert set(odd.blocks.classes[0]) == set(even.blocks.classes[1])
 
 
 def test_spectrum_path3():
     # P3 has spectrum {sqrt 2, 0, -sqrt 2}
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    spec = spectrum_exact(p3)
+    spec = spectrum_exact(split_at(p3))
     r2 = quad(0, 1, 2)
     assert spec.eigenvalues == [(r2, 1), (0, 1), (-r2, 1)]
 
@@ -293,7 +316,7 @@ def test_block_spectrum_matches_sign_split(graph):
     # the slow twin: the CRT charpoly of B B^T and the exact deflation
     # scan of its integer roots
     g = graph()
-    fast = spectrum_exact(g)
+    fast = spectrum_exact(split_at(g))
     assert (fast.eigenvalues, fast.radicand) == _deflation_spectrum(g)
 
 
@@ -304,7 +327,7 @@ def test_block_spectrum_matches_sign_split(graph):
                  (2, 1, 3), id="C_3(2)-fb"),
 ])
 def test_spectrum_matches_closed_form(graph, bed):
-    assert spectrum_exact(graph()).values() == \
+    assert spectrum_exact(split_at(graph())).values() == \
         closed_form_spectrum(*bed)
 
 
@@ -323,9 +346,10 @@ def test_false_candidates_of_a_small_prime_are_dropped(graph, prime,
     ctx = bfs_context(g, 0)
     astar = dual_diagonal(ctx, [Fraction((-1) ** i, i + 2)
                                 for i in range(ctx.eccentricity + 1)])
-    spec = spectrum_exact(g)
+    split = lfr_split(g, ctx)
+    spec = spectrum_exact(split)
     monkeypatch.setattr(spectra, "_PRIME", prime)
-    small = spectrum_exact(g)
+    small = spectrum_exact(split)
     # one power of B B^T per candidate, past the identity
     assert len(small.blocks.powers) > len(spec.blocks.powers)
     assert small == spec and small.to_json() == spec.to_json()
@@ -346,7 +370,7 @@ def test_spectrum_json(c32_spectral):
 
 
 def test_eigenspace_bases_cycle(cycle6):
-    spec = spectrum_exact(cycle6)
+    spec = spectrum_exact(split_at(cycle6))
     dec = eigenspace_bases(spec)
     assert dec.multiplicities == [1, 2, 2, 1]
     assert dec.bases[0] == [[1, 1, 1, 1, 1, 1]]
@@ -375,7 +399,7 @@ def test_eigenspace_bipartite_sign_flip(c32_spectral, c32_eigenspaces,
 
 
 def test_eigenspace_wrong_spectrum_rejected(cycle6):
-    spec = spectrum_exact(cycle6)
+    spec = spectrum_exact(split_at(cycle6))
     # a spectrum is only built with the blocks that certify it
     with pytest.raises(TypeError):
         Spectrum(spec.eigenvalues, 1)
@@ -409,7 +433,7 @@ def _pattern_from_bases(dec, astar):
 def test_idempotent_pattern_matches_eigenspace_bases(graph):
     g = graph()
     ctx = bfs_context(g, 0)
-    spec = spectrum_exact(g)
+    spec = spectrum_exact(split_at(g))
     dec = eigenspace_bases(spec)
     k = len(spec.eigenvalues)
     by_levels = dual_diagonal(ctx, [Fraction((-1) ** i, i + 2)
@@ -468,7 +492,7 @@ def test_block_projectors_match_dense_products(graph):
     g = graph()
     a = g.adjacency_matrix()
     n = a.rows
-    spec = spectrum_exact(g)
+    spec = spectrum_exact(split_at(g))
     keys, classes, blocks = _spectral_projectors(spec)
     assert sorted(y for c in classes for y in c) == list(range(n))
     projectors, idempotents = _dense_projectors(a, spec)
@@ -483,7 +507,7 @@ def test_block_projectors_match_dense_products(graph):
 def test_projectors_are_formed_once_per_spectrum(monkeypatch):
     # eigenspace_bases and idempotent_pattern share one B^T B and one set
     # of projectors; a reordered copy of the spectrum reuses them too
-    spec = spectrum_exact(hypercube(4)[0])
+    spec = spectrum_exact(split_at(hypercube(4)[0]))
     real = spectra.int_matmul_flat
     calls = []
 
@@ -503,7 +527,7 @@ def test_projectors_are_formed_once_per_spectrum(monkeypatch):
 
 
 def test_idempotent_pattern_wrong_spectrum_rejected(cycle6):
-    spec = spectrum_exact(cycle6)
+    spec = spectrum_exact(split_at(cycle6))
     assert spec.eigenvalues == [(2, 1), (1, 2), (-1, 2), (-2, 1)]
     # the spectrum of a graph on 6 vertices and A* on 4
     with pytest.raises(ValueError):
@@ -574,7 +598,7 @@ def _module_instance(name):
     params = fit_uniform_constant(split)
     if params is None:
         params = fit_uniform(split).canonical
-    return ctx, spectrum_exact(g), decompose_modules(split, params)
+    return ctx, spectrum_exact(split), decompose_modules(split, params)
 
 
 def _assert_twins_agree(name, theta_star):
@@ -690,7 +714,7 @@ def test_hypercube_natural_order_is_q_polynomial():
     res = candidate_search(fit_uniform_constant(split))
     assert res.accepted and res.candidate.beta == 2 and res.candidate.rho == 4
     astar = dual_diagonal(ctx, res.candidate.theta_star)
-    spec = spectrum_exact(g)
+    spec = spectrum_exact(split)
     assert [m for _, m in spec.eigenvalues] == [1, 5, 10, 10, 5, 1]
     pattern = idempotent_pattern(spec, astar)
     for i in range(6):
@@ -722,7 +746,7 @@ def test_full_stack_hamming_instance():
     assert verify_tridiagonal(
         fb, astar, res.candidate.beta, 0, res.candidate.rho,
     ).holds
-    spec = spectrum_exact(fb)
+    spec = spectrum_exact(split)
     pattern = idempotent_pattern(spec, astar)
     k = len(spec.eigenvalues)
     assert check_q_ordering(pattern, even_odd_ordering(k)).tridiagonal

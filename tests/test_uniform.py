@@ -11,6 +11,7 @@ from uniformq.cli import main
 from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
 from uniformq.graphs import (
     Graph,
+    LFRSplit,
     bfs_context,
     format_edge_list,
     full_bipartite,
@@ -33,7 +34,6 @@ from uniformq.uniform import (
     TModule,
     UniformParams,
     _kernel_of_lowering,
-    _LevelMaps,
     closed_form_x,
     decompose_modules,
     fit_uniform,
@@ -378,10 +378,19 @@ def certify_direct_sum(sizes, by_level) -> None:
             raise ArithmeticError("module bases do not form a direct sum")
 
 
-def stacked_rank(modules, n):
+def full_length(ctx, i, vec):
+    """The level-i vector as a full-length coordinate vector."""
+    out = [0] * ctx.graph.n
+    for y, v in zip(ctx.levels[i], vec):
+        out[y] = v
+    return out
+
+
+def stacked_rank(modules, ctx):
     """Slow twin of the whole certificate: the n x n rank of every chain
-    vector stacked, normalised as rows."""
-    rows = [normalize_vector(v) for m in modules for v in m.basis]
+    vector stacked at full length, normalised as rows."""
+    rows = [normalize_vector(full_length(ctx, m.endpoint + i, v))
+            for m in modules for i, v in enumerate(m.basis)]
     return len(rows), rank_mod_p61(rows)
 
 
@@ -389,8 +398,7 @@ def per_level(modules, ctx):
     by_level = [[] for _ in ctx.levels]
     for m in modules:
         for i, v in enumerate(m.basis):
-            level = ctx.levels[m.endpoint + i]
-            by_level[m.endpoint + i].append([v[y] for y in level])
+            by_level[m.endpoint + i].append(v)
     return [len(level) for level in ctx.levels], by_level
 
 
@@ -421,16 +429,31 @@ def test_decompose_x_scalars_match_both_routes(c32_split, dp_params):
 
 
 def test_decompose_chain_relations(c32_split, dp_params):
+    # the dense L and R of the walk oracle, on full-length vectors
     dec = decompose_modules(c32_split, dp_params)
-    split = c32_split
+    ctx, low, up = c32_split.ctx, c32_split.L, c32_split.R
     for m in dec.modules[:10]:
-        w = m.basis
-        assert all(v == 0 for v in split.apply_lowering(w[0]))
-        assert all(v == 0 for v in split.apply_raising(w[-1]))
+        w = [full_length(ctx, m.endpoint + i, v) for i, v in enumerate(m.basis)]
+        assert all(v == 0 for v in low.apply(w[0]))
+        assert all(v == 0 for v in up.apply(w[-1]))
         for i in range(1, m.diameter + 1):
-            assert split.apply_lowering(w[i]) == w[i - 1]
-            lr = split.apply_lowering(split.apply_raising(w[i - 1]))
+            assert low.apply(w[i]) == w[i - 1]
+            lr = low.apply(up.apply(w[i - 1]))
             assert lr == [m.x_scalars[i - 1] * v for v in w[i - 1]]
+
+
+@pytest.mark.parametrize("case", ["c32", "q6"])
+def test_module_bases_are_level_local(case, c32_split, dp_params):
+    if case == "c32":
+        split, params = c32_split, dp_params
+    else:
+        q6 = hypercube(6)[0]
+        split = lfr_split(q6, bfs_context(q6, 0))
+        params = fit_uniform_constant(split)
+    levels = split.ctx.levels
+    for m in decompose_modules(split, params).modules:
+        assert [len(w) for w in m.basis] == \
+            [len(levels[m.endpoint + i]) for i in range(m.diameter + 1)]
 
 
 def test_decompose_chains_are_primitive_integer(c32_split, dp_params):
@@ -451,7 +474,7 @@ def test_decompose_module_count_per_endpoint(c32_split, dp_params):
     # endpoint-r module count equals dim(ker L) on level r
     dec = decompose_modules(c32_split, dp_params)
     for r in range(4):
-        expected = len(_kernel_of_lowering(_LevelMaps(c32_split), r))
+        expected = len(_kernel_of_lowering(c32_split, r))
         found = sum(1 for m in dec.modules if m.endpoint == r)
         assert found == expected
 
@@ -521,7 +544,7 @@ def test_direct_sum_certificate_matches_stacked_rank(case, c32_split,
     n = split.graph.n
     dec = decompose_modules(split, params)
     certify_direct_sum(*per_level(dec.modules, split.ctx))
-    assert stacked_rank(dec.modules, n) == (n, n)
+    assert stacked_rank(dec.modules, split.ctx) == (n, n)
     # a chain vector repeated on level 1 breaks both certificates alike
     first = dec.modules[0]  # endpoint 0: a vector on every level
     second = next(m for m in dec.modules if m.endpoint == 1)
@@ -529,7 +552,7 @@ def test_direct_sum_certificate_matches_stacked_rank(case, c32_split,
               TModule(1, m.diameter, [first.basis[1]] + m.basis[1:],
                       m.x_scalars)
               for m in dec.modules]
-    assert stacked_rank(broken, n)[1] < n
+    assert stacked_rank(broken, split.ctx)[1] < n
     with pytest.raises(ArithmeticError):
         certify_direct_sum(*per_level(broken, split.ctx))
 
@@ -575,11 +598,10 @@ def filtration_generators(split, params):
     S_{d-1}, to a basis of S_d, and one exact pivot table per endpoint
     decides which to keep.  Returns (r, d) -> (x-scalars, level-local
     generators)."""
-    maps = _LevelMaps(split)
     eps = split.ctx.eccentricity
     out = {}
     for r in range(eps + 1):
-        kernel = _kernel_of_lowering(maps, r)
+        kernel = _kernel_of_lowering(split, r)
         k = len(kernel)
         if k == 0:
             continue
@@ -588,8 +610,8 @@ def filtration_generators(split, params):
         # their lowerings (for the chain conditions)
         powers = [kernel]
         for i in range(max_d + 1):
-            powers.append([maps.raise_(r + i, v) for v in powers[-1]])
-        lowered = [None] + [[maps.lower(r + i, v) for v in powers[i]]
+            powers.append([split.raise_(r + i, v) for v in powers[-1]])
+        lowered = [None] + [[split.lower(r + i, v) for v in powers[i]]
                             for i in range(1, max_d + 1)]
         table = []  # spans S_{d-1}: the generators kept so far
         for d in range(max_d + 1):
@@ -643,9 +665,8 @@ def test_lr_eigenspaces_match_filtration_twin(name):
     twin = filtration_generators(split, params)
     generators = {}
     for m in dec.modules:
-        level = split.ctx.levels[m.endpoint]
         generators.setdefault((m.endpoint, m.diameter), []).append(
-            [m.basis[0][y] for y in level])
+            m.basis[0])
     assert generators.keys() == twin.keys()
     for key, (x, count) in dec.types().items():
         twin_x, twin_gens = twin[key]
@@ -669,9 +690,9 @@ def test_kernel_elimination_skips_levels_the_chains_fill(name, levels,
     real = uniform_mod._kernel_of_lowering
     calls = []
 
-    def counting(maps, r):
+    def counting(split, r):
         calls.append(r)
-        return real(maps, r)
+        return real(split, r)
 
     def bases(dec):
         return [(m.endpoint, m.diameter, m.basis, m.x_scalars)
@@ -691,7 +712,7 @@ def test_kernel_elimination_skips_levels_the_chains_fill(name, levels,
 def _leaky_raising(monkeypatch):
     """Raising a nonzero vector of ker L on a level i >= 1 adds 1 at the
     first vertex of level i + 1, so L R leaves ker L from r = 1 on."""
-    real = _LevelMaps.raise_
+    real = LFRSplit.raise_
 
     def leaky(self, i, vec):
         out = real(self, i, vec)
@@ -699,7 +720,7 @@ def _leaky_raising(monkeypatch):
             out = [out[0] + 1] + out[1:]
         return out
 
-    monkeypatch.setattr(_LevelMaps, "raise_", leaky)
+    monkeypatch.setattr(LFRSplit, "raise_", leaky)
 
 
 def _perturbed_x(monkeypatch, change):
@@ -756,5 +777,7 @@ def test_decompose_rejects_a_broken_eigenspace_split(perturb, message,
 def test_level_maps_outside_the_levels(c32_split):
     # level 4 of C_3(2) fb has no coordinates: L maps its empty vector
     # to the zero vector of level 3, and R to the empty vector
-    maps = _LevelMaps(c32_split)
-    assert maps.lower(4, []) == [0] * maps.size(3) and maps.raise_(4, []) == []
+    split = c32_split
+    assert split.size(4) == split.size(-1) == 0
+    assert split.lower(4, []) == [0] * split.size(3)
+    assert split.raise_(4, []) == [] and split.lower(0, [1]) == []

@@ -65,7 +65,6 @@ from .scalars import (
     squarefree_decompose,
 )
 from .spectra import (
-    EigenDecomposition,
     KratResult,
     OrderingReport,
     Spectrum,

@@ -71,17 +71,11 @@ def dual_diagonal(ctx: BaseContext, theta_star: Sequence) -> list:
 class TridiagReport:
     holds: bool
     residual_support: list[tuple[int, int]]  # (z, y) pairs, row-major
-    residual_values: Optional[list] = None
-
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "residual_support": [list(p) for p in self.residual_support],
-        }
+    residual_values: list  # the nonzero entries, in the same order
 
 
-def verify_tridiagonal(g: Graph, astar: Sequence, beta, gamma, rho,
-                       collect_all: bool = False) -> TridiagReport:
+def verify_tridiagonal(g: Graph, astar: Sequence, beta, gamma, rho
+                       ) -> TridiagReport:
     """Exactly evaluate the cubic commutator relation for the adjacency
     matrix A of g and the diagonal A* = diag(astar).
 
@@ -105,8 +99,8 @@ def verify_tridiagonal(g: Graph, astar: Sequence, beta, gamma, rho,
     of w (the lists are sorted, see Graph).  So entry (z, y) vanishes
     unless z is within three steps of y.  A* must be rational: A*,
     beta+1, gamma and rho are scaled to integers by one common
-    denominator.  The support lists (z, y) in row-major order; with
-    collect_all=False it holds only the first nonzero entry.
+    denominator.  The report lists every nonzero entry: the support
+    (z, y) in row-major order and the values.
     """
     n = g.n
     if len(astar) != n:
@@ -154,8 +148,6 @@ def verify_tridiagonal(g: Graph, astar: Sequence, beta, gamma, rho,
                 found.append((y, z, -r))
     found.sort(key=lambda t: (t[0], t[1]))
     support = [(z, y) for z, y, _ in found]
-    if not collect_all:
-        return TridiagReport(not found, support[:1], None)
     unscale = scale * scale
     values = [Fraction(r, unscale) if unscale != 1 else r for _, _, r in found]
     return TridiagReport(not found, support, values)

@@ -18,13 +18,15 @@ b-Krawtchouk polynomial.
 ``spectrum_exact`` takes the level split of a bipartite graph with
 rational squared spectrum.  Its colour classes are the even and the odd
 levels of the base's distance partition, so A = [[0, B], [B^T, 0]], and
-it works on the Gram block B B^T of the smaller class.  The roots of
-its characteristic polynomial modulo one prime in [0, Delta^2] (Delta
-the maximum degree) are the candidate eigenvalues; the powers of
-B B^T certify that they hold every eigenvalue and give each
-multiplicity by a trace.  The nonzero eigenvalues of A are +-sqrt(mu)
-for the nonzero eigenvalues mu of B B^T, each with the multiplicity of
-mu, and 0 takes the rest.  Non-bipartite input is rejected.
+it works on the Gram block B B^T of the smaller class, read off the
+adjacency lists.  The roots of its characteristic polynomial modulo one
+prime in [0, Delta^2] (Delta the maximum degree) are the candidate
+eigenvalues; the powers of B B^T certify that they hold every
+eigenvalue and give each multiplicity by a trace.  The nonzero
+eigenvalues of A are +-sqrt(mu) for the nonzero eigenvalues mu of
+B B^T, each with the multiplicity of mu, and 0 takes the rest.
+Non-bipartite input is rejected.  The returned Spectrum is a plain
+value: the eigenvalues with their multiplicities, and the radicand.
 
 ``module_pattern`` decides which E_i A* E_j vanish on the certified
 thin modules: each module type is a small tridiagonal pair (T, diag
@@ -33,22 +35,22 @@ type, whatever n, and it checks the modules' eigenvalue counts against
 the spectrum's multiplicities.  It is the pattern of ``pipeline`` and
 ``qcheck``.
 
-The returned Spectrum also carries its blocks and powers, for the
-dense twin that the tests compare ``module_pattern`` with:
-``idempotent_pattern`` decides the pattern from the integer spectral
-projectors of A^2 = diag(B B^T, B^T B), and ``eigenspace_bases`` takes
-eigenspace bases from them.  Neither lies on the certified path.
+The dense twin that the tests compare ``module_pattern`` with builds
+its own data from the split: ``_spectral_projectors`` forms the integer
+spectral projectors of A^2 = diag(B B^T, B^T B), ``idempotent_pattern``
+decides the pattern from them, and ``eigenspace_bases`` takes
+eigenspace bases from them.  None of these lies on the certified path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import lcm, prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels
 from .graphs import LFRSplit
@@ -71,10 +73,17 @@ from .uniform import Decomposition
 
 def closed_form_spectrum(b: int, e, D: int) -> list[Scalar]:
     """theta_0 > ... > theta_{2D} for the (b, e, D) full bipartite dual
-    polar instance; ValueError when the values leave Q(sqrt(m))."""
+    polar instance; ValueError when the values leave Q(sqrt(m)).
+
+    At e = 0 the dual polar graph D_D(b) is bipartite, so it is its own
+    full bipartite graph, and its spectrum is the D + 1 values at even
+    indices, theta_{2j} = [D - j] - [j] with [m] = (b^m - 1)/(b - 1).
+    """
     if b < 2:
         raise ValueError("need b >= 2")
     e = Fraction(e)
+    if e == 0:
+        return [Fraction(b ** (D - j) - b ** j, b - 1) for j in range(D + 1)]
     kappa = rational_power(b, (D + e) / 2) / (b - 1)
     out = []
     for i in range(2 * D + 1):
@@ -152,24 +161,9 @@ _PRIME = 2 ** 61 - 1
 
 
 @dataclass
-class _Blocks:
-    """A = [[0, B], [B^T, 0]] over its colour classes, smaller first,
-    with the powers (B B^T)^0, ..., (B B^T)^k that certify its spectrum."""
-    classes: list[list[int]]
-    b: list[int]  # flat len(classes[0]) x len(classes[1])
-    bt: list[int]  # flat B^T
-    powers: list[list[int]]
-    # the spectral projector pairs per mu, formed on first use
-    projectors: Optional[dict] = None
-
-
-@dataclass
 class Spectrum:
     eigenvalues: list[tuple[Scalar, int]]  # (value, multiplicity), descending
     radicand: int  # 1 when the spectrum is rational
-    # the block data the spectrum was certified on; the projectors of
-    # eigenspace_bases and idempotent_pattern are built from it
-    blocks: _Blocks = field(compare=False, repr=False)
 
     @property
     def vertex_count(self) -> int:
@@ -242,13 +236,37 @@ def _evaluate(powers: list[list[int]], roots) -> list[int]:
     return [sum(map(mul, coeffs, column)) for column in zip(*powers)]
 
 
+def _classes(split: LFRSplit) -> list[list[int]]:
+    """The colour classes of a bipartite split, the even and the odd
+    levels, the smaller first (the even levels on a tie)."""
+    return sorted(([v for level in split.ctx.levels[parity::2] for v in level]
+                   for parity in (0, 1)), key=len)
+
+
+def _gram(split: LFRSplit, rows: list[int]) -> list[int]:
+    """The Gram block over the colour class ``rows``, flat len(rows) x
+    len(rows), from the adjacency lists: entry (y, y') counts the walks
+    y - u - y'."""
+    adj = split.graph.adj
+    size = len(rows)
+    position = {y: k for k, y in enumerate(rows)}
+    gram = [0] * (size * size)
+    for k, y in enumerate(rows):
+        row = k * size
+        for u in adj[y]:
+            for z in adj[u]:
+                gram[row + position[z]] += 1
+    return gram
+
+
 def spectrum_exact(split: LFRSplit) -> Spectrum:
     """Exact spectrum of the adjacency matrix A of the graph of a
     bipartite split.
 
     Every edge joins consecutive levels, so the even and the odd levels
-    are the colour classes, A = [[0, B], [B^T, 0]], with the Gram block
-    D = B B^T on the smaller class (the even levels on a tie).  Every
+    are the colour classes, A = [[0, B], [B^T, 0]], and the Gram block
+    D = B B^T on the smaller class (``_classes``) is read off the
+    adjacency lists (``_gram``); B itself is never formed.  Every
     eigenvalue of D lies in [0, Delta^2] (Delta the maximum degree); the
     candidates are the mu there that are roots of the characteristic
     polynomial of D modulo one fixed prime, since every integer root is
@@ -260,29 +278,17 @@ def spectrum_exact(split: LFRSplit) -> Spectrum:
     and is dropped.  Then mult(+-sqrt mu) = mult_D(mu) for mu != 0 and
     mult(0) = n - 2 rank B.
 
-    The Spectrum carries the blocks and the powers of D, for
-    ``eigenspace_bases`` and ``idempotent_pattern``.  Raises ValueError
-    when the graph is not bipartite, the squared spectrum is not
-    rational or the values need more than one radicand.
+    Raises ValueError when the graph is not bipartite, the squared
+    spectrum is not rational or the values need more than one radicand.
     """
     if not split.is_bipartite():
         raise ValueError(
             "the graph is not bipartite; only bipartite graphs are supported"
         )
     g = split.graph
-    n = g.n
-    levels = split.ctx.levels
-    classes = sorted(([v for level in levels[parity::2] for v in level]
-                      for parity in (0, 1)), key=len)
-    rows, cols = classes
-    size, width = len(rows), len(cols)
-    position = {z: k for k, z in enumerate(cols)}
-    b = [0] * (size * width)
-    for k, y in enumerate(rows):
-        for z in g.adj[y]:
-            b[k * width + position[z]] = 1
-    bt = [b[k * width + j] for j in range(width) for k in range(size)]
-    gram = int_matmul_flat(b, bt, size, width, size)
+    rows = _classes(split)[0]
+    size = len(rows)
+    gram = _gram(split, rows)
     coeffs = _kernels.charpoly_mod(gram, size, _PRIME)[::-1]  # highest first
     # no eigenvalue of A^2 exceeds Delta^2, Delta the maximum degree
     bound = max(map(len, g.adj), default=0) ** 2
@@ -304,13 +310,12 @@ def spectrum_exact(split: LFRSplit) -> Spectrum:
         if mult:
             mults[mu] = mult
     radicand, roots = _square_roots(mults)
-    pairs = [(Fraction(0), n - 2 * sum(mults[mu] for mu in roots))]
+    pairs = [(Fraction(0), g.n - 2 * sum(mults[mu] for mu in roots))]
     for mu, (s, m) in roots.items():
         pairs += [(_root_value(s, m), mults[mu]),
                   (_root_value(-s, m), mults[mu])]
     pairs.sort(key=lambda t: scalar_sort_key(t[0]), reverse=True)
-    return Spectrum([(v, m) for v, m in pairs if m > 0], radicand,
-                    _Blocks(classes, b, bt, powers))
+    return Spectrum([(v, m) for v, m in pairs if m > 0], radicand)
 
 
 # -- the idempotent pattern on the thin modules ----------------------------------
@@ -373,58 +378,57 @@ def module_pattern(spectrum: Spectrum, decomposition: Decomposition,
 # -- the dense twin: spectral projectors, eigenspace bases and the pattern --------
 
 
-@dataclass
-class EigenDecomposition:
-    values: list  # eigenvalues, descending
-    multiplicities: list[int]
-    bases: list[list[list]]  # per eigenvalue: list of coordinate vectors
-    radicand: int
-
-    @property
-    def dimension(self) -> int:
-        return sum(self.multiplicities)
+class _Projectors(NamedTuple):
+    """The dense twin's data for the graph of a bipartite split."""
+    spectrum: Spectrum
+    keys: list[int]  # mu = theta^2 of each eigenvalue, in spectrum order
+    classes: list[list[int]]  # the colour classes, smaller first
+    pairs: dict  # mu -> (X, Y), see _spectral_projectors
 
 
-def _spectral_projectors(spectrum: Spectrum):
-    """Integer multiples of the primitive idempotents of A, in block form
-    over the colour classes of ``spectrum.blocks``.
+def _spectral_projectors(split: LFRSplit) -> _Projectors:
+    """Integer multiples of the primitive idempotents of the adjacency
+    matrix A of the graph of a bipartite split, in block form over its
+    colour classes (``_classes``), with the spectrum they belong to.
 
-    A^2 = diag(B B^T, B^T B), so for each distinct mu = theta^2 of the
-    spectrum, P_mu = prod_{nu != mu} (A^2 - nu I) is the block diagonal
-    matrix of the same product over each block, evaluated from its
-    powers: those of B B^T certified by ``spectrum_exact``, those of
-    B^T B formed here.  Returns the mu of each eigenvalue, the classes
-    and, per mu, a pair (X, Y) of block matrices {(i, j): flat block}
-    such that M_theta = X + theta Y equals c_theta E_theta: X = A P_mu
-    (the blocks off the diagonal) and Y = P_mu (those on it) for
-    mu != 0, and X = P_0, Y = None for mu = 0.  Here c_theta =
-    prod_{nu != mu} (mu - nu), times 2 theta when theta != 0.  The pairs
-    are formed once per Spectrum and kept on its blocks.
+    A = [[0, B], [B^T, 0]] and A^2 = diag(B B^T, B^T B), so for each
+    distinct mu = theta^2 of the spectrum, P_mu = prod_{nu != mu}
+    (A^2 - nu I) is the block diagonal matrix of the same product over
+    each Gram block (``_gram``), evaluated from its powers.  Per mu the
+    pair (X, Y) of block matrices {(i, j): flat block} has M_theta =
+    X + theta Y equal to c_theta E_theta: X = A P_mu (the blocks off the
+    diagonal) and Y = P_mu (those on it) for mu != 0, and X = P_0,
+    Y = None for mu = 0.  Here c_theta = prod_{nu != mu} (mu - nu),
+    times 2 theta when theta != 0.
     """
-    blocks = spectrum.blocks
-    classes = blocks.classes
-    keys = [int(Fraction(value * value)) for value in spectrum.values()]
-    if blocks.projectors is not None:
-        return keys, classes, blocks.projectors
+    spectrum = spectrum_exact(split)
+    classes = _classes(split)
     sizes = [len(c) for c in classes]
+    keys = [int(Fraction(value * value)) for value in spectrum.values()]
     mus = list(dict.fromkeys(keys))
-    larger = int_matmul_flat(blocks.bt, blocks.b, sizes[1], sizes[0], sizes[1])
-    powers = [blocks.powers, _powers(larger, sizes[1], len(mus) - 1)]
-    projectors = {}
-    for mu in mus:
-        others = [nu for nu in mus if nu != mu]
-        projectors[mu] = {(i, i): _evaluate(p, others)
-                          for i, p in enumerate(powers)}
-    a_blocks = {(0, 1): blocks.b, (1, 0): blocks.bt}
+    powers = [_powers(_gram(split, rows), size, len(mus) - 1)
+              for rows, size in zip(classes, sizes)]
+    rows, cols = classes
+    size, width = sizes
+    position = {z: k for k, z in enumerate(cols)}
+    b = [0] * (size * width)
+    for k, y in enumerate(rows):
+        for z in split.graph.adj[y]:
+            b[k * width + position[z]] = 1
+    bt = [b[k * width + j] for j in range(width) for k in range(size)]
+    a_blocks = {(0, 1): b, (1, 0): bt}
 
     def times_a(p: dict) -> dict:  # (A P)_ij = A_ij P_jj
         return {(i, j): int_matmul_flat(block, p[j, j], sizes[i], sizes[j],
                                         sizes[j])
                 for (i, j), block in a_blocks.items()}
 
-    blocks.projectors = {mu: (times_a(p), p) if mu else (p, None)
-                         for mu, p in projectors.items()}
-    return keys, classes, blocks.projectors
+    pairs = {}
+    for mu in mus:
+        others = [nu for nu in mus if nu != mu]
+        p = {(i, i): _evaluate(q, others) for i, q in enumerate(powers)}
+        pairs[mu] = (times_a(p), p) if mu else (p, None)
+    return _Projectors(spectrum, keys, classes, pairs)
 
 
 def _dense(m: dict, classes, n: int) -> list:
@@ -439,30 +443,27 @@ def _dense(m: dict, classes, n: int) -> list:
     return out
 
 
-def eigenspace_bases(spectrum: Spectrum) -> EigenDecomposition:
-    """Per-eigenvalue bases of the kernels of A - theta I over Q(sqrt(m)),
-    for the A whose spectrum ``spectrum_exact`` gave: the column spaces
-    of the projector multiples M_theta of ``_spectral_projectors``.
+def eigenspace_bases(projectors: _Projectors) -> list[list[list]]:
+    """Per eigenvalue of ``projectors.spectrum``, in its order, a basis
+    of the kernel of A - theta I over Q(sqrt(m)): the column space of
+    the projector multiple M_theta of ``_spectral_projectors``.
     """
+    spectrum, keys, classes, pairs = projectors
     n = spectrum.vertex_count
-    keys, classes, blocks = _spectral_projectors(spectrum)
     bases = []
     for (value, mult), mu in zip(spectrum.eigenvalues, keys):
         x, y = (None if m is None else _dense(m, classes, n)
-                for m in blocks[mu])
+                for m in pairs[mu])
         cols = [[x[i * n + j] + (value * y[i * n + j] if mu else 0)
                  for i in range(n)] for j in range(n)]
         bases.append(column_space_basis(cols, expected_rank=mult))
-    return EigenDecomposition(spectrum.values(),
-                              [m for _, m in spectrum.eigenvalues],
-                              bases, spectrum.radicand)
+    return bases
 
 
-def idempotent_pattern(spectrum: Spectrum,
+def idempotent_pattern(projectors: _Projectors,
                        astar: Sequence) -> list[list[bool]]:
-    """P[i][j] = (E_i A* E_j != 0), indexed like spectrum.eigenvalues, for
-    the A whose spectrum ``spectrum_exact`` gave and the rational
-    diagonal A* = diag(astar).
+    """P[i][j] = (E_i A* E_j != 0), indexed like the eigenvalues of
+    ``projectors.spectrum``, for the rational diagonal A* = diag(astar).
 
     A* is diagonal and the E_i are symmetric, so ||E_i A* E_j||_F^2 =
     tr(E_i A* E_j A*).  With M_i = c_i E_i from ``_spectral_projectors``
@@ -471,20 +472,19 @@ def idempotent_pattern(spectrum: Spectrum,
     it into four integer sums per pair of squared eigenvalues, each a
     sum over the blocks present in both factors (X and Y share none).
     """
+    spectrum, keys, classes, pairs = projectors
     if len(astar) != spectrum.vertex_count:
         raise ValueError("A* must have one value per vertex of A")
     if not all(is_rational(d) for d in astar):
         raise ValueError("A* must be rational")
     den = lcm(*(Fraction(d).denominator for d in astar))
     w = [int(Fraction(d) * den) for d in astar]  # same zeros as A*
-
-    keys, classes, blocks = _spectral_projectors(spectrum)
     ww = {(i, j): [w[y] * w[z] for y in rows for z in cols]
           for i, rows in enumerate(classes) for j, cols in enumerate(classes)}
     weighted = {mu: [None if m is None else
                      {key: list(map(mul, block, ww[key]))
                       for key, block in m.items()}
-                     for m in xy] for mu, xy in blocks.items()}
+                     for m in xy] for mu, xy in pairs.items()}
 
     def dot(u, v) -> int:
         if u is None or v is None:
@@ -492,9 +492,9 @@ def idempotent_pattern(spectrum: Spectrum,
         return sum(sum(map(mul, u[key], v[key])) for key in u.keys() & v.keys())
 
     sums = {}
-    for mu in blocks:
-        for nu in blocks:
-            (xa, ya), (xb, yb) = weighted[mu], blocks[nu]
+    for mu in pairs:
+        for nu in pairs:
+            (xa, ya), (xb, yb) = weighted[mu], pairs[nu]
             sums[mu, nu] = (dot(xa, xb), dot(xa, yb), dot(ya, xb),
                             dot(ya, yb))
     values = spectrum.values()

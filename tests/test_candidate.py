@@ -60,10 +60,8 @@ def test_verify_tridiagonal_negative_control(c32_fb, c32_ctx):
     rep = verify_tridiagonal(c32_fb, astar, Fraction(5, 2), 0, 37)
     assert not rep.holds
     assert len(rep.residual_support) >= 1
-    full = verify_tridiagonal(c32_fb, astar, Fraction(5, 2), 0, 37,
-                              collect_all=True)
-    assert len(full.residual_support) == len(full.residual_values)
-    assert all(v != 0 for v in full.residual_values)
+    assert len(rep.residual_support) == len(rep.residual_values)
+    assert all(v != 0 for v in rep.residual_values)
 
 
 def test_gamma_vanishes_on_bipartite(c32_fb, c32_ctx):
@@ -115,14 +113,10 @@ def dense_residual(commutators, beta, gamma, rho):
 
 def assert_matches_dense(g, astar, commutators, beta, gamma, rho):
     support, values = dense_residual(commutators, beta, gamma, rho)
-    full = verify_tridiagonal(g, astar, beta, gamma, rho, collect_all=True)
+    full = verify_tridiagonal(g, astar, beta, gamma, rho)
     assert full.holds == (not support)
     assert full.residual_support == support
     assert full.residual_values == values
-    first = verify_tridiagonal(g, astar, beta, gamma, rho)
-    assert first.holds == (not support)
-    assert first.residual_support == support[:1]
-    assert first.residual_values is None
 
 
 def test_verify_tridiagonal_matches_dense_twin_cycle6(cycle6):

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import product
@@ -23,6 +23,8 @@ from uniformq.poly import Poly, poly_gcd
 from uniformq.scalars import QuadExt, exact_sqrt, quad, scalar_sort_key
 from uniformq.spectra import (
     Spectrum,
+    _classes,
+    _gram,
     _spectral_projectors,
     check_q_ordering,
     closed_form_spectrum,
@@ -47,13 +49,18 @@ from uniformq.uniform import (
 
 
 @pytest.fixture(scope="module")
-def c32_spectral(c32_fb, c32_split):
-    return c32_fb.adjacency_matrix(), spectrum_exact(c32_split)
+def c32_projectors(c32_split):
+    return _spectral_projectors(c32_split)
 
 
 @pytest.fixture(scope="module")
-def c32_eigenspaces(c32_spectral):
-    return eigenspace_bases(c32_spectral[1])
+def c32_spectral(c32_fb, c32_projectors):
+    return c32_fb.adjacency_matrix(), c32_projectors.spectrum
+
+
+@pytest.fixture(scope="module")
+def c32_eigenspaces(c32_projectors):
+    return eigenspace_bases(c32_projectors)
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +69,8 @@ def c32_astar(c32_ctx):
 
 
 @pytest.fixture(scope="module")
-def c32_pattern(c32_spectral, c32_astar):
-    return idempotent_pattern(c32_spectral[1], c32_astar)
+def c32_pattern(c32_projectors, c32_astar):
+    return idempotent_pattern(c32_projectors, c32_astar)
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -83,6 +90,12 @@ def test_closed_form_spectrum_212():
 def test_closed_form_spectrum_312():
     r3 = quad(0, 1, 3)
     assert closed_form_spectrum(3, 1, 2) == [4 * r3, 3, 0, -3, -4 * r3]
+
+
+def test_closed_form_spectrum_at_e0():
+    # D_D(2) is bipartite: D + 1 values [D - j] - [j], [m] = 2^m - 1
+    assert closed_form_spectrum(2, 0, 3) == [7, 2, -2, -7]
+    assert closed_form_spectrum(2, 0, 4) == [15, 6, 0, -6, -15]
 
 
 def test_closed_form_spectrum_antisymmetry():
@@ -231,15 +244,61 @@ def test_spectrum_at_bases_of_both_parities(graph):
     # at odd distance swaps them, so on a tie the Gram block moves to the
     # other class
     g = graph()
-    even = spectrum_exact(split_at(g, 0))
-    odd = spectrum_exact(split_at(g, g.adj[0][0]))
+    even_split, odd_split = split_at(g, 0), split_at(g, g.adj[0][0])
+    even, odd = spectrum_exact(even_split), spectrum_exact(odd_split)
     assert odd == even and odd.to_json() == even.to_json()
-    for spec in (even, odd):
-        rows, cols = spec.blocks.classes
+    even_classes, odd_classes = _classes(even_split), _classes(odd_split)
+    for rows, cols in (even_classes, odd_classes):
         assert len(rows) <= len(cols)
         assert sorted(rows + cols) == list(range(g.n))
-    if len(even.blocks.classes[0]) == len(even.blocks.classes[1]):
-        assert set(odd.blocks.classes[0]) == set(even.blocks.classes[1])
+    if len(even_classes[0]) == len(even_classes[1]):
+        assert set(odd_classes[0]) == set(even_classes[1])
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda: Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]), id="cycle6"),
+    pytest.param(lambda: hypercube(3)[0], id="Q_3"),
+    pytest.param(lambda: _star(4), id="K_1,4"),
+    pytest.param(lambda: full_bipartite(hamming(4, 3)[0], 0), id="H(4,3)-fb"),
+    pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),
+                 id="C_2(3)-fb"),
+])
+def test_gram_matches_block_product(graph):
+    # the Gram block from the adjacency lists equals B B^T with B the
+    # 0/1 block of A from one colour class to the other
+    g = graph()
+    split = split_at(g)
+    classes = _classes(split)
+    for rows, cols in (classes, classes[::-1]):
+        size, width = len(rows), len(cols)
+        b = [int(z in g.adj[y]) for y in rows for z in cols]
+        bt = [b[k * width + j] for j in range(width) for k in range(size)]
+        assert _gram(split, rows) == int_matmul_flat(b, bt, size, width, size)
+
+
+def test_spectrum_is_a_plain_value(cycle6):
+    assert [f.name for f in fields(Spectrum)] == ["eigenvalues", "radicand"]
+    spec = spectrum_exact(split_at(cycle6))
+    assert Spectrum(spec.eigenvalues, spec.radicand) == spec
+
+
+def test_spectrum_forms_no_product_over_the_larger_class(monkeypatch):
+    # the certificate needs only the Gram block of the smaller class and
+    # its powers, so no product runs over the larger class
+    split = split_at(full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0))
+    rows, cols = _classes(split)
+    assert len(rows) < len(cols)
+    real = spectra.int_matmul_flat
+    inner = []
+
+    def recording(a, b, n, k, m):
+        inner.append(k)
+        return real(a, b, n, k, m)
+
+    monkeypatch.setattr(spectra, "int_matmul_flat", recording)
+    assert spectrum_exact(split).vertex_count == split.graph.n
+    assert inner and set(inner) == {len(rows)}
 
 
 def test_spectrum_path3():
@@ -320,7 +379,14 @@ def test_block_spectrum_matches_sign_split(graph):
     assert (fast.eigenvalues, fast.radicand) == _deflation_spectrum(g)
 
 
+def _complete_bipartite(k: int) -> Graph:
+    return Graph.from_edges(2 * k, [(i, k + j) for i in range(k)
+                                    for j in range(k)])
+
+
 @pytest.mark.parametrize("graph, bed", [
+    pytest.param(lambda: _complete_bipartite(3), (2, 0, 2), id="K_3,3"),
+    pytest.param(lambda: _complete_bipartite(4), (3, 0, 2), id="K_4,4"),
     pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),
                  (3, 1, 2), id="C_2(3)-fb"),
     pytest.param(lambda: full_bipartite(dual_polar(FormSpec("C", 3, 2))[0], 0),
@@ -347,13 +413,24 @@ def test_false_candidates_of_a_small_prime_are_dropped(graph, prime,
     astar = dual_diagonal(ctx, [Fraction((-1) ** i, i + 2)
                                 for i in range(ctx.eccentricity + 1)])
     split = lfr_split(g, ctx)
+    twin = _spectral_projectors(split)
+    real = spectra._powers
+    formed = []
+
+    def counting(d, size, k):
+        powers = real(d, size, k)
+        formed.append(len(powers))
+        return powers
+
+    monkeypatch.setattr(spectra, "_powers", counting)
     spec = spectrum_exact(split)
     monkeypatch.setattr(spectra, "_PRIME", prime)
     small = spectrum_exact(split)
     # one power of B B^T per candidate, past the identity
-    assert len(small.blocks.powers) > len(spec.blocks.powers)
+    assert formed[1] > formed[0]
     assert small == spec and small.to_json() == spec.to_json()
-    assert idempotent_pattern(small, astar) == idempotent_pattern(spec, astar)
+    assert idempotent_pattern(_spectral_projectors(split), astar) == \
+        idempotent_pattern(twin, astar)
 
 
 def test_spectrum_json(c32_spectral):
@@ -370,16 +447,15 @@ def test_spectrum_json(c32_spectral):
 
 
 def test_eigenspace_bases_cycle(cycle6):
-    spec = spectrum_exact(split_at(cycle6))
-    dec = eigenspace_bases(spec)
-    assert dec.multiplicities == [1, 2, 2, 1]
-    assert dec.bases[0] == [[1, 1, 1, 1, 1, 1]]
+    bases = eigenspace_bases(_spectral_projectors(split_at(cycle6)))
+    assert [len(basis) for basis in bases] == [1, 2, 2, 1]
+    assert bases[0] == [[1, 1, 1, 1, 1, 1]]
 
 
 def test_eigenspace_dims_c32(c32_eigenspaces):
-    dec = c32_eigenspaces
-    assert dec.multiplicities == [1, 7, 35, 49, 35, 7, 1]
-    assert dec.dimension == 135
+    bases = c32_eigenspaces
+    assert [len(basis) for basis in bases] == [1, 7, 35, 49, 35, 7, 1]
+    assert all(len(v) == 135 for basis in bases for v in basis)
 
 
 def test_eigenspace_bipartite_sign_flip(c32_spectral, c32_eigenspaces,
@@ -387,37 +463,26 @@ def test_eigenspace_bipartite_sign_flip(c32_spectral, c32_eigenspaces,
     # flipping signs on odd levels maps the theta-eigenspace onto the
     # (-theta)-eigenspace
     a, spec = c32_spectral
-    dec = c32_eigenspaces
     signs = [(-1) ** d for d in c32_ctx.dist]
     for idx, (value, mult) in enumerate(spec.eigenvalues):
         neg_idx = len(spec.eigenvalues) - 1 - idx
         assert spec.eigenvalues[neg_idx][0] == -value
-        for v in dec.bases[idx][:2]:
+        for v in c32_eigenspaces[idx][:2]:
             flipped = [s * x for s, x in zip(signs, v)]
             av = a.apply(flipped)
             assert av == [-value * x for x in flipped]
 
 
-def test_eigenspace_wrong_spectrum_rejected(cycle6):
-    spec = spectrum_exact(split_at(cycle6))
-    # a spectrum is only built with the blocks that certify it
-    with pytest.raises(TypeError):
-        Spectrum(spec.eigenvalues, 1)
-    # reversed order is fine: same data
-    reverse = replace(spec, eigenvalues=spec.eigenvalues[::-1])
-    assert eigenspace_bases(reverse).dimension == 6
-
-
 # -- idempotent pattern and orderings ------------------------------------------------
 
 
-def _pattern_from_bases(dec, astar):
+def _pattern_from_bases(bases, astar):
     """The slow twin of idempotent_pattern: E_i A* E_j != 0 exactly
     when U_i^T A* U_j != 0 for eigenspace bases U_i, U_j."""
     weighted = [[[(y, x * astar[y]) for y, x in enumerate(u) if x]
-                 for u in basis] for basis in dec.bases]
+                 for u in basis] for basis in bases]
     return [[any(sum(x * v[y] for y, x in u) != 0 for u in wi for v in bj)
-             for bj in dec.bases] for wi in weighted]
+             for bj in bases] for wi in weighted]
 
 
 @pytest.mark.parametrize("graph", [
@@ -433,14 +498,13 @@ def _pattern_from_bases(dec, astar):
 def test_idempotent_pattern_matches_eigenspace_bases(graph):
     g = graph()
     ctx = bfs_context(g, 0)
-    spec = spectrum_exact(split_at(g))
-    dec = eigenspace_bases(spec)
-    k = len(spec.eigenvalues)
+    twin = _spectral_projectors(split_at(g))
+    k = len(twin.spectrum.eigenvalues)
     by_levels = dual_diagonal(ctx, [Fraction((-1) ** i, i + 2)
                                     for i in range(ctx.eccentricity + 1)])
-    assert idempotent_pattern(spec, by_levels) == _pattern_from_bases(
-        dec, by_levels)
-    assert idempotent_pattern(spec, [1] * g.n) == [
+    assert idempotent_pattern(twin, by_levels) == _pattern_from_bases(
+        eigenspace_bases(twin), by_levels)
+    assert idempotent_pattern(twin, [1] * g.n) == [
         [i == j for j in range(k)] for i in range(k)]
 
 
@@ -492,52 +556,25 @@ def test_block_projectors_match_dense_products(graph):
     g = graph()
     a = g.adjacency_matrix()
     n = a.rows
-    spec = spectrum_exact(split_at(g))
-    keys, classes, blocks = _spectral_projectors(spec)
+    spec, keys, classes, pairs = _spectral_projectors(split_at(g))
     assert sorted(y for c in classes for y in c) == list(range(n))
     projectors, idempotents = _dense_projectors(a, spec)
     for value, mu, m_theta in zip(spec.values(), keys, idempotents):
         x, y = (None if m is None else _assemble(m, classes, n)
-                for m in blocks[mu])
+                for m in pairs[mu])
         assert (x if mu == 0 else y) == projectors[mu]
         assert (x if mu == 0 else list(map(
             lambda u, v: u + value * v, x, y))) == m_theta
 
 
-def test_projectors_are_formed_once_per_spectrum(monkeypatch):
-    # eigenspace_bases and idempotent_pattern share one B^T B and one set
-    # of projectors; a reordered copy of the spectrum reuses them too
-    spec = spectrum_exact(split_at(hypercube(4)[0]))
-    real = spectra.int_matmul_flat
-    calls = []
-
-    def counting(a, b, n, k, m):
-        calls.append(a is spec.blocks.bt and b is spec.blocks.b)
-        return real(a, b, n, k, m)
-
-    monkeypatch.setattr(spectra, "int_matmul_flat", counting)
-    assert eigenspace_bases(spec).dimension == 16
-    formed = len(calls)
-    identity = [1] * 16
-    pattern = idempotent_pattern(spec, identity)
-    reverse = replace(spec, eigenvalues=spec.eigenvalues[::-1])
-    assert idempotent_pattern(reverse, identity) == [row[::-1]
-                                                     for row in pattern[::-1]]
-    assert calls.count(True) == 1 and len(calls) == formed
-
-
 def test_idempotent_pattern_wrong_spectrum_rejected(cycle6):
-    spec = spectrum_exact(split_at(cycle6))
-    assert spec.eigenvalues == [(2, 1), (1, 2), (-1, 2), (-2, 1)]
-    # the spectrum of a graph on 6 vertices and A* on 4
+    twin = _spectral_projectors(split_at(cycle6))
+    assert twin.spectrum.eigenvalues == [(2, 1), (1, 2), (-1, 2), (-2, 1)]
+    # the projectors of a graph on 6 vertices and A* on 4
     with pytest.raises(ValueError):
-        idempotent_pattern(spec, [1] * 4)
+        idempotent_pattern(twin, [1] * 4)
     with pytest.raises(ValueError):  # an irrational A*
-        idempotent_pattern(spec, [quad(0, 1, 2)] + [1] * 5)
-    # reversed order is fine: same data, reversed indices
-    reverse = replace(spec, eigenvalues=spec.eigenvalues[::-1])
-    assert idempotent_pattern(reverse, [1] * 6) == [
-        [i == j for j in range(4)] for i in range(4)]
+        idempotent_pattern(twin, [quad(0, 1, 2)] + [1] * 5)
 
 
 def test_idempotent_pattern_band(c32_pattern):
@@ -550,8 +587,8 @@ def test_idempotent_pattern_band(c32_pattern):
     assert pattern[0][2] and pattern[2][4] and pattern[1][3]
 
 
-def test_idempotent_pattern_identity(c32_spectral):
-    pattern = idempotent_pattern(c32_spectral[1], [1] * 135)
+def test_idempotent_pattern_identity(c32_projectors):
+    pattern = idempotent_pattern(c32_projectors, [1] * 135)
     for i in range(7):
         for j in range(7):
             assert pattern[i][j] == (i == j)
@@ -590,24 +627,25 @@ MODULE_INSTANCES = {
 
 @cache
 def _module_instance(name):
-    """(ctx, spectrum, thin modules) at base 0, with the constant fit
-    when there is one, else the per-level fit."""
+    """(ctx, dense twin, thin modules) at base 0, with the constant fit
+    when there is one, else the per-level fit; the twin carries the
+    spectrum."""
     g = MODULE_INSTANCES[name]()
     ctx = bfs_context(g, 0)
     split = lfr_split(g, ctx)
     params = fit_uniform_constant(split)
     if params is None:
         params = fit_uniform(split).canonical
-    return ctx, spectrum_exact(split), decompose_modules(split, params)
+    return ctx, _spectral_projectors(split), decompose_modules(split, params)
 
 
 def _assert_twins_agree(name, theta_star):
     # the modules' argument holds for any A* constant on the levels, so
     # the level values need not be distinct here
-    ctx, spec, dec = _module_instance(name)
+    ctx, twin, dec = _module_instance(name)
     astar = [theta_star[i] for i in ctx.dist]
-    assert module_pattern(spec, dec, theta_star) == idempotent_pattern(
-        spec, astar)
+    assert module_pattern(twin.spectrum, dec, theta_star) == \
+        idempotent_pattern(twin, astar)
 
 
 @pytest.mark.parametrize("name", list(MODULE_INSTANCES))
@@ -631,7 +669,7 @@ def test_module_pattern_matches_dense_twin_at_the_candidate(name):
     # with every cancellation the pipeline's verdict rests on
     from uniformq.candidate import candidate_search
 
-    ctx, spec, _ = _module_instance(name)
+    ctx = _module_instance(name)[0]
     res = candidate_search(fit_uniform_constant(lfr_split(ctx.graph, ctx)))
     assert res.accepted
     _assert_twins_agree(name, res.candidate.theta_star)
@@ -642,7 +680,8 @@ def test_module_pattern_matches_dense_twin_at_the_candidate(name):
 def test_module_eigenvalue_counts_match_spectrum(name):
     # each type contributes the d + 1 roots of its charpoly h_{d+1},
     # once per module: together they are the spectrum with multiplicities
-    _, spec, dec = _module_instance(name)
+    _, twin, dec = _module_instance(name)
+    spec = twin.spectrum
     counts = Counter()
     for (r, d), (x, count) in dec.types().items():
         charpoly_t = krawtchouk_charpoly(x)[-1]
@@ -655,7 +694,8 @@ def test_module_eigenvalue_counts_match_spectrum(name):
 
 
 def test_module_pattern_rejects_a_mismatched_spectrum():
-    ctx, spec, dec = _module_instance("C_2(3)-fb")
+    _, twin, dec = _module_instance("C_2(3)-fb")
+    spec = twin.spectrum
     theta_star = [-1, 0, Fraction(1, 3)]
     assert [m for _, m in spec.eigenvalues] == [1, 8, 22, 8, 1]
     # the same values with two multiplicities swapped
@@ -714,9 +754,9 @@ def test_hypercube_natural_order_is_q_polynomial():
     res = candidate_search(fit_uniform_constant(split))
     assert res.accepted and res.candidate.beta == 2 and res.candidate.rho == 4
     astar = dual_diagonal(ctx, res.candidate.theta_star)
-    spec = spectrum_exact(split)
-    assert [m for _, m in spec.eigenvalues] == [1, 5, 10, 10, 5, 1]
-    pattern = idempotent_pattern(spec, astar)
+    twin = _spectral_projectors(split)
+    assert [m for _, m in twin.spectrum.eigenvalues] == [1, 5, 10, 10, 5, 1]
+    pattern = idempotent_pattern(twin, astar)
     for i in range(6):
         for j in range(6):
             assert pattern[i][j] == (abs(i - j) <= 1)
@@ -746,8 +786,7 @@ def test_full_stack_hamming_instance():
     assert verify_tridiagonal(
         fb, astar, res.candidate.beta, 0, res.candidate.rho,
     ).holds
-    spec = spectrum_exact(split)
-    pattern = idempotent_pattern(spec, astar)
-    k = len(spec.eigenvalues)
+    pattern = idempotent_pattern(_spectral_projectors(split), astar)
+    k = len(pattern)
     assert check_q_ordering(pattern, even_odd_ordering(k)).tridiagonal
     assert check_q_ordering(pattern, odd_even_ordering(k)).tridiagonal

@@ -42,7 +42,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from math import prod
 from typing import Optional, Sequence
 
 from .graphs import Graph, bfs_context
@@ -54,6 +55,20 @@ SIZE_CAP = 5000
 
 class SizeCapError(ValueError):
     """Requested instance exceeds the desk-scale vertex cap."""
+
+
+def _check_size(name: str, factors) -> int:
+    """The vertex count, a product of integer factors >= 1.  It stops
+    multiplying once the count passes SIZE_CAP, so an instance far over
+    the cap is rejected at once, without its exact count."""
+    count = 1
+    for k in factors:
+        count *= k
+        if count > SIZE_CAP:
+            raise SizeCapError(
+                f"{name} has more than {SIZE_CAP} vertices, the generators' "
+                f"cap (SIZE_CAP)")
+    return count
 
 
 @dataclass(frozen=True)
@@ -81,10 +96,11 @@ class FormSpec:
         return 2 * self.D if self.family == "C" else 2 * self.D + 1
 
     def vertex_count(self) -> int:
-        out = 1
-        for i in range(1, self.D + 1):
-            out *= self.p ** i + 1
-        return out
+        return prod(self.count_factors())
+
+    def count_factors(self):
+        """The factors p^i + 1, 1 <= i <= D, of the vertex count."""
+        return (self.p ** i + 1 for i in range(1, self.D + 1))
 
     def degree(self) -> int:
         return self.p * (self.p ** self.D - 1) // (self.p - 1)
@@ -261,12 +277,8 @@ def dual_polar(spec: FormSpec) -> tuple[Graph, list]:
     grown breadth-first from one subspace by writing down each vertex's
     neighbours (see ``_neighbours``), then relabelled in sorted order.
     """
-    expected = spec.vertex_count()
-    if expected > SIZE_CAP:
-        raise SizeCapError(
-            f"{spec.family}_{spec.D}({spec.p}) has {expected} vertices "
-            f"(cap {SIZE_CAP})"
-        )
+    expected = _check_size(f"{spec.family}_{spec.D}({spec.p})",
+                           spec.count_factors())
     space = _FormSpace(spec)
     degree = spec.degree()
     subspaces = [space.start()]
@@ -323,8 +335,7 @@ def hamming(D: int, n: int) -> tuple[Graph, list]:
     Hamming distance 1."""
     if D < 2 or n < 2:
         raise ValueError("need D >= 2 and n >= 2")
-    if n ** D > SIZE_CAP:
-        raise SizeCapError(f"H({D},{n}) has {n ** D} vertices (cap {SIZE_CAP})")
+    _check_size(f"H({D},{n})", repeat(n, D))
     words = list(product(range(n), repeat=D))
     index = {w: i for i, w in enumerate(words)}
     edges = []

@@ -177,11 +177,13 @@ class LFRSplit:
 
     Neighbour lists sorted by level step are the primary representation;
     ``lower`` and ``raise_`` apply L and R to level-local vectors, and
-    the dense matrices are built lazily.  ``_verified`` holds the uniform
-    parameters that ``verify_uniform`` has passed on this split.
+    the dense matrices are built lazily.  ``_equations`` holds the
+    uniform identity's distinct equations per level, built by
+    ``uniformq.uniform`` on first use and read by its fits and its
+    verification.
     """
 
-    __slots__ = ("ctx", "down", "same", "up", "_L", "_F", "_R", "_verified")
+    __slots__ = ("ctx", "down", "same", "up", "_L", "_F", "_R", "_equations")
 
     def __init__(self, ctx: BaseContext):
         g = ctx.graph
@@ -202,7 +204,7 @@ class LFRSplit:
         self._L = None
         self._F = None
         self._R = None
-        self._verified = set()
+        self._equations = None
 
     @property
     def graph(self) -> Graph:
@@ -340,7 +342,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse "n m" followed by m lines "u v" (0 <= u < v < n).
 
     Lines starting with "#" and blank lines are ignored.  Duplicate,
-    out-of-range or malformed edges raise ValueError.
+    out-of-range or malformed edges raise ValueError, and so does a
+    header with fewer than n - 1 edges, which cannot connect n vertices.
     """
     lines = [
         ln.strip() for ln in text.splitlines()
@@ -369,6 +372,9 @@ def parse_edge_list(text: str) -> Graph:
         if not (0 <= u < v < n):
             raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < {n}")
         edges.append((u, v))
+    if n > m + 1:  # before n adjacency lists are allocated
+        raise ValueError(f"graph is not connected: {n} vertices need at "
+                         f"least {n - 1} edges, the header gives {m}")
     return Graph.from_edges(n, edges)
 
 

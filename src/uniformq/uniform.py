@@ -16,12 +16,18 @@ L w_r = 0, L w_{r+i} = w_{r+i-1} and R w_{r+i-1} = x_{r+i} w_{r+i},
 where the x-scalars solve the linear system U(r,d) x = (f_{r+1}, ...,
 f_{r+d}) over the corresponding principal block.  So the generators
 w_r are eigenvectors of L R on ker L, with eigenvalue x_{r+1}(r, d).
+
+Each entry (z, y) of the identity, y on level i, is one linear equation
+in (e-_i, e+_i, f_i) with small integer coefficients, so few of them
+are distinct.  A split builds its table of distinct equations once, one
+pass over the columns of each level, and the per-level fit, the
+constant fit and the verification all read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
@@ -161,29 +167,73 @@ def _require_bipartite(split: LFRSplit) -> None:
         raise ValueError("uniform structures require a bipartite graph (F = 0)")
 
 
-def _level_columns(split: LFRSplit, y: int):
-    """For e_y on level i: the columns RL^2 e_y, LRL e_y, L^2R e_y and
-    L e_y, as sparse maps vertex -> count on level i-1."""
+def _equation_table(split: LFRSplit) -> dict[int, dict]:
+    """The identity's distinct equations per level, built on first use
+    and kept on the split; see ``_level_equations``."""
+    if split._equations is None:
+        eps, shift = split.ctx.eccentricity, _field_bits(split)
+        split._equations = {i: _level_equations(split, i, shift)
+                            for i in range(1, eps + 1)}
+    return split._equations
+
+
+def _level_equations(split: LFRSplit, i: int, shift: int) -> dict:
+    """Each distinct equation (RL^2, L^2R, -L | -LRL) of the identity at
+    the entries (z, y), y on level i and z in the support of its
+    columns, mapped to the first column y where it occurs, in level
+    order.  The entries are small integers, so few equations are
+    distinct; dropping repeats keeps the row space, hence the RREF and
+    every solution."""
+    first: dict = {}
+    for y in split.ctx.levels[i]:
+        for key in set(_column(split, y, shift).values()).difference(first):
+            first[key] = y
+    return {_unpack(key, shift): y for key, y in first.items()}
+
+
+def _field_bits(split: LFRSplit) -> int:
+    """Bits for the number of 3-step walks from y to z.  A walk is fixed
+    by its second vertex, a neighbour of y, and its third, a neighbour
+    of z, so there are at most (max degree)^2."""
+    return (max(map(len, split.graph.adj)) ** 2).bit_length()
+
+
+def _column(split: LFRSplit, y: int, shift: int) -> dict:
+    """The columns RL^2 e_y, LRL e_y, L^2R e_y and L e_y for e_y on level
+    i, packed per vertex z on level i-1 into one integer of four
+    shift-bit fields (``_field_bits``), which never carry into each
+    other since every entry is a walk count.  Two sparse sums build it:
+    L^2 e_y raised, plus the lowering of the level-i vector
+    R L e_y + L R e_y, each term weighted by its field."""
     down, up = split.down, split.up
-    rl2 = Counter(z for u in down[y] for w in down[u] for z in up[w])
-    lrl = Counter(z for u in down[y] for w in up[u] for z in down[w])
-    l2r = Counter(z for u in up[y] for w in down[u] for z in down[w])
-    return rl2, lrl, l2r, Counter(down[y])
+    wa, wb, wc = 1 << 3 * shift, 1 << 2 * shift, 1 << shift
+    l2: dict = {}  # L^2 e_y, weighted for RL^2
+    mid: dict = {}  # R L e_y and L R e_y, weighted for LRL and L^2R
+    for u in down[y]:
+        for w in down[u]:
+            l2[w] = l2.get(w, 0) + wa
+        for z in up[u]:
+            mid[z] = mid.get(z, 0) + wb
+    for u in up[y]:
+        for z in down[u]:
+            mid[z] = mid.get(z, 0) + wc
+    out = dict.fromkeys(down[y], 1)
+    for w, c in l2.items():
+        for z in up[w]:
+            out[z] = out.get(z, 0) + c
+    for z, c in mid.items():
+        for w in down[z]:
+            out[w] = out.get(w, 0) + c
+    return out
 
 
-def _distinct_equations(split: LFRSplit, levels) -> tuple[list, list]:
-    """Rows (RL^2, L^2R, -L) and right-hand sides -LRL of the identity at
-    the entries (z, y), y on the given levels and z in the support of
-    its columns, each distinct equation once.  The entries are small
-    integers, so few equations are distinct; dropping repeats keeps the
-    row space, hence the RREF and every solution."""
-    distinct = {}
-    for i in levels:
-        for y in split.ctx.levels[i]:
-            rl2, lrl, l2r, lv = _level_columns(split, y)
-            for z in rl2.keys() | lrl.keys() | l2r.keys() | lv.keys():
-                distinct[rl2[z], l2r[z], -lv[z], -lrl[z]] = None
-    return [list(q[:3]) for q in distinct], [Fraction(q[3]) for q in distinct]
+def _unpack(key: int, shift: int) -> tuple:
+    """A packed entry of ``_column`` as the equation (a, c, d | b), that
+    is e- a + e+ c + f d = b, with a = RL^2, c = L^2R, d = -L and
+    b = -LRL."""
+    mask = (1 << shift) - 1
+    return (key >> 3 * shift, key >> shift & mask, -(key & mask),
+            -(key >> 2 * shift & mask))
 
 
 @dataclass
@@ -197,13 +247,14 @@ class UniformCheck:
 def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
     """Check the identity on every standard basis vector of every level.
 
-    Linearity makes the standard basis sufficient.  The identity maps
-    e_y on level i to level i-1, in integers scaled by the common
-    denominator of the level's parameters.  Its left side factors as
-    e-_i R L^2 + L (R L + e+_i L R), so each column is one sparse sum:
-    e-_i times L^2 e_y raised, plus the lowering of the level-i vector
-    R L e_y + e+_i L R e_y, minus f_i L e_y.  A failing column's
-    residual is that sum over the denominator, as a full-length list.
+    Linearity makes the standard basis sufficient, and each column's
+    entries are equations of the split's table, so checking each
+    distinct equation e-_i a + e+_i c + f_i d = b of level i decides the
+    level.  The first failing equation in the table's order first occurs
+    at the first failing column y: that column holds a failing equation,
+    whose first column fails too, so comes no earlier than y.  The
+    witness is y, and the residual is its column of the identity's left
+    side minus its right side, as a full-length list of Fractions.
     """
     _require_bipartite(split)
     ctx = split.ctx
@@ -211,36 +262,21 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
         raise ValueError(
             f"parameter length {params.eps} != eccentricity {ctx.eccentricity}"
         )
-    down, up = split.down, split.up
-    for i in range(1, ctx.eccentricity + 1):
+    for i, table in _equation_table(split).items():
         em, ep, f = params.em(i), params.ep(i), params.fi(i)
-        den = lcm(em.denominator, ep.denominator, f.denominator)
-        sem, sep, sf = int(em * den), int(ep * den), int(f * den)
-        for y in ctx.levels[i]:
-            l2: dict = {}  # L^2 e_y
-            mid: dict = {}  # R L e_y + e+_i L R e_y, on level i
-            for u in down[y]:
-                for w in down[u]:
-                    l2[w] = l2.get(w, 0) + 1
-                for z in up[u]:
-                    mid[z] = mid.get(z, 0) + den
-            for u in up[y]:
-                for z in down[u]:
-                    mid[z] = mid.get(z, 0) + sep
-            out = dict.fromkeys(down[y], -sf)
-            for w, c in l2.items():
-                c *= sem
-                for z in up[w]:
-                    out[z] = out.get(z, 0) + c
-            for z, c in mid.items():
-                for w in down[z]:
-                    out[w] = out.get(w, 0) + c
-            if any(out.values()):
-                residual = [Fraction(out.get(z, 0), den)
-                            for z in range(split.graph.n)]
-                return UniformCheck(False, i, y, residual)
-    split._verified.add(params)
+        for (a, c, d, b), y in table.items():
+            if em * a + ep * c + f * d != b:
+                return UniformCheck(False, i, y, _residual(split, y, em, ep, f))
     return UniformCheck(True)
+
+
+def _residual(split: LFRSplit, y: int, em, ep, f) -> list:
+    shift = _field_bits(split)
+    residual = [Fraction(0)] * split.graph.n
+    for z, key in _column(split, y, shift).items():
+        a, c, d, b = _unpack(key, shift)
+        residual[z] = em * a + ep * c + f * d - b
+    return residual
 
 
 @dataclass
@@ -248,18 +284,9 @@ class LevelFit:
     level: int
     solution: object  # UniqueSolution | AffineSolution | Inconsistent
     canonical: Optional[tuple]  # (e-, e+, f) with free coordinates zeroed
-    equations: ExactMatrix = field(repr=False, default=None)
-    rhs: list = field(repr=False, default=None)
 
     def is_consistent(self) -> bool:
         return not isinstance(self.solution, Inconsistent)
-
-    def contains(self, em, ep, f) -> bool:
-        """Exact membership of a triple in this level's solution set."""
-        if not self.is_consistent():
-            return False
-        x = [Fraction(em), Fraction(ep), Fraction(f)]
-        return self.equations.apply(x) == self.rhs
 
 
 @dataclass
@@ -268,12 +295,13 @@ class UniformFit:
     feasible: bool
     canonical: Optional[UniformParams]
 
-    def contains_params(self, params: UniformParams) -> bool:
-        """Every level's solution set contains the given per-level triple."""
-        return all(
-            fit.contains(params.em(i), params.ep(i), params.fi(i))
-            for i, fit in enumerate(self.levels, start=1)
-        )
+
+def _solve(equations):
+    """Solve the equations (a, c, d | b) for (e-, e+, f)."""
+    rows = [list(q[:3]) for q in equations]
+    rhs = [Fraction(q[3]) for q in equations]
+    eqs = ExactMatrix.from_rows(rows) if rows else ExactMatrix.zeros(0, 3)
+    return solve_linear(eqs, rhs)
 
 
 def fit_uniform(split: LFRSplit) -> UniformFit:
@@ -285,35 +313,22 @@ def fit_uniform(split: LFRSplit) -> UniformFit:
     system.
     """
     _require_bipartite(split)
-    ctx = split.ctx
-    eps = ctx.eccentricity
+    eps = split.ctx.eccentricity
     fits: list[LevelFit] = []
-    feasible = True
-    for i in range(1, eps + 1):
-        rows, rhs = _distinct_equations(split, [i])
-        if i == 1:
-            rows.append([1, 0, 0])
-            rhs.append(Fraction(0))
-        if i == eps:
-            rows.append([0, 1, 0])
-            rhs.append(Fraction(0))
-        eqs = ExactMatrix.from_rows(rows) if rows else ExactMatrix.zeros(0, 3)
-        sol = solve_linear(eqs, rhs)
+    for i, table in _equation_table(split).items():
+        pins = [(1, 0, 0, 0)] * (i == 1) + [(0, 1, 0, 0)] * (i == eps)
+        sol = _solve([*table, *pins])
         if isinstance(sol, Inconsistent):
             canonical = None
-            feasible = False
         elif isinstance(sol, UniqueSolution):
             canonical = tuple(sol.x)
         else:
             canonical = tuple(sol.particular)
-        fits.append(LevelFit(i, sol, canonical, eqs, rhs))
+        fits.append(LevelFit(i, sol, canonical))
+    feasible = all(fit.canonical is not None for fit in fits)
     params = None
     if feasible:
-        params = UniformParams(
-            tuple(fit.canonical[0] for fit in fits),
-            tuple(fit.canonical[1] for fit in fits),
-            tuple(fit.canonical[2] for fit in fits),
-        )
+        params = UniformParams(*zip(*(fit.canonical for fit in fits)))
     return UniformFit(fits, feasible, params)
 
 
@@ -327,15 +342,12 @@ def fit_uniform_constant(split: LFRSplit) -> Optional[UniformParams]:
     zeroed as in the per-level fit.
     """
     _require_bipartite(split)
-    ctx = split.ctx
-    eps = ctx.eccentricity
-    rows, rhs = _distinct_equations(split, range(1, eps + 1))
-    eqs = ExactMatrix.from_rows(rows) if rows else ExactMatrix.zeros(0, 3)
-    sol = solve_linear(eqs, rhs)
+    tables = _equation_table(split).values()
+    sol = _solve(dict.fromkeys(q for table in tables for q in table))
     if isinstance(sol, Inconsistent):
         return None
     triple = sol.x if isinstance(sol, UniqueSolution) else sol.particular
-    return UniformParams.constant(eps, triple[0], triple[1], triple[2])
+    return UniformParams.constant(split.ctx.eccentricity, *triple)
 
 
 # -- x-scalars ------------------------------------------------------------------
@@ -456,9 +468,9 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     with least endpoint r0, L^(j-r0) kills the chains of larger endpoint
     (L w_r = 0) and maps those of endpoint r0 to their generators
     (L w_{r+i} = w_{r+i-1}), which are independent; with the dimensions
-    summing to n, the chains form a basis.  Parameters already verified
-    on this split are not verified again.  Modules come ordered by
-    endpoint, then by increasing diameter.
+    summing to n, the chains form a basis.  The verification of the
+    parameters reads the split's equation table.  Modules come ordered
+    by endpoint, then by increasing diameter.
 
     The same argument skips the elimination for ker L where the chains
     already fill a level.  When the chains of endpoints r0 < r with
@@ -469,13 +481,12 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     are independent again.  So L is injective on level r, ker L is 0
     there, and level r has no generators.
     """
-    if params not in split._verified:
-        check = verify_uniform(split, params)
-        if not check.passed:
-            raise ValueError(
-                f"uniform verification failed at level {check.level}; "
-                "decomposition requires a uniform structure"
-            )
+    check = verify_uniform(split, params)
+    if not check.passed:
+        raise ValueError(
+            f"uniform verification failed at level {check.level}; "
+            "decomposition requires a uniform structure"
+        )
     eps = split.ctx.eccentricity
     n = split.graph.n
     chains: list[TModule] = []

@@ -101,7 +101,7 @@ def test_criterion_2_uniform_verification(instance):
         assert verify_uniform(split, params).passed
         fit = fit_uniform(split)
         assert fit.feasible
-        assert fit.contains_params(params)
+        assert verify_uniform(split, fit.canonical).passed
         constant = fit_uniform_constant(split)
         assert constant is not None
         assert (constant.em(2), constant.ep(1), constant.fi(1)) == (

@@ -59,6 +59,12 @@ def test_gen_dual_polar_c32_bytes_are_pinned(runner, tmp_path):
 def test_gen_size_cap_exit2(runner):
     res = runner.invoke(main, ["gen", "dual-polar-C", "--b", "7", "--D", "5"])
     assert res.exit_code == 2
+    # the exact count of these has over 4300 digits; it is never formed
+    for args in (["dual-polar-C", "--b", "2", "--D", "30000"],
+                 ["hypercube", "--D", "2000000"]):
+        res = runner.invoke(main, ["gen", *args])
+        assert res.exit_code == 2
+        assert "more than 5000 vertices, the generators' cap" in res.stderr
 
 
 def test_gen_missing_param_exit2(runner):
@@ -339,6 +345,7 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
                ("uniformq.candidate", "dual_diagonal"),
                ("uniformq.uniform", "fit_uniform_constant"),
                ("uniformq.uniform", "verify_uniform"),
+               ("uniformq.uniform", "_level_equations"),
                ("uniformq.linalg", "rank"),
                ("uniformq.uniform", "solve_x_scalars")]
     modules = [m for key, m in list(sys.modules.items())
@@ -370,13 +377,17 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
                     for d in range(1, eps - r + 1)]
         assert expected and sorted(solved) == expected
         assert counts.pop("solve_x_scalars") == len(expected)
+        # the identity's equation table is built once per level; the
+        # report's verification and the modules' both read it
+        assert counts.pop("_level_equations") == data["epsilon"]
+        assert counts.pop("verify_uniform") == 2
         # A stays in adjacency lists and A* is one diagonal, made once;
         # the Gram block's charpoly is taken once, and the idempotent
         # pattern is decided on the modules, with no spectral projector
         # and no eigenspace basis
         assert counts == {name: 1 for name in (
             "spectrum_exact", "charpoly_mod", "dual_diagonal",
-            "fit_uniform_constant", "verify_uniform", "decompose_modules")}
+            "fit_uniform_constant", "decompose_modules")}
         n = data["graph"]["n"]
         assert (n, n) not in shapes
     # qcheck is a view over the same artifacts: the modules once, and
@@ -387,9 +398,11 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
     assert res.exit_code == 0
     assert sorted(solved) == expected
     assert counts.pop("solve_x_scalars") == len(expected)
+    assert counts.pop("_level_equations") == data["epsilon"]
+    assert counts.pop("verify_uniform") == 2
     assert counts == {name: 1 for name in (
         "spectrum_exact", "charpoly_mod", "dual_diagonal",
-        "fit_uniform_constant", "verify_uniform", "decompose_modules")}
+        "fit_uniform_constant", "decompose_modules")}
 
 
 def _drop_last_module(monkeypatch):

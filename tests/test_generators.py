@@ -187,6 +187,12 @@ def test_b23():
 def test_size_cap():
     with pytest.raises(SizeCapError):
         dual_polar(FormSpec("C", 5, 7))
+    # far over the cap: rejected from the first factors, naming the cap
+    for build in (lambda: dual_polar(FormSpec("C", 30000, 2)),
+                  lambda: hamming(2000000, 2)):
+        with pytest.raises(SizeCapError, match="more than 5000 vertices"):
+            build()
+    assert FormSpec("C", 5, 7).vertex_count() == 8 * 50 * 344 * 2402 * 16808
 
 
 def test_intersection_numbers_c32(c32):

@@ -262,3 +262,16 @@ def test_edge_list_errors():
         parse_edge_list("3 2\n0 1\n0 9\n")  # out of range
     with pytest.raises(ValueError):
         parse_edge_list("3 3\n0 1\n1 2\n0 1\n")  # duplicate
+
+
+def test_edge_list_too_few_edges_fails_before_allocating(monkeypatch):
+    # n vertices need n - 1 edges to be connected; the header alone
+    # decides it, so no adjacency list is built for a header like
+    # "1000000000 1"
+    def refuse(n, edges):
+        raise AssertionError(f"allocated {n} adjacency lists")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
+    for text in ("5 1\n0 1\n", "1000000000 1\n0 1\n", "3 0\n"):
+        with pytest.raises(ValueError, match="not connected"):
+            parse_edge_list(text)

@@ -33,6 +33,7 @@ from uniformq.uniform import (
     Decomposition,
     TModule,
     UniformParams,
+    _equation_table,
     _kernel_of_lowering,
     closed_form_x,
     decompose_modules,
@@ -198,23 +199,27 @@ def test_fit_matches_full_equation_system(case, c6_split, c32_split):
               "random": list(random_fb_splits(6))}[case]
     for split in splits:
         check_fit_against_full_system(split)
-    if case == "c32":  # 4384 equations, few of them distinct
-        assert sum(len(f.rhs) for f in fit_uniform(c32_split).levels) < 20
+    if case == "c32":  # 4384 equations, 7 of them distinct
+        assert sum(map(len, _equation_table(c32_split).values())) == 7
 
 
 def check_fit_against_full_system(split):
     mats = [walk_matrix(split, shape) for shape in ("llr", "rll", "l", "lrl")]
     fit = fit_uniform(split)
     eps = split.ctx.eccentricity
+    tables = _equation_table(split)
     all_rows, all_rhs = [], []
     for i, level_fit in enumerate(fit.levels, start=1):
-        rows, rhs = [], []
+        rows, rhs, first = [], [], {}
         for y in split.ctx.levels[i]:
             for z in range(split.graph.n):
                 a, c, d, b = (m[(z, y)] for m in mats)
                 if a or b or c or d:
                     rows.append([a, c, -d])
                     rhs.append(Fraction(-b))
+                    first.setdefault((a, c, -d, -b), y)
+        # the table holds each distinct equation with its first column
+        assert tables[i] == first
         all_rows += rows
         all_rhs += rhs
         pins = [[1, 0, 0]] if i == 1 else []
@@ -240,7 +245,7 @@ def test_verify_uniform_requires_bipartite():
 def test_fit_uniform_contains_dual_polar(c32_split, dp_params):
     fit = fit_uniform(c32_split)
     assert fit.feasible
-    assert fit.contains_params(dp_params)
+    assert verify_uniform(c32_split, dp_params).passed
 
 
 def test_fit_uniform_constant_recovers_dual_polar(c32_split, dp_params):
@@ -259,10 +264,14 @@ def test_fit_uniform_c6_level2(c6_split):
     # solution set {(t, -t, 1)}: one free parameter
     assert isinstance(lvl2.solution, AffineSolution)
     assert len(lvl2.solution.basis) == 1
-    assert lvl2.contains(5, -5, 1)
-    assert lvl2.contains(0, 0, 1)
-    assert not lvl2.contains(5, 5, 1)
-    assert not lvl2.contains(0, 0, 2)
+    triples = [list(t) for t in zip(*(fit.canonical.e_minus,
+                                      fit.canonical.e_plus, fit.canonical.f))]
+    for triple, member in (((5, -5, 1), True), ((0, 0, 1), True),
+                           ((5, 5, 1), False), ((0, 0, 2), False)):
+        triples[1] = triple
+        check = verify_uniform(c6_split, UniformParams(*zip(*triples)))
+        assert check.passed == member
+        assert check.level == (None if member else 2)
     # fit round trip: the canonical representative verifies
     assert verify_uniform(c6_split, fit.canonical).passed
 
@@ -500,26 +509,25 @@ def test_module_rep_matrix():
     assert module_rep_matrix(m0).to_rows() == [[0]]
 
 
-def test_decompose_skips_params_already_verified(c6_split, monkeypatch):
+def test_equation_table_built_once_per_split(c6_split, monkeypatch):
     import uniformq.uniform as uniform_mod
 
+    real = uniform_mod._level_equations
+    built = []
+
+    def counting(split, i, shift):
+        built.append(i)
+        return real(split, i, shift)
+
+    monkeypatch.setattr(uniform_mod, "_level_equations", counting)
+    assert fit_uniform_constant(c6_split) is None  # none on C_6
     params = fit_uniform(c6_split).canonical
-    real = uniform_mod.verify_uniform
-    calls = []
-
-    def counting(split, p):
-        calls.append(p)
-        return real(split, p)
-
-    monkeypatch.setattr(uniform_mod, "verify_uniform", counting)
-    first = decompose_modules(c6_split, params)
-    again = decompose_modules(c6_split, UniformParams(*map(list, (
-        params.e_minus, params.e_plus, params.f))))
-    assert calls == [params]
-    assert first.to_json() == again.to_json()
-    # a fresh split of the same graph has verified nothing yet
+    assert verify_uniform(c6_split, params).passed
+    decompose_modules(c6_split, params)
+    assert built == [1, 2, 3]
+    # a fresh split of the same graph builds its own table
     decompose_modules(lfr_split(c6_split.graph, c6_split.ctx), params)
-    assert len(calls) == 2
+    assert built == [1, 2, 3] * 2
 
 
 def test_fitted_params_are_hashable(c6_split):

@@ -10,6 +10,7 @@ no floating point anywhere.
 from .candidate import (
     BetaResult,
     DualCandidate,
+    RelationCheck,
     SearchResult,
     TridiagReport,
     beta_from_structure,
@@ -20,6 +21,7 @@ from .candidate import (
     entrywise_oracle,
     theta_from_structure,
     uniform_ratio,
+    verify_relation,
     verify_tridiagonal,
 )
 from .generators import (

@@ -13,11 +13,18 @@ six-step procedure: a level-independent beta from the parameter ratios,
 a theta* ladder from the F-ratios, distinctness, a beta/F compatibility
 identity, constancy of f with rho = f (beta + 2), and emission.
 
-Verification is double-tracked: the sparse column route evaluates the
-relation exactly, column by column from applications of A to basis
-vectors, and an independent entrywise oracle recomputes each commutator
-entry from brute-force walk enumeration, never from matrix products.
-A is symmetric and A* diagonal, so the residual of the relation is
+A candidate is certified on the level blocks of the bipartite split
+(``verify_relation``): each block of the relation's residual is a
+scalar multiple of L^3 or L^2, or a combination of the walk counts
+that the split's uniform equation table already holds, so the table
+decides the relation exactly without walking the graph again.
+
+Two slower routes stay as twins.  The sparse column route
+(``verify_tridiagonal``) evaluates the relation for any graph and any
+diagonal A*, column by column from applications of A to basis vectors,
+and an independent entrywise oracle recomputes each commutator entry
+from brute-force walk enumeration, never from matrix products.  A is
+symmetric and A* diagonal, so the residual of the relation is
 antisymmetric and the column route computes its entries above the
 diagonal only; it takes the mixed term as A A* A^2 - A^2 A* A =
 A (A* A - A A*) A, one more application of A after A^2.
@@ -31,9 +38,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .graphs import BaseContext, Graph
+from .graphs import BaseContext, Graph, LFRSplit
 from .scalars import QuadExt, exact_sqrt, is_rational, scalar_to_json
-from .uniform import UniformParams
+from .uniform import UniformParams, _equation_table, _require_bipartite
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,60 @@ def entrywise_oracle(g: Graph, ctx: BaseContext, theta_star: Sequence,
     third = gamma2 * (ty - tz)
     fourth = (ty - tz) if z in g.adj[y] else Fraction(0)
     return (first, mix, third, fourth)
+
+
+@dataclass
+class RelationCheck:
+    holds: bool
+    level: Optional[int] = None
+    witness: Optional[int] = None  # first column failing below its level
+
+
+def verify_relation(split: LFRSplit, cand: DualCandidate) -> RelationCheck:
+    """Decide the cubic relation for A = L + R and A* = diag(theta*) on
+    the level blocks of a bipartite split, from its equation table.
+
+    With t = theta* and y on level i, each 3-step walk y, v1, v2, z adds
+    (t_y - t_z) + (beta+1)(t_v2 - t_v1) to the residual entry (z, y),
+    each 2-step walk -gamma (t_y - t_z) and each edge -rho (t_y - t_z).
+    The residual is antisymmetric and vanishes on each level, so the
+    blocks with z below y decide it; with D_i = t_i - t_{i-1}:
+
+    - z on level i-3: [(t_i - t_{i-3}) + (beta+1)(t_{i-2} - t_{i-1})]
+      times (L^3)_{zy}, and L^3 e_y != 0 for i >= 3;
+    - z on level i-2: -gamma (t_i - t_{i-2}) (L^2)_{zy}, L^2 e_y != 0;
+    - z on level i-1: c_a RL^2 + c_b LRL + c_c L^2R - rho D_i L with
+      c_a = D_i + (beta+1)(t_{i-2} - t_{i-1}), c_b = (beta+2) D_i and
+      c_c = D_i + (beta+1)(t_i - t_{i+1}); RL^2 vanishes on level 1 and
+      L^2R on level eps.  These are the counts of the table's equations
+      (a, c, d | b) = (RL^2, L^2R, -L | -LRL), so the block vanishes iff
+      c_a a + c_c c + rho D_i d - c_b b = 0 for each equation of level i.
+
+    The first failing level is reported with its first failing column y
+    in level order: the first column of the level when a scalar block
+    fails, else the first column of the first failing equation.
+    """
+    _require_bipartite(split)
+    eps = split.ctx.eccentricity
+    t = cand.theta_star
+    if len(t) != eps + 1:
+        raise ValueError(f"need {eps + 1} level values, got {len(t)}")
+    bp1, gamma, rho = cand.beta + 1, cand.gamma, cand.rho
+    for i, table in _equation_table(split).items():
+        delta = t[i] - t[i - 1]
+        scalar_fails = (
+            i >= 3 and (t[i] - t[i - 3]) + bp1 * (t[i - 2] - t[i - 1]) != 0
+            or i >= 2 and gamma * (t[i] - t[i - 2]) != 0)
+        if scalar_fails:
+            return RelationCheck(False, i, split.ctx.levels[i][0])
+        c_a = delta + bp1 * (t[i - 2] - t[i - 1]) if i >= 2 else 0
+        c_b = (bp1 + 1) * delta
+        c_c = delta + bp1 * (t[i] - t[i + 1]) if i < eps else 0
+        c_d = rho * delta
+        for (a, c, d, b), y in table.items():
+            if c_a * a + c_c * c + c_d * d - c_b * b != 0:
+                return RelationCheck(False, i, y)
+    return RelationCheck(True)
 
 
 # -- synthesis from a uniform structure ---------------------------------------

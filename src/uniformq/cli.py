@@ -22,7 +22,7 @@ from functools import cached_property
 
 import click
 
-from .candidate import candidate_search, dual_diagonal, verify_tridiagonal
+from .candidate import candidate_search, verify_relation
 from .generators import FormSpec, SizeCapError, dual_polar, hamming, hypercube
 from .graphs import (
     bfs_context,
@@ -211,13 +211,14 @@ class _Instance:
         """The parameter file's structure, else the constant fit, else
         the per-level fit; None when no uniform structure exists.  An
         unreadable parameter file, one whose length is not the
-        eccentricity, and a graph too small to fit are usage errors."""
+        eccentricity, and a base vertex with no level to fit on are
+        usage errors."""
         path, eps = self.params_file, self.ctx.eccentricity
         if path is None:
-            try:
-                return self.constant if self.constant is not None else self.fit.canonical
-            except ValueError as exc:
-                _fail_usage(str(exc))
+            if eps == 0:
+                _fail_usage(f"base vertex {self.ctx.base} has eccentricity 0; "
+                            "a uniform structure needs eccentricity >= 1")
+            return self.constant if self.constant is not None else self.fit.canonical
         try:
             with open(path) as fh:
                 params = UniformParams.from_json(json.load(fh))
@@ -244,19 +245,14 @@ class _Instance:
         return candidate_search(self.params, *self.theta)
 
     @cached_property
-    def astar(self):
-        return dual_diagonal(self.ctx, self.search.candidate.theta_star)
-
-    @cached_property
     def candidate(self) -> dict:
         """The search report; an accepted candidate also carries its
-        exact tridiagonal-relation check as ``verified``."""
+        exact relation check, decided on the split's equation table, as
+        ``verified``."""
         report = self.search.to_json()
         if self.search.accepted:
-            c = self.search.candidate
-            report["verified"] = verify_tridiagonal(
-                self.ctx.graph, self.astar, c.beta, c.gamma, c.rho
-            ).holds
+            report["verified"] = verify_relation(
+                self.split, self.search.candidate).holds
         return report
 
     @cached_property

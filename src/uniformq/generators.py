@@ -349,6 +349,8 @@ def hamming(D: int, n: int) -> tuple[Graph, list]:
 
 
 def hypercube(D: int) -> tuple[Graph, list]:
+    if D < 2:
+        raise ValueError("need D >= 2")
     return hamming(D, 2)
 
 

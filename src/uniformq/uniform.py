@@ -21,7 +21,14 @@ Each entry (z, y) of the identity, y on level i, is one linear equation
 in (e-_i, e+_i, f_i) with small integer coefficients, so few of them
 are distinct.  A split builds its table of distinct equations once, one
 pass over the columns of each level, and the per-level fit, the
-constant fit and the verification all read it.
+constant fit and the verification all read it; so does the check of a
+dual adjacency candidate (``uniformq.candidate.verify_relation``),
+whose relation combines the same four walk counts.
+
+A module chain is raised from its generator once: the raised kernel
+vectors that give L R on ker L also start each generator's chain, and
+the chain check compares R w_{r+i-1} = x_{r+i} w_{r+i} on the vectors
+rather than applying L R again.
 """
 
 from __future__ import annotations
@@ -102,11 +109,21 @@ class UniformParams:
 
     @staticmethod
     def from_json(data: dict) -> "UniformParams":
-        return UniformParams(
-            tuple(Fraction(x) for x in data["e_minus"]),
-            tuple(Fraction(x) for x in data["e_plus"]),
-            tuple(Fraction(x) for x in data["f"]),
-        )
+        """Each key holds a list of strings such as "-9/4" and integers;
+        anything else, a JSON float or boolean among them, is a
+        ValueError, since a float need not be the rational it reads as
+        (-0.1 is not -1/10)."""
+        return UniformParams(*(_exact_list(data[key])
+                               for key in ("e_minus", "e_plus", "f")))
+
+
+def _exact_list(values) -> tuple:
+    if not isinstance(values, list):
+        raise ValueError(f"parameters {values!r} are not a list")
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (str, int)):
+            raise ValueError(f"parameter {x!r} is not a string or an integer")
+    return tuple(map(Fraction, values))
 
 
 def parameter_matrix(params: UniformParams) -> ExactMatrix:
@@ -497,7 +514,7 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
         if not kernel:
             continue
         xs = {d: solve_x_scalars(params, r, d) for d in range(1, eps - r + 1)}
-        lr, scales = _lowering_raising(split, r, kernel)
+        lr, scales, raised = _lowering_raising(split, r, kernel)
         before = len(chains)
         for value in dict.fromkeys([0] + [x[0] for x in xs.values()]):
             # (M_r - value I) c = 0 with row i scaled by q s_i, value = p/q
@@ -505,11 +522,11 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
             for i, s in enumerate(scales):
                 shifted[i][i] -= value.numerator * s
             for coords in nullspace(ExactMatrix.from_rows(shifted)):
-                gen = [0] * len(kernel[0])
-                for c, v in zip(coords, kernel):
-                    if c:
-                        gen = [g + c * s for g, s in zip(gen, v)]
-                chains.append(_build_chain(split, r, gen, xs, value))
+                # L R gen = 0 makes |R gen|^2 = gen . L R gen = 0, since
+                # L is the transpose of R: the chain ends at gen
+                up = _combine(coords, raised) if value else []
+                chains.append(_build_chain(
+                    split, r, _combine(coords, kernel), up, xs, value))
         if len(chains) - before != len(kernel):
             raise ArithmeticError(
                 f"L R on ker L at level {r} has eigenspaces spanning "
@@ -536,27 +553,43 @@ def _lowering_raising(split: LFRSplit, r: int, kernel: list[list]) -> tuple:
     each kernel vector v_i is alone nonzero at some column f_i (nullspace
     gives it its free column), so once L (L R v_j) = 0 is checked, M_r
     has entries U[i][j] / s_i with U[i][j] = (L R v_j)[f_i] and
-    s_i = v_i[f_i].  Returns U and the s_i."""
+    s_i = v_i[f_i].  Returns U, the s_i and the raised vectors R v_j,
+    from which each generator's chain starts by linearity."""
     owners = Counter(j for v in kernel for j, s in enumerate(v) if s)
     free = [next(j for j, s in enumerate(v) if s and owners[j] == 1)
             for v in kernel]
-    images = [split.lower(r + 1, split.raise_(r, v)) for v in kernel]
+    raised = [split.raise_(r, v) for v in kernel]
+    images = [split.lower(r + 1, u) for u in raised]
     if any(any(split.lower(r, u)) for u in images):
         raise ArithmeticError(
             f"L R does not map ker L on level {r} into itself")
     return ([[u[f] for u in images] for f in free],
-            [v[f] for v, f in zip(kernel, free)])
+            [v[f] for v, f in zip(kernel, free)], raised)
 
 
-def _build_chain(split: LFRSplit, r: int, gen: list, xs: dict,
+def _combine(coords: list, vectors: list[list]) -> list:
+    """The combination sum_j coords[j] vectors[j]."""
+    out = [0] * len(vectors[0])
+    for c, v in zip(coords, vectors):
+        if c:
+            out = [o + c * s for o, s in zip(out, v)]
+    return out
+
+
+def _build_chain(split: LFRSplit, r: int, gen: list, up: list, xs: dict,
                  value: Fraction) -> TModule:
     """The chain w_{r+i} = R^i gen / (x_{r+1} ... x_{r+i}), d the raising
     length of gen and x = xs[d], whose x_{r+1} (0 for d = 0) must be the
     eigenvalue; scaled by one integer to integer vectors of content 1
-    (the relations are linear, so a common factor keeps them)."""
+    (the relations are linear, so a common factor keeps them).  up is
+    R gen, combined from the kernel's raised vectors, or empty where
+    R gen = 0 is already proven; the raising stops at the first zero
+    vector, so R w_{r+d} = 0 holds by construction."""
     raised = [gen]
-    while any(top := split.raise_(r + len(raised) - 1, raised[-1])):
+    top = up
+    while any(top):
         raised.append(top)
+        top = split.raise_(r + len(raised) - 1, top)
     d = len(raised) - 1
     x = xs[d] if d else []
     if (x[0] if x else 0) != value:
@@ -575,12 +608,24 @@ def _build_chain(split: LFRSplit, r: int, gen: list, xs: dict,
     chain = [[c * v for v in u] for c, u in zip(factors, raised)]
     content = gcd(*(v for w in chain for v in w))
     chain = [[v // content for v in w] for w in chain]
-    _assert_chain(split, r, chain, x)
+    _assert_chain(split, r, chain, raised, x)
     return TModule(r, d, chain, x)
 
 
-def _assert_chain(split: LFRSplit, r: int, basis: list, x: list) -> None:
-    """Re-verify every chain relation; failures signal internal bugs."""
+def _assert_chain(split: LFRSplit, r: int, basis: list, raised: list,
+                  x: list) -> None:
+    """Re-verify every chain relation; failures signal internal bugs.
+
+    raised[i] = R raised[i-1] as computed on the graph (raised[1] by
+    linearity from the kernel's raised vectors), and R raised[d] = 0,
+    computed there too, or for L R eigenvalue 0 proven from it.
+    With w_r = s raised[0], R w_{r+i-1} = s raised[i], so the relation
+    R w_{r+i-1} = x_{r+i} w_{r+i} is a comparison of two vectors, with
+    no step on the graph, and it makes w_{r+i} the multiple
+    (s / x_{r+i}) raised[i] for the next link; at the top it gives
+    R w_{r+d} = 0.  With L w_{r+i} = w_{r+i-1}, checked on the graph,
+    it gives L R w_{r+i-1} = x_{r+i} w_{r+i-1}.
+    """
     d = len(basis) - 1
     for i, w in enumerate(basis):
         if len(w) != split.size(r + i):
@@ -590,18 +635,15 @@ def _assert_chain(split: LFRSplit, r: int, basis: list, x: list) -> None:
     for i in range(1, d + 1):
         if split.lower(r + i, basis[i]) != basis[i - 1]:
             raise ArithmeticError("lowering does not step down the chain")
-    if any(split.raise_(r + d, basis[d])):
-        raise ArithmeticError("raising does not vanish at the chain top")
-    # chain-derived x-scalars: L R w_{r+i-1} = x_{r+i} w_{r+i-1}
-    for i in range(1, d + 1):
-        w = basis[i - 1]
-        u = split.lower(r + i, split.raise_(r + i - 1, w))
-        lead = next(idx for idx, v in enumerate(w) if v != 0)
-        ratio = Fraction(u[lead], w[lead])
-        if ratio != x[i - 1]:
-            raise ArithmeticError(
-                "chain-derived x-scalar disagrees with the linear system"
-            )
-        p, q = ratio.numerator, ratio.denominator
-        if any(uv * q != p * wv for uv, wv in zip(u, w)):
-            raise ArithmeticError("L R is not scalar on the chain vector")
+    if d == 0:  # R w_r = 0 is the only raising relation
+        return
+    lead = next(j for j, v in enumerate(raised[0]) if v)
+    s = Fraction(basis[0][lead], raised[0][lead])
+    for i, xi in enumerate([Fraction(1), *x]):
+        # s raised[i] = xi w_{r+i}: at i = 0 it fixes w_r = s raised[0],
+        # at i >= 1 it is R w_{r+i-1} = x_{r+i} w_{r+i}
+        p, q = s.numerator * xi.denominator, xi.numerator * s.denominator
+        if any(p * u != q * w for u, w in zip(raised[i], basis[i])):
+            raise ArithmeticError("raising does not step up the chain "
+                                  "by the x-scalar")
+        s /= xi

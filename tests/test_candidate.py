@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from uniformq.candidate import (
+    DualCandidate,
     beta_from_structure,
     candidate_search,
     check_eq7a,
@@ -12,12 +14,14 @@ from uniformq.candidate import (
     entrywise_oracle,
     theta_from_structure,
     uniform_ratio,
+    verify_relation,
     verify_tridiagonal,
 )
-from uniformq.graphs import bfs_context, full_bipartite, lfr_split
+from uniformq.generators import FormSpec, dual_polar, hamming
+from uniformq.graphs import Graph, bfs_context, full_bipartite, lfr_split
 from uniformq.linalg import ExactMatrix
 from uniformq.scalars import quad
-from uniformq.uniform import UniformParams, fit_uniform
+from uniformq.uniform import UniformParams, fit_uniform, fit_uniform_constant
 
 from conftest import random_connected_graph
 
@@ -195,6 +199,169 @@ def test_oracle_matches_matrix_products(cycle6):
             vals = entrywise_oracle(g, ctx, theta, y, z)
             for got, mat in zip(vals, mats):
                 assert got == mat[(z, y)]
+
+
+# -- the relation on the equation table ---------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def relation_instance(name: str):
+    """(graph, context, split) of the named bipartite instance."""
+    if name.startswith("Q"):
+        g, base = hamming(int(name[1:]), 2)[0], 0
+    elif name.startswith("C32fb@"):
+        base = int(name[6:])
+        g = full_bipartite(dual_polar(FormSpec("C", 3, 2))[0], base)
+    elif name == "C23fb":
+        g, base = full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0), 0
+    elif name.startswith("H"):
+        g, base = full_bipartite(hamming(int(name[1]), 3)[0], 0), 0
+    else:  # "random<seed>": not uniform, so columns of a level differ
+        rng = random.Random(int(name[6:]))
+        g, base = full_bipartite(random_connected_graph(rng, 16), 0), 0
+    ctx = bfs_context(g, base)
+    return g, ctx, lfr_split(g, ctx)
+
+
+def relation_cases(split, seed: int) -> list:
+    """The synthesised candidate when there is one, each one-parameter
+    perturbation of it, and random theta*, beta, gamma and rho."""
+    rng = random.Random(seed)
+    eps = split.ctx.eccentricity
+    cases = []
+    params = fit_uniform_constant(split)
+    search = candidate_search(params) if eps >= 3 and params else None
+    if search is not None and search.accepted:
+        c = search.candidate
+        cases.append(c)
+        for k in range(eps + 1):
+            theta = list(c.theta_star)
+            theta[k] += Fraction(1, 7)
+            cases.append(DualCandidate(tuple(theta), c.beta, c.gamma, c.rho))
+        for db, dg, dr in [(1, 0, 0), (Fraction(-1, 3), 0, 0), (0, 1, 0),
+                           (0, 0, 1)]:
+            cases.append(DualCandidate(c.theta_star, c.beta + db,
+                                       c.gamma + dg, c.rho + dr))
+    for _ in range(8):
+        theta = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                      for _ in range(eps + 1))
+        cases.append(DualCandidate(
+            theta, Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+            Fraction(rng.choice([0, 0, 1])), Fraction(rng.randint(-50, 50))))
+    return cases
+
+
+def first_failing_column(ctx, support) -> tuple:
+    """(level, column) of the first column, in level order, with a
+    nonzero residual entry on a lower level; (None, None) for none."""
+    dist, pos = ctx.dist, ctx.position
+    lower = [(dist[y], pos[y], y) for z, y in support if dist[z] < dist[y]]
+    return min(lower)[::2] if lower else (None, None)
+
+
+def oracle_residual(g, ctx, c, y, z):
+    """Entry (z, y) of the relation's residual from walk enumeration."""
+    first, mix, third, fourth = entrywise_oracle(g, ctx, c.theta_star, y, z)
+    return first + (c.beta + 1) * mix - c.gamma * third - c.rho * fourth
+
+
+RELATION_GRAPHS = ["Q3", "Q4", "Q5", "Q6", "C32fb@0", "C32fb@34", "C23fb",
+                   "H33fb", "H43fb", "random1", "random2", "random3"]
+
+
+@pytest.mark.parametrize("name", RELATION_GRAPHS)
+def test_verify_relation_matches_column_route(name):
+    # holds and the first failing column agree with the general sparse
+    # evaluation of the relation, on every case
+    g, ctx, split = relation_instance(name)
+    cases = relation_cases(split, seed=len(name))
+    held = 0
+    for c in cases:
+        astar = [c.theta_star[d] for d in ctx.dist]
+        full = verify_tridiagonal(g, astar, c.beta, c.gamma, c.rho)
+        rel = verify_relation(split, c)
+        assert rel.holds == full.holds
+        assert (rel.level, rel.witness) == first_failing_column(
+            ctx, full.residual_support)
+        held += rel.holds
+    # the synthesised candidate holds wherever the search accepts one
+    assert held == (len(cases) > 8)
+
+
+@pytest.mark.parametrize("name", ["Q3", "Q4", "C23fb", "H33fb", "random1"])
+def test_verify_relation_matches_walk_oracle(name):
+    # the witness column has a nonzero entry below its level, and every
+    # earlier column of that level none, by brute-force walk counting;
+    # a relation that holds vanishes on sampled entries
+    g, ctx, split = relation_instance(name)
+    rng = random.Random(7)
+    dist = ctx.dist
+    for c in relation_cases(split, seed=3)[:10]:
+        rel = verify_relation(split, c)
+        if rel.holds:
+            for _ in range(40):
+                y, z = rng.randrange(g.n), rng.randrange(g.n)
+                assert oracle_residual(g, ctx, c, y, z) == 0
+            continue
+        level = ctx.levels[rel.level]
+        rows = [z for z in range(g.n) if rel.level - 3 <= dist[z] < rel.level]
+        for y in level[:level.index(rel.witness) + 1]:
+            failing = any(oracle_residual(g, ctx, c, y, z) for z in rows)
+            assert failing == (y == rel.witness)
+
+
+def test_verify_relation_fails_on_the_cubic_scalar():
+    # on the path 0-1-2-3 every equation holds and only the L^3 block
+    # fails: (t_3 - t_0) + (beta+1)(t_1 - t_2) = 3 - 1 = 2 at (0, 3)
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    split = lfr_split(g, bfs_context(g, 0))
+    c = DualCandidate((-1, 0, 1, 2), Fraction(0), Fraction(0), Fraction(2))
+    rel = verify_relation(split, c)
+    assert (rel.holds, rel.level, rel.witness) == (False, 3, 3)
+    full = verify_tridiagonal(g, [-1, 0, 1, 2], c.beta, c.gamma, c.rho)
+    assert full.residual_support == [(0, 3), (3, 0)]
+    assert full.residual_values == [2, -2]
+
+
+def test_verify_relation_fails_on_gamma(c32_fb, c32_ctx, c32_split,
+                                        dp_params):
+    # gamma != 0 leaves level 1 alone and fails every column of level 2,
+    # on the L^2 block only: -gamma (t_2 - t_0) c_2 = -(3/2) 3 at (0, y)
+    c = candidate_search(dp_params).candidate
+    c = DualCandidate(c.theta_star, c.beta, Fraction(1), c.rho)
+    rel = verify_relation(c32_split, c)
+    first = c32_ctx.levels[2][0]
+    assert (rel.holds, rel.level, rel.witness) == (False, 2, first)
+    astar = [c.theta_star[d] for d in c32_ctx.dist]
+    full = verify_tridiagonal(c32_fb, astar, c.beta, c.gamma, c.rho)
+    below = [(z, v) for (z, y), v in zip(full.residual_support,
+                                         full.residual_values)
+             if y == first and c32_ctx.dist[z] < 2]
+    assert below == [(0, Fraction(-9, 2))]
+
+
+def test_verify_relation_fails_on_a_later_column():
+    # level 1 is {1, 2}, with one and two children: rho = 5 solves the
+    # equation of column 1, and column 2's equation fails by c_c = -1
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5)])
+    ctx = bfs_context(g, 0)
+    split = lfr_split(g, ctx)
+    c = DualCandidate((-1, 0, 1), Fraction(1), Fraction(0), Fraction(5))
+    rel = verify_relation(split, c)
+    assert ctx.levels[1] == (1, 2)
+    assert (rel.holds, rel.level, rel.witness) == (False, 1, 2)
+    full = verify_tridiagonal(g, [-1, 0, 0, 1, 1, 1], c.beta, c.gamma, c.rho)
+    assert [(z, y) for z, y in full.residual_support
+            if ctx.dist[z] < ctx.dist[y] == 1] == [(0, 2)]
+
+
+def test_verify_relation_argument_checks(cycle6, c32_split):
+    with pytest.raises(ValueError, match="need 4 level values"):
+        verify_relation(c32_split, DualCandidate((0, 1), 0, 0, 0))
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="bipartite"):
+        verify_relation(lfr_split(g, bfs_context(g, 0)),
+                        DualCandidate((0, 1), 0, 0, 0))
 
 
 # -- synthesis steps ---------------------------------------------------------------

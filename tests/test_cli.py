@@ -72,6 +72,13 @@ def test_gen_missing_param_exit2(runner):
     assert res.exit_code == 2
 
 
+def test_gen_hypercube_small_d_names_only_d(runner):
+    # the hypercube has no --n, so its message names D alone
+    res = runner.invoke(main, ["gen", "hypercube", "--D", "0"])
+    assert res.exit_code == 2
+    assert res.stderr == "error: need D >= 2\n"
+
+
 def test_fb_roundtrip(runner, tmp_path, cycle6):
     src = tmp_path / "c6.el"
     src.write_text(format_edge_list(cycle6))
@@ -295,6 +302,29 @@ def test_mismatched_params_file_is_usage_error(runner, q4_file, tmp_path, argv):
     assert "parameter length 2 != eccentricity 4" in res.stderr
 
 
+@pytest.mark.parametrize("value", [-0.1, -0.5, True],
+                         ids=["inexact-float", "exact-float", "boolean"])
+@pytest.mark.parametrize("argv", [
+    ["uniform", "--verify"],
+    ["modules", "--params"],
+    ["pipeline", "--verify-uniform"],
+])
+def test_params_file_rejects_floats_and_booleans(runner, q4_file, tmp_path,
+                                                 argv, value):
+    # -0.1 would read as -3602879701896397/36028797018963968 and true as
+    # 1; even an exact float is refused, so values are strings or ints
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"e_minus": [0, value, "-1/2", "-1/2"],
+                                 "e_plus": ["-1/2"] * 3 + [0],
+                                 "f": [1] * 4}))
+    sub, flag = argv
+    res = runner.invoke(main, [sub, str(q4_file), flag, str(pfile)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "error: bad parameter file" in res.stderr
+    assert f"parameter {value!r} is not a string or an integer" in res.stderr
+
+
 @pytest.mark.parametrize("sub", ["uniform", "modules", "pipeline"])
 def test_single_vertex_fit_is_usage_error(runner, tmp_path, sub):
     src = tmp_path / "k1.el"
@@ -302,7 +332,8 @@ def test_single_vertex_fit_is_usage_error(runner, tmp_path, sub):
     res = runner.invoke(main, [sub, str(src)])
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
-    assert "error: need eps >= 1" in res.stderr
+    assert ("error: base vertex 0 has eccentricity 0; a uniform structure "
+            "needs eccentricity >= 1") in res.stderr
 
 
 def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
@@ -343,6 +374,8 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
                ("uniformq.uniform", "decompose_modules"),
                ("uniformq.linalg", "column_space_basis"),
                ("uniformq.candidate", "dual_diagonal"),
+               ("uniformq.candidate", "verify_tridiagonal"),
+               ("uniformq.candidate", "verify_relation"),
                ("uniformq.uniform", "fit_uniform_constant"),
                ("uniformq.uniform", "verify_uniform"),
                ("uniformq.uniform", "_level_equations"),
@@ -378,15 +411,17 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
         assert expected and sorted(solved) == expected
         assert counts.pop("solve_x_scalars") == len(expected)
         # the identity's equation table is built once per level; the
-        # report's verification and the modules' both read it
+        # report's verification, the modules' and the candidate's
+        # relation check all read it
         assert counts.pop("_level_equations") == data["epsilon"]
         assert counts.pop("verify_uniform") == 2
-        # A stays in adjacency lists and A* is one diagonal, made once;
-        # the Gram block's charpoly is taken once, and the idempotent
-        # pattern is decided on the modules, with no spectral projector
-        # and no eigenspace basis
+        # A stays in adjacency lists and A* is never built: the relation
+        # is decided on the table, with no column walk; the Gram block's
+        # charpoly is taken once, and the idempotent pattern is decided
+        # on the modules, with no spectral projector and no eigenspace
+        # basis
         assert counts == {name: 1 for name in (
-            "spectrum_exact", "charpoly_mod", "dual_diagonal",
+            "spectrum_exact", "charpoly_mod", "verify_relation",
             "fit_uniform_constant", "decompose_modules")}
         n = data["graph"]["n"]
         assert (n, n) not in shapes
@@ -401,7 +436,7 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
     assert counts.pop("_level_equations") == data["epsilon"]
     assert counts.pop("verify_uniform") == 2
     assert counts == {name: 1 for name in (
-        "spectrum_exact", "charpoly_mod", "dual_diagonal",
+        "spectrum_exact", "charpoly_mod", "verify_relation",
         "fit_uniform_constant", "decompose_modules")}
 
 

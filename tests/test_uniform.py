@@ -33,6 +33,7 @@ from uniformq.uniform import (
     Decomposition,
     TModule,
     UniformParams,
+    _assert_chain,
     _equation_table,
     _kernel_of_lowering,
     closed_form_x,
@@ -284,6 +285,22 @@ def test_fit_star_degenerate():
 
 
 # -- parameter matrix -------------------------------------------------------------
+
+
+def test_params_from_json_takes_strings_and_ints():
+    # a decimal string is exact; a JSON float or boolean is refused
+    params = UniformParams.from_json({"e_minus": [0, "-1/2", "-0.5"],
+                                      "e_plus": [-1, "2", "0"],
+                                      "f": ["1", 1, 3]})
+    assert params.e_minus == (0, Fraction(-1, 2), Fraction(-1, 2))
+    assert params.e_plus == (-1, 2, 0) and params.f == (1, 1, 3)
+    for value in (-0.5, False, None):
+        with pytest.raises(ValueError, match="not a string or an integer"):
+            UniformParams.from_json({"e_minus": [value, "-1/2"],
+                                     "e_plus": ["-1/2", "0"], "f": [1, 1]})
+    # a string is not read as a list of one-digit parameters
+    with pytest.raises(ValueError, match="'00' are not a list"):
+        UniformParams.from_json({"e_minus": "00", "e_plus": "00", "f": "11"})
 
 
 def test_parameter_matrix_shape(dp_params):
@@ -780,6 +797,44 @@ def test_decompose_rejects_a_broken_eigenspace_split(perturb, message,
     res = CliRunner().invoke(main, ["modules", str(path)])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert message in json.loads(res.stdout)["error"]
+
+
+def test_decompose_rejects_a_corrupted_raised_vector(c32_split, dp_params,
+                                                    monkeypatch):
+    # each chain starts from the raised kernel vectors R v_j that L R on
+    # ker L was computed from; doubled at r = 1, they keep every chain's
+    # length and break its first link, which the chain check catches
+    import uniformq.uniform as uniform_mod
+
+    real = uniform_mod._lowering_raising
+
+    def corrupted(split, r, kernel):
+        lr, scales, raised = real(split, r, kernel)
+        if r == 1:
+            raised = [[2 * v for v in u] for u in raised]
+        return lr, scales, raised
+
+    monkeypatch.setattr(uniform_mod, "_lowering_raising", corrupted)
+    with pytest.raises(ArithmeticError,
+                       match="lowering does not step down the chain"):
+        decompose_modules(c32_split, dp_params)
+
+
+def test_chain_check_compares_raising_on_the_vectors(c32_split, dp_params):
+    # the chain of type (0, 3) against its generator raised on the graph
+    # passes; a raised vector that is no longer x times the next chain
+    # vector fails, though every lowering still steps down the chain
+    split = c32_split
+    m = decompose_modules(split, dp_params).modules[0]
+    assert (m.endpoint, m.diameter) == (0, 3)
+    raised = [m.basis[0]]
+    for i in range(3):
+        raised.append(split.raise_(i, raised[-1]))
+    _assert_chain(split, 0, m.basis, raised, m.x_scalars)
+    raised[2] = [2 * v for v in raised[2]]
+    with pytest.raises(ArithmeticError,
+                       match="raising does not step up the chain"):
+        _assert_chain(split, 0, m.basis, raised, m.x_scalars)
 
 
 def test_level_maps_outside_the_levels(c32_split):

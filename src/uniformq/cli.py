@@ -35,6 +35,7 @@ from .spectra import (
     check_q_ordering,
     even_odd_ordering,
     module_pattern,
+    module_spectrum,
     natural_ordering,
     odd_even_ordering,
     spectrum_exact,
@@ -180,7 +181,9 @@ class _Instance:
     """One graph and base vertex; every artifact of the certificate
     chain is computed on first use and at most once.  The subcommands
     are views that assemble their reports from it.  A property that
-    raises is not cached, so a view reads it once."""
+    raises is not cached, so a view reads it once; the module
+    decomposition keeps its failure too, since the spectrum asks for it
+    again."""
 
     def __init__(self, g, base: int, params_file=None,
                  theta=(Fraction(-1), Fraction(0))):
@@ -256,17 +259,36 @@ class _Instance:
         return report
 
     @cached_property
+    def _modules(self):
+        """The module decomposition, or the error that rejected it."""
+        try:
+            return decompose_modules(self.split, self.params)
+        except (ValueError, ArithmeticError) as exc:
+            return exc
+
+    @property
     def modules(self):
-        return decompose_modules(self.split, self.params)
+        if isinstance(self._modules, Exception):
+            raise self._modules
+        return self._modules
 
     @cached_property
     def spectrum(self):
+        """The spectrum read off the certified thin modules; the dense
+        Gram-block route when there are none, for want of a verified
+        uniform structure or because the decomposition failed."""
+        if self.params is not None and self.check.passed \
+                and not isinstance(self._modules, Exception):
+            return module_spectrum(self.split, self._modules)
         return spectrum_exact(self.split)
 
     @cached_property
     def pattern(self):
-        """The idempotent pattern, decided on the thin modules and
-        checked against the spectrum there."""
+        """The idempotent pattern, decided on the thin modules.  Its
+        check of the modules' eigenvalue counts against the spectrum is
+        an independent one only where the spectrum took the dense route;
+        where the spectrum was read off the same modules it holds by
+        construction."""
         return module_pattern(self.spectrum, self.modules,
                               self.search.candidate.theta_star)
 
@@ -408,7 +430,7 @@ def spectrum(input, out, as_json) -> None:
     """Exact adjacency spectrum of a bipartite graph over Q(sqrt(m))."""
     inst = _open(input, 0)
     try:
-        spec = inst.spectrum
+        spec = spectrum_exact(inst.split)  # no base vertex, no modules
     except (ValueError, ArithmeticError) as exc:
         _emit({"error": str(exc)}, out, as_json)
         sys.exit(MATH_FAIL)

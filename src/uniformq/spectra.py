@@ -15,25 +15,39 @@ representation matrix is generated by the three-term recurrence
 h_{i+1} = t h_i - x_{r+i} h_{i-1}, a rescaled normalized dual
 b-Krawtchouk polynomial.
 
-``spectrum_exact`` takes the level split of a bipartite graph with
-rational squared spectrum.  Its colour classes are the even and the odd
-levels of the base's distance partition, so A = [[0, B], [B^T, 0]], and
-it works on the Gram block B B^T of the smaller class, read off the
-adjacency lists.  The roots of its characteristic polynomial modulo one
-prime in [0, Delta^2] (Delta the maximum degree) are the candidate
-eigenvalues; the powers of B B^T certify that they hold every
-eigenvalue and give each multiplicity by a trace.  The nonzero
-eigenvalues of A are +-sqrt(mu) for the nonzero eigenvalues mu of
-B B^T, each with the multiplicity of mu, and 0 takes the rest.
-Non-bipartite input is rejected.  The returned Spectrum is a plain
-value: the eigenvalues with their multiplicities, and the radicand.
+``module_spectrum`` reads the spectrum off the certified thin modules:
+A acts on the chain basis of a module of type (r, d) by a tridiagonal
+matrix with characteristic polynomial h_{d+1}, so the spectrum is the
+multiset union over the module types of the d + 1 roots of h_{d+1}, each
+counted once per module of the type.  For bipartite A, h_{d+1} is even
+or odd, and its roots are found by an exact scan of mu = theta^2 over
+the integers in [0, Delta^2] (Delta the maximum degree).  It is the
+spectrum of ``pipeline`` and ``qcheck`` wherever the modules certify.
+
+``spectrum_exact`` is the dense route, for ``uniformq spectrum`` (no
+base vertex, no uniform structure) and wherever no module decomposition
+certifies; the tests hold the two routes against each other.  It takes
+the level split of a bipartite graph with rational squared spectrum.
+Its colour classes are the even and the odd levels of the base's
+distance partition, so A = [[0, B], [B^T, 0]], and it works on the Gram
+block B B^T of the smaller class, read off the adjacency lists.  The
+roots of its characteristic polynomial modulo one prime in
+[0, Delta^2] are the candidate eigenvalues; the powers of B B^T certify
+that they hold every eigenvalue and give each multiplicity by a trace.
+The nonzero eigenvalues of A are +-sqrt(mu) for the nonzero eigenvalues
+mu of B B^T, each with the multiplicity of mu, and 0 takes the rest.
+Non-bipartite input is rejected.  Both routes return the same plain
+Spectrum value: the eigenvalues with their multiplicities, and the
+radicand.
 
 ``module_pattern`` decides which E_i A* E_j vanish on the certified
 thin modules: each module type is a small tridiagonal pair (T, diag
 theta*), so the pattern needs O(d) work per pair of eigenvalues and
-type, whatever n, and it checks the modules' eigenvalue counts against
-the spectrum's multiplicities.  It is the pattern of ``pipeline`` and
-``qcheck``.
+type, whatever n.  It is the pattern of ``pipeline`` and ``qcheck``.
+It checks the modules' eigenvalue counts against the spectrum's
+multiplicities; where the spectrum is ``module_spectrum``'s, read off
+the same modules, that check is no longer an independent one, and the
+tests' twin of the two spectra takes its place.
 
 The dense twin that the tests compare ``module_pattern`` with builds
 its own data from the split: ``_spectral_projectors`` forms the integer
@@ -158,6 +172,9 @@ def verify_krat_scaling(b: int, e, D: int, d: int,
 # the one prime of the Gram block's characteristic polynomial: every
 # integer root is a root modulo it (a Mersenne prime)
 _PRIME = 2 ** 61 - 1
+
+_IRRATIONAL = ("squared spectrum is not rational; this lies outside the "
+               "supported scalar fields")
 
 
 @dataclass
@@ -297,10 +314,7 @@ def spectrum_exact(split: LFRSplit) -> Spectrum:
                                 coeffs, 0)]
     powers = _powers(gram, size, len(candidates))
     if any(_evaluate(powers, candidates)):
-        raise ValueError(
-            "squared spectrum is not rational; this lies outside the "
-            "supported scalar fields"
-        )
+        raise ValueError(_IRRATIONAL)
     traces = [sum(p[::size + 1]) for p in powers]
     mults = {}
     for mu in candidates:
@@ -309,13 +323,63 @@ def spectrum_exact(split: LFRSplit) -> Spectrum:
             // prod(mu - nu for nu in others)
         if mult:
             mults[mu] = mult
+    return _from_squares(g.n, mults)
+
+
+def _from_squares(n: int, mults: dict[int, int]) -> Spectrum:
+    """The Spectrum of a bipartite A on n vertices from the multiplicity
+    of each eigenvalue mu of A^2 on one colour class: +-sqrt(mu) each
+    with the multiplicity of mu for mu != 0, and 0 takes the rest."""
     radicand, roots = _square_roots(mults)
-    pairs = [(Fraction(0), g.n - 2 * sum(mults[mu] for mu in roots))]
+    pairs = [(Fraction(0), n - 2 * sum(mults[mu] for mu in roots))]
     for mu, (s, m) in roots.items():
         pairs += [(_root_value(s, m), mults[mu]),
                   (_root_value(-s, m), mults[mu])]
     pairs.sort(key=lambda t: scalar_sort_key(t[0]), reverse=True)
     return Spectrum([(v, m) for v, m in pairs if m > 0], radicand)
+
+
+def module_spectrum(split: LFRSplit, decomposition: Decomposition) -> Spectrum:
+    """Exact spectrum of the adjacency matrix A of the graph of a
+    bipartite split, read off its certified thin modules.
+
+    V is the direct sum of the modules, and A acts on the chain basis of
+    a module of type (r, d) by the tridiagonal T with characteristic
+    polynomial h_{d+1} (``krawtchouk_charpoly``), so the spectrum of A
+    is the multiset union of the roots of h_{d+1}, each counted once per
+    module of the type.  The recurrence has no diagonal term, so
+    h_{d+1}(t) = t^p g(t^2) with p = (d + 1) mod 2; every squared
+    eigenvalue of A is an algebraic integer in [0, Delta^2] (Delta the
+    maximum degree), so where the squared spectrum is rational the roots
+    are +-sqrt(mu) for the integers mu there with g(mu) = 0, and 0 when
+    p = 1 or g(0) = 0.  Each type must have d + 1 of them, and the module
+    dimensions must sum to n.
+
+    Raises ValueError when a type's roots are not all square roots of
+    integers (the squared spectrum is not rational) or need more than
+    one radicand, and ArithmeticError when the modules do not fill V.
+    """
+    n = split.graph.n
+    types = decomposition.types()
+    total = sum((d + 1) * count for (_, d), (_, count) in types.items())
+    if total != n:
+        raise ArithmeticError(
+            f"module dimensions sum to {total}, expected {n}")
+    bound = max(map(len, split.graph.adj), default=0) ** 2
+    mults: dict[int, int] = {}
+    for (_, d), (x, count) in types.items():
+        h = krawtchouk_charpoly(x)[-1].coeffs
+        even = h[(d + 1) % 2::2]  # g, lowest first
+        den = lcm(*(Fraction(c).denominator for c in even))
+        g = [int(c * den) for c in reversed(even)]  # highest first
+        roots = [mu for mu in range(bound + 1)  # t | h_{d+1} for even d
+                 if (mu == 0 and d % 2 == 0)
+                 or not reduce(lambda acc, c: acc * mu + c, g, 0)]
+        if sum(2 if mu else 1 for mu in roots) != d + 1:
+            raise ValueError(_IRRATIONAL)
+        for mu in roots:
+            mults[mu] = mults.get(mu, 0) + count
+    return _from_squares(n, mults)
 
 
 # -- the idempotent pattern on the thin modules ----------------------------------
@@ -342,8 +406,10 @@ def module_pattern(spectrum: Spectrum, decomposition: Decomposition,
     is 0, and on V exactly when that holds for every module type.  The
     roots are looked up among the spectrum's values: each type must
     have d + 1 of them, and counting each root once per module must
-    give the spectrum's multiplicities, an independent check of the
-    modules against the spectrum.  ArithmeticError otherwise.
+    give the spectrum's multiplicities, a check of the modules against
+    the spectrum (an independent one only when the spectrum did not come
+    from the same modules, ``module_spectrum``).  ArithmeticError
+    otherwise.
     """
     values = spectrum.values()
     found = [0] * len(values)

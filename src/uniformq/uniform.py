@@ -477,7 +477,9 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     the exact length of its raising chain and must agree with its
     eigenvalue.  Chains are normalised with the solved x-scalars and
     every chain relation is re-verified exactly.  Every vector is kept
-    over the coordinates of its own level.
+    over the coordinates of its own level.  At r = eps there is no level
+    above, so L R = 0 on ker L and the kernel basis itself is the
+    generators, all of diameter 0.
 
     This certifies the direct sum.  Eigenvectors for distinct eigenvalues
     are independent, and so is each eigenspace basis; together they must
@@ -512,6 +514,12 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
             continue
         kernel = _kernel_of_lowering(split, r)
         if not kernel:
+            continue
+        if r == eps:
+            # R maps level eps into an empty level, so L R = 0 on ker L
+            # and every kernel vector generates a module of diameter 0
+            chains += [_build_chain(split, r, v, [], {}, Fraction(0))
+                       for v in kernel]
             continue
         xs = {d: solve_x_scalars(params, r, d) for d in range(1, eps - r + 1)}
         lr, scales, raised = _lowering_raising(split, r, kernel)

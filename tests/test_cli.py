@@ -367,6 +367,7 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
     monkeypatch.setattr(Graph, "adjacency_matrix",
                         counting("adjacency_matrix", Graph.adjacency_matrix))
     targets = [("uniformq.spectra", "spectrum_exact"),
+               ("uniformq.spectra", "module_spectrum"),
                ("uniformq._kernels", "charpoly_mod"),
                ("uniformq.spectra", "eigenspace_bases"),
                ("uniformq.spectra", "idempotent_pattern"),
@@ -416,17 +417,16 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
         assert counts.pop("_level_equations") == data["epsilon"]
         assert counts.pop("verify_uniform") == 2
         # A stays in adjacency lists and A* is never built: the relation
-        # is decided on the table, with no column walk; the Gram block's
-        # charpoly is taken once, and the idempotent pattern is decided
-        # on the modules, with no spectral projector and no eigenspace
-        # basis
+        # is decided on the table, with no column walk; the spectrum and
+        # the idempotent pattern are read off the modules, with no Gram
+        # block charpoly, no spectral projector and no eigenspace basis
         assert counts == {name: 1 for name in (
-            "spectrum_exact", "charpoly_mod", "verify_relation",
+            "module_spectrum", "verify_relation",
             "fit_uniform_constant", "decompose_modules")}
         n = data["graph"]["n"]
         assert (n, n) not in shapes
     # qcheck is a view over the same artifacts: the modules once, and
-    # the pattern from them
+    # the spectrum and the pattern from them
     counts.clear()
     solved.clear()
     res = runner.invoke(main, ["qcheck", str(workdir / "c32fb.el")])
@@ -436,13 +436,13 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
     assert counts.pop("_level_equations") == data["epsilon"]
     assert counts.pop("verify_uniform") == 2
     assert counts == {name: 1 for name in (
-        "spectrum_exact", "charpoly_mod", "verify_relation",
+        "module_spectrum", "verify_relation",
         "fit_uniform_constant", "decompose_modules")}
 
 
 def _drop_last_module(monkeypatch):
     """Make the modules miss their last module, so that they no longer
-    cover the spectrum."""
+    fill V."""
     from uniformq import cli
     from uniformq.uniform import Decomposition
 
@@ -462,37 +462,46 @@ def _swap_multiplicities(monkeypatch):
 
     from uniformq import cli
 
-    real = cli.spectrum_exact
+    real = cli.module_spectrum
 
-    def swapped(split):
-        spec = real(split)
+    def swapped(split, decomposition):
+        spec = real(split, decomposition)
         (v0, m0), (v1, m1), *rest = spec.eigenvalues
         return replace(spec, eigenvalues=[(v0, m1), (v1, m0), *rest])
 
-    monkeypatch.setattr(cli, "spectrum_exact", swapped)
+    monkeypatch.setattr(cli, "module_spectrum", swapped)
 
 
 @pytest.mark.parametrize("corrupt", [_drop_last_module, _swap_multiplicities])
 def test_pattern_rejection_is_structured(runner, workdir, monkeypatch,
                                          corrupt):
-    # modules that disagree with the spectrum reject the pattern: an
-    # error in the report and exit 1, not a traceback
+    # modules and a spectrum that disagree are rejected with an error in
+    # the report and exit 1, not a traceback: swapped multiplicities at
+    # the pattern's count check, and modules that no longer fill V at the
+    # spectrum read off them, which skips qcheck
     corrupt(monkeypatch)
     path = str(workdir / "c32fb.el")
     res = runner.invoke(main, ["pipeline", path])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     data = json.loads(res.stdout)
-    assert "qcheck" not in data["skipped"]
-    assert "disagree" in data["ordering"]["error"]
+    if corrupt is _swap_multiplicities:
+        assert "qcheck" not in data["skipped"]
+        assert "disagree" in data["ordering"]["error"]
+        error = data["ordering"]["error"]
+    else:
+        error = "module dimensions sum to 134, expected 135"
+        assert data["spectrum"] == {"error": error}
+        assert data["skipped"] == {"qcheck": "no spectrum"}
+        assert "ordering" not in data
     res = runner.invoke(main, ["qcheck", path])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     data = json.loads(res.stdout)
-    assert data["candidate"]["verified"] and "disagree" in data["error"]
+    assert data["candidate"]["verified"] and data["error"] == error
 
 
 @pytest.mark.parametrize("stage, target, reason", [
     ("modules", "decompose_modules", "no module decomposition"),
-    ("spectrum", "spectrum_exact", "no spectrum"),
+    ("spectrum", "module_spectrum", "no spectrum"),
 ])
 def test_failed_stage_skips_qcheck(runner, workdir, monkeypatch, stage,
                                    target, reason):
@@ -515,8 +524,8 @@ def test_failed_stage_skips_qcheck(runner, workdir, monkeypatch, stage,
 
 def test_bipartite_pipeline_works_on_colour_class_blocks(runner, q4_file,
                                                         monkeypatch):
-    # the spectrum and the idempotent pattern of a bipartite graph need
-    # no sign split by modular ranks and no n x n x n product
+    # the spectrum and the idempotent pattern of a bipartite graph are
+    # read off its thin modules: no modular rank and no matrix product
     import sys
 
     from uniformq import _kernels
@@ -542,8 +551,7 @@ def test_bipartite_pipeline_works_on_colour_class_blocks(runner, q4_file,
     data = json.loads(res.stdout)
     assert data["skipped"] == {} and data["ordering"]
     assert len(data["spectrum"]["eigenvalues"]) == 5
-    assert calls and "rank_mod" not in calls
-    assert (16, 16, 16) not in calls
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

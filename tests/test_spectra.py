@@ -1,5 +1,5 @@
+import json
 import random
-from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache, reduce
@@ -34,6 +34,7 @@ from uniformq.spectra import (
     krawtchouk_charpoly,
     module_eigenvalues,
     module_pattern,
+    module_spectrum,
     natural_ordering,
     odd_even_ordering,
     spectrum_exact,
@@ -41,6 +42,7 @@ from uniformq.spectra import (
 )
 from uniformq.uniform import (
     Decomposition,
+    TModule,
     decompose_modules,
     fit_uniform,
     fit_uniform_constant,
@@ -676,21 +678,73 @@ def test_module_pattern_matches_dense_twin_at_the_candidate(name):
     _assert_twins_agree(name, [1] * (ctx.eccentricity + 1))  # A* = I
 
 
-@pytest.mark.parametrize("name", list(MODULE_INSTANCES))
+def _c32_fb_at(base):
+    return full_bipartite(dual_polar(FormSpec("C", 3, 2))[0], base)
+
+
+# graph builder and base vertex: the module instances, P_5 (in Q(sqrt 3))
+# and C_3(2) fb built at a base of each parity
+SPECTRUM_TWINS = {
+    **{name: (build, 0) for name, build in MODULE_INSTANCES.items()},
+    "P_5": (lambda: Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+            0),
+    "C_3(2)-fb@34": (lambda: _c32_fb_at(34), 34),
+    "C_3(2)-fb@5": (lambda: _c32_fb_at(5), 5),
+}
+
+
+@pytest.mark.parametrize("name", list(SPECTRUM_TWINS))
 def test_module_eigenvalue_counts_match_spectrum(name):
     # each type contributes the d + 1 roots of its charpoly h_{d+1},
-    # once per module: together they are the spectrum with multiplicities
-    _, twin, dec = _module_instance(name)
-    spec = twin.spectrum
-    counts = Counter()
-    for (r, d), (x, count) in dec.types().items():
-        charpoly_t = krawtchouk_charpoly(x)[-1]
-        roots = [t for t in spec.values() if charpoly_t(t) == 0]
-        assert len(roots) == d + 1
-        for t in roots:
-            counts[t] += count
-    assert [counts[t] for t in spec.values()] == [
-        m for _, m in spec.eigenvalues]
+    # once per module: the module spectrum equals the dense route's, the
+    # Gram block's charpoly and traces, as a value and as JSON
+    build, base = SPECTRUM_TWINS[name]
+    split = split_at(build(), base)
+    params = fit_uniform_constant(split)
+    if params is None:
+        params = fit_uniform(split).canonical
+    fast = module_spectrum(split, decompose_modules(split, params))
+    dense = spectrum_exact(split)
+    assert fast == dense
+    assert json.dumps(fast.to_json()) == json.dumps(dense.to_json())
+
+
+def _hand_built(split, types):
+    """A decomposition with one module per (r, d, x) in types; the
+    module spectrum reads only the types."""
+    return Decomposition([TModule(r, d, [[1]] * (d + 1), list(x))
+                          for r, d, x in types], split.graph.n)
+
+
+def test_module_spectrum_rejects_an_irrational_square():
+    # the P_4 chain, x = (1, 1, 1): h_4 = t^4 - 3 t^2 + 1 has the roots
+    # mu = (3 +- sqrt 5)/2, no integer; the dense route says the same
+    split = split_at(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    dec = _hand_built(split, [(0, 3, [1, 1, 1])])
+    message = "squared spectrum is not rational"
+    with pytest.raises(ValueError, match=message):
+        module_spectrum(split, dec)
+    with pytest.raises(ValueError, match=message):
+        spectrum_exact(split)
+
+
+def test_module_spectrum_rejects_two_radicands():
+    # x = 2 and x = 3 on two types of diameter 1 give +-sqrt 2 and
+    # +-sqrt 3, outside one extension Q(sqrt m)
+    split = split_at(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    dec = _hand_built(split, [(0, 1, [2]), (1, 1, [3])])
+    with pytest.raises(ValueError, match=r"two radicands \(3, 2\)"):
+        module_spectrum(split, dec)
+
+
+def test_module_spectrum_rejects_modules_that_miss_a_dimension():
+    _, twin, dec = _module_instance("C_2(3)-fb")
+    split = split_at(MODULE_INSTANCES["C_2(3)-fb"]())
+    assert module_spectrum(split, dec) == twin.spectrum
+    fewer = Decomposition(dec.modules[:-1], dec.vertex_count)
+    with pytest.raises(ArithmeticError,
+                       match="module dimensions sum to 39, expected 40"):
+        module_spectrum(split, fewer)
 
 
 def test_module_pattern_rejects_a_mismatched_spectrum():

@@ -734,6 +734,32 @@ def test_kernel_elimination_skips_levels_the_chains_fill(name, levels,
     assert calls == list(range(split.ctx.eccentricity + 1))
 
 
+@pytest.mark.parametrize("name", ["C_2(3)-fb", "H(3,3)-fb", "C_3(2)-fb"])
+def test_top_endpoint_forms_no_lowering_raising(name, monkeypatch):
+    # level eps + 1 is empty, so L R = 0 on ker L at r = eps: the kernel
+    # basis itself is the generators, all of diameter 0, with no L R
+    # formed and no eigenspace taken there
+    import uniformq.uniform as uniform_mod
+
+    g = TWIN_INSTANCES[name]()
+    split = lfr_split(g, bfs_context(g, 0))
+    eps = split.ctx.eccentricity
+    real = uniform_mod._lowering_raising
+    calls = []
+
+    def counting(split, r, kernel):
+        calls.append(r)
+        return real(split, r, kernel)
+
+    monkeypatch.setattr(uniform_mod, "_lowering_raising", counting)
+    dec = decompose_modules(split, fit_uniform_constant(split))
+    assert calls and eps not in calls
+    top = [m for m in dec.modules if m.endpoint == eps]
+    assert top and all(m.diameter == 0 and m.x_scalars == [] for m in top)
+    assert [m.basis for m in top] == [[v] for v in
+                                      _kernel_of_lowering(split, eps)]
+
+
 def _leaky_raising(monkeypatch):
     """Raising a nonzero vector of ker L on a level i >= 1 adds 1 at the
     first vertex of level i + 1, so L R leaves ker L from r = 1 on."""

@@ -78,7 +78,6 @@ from .spectra import (
     krawtchouk_charpoly,
     module_eigenvalues,
     module_pattern,
-    module_spectrum,
     natural_ordering,
     odd_even_ordering,
     spectrum_exact,

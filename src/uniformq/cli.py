@@ -35,7 +35,6 @@ from .spectra import (
     check_q_ordering,
     even_odd_ordering,
     module_pattern,
-    module_spectrum,
     natural_ordering,
     odd_even_ordering,
     spectrum_exact,
@@ -277,18 +276,19 @@ class _Instance:
         """The spectrum read off the certified thin modules; the dense
         Gram-block route when there are none, for want of a verified
         uniform structure or because the decomposition failed."""
+        modules = None
         if self.params is not None and self.check.passed \
                 and not isinstance(self._modules, Exception):
-            return module_spectrum(self.split, self._modules)
-        return spectrum_exact(self.split)
+            modules = self._modules
+        return spectrum_exact(self.split, modules)
 
     @cached_property
     def pattern(self):
-        """The idempotent pattern, decided on the thin modules.  Its
-        check of the modules' eigenvalue counts against the spectrum is
-        an independent one only where the spectrum took the dense route;
-        where the spectrum was read off the same modules it holds by
-        construction."""
+        """The idempotent pattern, decided on the thin modules.  It
+        needs the modules, so the spectrum was read off them too, and
+        its check of the modules' eigenvalue counts against the
+        spectrum holds by construction here; the tests' twin and the CI
+        run on C_3(3) hold the dense spectrum against the modules'."""
         return module_pattern(self.spectrum, self.modules,
                               self.search.candidate.theta_star)
 
@@ -430,7 +430,7 @@ def spectrum(input, out, as_json) -> None:
     """Exact adjacency spectrum of a bipartite graph over Q(sqrt(m))."""
     inst = _open(input, 0)
     try:
-        spec = spectrum_exact(inst.split)  # no base vertex, no modules
+        spec = spectrum_exact(inst.split)  # no uniform structure, no modules
     except (ValueError, ArithmeticError) as exc:
         _emit({"error": str(exc)}, out, as_json)
         sys.exit(MATH_FAIL)

@@ -15,39 +15,41 @@ representation matrix is generated by the three-term recurrence
 h_{i+1} = t h_i - x_{r+i} h_{i-1}, a rescaled normalized dual
 b-Krawtchouk polynomial.
 
-``module_spectrum`` reads the spectrum off the certified thin modules:
-A acts on the chain basis of a module of type (r, d) by a tridiagonal
-matrix with characteristic polynomial h_{d+1}, so the spectrum is the
-multiset union over the module types of the d + 1 roots of h_{d+1}, each
-counted once per module of the type.  For bipartite A, h_{d+1} is even
-or odd, and its roots are found by an exact scan of mu = theta^2 over
-the integers in [0, Delta^2] (Delta the maximum degree).  It is the
-spectrum of ``pipeline`` and ``qcheck`` wherever the modules certify.
+``spectrum_exact`` takes the level split of a bipartite graph, and,
+where there is one, its certified thin-module decomposition.  Given the
+modules, it reads the spectrum off them (``_module_spectrum``): A acts
+on the chain basis of a module of type (r, d) by a tridiagonal matrix
+with characteristic polynomial h_{d+1}, so the spectrum is the multiset
+union over the module types of the d + 1 roots of h_{d+1}, each counted
+once per module of the type.  For bipartite A, h_{d+1} is even or odd,
+and its roots are found by an exact scan of mu = theta^2 over the
+integers in [0, Delta^2] (Delta the maximum degree).  This is the route
+of ``pipeline`` and ``qcheck`` wherever the modules certify.
 
-``spectrum_exact`` is the dense route, for ``uniformq spectrum`` (no
-base vertex, no uniform structure) and wherever no module decomposition
-certifies; the tests hold the two routes against each other.  It takes
-the level split of a bipartite graph with rational squared spectrum.
-Its colour classes are the even and the odd levels of the base's
-distance partition, so A = [[0, B], [B^T, 0]], and it works on the Gram
-block B B^T of the smaller class, read off the adjacency lists.  The
-roots of its characteristic polynomial modulo one prime in
-[0, Delta^2] are the candidate eigenvalues; the powers of B B^T certify
-that they hold every eigenvalue and give each multiplicity by a trace.
-The nonzero eigenvalues of A are +-sqrt(mu) for the nonzero eigenvalues
-mu of B B^T, each with the multiplicity of mu, and 0 takes the rest.
-Non-bipartite input is rejected.  Both routes return the same plain
-Spectrum value: the eigenvalues with their multiplicities, and the
-radicand.
+Without modules it takes the dense route, for ``uniformq spectrum`` (no
+uniform structure) and wherever no decomposition certifies.  The colour
+classes are the even and the odd levels of the base's distance
+partition, so A = [[0, B], [B^T, 0]], and it works on the Gram block
+B B^T of the smaller class, read off the adjacency lists.  The roots of
+its characteristic polynomial modulo one prime in [0, Delta^2] are the
+candidate eigenvalues; the powers of B B^T certify that they hold every
+eigenvalue and give each multiplicity by a trace.  The nonzero
+eigenvalues of A are +-sqrt(mu) for the nonzero eigenvalues mu of
+B B^T, each with the multiplicity of mu, and 0 takes the rest.
+Both routes reject non-bipartite input, need a rational squared
+spectrum and return the same plain Spectrum value: the eigenvalues with
+their multiplicities, and the radicand.  The tests hold the two routes
+against each other.
 
 ``module_pattern`` decides which E_i A* E_j vanish on the certified
 thin modules: each module type is a small tridiagonal pair (T, diag
 theta*), so the pattern needs O(d) work per pair of eigenvalues and
 type, whatever n.  It is the pattern of ``pipeline`` and ``qcheck``.
 It checks the modules' eigenvalue counts against the spectrum's
-multiplicities; where the spectrum is ``module_spectrum``'s, read off
-the same modules, that check is no longer an independent one, and the
-tests' twin of the two spectra takes its place.
+multiplicities.  In ``pipeline`` and ``qcheck`` that check holds by
+construction: the pattern needs the modules, and with modules the
+spectrum is read off them.  The dense spectrum is checked against the
+module route by the tests' twin and by the CI run on C_3(3).
 
 The dense twin that the tests compare ``module_pattern`` with builds
 its own data from the split: ``_spectral_projectors`` forms the integer
@@ -276,14 +278,18 @@ def _gram(split: LFRSplit, rows: list[int]) -> list[int]:
     return gram
 
 
-def spectrum_exact(split: LFRSplit) -> Spectrum:
+def spectrum_exact(split: LFRSplit,
+                   decomposition: Optional[Decomposition] = None) -> Spectrum:
     """Exact spectrum of the adjacency matrix A of the graph of a
     bipartite split.
 
-    Every edge joins consecutive levels, so the even and the odd levels
-    are the colour classes, A = [[0, B], [B^T, 0]], and the Gram block
-    D = B B^T on the smaller class (``_classes``) is read off the
-    adjacency lists (``_gram``); B itself is never formed.  Every
+    Given the split's certified thin-module decomposition, the spectrum
+    is read off the modules (``_module_spectrum``) and no Gram block is
+    formed.  Otherwise every edge joins consecutive levels, so the even
+    and the odd levels are the colour classes, A = [[0, B], [B^T, 0]],
+    and the Gram block D = B B^T on the smaller class (``_classes``) is
+    read off the adjacency lists (``_gram``); B itself is never formed.
+    Every
     eigenvalue of D lies in [0, Delta^2] (Delta the maximum degree); the
     candidates are the mu there that are roots of the characteristic
     polynomial of D modulo one fixed prime, since every integer root is
@@ -296,19 +302,22 @@ def spectrum_exact(split: LFRSplit) -> Spectrum:
     mult(0) = n - 2 rank B.
 
     Raises ValueError when the graph is not bipartite, the squared
-    spectrum is not rational or the values need more than one radicand.
+    spectrum is not rational or the values need more than one radicand,
+    and ArithmeticError when the given modules do not fill V.
     """
     if not split.is_bipartite():
         raise ValueError(
             "the graph is not bipartite; only bipartite graphs are supported"
         )
     g = split.graph
+    # no eigenvalue of A^2 exceeds Delta^2, Delta the maximum degree
+    bound = max(map(len, g.adj), default=0) ** 2
+    if decomposition is not None:
+        return _module_spectrum(g.n, bound, decomposition)
     rows = _classes(split)[0]
     size = len(rows)
     gram = _gram(split, rows)
     coeffs = _kernels.charpoly_mod(gram, size, _PRIME)[::-1]  # highest first
-    # no eigenvalue of A^2 exceeds Delta^2, Delta the maximum degree
-    bound = max(map(len, g.adj), default=0) ** 2
     candidates = [mu for mu in range(bound + 1)
                   if not reduce(lambda r, c: (r * mu + c) % _PRIME,
                                 coeffs, 0)]
@@ -339,9 +348,11 @@ def _from_squares(n: int, mults: dict[int, int]) -> Spectrum:
     return Spectrum([(v, m) for v, m in pairs if m > 0], radicand)
 
 
-def module_spectrum(split: LFRSplit, decomposition: Decomposition) -> Spectrum:
-    """Exact spectrum of the adjacency matrix A of the graph of a
-    bipartite split, read off its certified thin modules.
+def _module_spectrum(n: int, bound: int,
+                     decomposition: Decomposition) -> Spectrum:
+    """Exact spectrum of the adjacency matrix A of a bipartite graph on
+    n vertices with maximum degree Delta, bound = Delta^2, read off its
+    certified thin modules.
 
     V is the direct sum of the modules, and A acts on the chain basis of
     a module of type (r, d) by the tridiagonal T with characteristic
@@ -349,8 +360,8 @@ def module_spectrum(split: LFRSplit, decomposition: Decomposition) -> Spectrum:
     is the multiset union of the roots of h_{d+1}, each counted once per
     module of the type.  The recurrence has no diagonal term, so
     h_{d+1}(t) = t^p g(t^2) with p = (d + 1) mod 2; every squared
-    eigenvalue of A is an algebraic integer in [0, Delta^2] (Delta the
-    maximum degree), so where the squared spectrum is rational the roots
+    eigenvalue of A is an algebraic integer in [0, Delta^2], so where
+    the squared spectrum is rational the roots
     are +-sqrt(mu) for the integers mu there with g(mu) = 0, and 0 when
     p = 1 or g(0) = 0.  Each type must have d + 1 of them, and the module
     dimensions must sum to n.
@@ -359,13 +370,11 @@ def module_spectrum(split: LFRSplit, decomposition: Decomposition) -> Spectrum:
     integers (the squared spectrum is not rational) or need more than
     one radicand, and ArithmeticError when the modules do not fill V.
     """
-    n = split.graph.n
     types = decomposition.types()
     total = sum((d + 1) * count for (_, d), (_, count) in types.items())
     if total != n:
         raise ArithmeticError(
             f"module dimensions sum to {total}, expected {n}")
-    bound = max(map(len, split.graph.adj), default=0) ** 2
     mults: dict[int, int] = {}
     for (_, d), (x, count) in types.items():
         h = krawtchouk_charpoly(x)[-1].coeffs
@@ -407,9 +416,8 @@ def module_pattern(spectrum: Spectrum, decomposition: Decomposition,
     roots are looked up among the spectrum's values: each type must
     have d + 1 of them, and counting each root once per module must
     give the spectrum's multiplicities, a check of the modules against
-    the spectrum (an independent one only when the spectrum did not come
-    from the same modules, ``module_spectrum``).  ArithmeticError
-    otherwise.
+    the spectrum (one that holds by construction when the spectrum was
+    read off the same modules).  ArithmeticError otherwise.
     """
     values = spectrum.values()
     found = [0] * len(values)

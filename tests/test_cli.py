@@ -367,7 +367,8 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
     monkeypatch.setattr(Graph, "adjacency_matrix",
                         counting("adjacency_matrix", Graph.adjacency_matrix))
     targets = [("uniformq.spectra", "spectrum_exact"),
-               ("uniformq.spectra", "module_spectrum"),
+               ("uniformq.spectra", "_module_spectrum"),
+               ("uniformq.spectra", "_gram"),
                ("uniformq._kernels", "charpoly_mod"),
                ("uniformq.spectra", "eigenspace_bases"),
                ("uniformq.spectra", "idempotent_pattern"),
@@ -419,9 +420,10 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
         # A stays in adjacency lists and A* is never built: the relation
         # is decided on the table, with no column walk; the spectrum and
         # the idempotent pattern are read off the modules, with no Gram
-        # block charpoly, no spectral projector and no eigenspace basis
+        # block, no charpoly, no spectral projector and no eigenspace
+        # basis
         assert counts == {name: 1 for name in (
-            "module_spectrum", "verify_relation",
+            "spectrum_exact", "_module_spectrum", "verify_relation",
             "fit_uniform_constant", "decompose_modules")}
         n = data["graph"]["n"]
         assert (n, n) not in shapes
@@ -436,7 +438,7 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
     assert counts.pop("_level_equations") == data["epsilon"]
     assert counts.pop("verify_uniform") == 2
     assert counts == {name: 1 for name in (
-        "module_spectrum", "verify_relation",
+        "spectrum_exact", "_module_spectrum", "verify_relation",
         "fit_uniform_constant", "decompose_modules")}
 
 
@@ -462,14 +464,14 @@ def _swap_multiplicities(monkeypatch):
 
     from uniformq import cli
 
-    real = cli.module_spectrum
+    real = cli.spectrum_exact
 
-    def swapped(split, decomposition):
+    def swapped(split, decomposition=None):
         spec = real(split, decomposition)
         (v0, m0), (v1, m1), *rest = spec.eigenvalues
         return replace(spec, eigenvalues=[(v0, m1), (v1, m0), *rest])
 
-    monkeypatch.setattr(cli, "module_spectrum", swapped)
+    monkeypatch.setattr(cli, "spectrum_exact", swapped)
 
 
 @pytest.mark.parametrize("corrupt", [_drop_last_module, _swap_multiplicities])
@@ -501,7 +503,7 @@ def test_pattern_rejection_is_structured(runner, workdir, monkeypatch,
 
 @pytest.mark.parametrize("stage, target, reason", [
     ("modules", "decompose_modules", "no module decomposition"),
-    ("spectrum", "module_spectrum", "no spectrum"),
+    ("spectrum", "spectrum_exact", "no spectrum"),
 ])
 def test_failed_stage_skips_qcheck(runner, workdir, monkeypatch, stage,
                                    target, reason):

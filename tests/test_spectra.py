@@ -34,7 +34,6 @@ from uniformq.spectra import (
     krawtchouk_charpoly,
     module_eigenvalues,
     module_pattern,
-    module_spectrum,
     natural_ordering,
     odd_even_ordering,
     spectrum_exact,
@@ -703,7 +702,7 @@ def test_module_eigenvalue_counts_match_spectrum(name):
     params = fit_uniform_constant(split)
     if params is None:
         params = fit_uniform(split).canonical
-    fast = module_spectrum(split, decompose_modules(split, params))
+    fast = spectrum_exact(split, decompose_modules(split, params))
     dense = spectrum_exact(split)
     assert fast == dense
     assert json.dumps(fast.to_json()) == json.dumps(dense.to_json())
@@ -723,7 +722,7 @@ def test_module_spectrum_rejects_an_irrational_square():
     dec = _hand_built(split, [(0, 3, [1, 1, 1])])
     message = "squared spectrum is not rational"
     with pytest.raises(ValueError, match=message):
-        module_spectrum(split, dec)
+        spectrum_exact(split, dec)
     with pytest.raises(ValueError, match=message):
         spectrum_exact(split)
 
@@ -734,17 +733,17 @@ def test_module_spectrum_rejects_two_radicands():
     split = split_at(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
     dec = _hand_built(split, [(0, 1, [2]), (1, 1, [3])])
     with pytest.raises(ValueError, match=r"two radicands \(3, 2\)"):
-        module_spectrum(split, dec)
+        spectrum_exact(split, dec)
 
 
 def test_module_spectrum_rejects_modules_that_miss_a_dimension():
     _, twin, dec = _module_instance("C_2(3)-fb")
     split = split_at(MODULE_INSTANCES["C_2(3)-fb"]())
-    assert module_spectrum(split, dec) == twin.spectrum
+    assert spectrum_exact(split, dec) == twin.spectrum
     fewer = Decomposition(dec.modules[:-1], dec.vertex_count)
     with pytest.raises(ArithmeticError,
                        match="module dimensions sum to 39, expected 40"):
-        module_spectrum(split, fewer)
+        spectrum_exact(split, fewer)
 
 
 def test_module_pattern_rejects_a_mismatched_spectrum():

@@ -17,7 +17,6 @@ from .candidate import (
     candidate_search,
     check_eq7a,
     closed_form_theta,
-    dual_diagonal,
     entrywise_oracle,
     theta_from_structure,
     uniform_ratio,
@@ -43,7 +42,6 @@ from .graphs import (
     full_bipartite,
     lfr_split,
     parse_edge_list,
-    walk_matrix,
     walk_shape_count,
 )
 from .linalg import (
@@ -51,7 +49,6 @@ from .linalg import (
     ExactMatrix,
     Inconsistent,
     UniqueSolution,
-    charpoly,
     nullspace,
     rank,
     solve_linear,
@@ -92,7 +89,6 @@ from .uniform import (
     decompose_modules,
     fit_uniform,
     fit_uniform_constant,
-    module_rep_matrix,
     parameter_matrix,
     solve_x_scalars,
     validate_parameter_matrix,

@@ -62,18 +62,6 @@ class DualCandidate:
         }
 
 
-def dual_diagonal(ctx: BaseContext, theta_star: Sequence) -> list:
-    """The diagonal of A*, one value per vertex: theta*_{dist(x,y)} at y."""
-    eps = ctx.eccentricity
-    if len(theta_star) != eps + 1:
-        raise ValueError(
-            f"need {eps + 1} level values, got {len(theta_star)}"
-        )
-    if len(set(theta_star)) != eps + 1:
-        raise ValueError("level values must be mutually distinct")
-    return [theta_star[d] for d in ctx.dist]
-
-
 @dataclass
 class TridiagReport:
     holds: bool

@@ -450,7 +450,7 @@ def qcheck(input, base, theta, ordering_name, out, as_json) -> None:
     """Check Q-polynomial orderings of the primitive idempotents."""
     inst = _open(input, base, theta=theta)
     cand_report = _candidate_section(inst)
-    if "skipped" in cand_report or not inst.search.accepted:
+    if not cand_report.get("verified"):  # skipped, rejected or refuted
         _emit({"candidate": cand_report,
                "skipped": "no verified candidate"}, out, as_json)
         sys.exit(MATH_FAIL)
@@ -525,7 +525,7 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
                 report["uniform"]["source"] = inst.source
         failed = not verified
 
-    accepted = False
+    candidate_ok = False
     with _timed(clock, "candidate"):
         if not verified:
             skipped["candidate"] = "no verified uniform structure"
@@ -535,8 +535,8 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
             )
         else:
             report["candidate"] = inst.candidate
-            accepted = inst.search.accepted
-            failed |= not inst.candidate["verified"]
+            candidate_ok = inst.candidate["verified"] is True  # accepted, holds
+            failed |= not candidate_ok
 
     modules_ok = False
     with _timed(clock, "modules"):
@@ -565,7 +565,7 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
     with _timed(clock, "qcheck"):
         if no_spectrum:
             skipped["qcheck"] = "disabled"
-        elif not accepted:
+        elif not candidate_ok:
             skipped["qcheck"] = "no verified candidate"
         elif not modules_ok:
             skipped["qcheck"] = "no module decomposition"

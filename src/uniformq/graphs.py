@@ -4,7 +4,7 @@ A graph is simple, undirected and connected (validated at
 construction), with 0-based dense vertex indices.  Relative to a base
 vertex x the vertex set splits into levels by distance; the i-th dual
 idempotent is the diagonal 0/1 projector onto level i and is kept as an
-index set, materialised to a matrix only on demand.
+index set.
 
 The adjacency matrix splits as A = L + F + R where an edge contributes
 to L (lowering) when it steps one level toward the base, to F (flat)
@@ -93,9 +93,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def is_regular(self) -> Optional[int]:
         degs = {len(a) for a in self.adj}
         return degs.pop() if len(degs) == 1 else None
@@ -144,16 +141,6 @@ class BaseContext:
         self.levels = tuple(tuple(lv) for lv in levels)
         self.position = tuple(position)
 
-    def dual_idempotent(self, i: int) -> ExactMatrix:
-        """The diagonal 0/1 projector onto level i, as a dense matrix."""
-        n = self.graph.n
-        m = ExactMatrix.zeros(n, n)
-        if 0 <= i <= self.eccentricity:
-            for v in self.levels[i]:
-                m.entries[v * n + v] = 1
-        return m
-
-
 def bfs_context(g: Graph, x: int) -> BaseContext:
     """Breadth-first distance partition from x."""
     if not (0 <= x < g.n):
@@ -175,15 +162,14 @@ def bfs_context(g: Graph, x: int) -> BaseContext:
 class LFRSplit:
     """The split A = L + F + R relative to a base context.
 
-    Neighbour lists sorted by level step are the primary representation;
-    ``lower`` and ``raise_`` apply L and R to level-local vectors, and
-    the dense matrices are built lazily.  ``_equations`` holds the
-    uniform identity's distinct equations per level, built by
-    ``uniformq.uniform`` on first use and read by its fits and its
-    verification.
+    Neighbour lists sorted by level step are the representation;
+    ``lower`` and ``raise_`` apply L and R to level-local vectors.
+    ``_equations`` holds the uniform identity's distinct equations per
+    level, built by ``uniformq.uniform`` on first use and read by its
+    fits and its verification.
     """
 
-    __slots__ = ("ctx", "down", "same", "up", "_L", "_F", "_R", "_equations")
+    __slots__ = ("ctx", "down", "same", "up", "_equations")
 
     def __init__(self, ctx: BaseContext):
         g = ctx.graph
@@ -201,9 +187,6 @@ class LFRSplit:
             tuple(w for w in g.adj[v] if dist[w] == dist[v] + 1)
             for v in range(g.n)
         )
-        self._L = None
-        self._F = None
-        self._R = None
         self._equations = None
 
     @property
@@ -212,34 +195,6 @@ class LFRSplit:
 
     def is_bipartite(self) -> bool:
         return all(not s for s in self.same)
-
-    def _materialize(self, nbrs) -> ExactMatrix:
-        # (z,y)-entry is 1 when the edge y -> z performs this step type,
-        # i.e. column y lists the step targets z.
-        n = self.graph.n
-        m = ExactMatrix.zeros(n, n)
-        for y in range(n):
-            for z in nbrs[y]:
-                m.entries[z * n + y] = 1
-        return m
-
-    @property
-    def L(self) -> ExactMatrix:
-        if self._L is None:
-            self._L = self._materialize(self.down)
-        return self._L
-
-    @property
-    def F(self) -> ExactMatrix:
-        if self._F is None:
-            self._F = self._materialize(self.same)
-        return self._F
-
-    @property
-    def R(self) -> ExactMatrix:
-        if self._R is None:
-            self._R = self._materialize(self.up)
-        return self._R
 
     # level-local vectors: a vector on level i lists its coordinates in
     # ctx.levels[i] order; levels outside 0..eps have no coordinates
@@ -286,8 +241,8 @@ def _validate_shape(shape: str) -> None:
 def walk_counts_from(g: Graph, ctx: BaseContext, shape: str, y: int) -> list[int]:
     """Count walks from y matching the shape, per endpoint.
 
-    Deliberately naive depth-first expansion of every walk; this is the
-    trusted oracle and the matrix products are the fast path.
+    Deliberately naive depth-first expansion of every walk: the trusted
+    oracle that walk counts computed any other way are checked against.
     """
     _validate_shape(shape)
     dist = ctx.dist
@@ -310,21 +265,6 @@ def walk_counts_from(g: Graph, ctx: BaseContext, shape: str, y: int) -> list[int
 def walk_shape_count(g: Graph, ctx: BaseContext, shape: str, y: int, z: int) -> int:
     """Number of yz-walks whose step types spell the shape."""
     return walk_counts_from(g, ctx, shape, y)[z]
-
-
-def walk_matrix(split: LFRSplit, shape: str) -> ExactMatrix:
-    """Matrix whose (z,y)-entry counts yz-walks of the given shape.
-
-    The walk applies its first step first, so the product is taken over
-    the reversed shape: shape "llr" gives R * L * L.
-    """
-    _validate_shape(shape)
-    mats = {"l": split.L, "f": split.F, "r": split.R}
-    result = None
-    for ch in shape:
-        m = mats[ch]
-        result = m if result is None else m * result
-    return result
 
 
 def full_bipartite(g: Graph, x: int) -> Graph:

@@ -1,13 +1,12 @@
-"""Dense exact linear algebra over Q and Q(sqrt(m)).
+"""Exact linear algebra over Q.
 
-Matrices are dense and row-major; entries may be ints, Fractions or
-QuadExt values sharing one radicand.  No floating point is used
-anywhere.  Kernels, ranks and linear solves over Q run through one
-fraction-free pivot table of integer rows (rational rows scaled to
-integers); characteristic polynomials of rational matrices come from a
-CRT/modular computation with a rigorous Hadamard-style coefficient
-bound.  QuadExt entries take part in the arithmetic and in
-column_space_basis only.
+``ExactMatrix`` is a dense row-major matrix with rational entries, the
+input of the one elimination: kernels, ranks and linear solves over Q
+run through one fraction-free pivot table of integer rows (rational
+rows scaled to integers).  The characteristic polynomial of an integer
+matrix comes from a CRT/modular computation with a rigorous
+Hadamard-style coefficient bound.  QuadExt values enter
+column_space_basis only.  No floating point is used anywhere.
 
 The word-size inner loops (integer products, modular charpoly) are
 delegated to the pure-Python kernels in :mod:`uniformq._kernels`.
@@ -26,6 +25,8 @@ from .scalars import QuadExt, Scalar
 
 
 class ExactMatrix:
+    """A rows x cols matrix, row-major in ``entries``."""
+
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Scalar]):
@@ -37,10 +38,8 @@ class ExactMatrix:
         self.cols = cols
         self.entries = list(entries)
 
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
         flat = []
@@ -48,28 +47,11 @@ class ExactMatrix:
             if len(row) != c:
                 raise ValueError("ragged rows")
             flat.extend(row)
-        return ExactMatrix(r, c, flat)
+        return cls(r, c, flat)
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(rows, cols, [0] * (rows * cols))
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        m = ExactMatrix.zeros(n, n)
-        for i in range(n):
-            m.entries[i * n + i] = 1
-        return m
-
-    @staticmethod
-    def diagonal(values: Sequence[Scalar]) -> "ExactMatrix":
-        n = len(values)
-        m = ExactMatrix.zeros(n, n)
-        for i, v in enumerate(values):
-            m.entries[i * n + i] = v
-        return m
-
-    # -- access -----------------------------------------------------------
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
+        return cls(rows, cols, [0] * (rows * cols))
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
@@ -77,89 +59,6 @@ class ExactMatrix:
 
     def row(self, i: int) -> list:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list[list]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def column(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def scale(self, s: Scalar) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [s * a for a in self.entries])
-
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            return self._matmul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def transpose(self) -> "ExactMatrix":
-        r, c, e = self.rows, self.cols, self.entries
-        return ExactMatrix(
-            c, r, [e[i * c + j] for j in range(c) for i in range(r)]
-        )
-
-    def apply(self, vec: Sequence[Scalar]) -> list:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        out = []
-        c = self.cols
-        for i in range(self.rows):
-            acc = 0
-            base = i * c
-            for j, v in enumerate(vec):
-                if v != 0:
-                    a = self.entries[base + j]
-                    if a != 0:
-                        acc = acc + a * v
-            out.append(acc)
-        return out
-
-    def _check_same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     def int_entries(self) -> Optional[list[int]]:
         """Flat int entries when every entry is an integer, else None."""
@@ -173,35 +72,17 @@ class ExactMatrix:
                 return None
         return out
 
-    def _matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by "
-                f"{other.rows}x{other.cols}"
-            )
-        a_int = self.int_entries()
-        if a_int is not None:
-            b_int = other.int_entries()
-            if b_int is not None:
-                flat = int_matmul_flat(
-                    a_int, b_int, self.rows, self.cols, other.cols
-                )
-                return ExactMatrix(self.rows, other.cols, flat)
-        n, k, m = self.rows, self.cols, other.cols
-        out = [0] * (n * m)
-        ae, be = self.entries, other.entries
-        for i in range(n):
-            for t in range(k):
-                av = ae[i * k + t]
-                if av == 0:
-                    continue
-                base = i * m
-                brow = t * m
-                for j in range(m):
-                    bv = be[brow + j]
-                    if bv != 0:
-                        out[base + j] = out[base + j] + av * bv
-        return ExactMatrix(n, m, out)
+    def __eq__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return (
+            self.rows == other.rows
+            and self.cols == other.cols
+            and all(a == b for a, b in zip(self.entries, other.entries))
+        )
+
+    def __repr__(self):
+        return f"ExactMatrix({self.rows}x{self.cols})"
 
 
 def int_matmul_flat(a: list, b: list, n: int, k: int, m: int) -> list:
@@ -429,33 +310,6 @@ def charpoly_int(flat: list[int], n: int) -> Poly:
     trace = sum(flat[i * n + i] for i in range(n))
     if coeffs[n - 1] != -trace:
         raise ArithmeticError("charpoly reconstruction failed the trace check")
-    return Poly(coeffs)
-
-
-def charpoly(a: ExactMatrix) -> Poly:
-    """Monic characteristic polynomial det(t I - a), exact.
-
-    Integer matrices go through the modular/CRT path; rational matrices
-    are scaled to integers.  Irrational entries are a ValueError.
-    """
-    if not a.is_square():
-        raise ValueError("characteristic polynomial needs a square matrix")
-    n = a.rows
-    ints = a.int_entries()
-    if ints is not None:
-        return charpoly_int(ints, n)
-    if not all(isinstance(e, (int, Fraction)) for e in a.entries):
-        raise ValueError("characteristic polynomial needs rational entries")
-    d = 1
-    for e in a.entries:
-        if isinstance(e, Fraction):
-            d = d * e.denominator // gcd(d, e.denominator)
-    scaled = [int(e * d) for e in a.entries]
-    cp = charpoly_int(scaled, n)
-    # charpoly(dA)(d t) = d^n charpoly(A)(t)
-    coeffs = [
-        Fraction(cp[k], 1) / Fraction(d) ** (n - k) for k in range(n + 1)
-    ]
     return Poly(coeffs)
 
 

@@ -202,9 +202,6 @@ class QuadExt:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    def __float__(self) -> float:
-        return float(self.a) + float(self.c) * self.m ** 0.5
-
 
 def scalar_sort_key(x: Scalar):
     """Key ordering scalars by their real value (exact)."""

@@ -402,7 +402,7 @@ def module_pattern(spectrum: Spectrum, decomposition: Decomposition,
 
     V is the direct sum of the modules, and each is invariant under A
     and A*.  On the chain basis w_r, ..., w_{r+d} of a module of type
-    (r, d), A acts by the tridiagonal ``module_rep_matrix`` T and A* by
+    (r, d), A acts by the tridiagonal matrix T of its x-scalars and A* by
     diag(theta*_r, ..., theta*_{r+d}).  The x-scalars are nonzero, so
     T has d + 1 simple eigenvalues, the roots of h_{d+1}.  At a root
     theta, v_theta = (h_k(theta))_k is a right eigenvector of T and

@@ -444,17 +444,6 @@ class Decomposition:
                 for (r, d), (x, count) in self.types().items()]
 
 
-def module_rep_matrix(module: TModule) -> ExactMatrix:
-    """Tridiagonal action of A on the module chain basis: superdiagonal
-    ones, subdiagonal x-scalars."""
-    d = module.diameter
-    m = ExactMatrix.zeros(d + 1, d + 1)
-    for i in range(d):
-        m.entries[i * (d + 1) + i + 1] = 1
-        m.entries[(i + 1) * (d + 1) + i] = module.x_scalars[i]
-    return m
-
-
 def _kernel_of_lowering(split: LFRSplit, r: int) -> list[list]:
     """Basis of ker L restricted to level r, as primitive integer
     vectors over level r."""

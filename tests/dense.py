@@ -1,0 +1,173 @@
+"""The dense twin: n x n exact matrices and the dense forms of the
+structures that the package keeps sparse.
+
+The certified routes never form an n x n matrix.  The tests hold them
+against this module: ``Dense`` adds sums, products, transposes and
+matrix-vector products to ``ExactMatrix``, the input type of the one
+elimination, and the functions build the split's L, F and R, the dual
+idempotents, walk matrices, the diagonal of A*, a module's tridiagonal
+action and the characteristic polynomial of a rational matrix.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from uniformq.linalg import ExactMatrix, charpoly_int
+from uniformq.poly import Poly
+
+
+class Dense(ExactMatrix):
+    __slots__ = ()
+
+    @classmethod
+    def identity(cls, n: int) -> "Dense":
+        return cls.diagonal([1] * n)
+
+    @classmethod
+    def diagonal(cls, values) -> "Dense":
+        n = len(values)
+        m = cls.zeros(n, n)
+        for i, v in enumerate(values):
+            m.entries[i * n + i] = v
+        return m
+
+    def to_rows(self) -> list[list]:
+        return [self.row(i) for i in range(self.rows)]
+
+    def column(self, j: int) -> list:
+        return self.entries[j::self.cols]
+
+    def is_zero(self) -> bool:
+        return all(e == 0 for e in self.entries)
+
+    def __add__(self, other: ExactMatrix) -> "Dense":
+        self._check_same_shape(other)
+        return Dense(self.rows, self.cols,
+                     [a + b for a, b in zip(self.entries, other.entries)])
+
+    def __sub__(self, other: ExactMatrix) -> "Dense":
+        self._check_same_shape(other)
+        return Dense(self.rows, self.cols,
+                     [a - b for a, b in zip(self.entries, other.entries)])
+
+    def scale(self, s) -> "Dense":
+        return Dense(self.rows, self.cols, [s * a for a in self.entries])
+
+    def transpose(self) -> "Dense":
+        r, c, e = self.rows, self.cols, self.entries
+        return Dense(c, r, [e[i * c + j] for j in range(c) for i in range(r)])
+
+    def apply(self, vec) -> list:
+        if len(vec) != self.cols:
+            raise ValueError("dimension mismatch in matrix-vector product")
+        return [sum((a * v for a, v in zip(self.row(i), vec)
+                     if a != 0 and v != 0), 0)
+                for i in range(self.rows)]
+
+    def _check_same_shape(self, other: ExactMatrix) -> None:
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+
+    def __mul__(self, other: ExactMatrix) -> "Dense":
+        """The matrix product: one plain loop that skips zero entries."""
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
+                             f"{other.rows}x{other.cols}")
+        n, k, m = self.rows, self.cols, other.cols
+        brows = [[(j, bv) for j, bv in enumerate(other.row(t)) if bv != 0]
+                 for t in range(k)]
+        out = [0] * (n * m)
+        for i in range(n):
+            base = i * m
+            for av, brow in zip(self.row(i), brows):
+                if av != 0:
+                    for j, bv in brow:
+                        out[base + j] = out[base + j] + av * bv
+        return Dense(n, m, out)
+
+
+def adjacency(g) -> Dense:
+    a = g.adjacency_matrix()
+    return Dense(a.rows, a.cols, a.entries)
+
+
+def commutators(g, astar) -> list[Dense]:
+    """The four commutators of the cubic relation, A^3 A* - A* A^3,
+    A A* A^2 - A^2 A* A, A^2 A* - A* A^2 and A A* - A* A, for the
+    adjacency matrix A of g and A* = diag(astar)."""
+    a, astar = adjacency(g), Dense.diagonal(astar)
+    a2 = a * a
+    a3 = a2 * a
+    return [a3 * astar - astar * a3,
+            a * (astar * a2) - (a2 * astar) * a,
+            a2 * astar - astar * a2,
+            a * astar - astar * a]
+
+
+def charpoly(a: ExactMatrix) -> Poly:
+    """Monic det(t I - a) of a rational matrix: d a is an integer matrix
+    for the lcm d of the denominators, and charpoly(d a)(d t) = d^n
+    charpoly(a)(t).  Irrational entries are a ValueError."""
+    if a.rows != a.cols:
+        raise ValueError("characteristic polynomial needs a square matrix")
+    if not all(isinstance(e, (int, Fraction)) for e in a.entries):
+        raise ValueError("characteristic polynomial needs rational entries")
+    n = a.rows
+    d = lcm(*(Fraction(e).denominator for e in a.entries))
+    scaled = charpoly_int([int(e * d) for e in a.entries], n)
+    if d == 1:
+        return scaled
+    return Poly([Fraction(c, d ** (n - k))
+                 for k, c in enumerate(scaled.coeffs)])
+
+
+def step_matrices(split) -> tuple[Dense, Dense, Dense]:
+    """L, F and R of the split: the (z, y) entry is 1 when the edge from
+    y to z steps one level down, stays on its level or steps up."""
+    n = split.graph.n
+    mats = []
+    for nbrs in (split.down, split.same, split.up):
+        m = Dense.zeros(n, n)
+        for y in range(n):
+            for z in nbrs[y]:
+                m.entries[z * n + y] = 1
+        mats.append(m)
+    return tuple(mats)
+
+
+def walk_matrix(split, shape: str) -> Dense:
+    """The (z, y) entry counts the yz-walks of the shape.  The walk
+    takes its first step first, so shape "llr" gives R L L."""
+    mats = dict(zip("lfr", step_matrices(split)))
+    result = None
+    for ch in shape:
+        result = mats[ch] if result is None else mats[ch] * result
+    return result
+
+
+def dual_idempotent(ctx, i: int) -> Dense:
+    """The diagonal 0/1 projector onto level i."""
+    return Dense.diagonal([int(d == i) for d in ctx.dist])
+
+
+def dual_diagonal(ctx, theta_star) -> list:
+    """The diagonal of A*, one value per vertex: theta*_{dist(x,y)} at y."""
+    eps = ctx.eccentricity
+    if len(theta_star) != eps + 1:
+        raise ValueError(f"need {eps + 1} level values, got {len(theta_star)}")
+    if len(set(theta_star)) != eps + 1:
+        raise ValueError("level values must be mutually distinct")
+    return [theta_star[d] for d in ctx.dist]
+
+
+def module_rep_matrix(module) -> Dense:
+    """The action of A on a module's chain basis: ones above the
+    diagonal, the x-scalars below it."""
+    d = module.diameter
+    m = Dense.zeros(d + 1, d + 1)
+    for i in range(d):
+        m.entries[i * (d + 1) + i + 1] = 1
+        m.entries[(i + 1) * (d + 1) + i] = module.x_scalars[i]
+    return m

@@ -14,7 +14,6 @@ import pytest
 
 from uniformq.candidate import (
     candidate_search,
-    dual_diagonal,
     entrywise_oracle,
     verify_tridiagonal,
 )
@@ -24,9 +23,7 @@ from uniformq.graphs import (
     full_bipartite,
     lfr_split,
     walk_counts_from,
-    walk_matrix,
 )
-from uniformq.linalg import ExactMatrix, charpoly
 from uniformq.poly import poly_gcd
 from uniformq.scalars import quad
 from uniformq.spectra import (
@@ -52,6 +49,14 @@ from uniformq.uniform import (
 )
 
 from conftest import random_connected_graph
+from dense import (
+    Dense,
+    charpoly,
+    commutators,
+    dual_diagonal,
+    step_matrices,
+    walk_matrix,
+)
 
 
 @contextmanager
@@ -210,7 +215,8 @@ def test_criterion_7_property_suites():
             a = g.adjacency_matrix()
 
             # L + F + R = A
-            assert split.L + split.F + split.R == a
+            L, F, R = step_matrices(split)
+            assert L + F + R == a
 
             # dual idempotent band: E*_i A E*_j = 0 for |i - j| > 1
             for u, v in g.edges():
@@ -229,15 +235,7 @@ def test_criterion_7_property_suites():
                 k + Fraction(1, k + 2)
                 for k in range(ctx.eccentricity + 1)
             )
-            astar = ExactMatrix.diagonal(dual_diagonal(ctx, theta))
-            a2 = a * a
-            a3 = a2 * a
-            mats = [
-                a3 * astar - astar * a3,
-                a * astar * a2 - a2 * astar * a,
-                a2 * astar - astar * a2,
-                a * astar - astar * a,
-            ]
+            mats = commutators(g, dual_diagonal(ctx, theta))
             for y in range(g.n):
                 for z in range(g.n):
                     vals = entrywise_oracle(g, ctx, theta, y, z)
@@ -246,8 +244,8 @@ def test_criterion_7_property_suites():
 
             # Cayley-Hamilton, exactly
             p = charpoly(a)
-            acc = ExactMatrix.zeros(g.n, g.n)
-            identity = ExactMatrix.identity(g.n)
+            acc = Dense.zeros(g.n, g.n)
+            identity = Dense.identity(g.n)
             for c in reversed(p.coeffs):
                 acc = acc * a + identity.scale(c)
             assert acc.is_zero()

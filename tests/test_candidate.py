@@ -10,7 +10,6 @@ from uniformq.candidate import (
     candidate_search,
     check_eq7a,
     closed_form_theta,
-    dual_diagonal,
     entrywise_oracle,
     theta_from_structure,
     uniform_ratio,
@@ -19,11 +18,11 @@ from uniformq.candidate import (
 )
 from uniformq.generators import FormSpec, dual_polar, hamming
 from uniformq.graphs import Graph, bfs_context, full_bipartite, lfr_split
-from uniformq.linalg import ExactMatrix
 from uniformq.scalars import quad
 from uniformq.uniform import UniformParams, fit_uniform, fit_uniform_constant
 
 from conftest import random_connected_graph
+from dense import commutators, dual_diagonal
 
 
 # -- dual_diagonal ---------------------------------------------------------------
@@ -88,21 +87,9 @@ def test_verify_tridiagonal_dimension_mismatch(cycle6):
         verify_tridiagonal(cycle6, [quad(0, 1, 2)] + [1] * 5, 0, 0, 0)
 
 
-def dense_commutators(g, astar):
-    """Slow twin: the four commutators of the relation as dense
-    ExactMatrix products of A and A* = diag(astar)."""
-    a, astar = g.adjacency_matrix(), ExactMatrix.diagonal(astar)
-    a2 = a * a
-    a3 = a2 * a
-    return [a3 * astar - astar * a3,
-            a * (astar * a2) - (a2 * astar) * a,
-            a2 * astar - astar * a2,
-            a * astar - astar * a]
-
-
-def dense_residual(commutators, beta, gamma, rho):
+def dense_residual(mats, beta, gamma, rho):
     """Row-major (support, values) of the dense residual matrix."""
-    c3, cmix, c2, c1 = commutators
+    c3, cmix, c2, c1 = mats
     n = c3.rows
     bp1 = Fraction(beta) + 1
     support, values = [], []
@@ -115,8 +102,8 @@ def dense_residual(commutators, beta, gamma, rho):
     return support, values
 
 
-def assert_matches_dense(g, astar, commutators, beta, gamma, rho):
-    support, values = dense_residual(commutators, beta, gamma, rho)
+def assert_matches_dense(g, astar, mats, beta, gamma, rho):
+    support, values = dense_residual(mats, beta, gamma, rho)
     full = verify_tridiagonal(g, astar, beta, gamma, rho)
     assert full.holds == (not support)
     assert full.residual_support == support
@@ -125,7 +112,7 @@ def assert_matches_dense(g, astar, commutators, beta, gamma, rho):
 
 def test_verify_tridiagonal_matches_dense_twin_cycle6(cycle6):
     astar = [1] * 6
-    assert_matches_dense(cycle6, astar, dense_commutators(cycle6, astar),
+    assert_matches_dense(cycle6, astar, commutators(cycle6, astar),
                          7, 0, 0)
 
 
@@ -143,16 +130,16 @@ def test_verify_tridiagonal_matches_dense_twin_random(seed, bipartite):
             break
     astar = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
              for _ in range(g.n)]
-    commutators = dense_commutators(g, astar)
+    mats = commutators(g, astar)
     for beta, gamma, rho in [(Fraction(1, 3), 2, -5), (2, Fraction(-1, 3), 4)]:
-        assert_matches_dense(g, astar, commutators, beta, gamma, rho)
+        assert_matches_dense(g, astar, mats, beta, gamma, rho)
 
 
 def test_verify_tridiagonal_matches_dense_twin_c32(c32_fb, c32_ctx):
     astar = dual_diagonal(c32_ctx, (-1, 0, Fraction(1, 2), Fraction(3, 4)))
-    commutators = dense_commutators(c32_fb, astar)
+    mats = commutators(c32_fb, astar)
     for gamma, rho in [(0, 36), (0, 37), (Fraction(-1, 3), 36)]:
-        assert_matches_dense(c32_fb, astar, commutators, Fraction(5, 2),
+        assert_matches_dense(c32_fb, astar, mats, Fraction(5, 2),
                              gamma, rho)
 
 
@@ -184,16 +171,7 @@ def test_oracle_matches_matrix_products(cycle6):
         theta = tuple(
             k + Fraction(1, k + 2) for k in range(ctx.eccentricity + 1)
         )
-        a = g.adjacency_matrix()
-        astar = ExactMatrix.diagonal(dual_diagonal(ctx, theta))
-        a2 = a * a
-        a3 = a2 * a
-        mats = [
-            a3 * astar - astar * a3,
-            a * astar * a2 - a2 * astar * a,
-            a2 * astar - astar * a2,
-            a * astar - astar * a,
-        ]
+        mats = commutators(g, dual_diagonal(ctx, theta))
         for _ in range(20):
             y, z = rng.randrange(g.n), rng.randrange(g.n)
             vals = entrywise_oracle(g, ctx, theta, y, z)

@@ -375,7 +375,6 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
                ("uniformq.spectra", "_spectral_projectors"),
                ("uniformq.uniform", "decompose_modules"),
                ("uniformq.linalg", "column_space_basis"),
-               ("uniformq.candidate", "dual_diagonal"),
                ("uniformq.candidate", "verify_tridiagonal"),
                ("uniformq.candidate", "verify_relation"),
                ("uniformq.uniform", "fit_uniform_constant"),
@@ -522,6 +521,29 @@ def test_failed_stage_skips_qcheck(runner, workdir, monkeypatch, stage,
     res = runner.invoke(main, ["qcheck", path])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert json.loads(res.stdout)["error"] == "stage failed"
+
+
+def test_refuted_candidate_skips_qcheck(runner, workdir, monkeypatch):
+    # an accepted candidate whose relation check fails is no verified
+    # candidate: neither command checks orderings for it, and both exit 1
+    from uniformq import cli
+    from uniformq.candidate import RelationCheck
+
+    monkeypatch.setattr(cli, "verify_relation",
+                        lambda split, cand: RelationCheck(False, 3, 0))
+    path = str(workdir / "c32fb.el")
+    res = runner.invoke(main, ["pipeline", path])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    data = json.loads(res.stdout)
+    assert data["candidate"]["verified"] is False
+    assert data["skipped"] == {"qcheck": "no verified candidate"}
+    assert "ordering" not in data
+    res = runner.invoke(main, ["qcheck", path])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    data = json.loads(res.stdout)
+    assert data["candidate"]["verified"] is False
+    assert data["skipped"] == "no verified candidate"
+    assert "orderings" not in data
 
 
 def test_bipartite_pipeline_works_on_colour_class_blocks(runner, q4_file,

@@ -11,11 +11,11 @@ from uniformq.graphs import (
     lfr_split,
     parse_edge_list,
     walk_counts_from,
-    walk_matrix,
     walk_shape_count,
 )
 
 from conftest import random_connected_graph
+from dense import dual_idempotent, step_matrices, walk_matrix
 
 
 @pytest.fixture
@@ -109,18 +109,18 @@ def test_context_invariants(cycle6):
 
 def test_lfr_cycle(cycle6):
     ctx = bfs_context(cycle6, 0)
-    sp = lfr_split(cycle6, ctx)
-    assert sp.F.is_zero()
-    assert sum(sp.L.entries) == 6
-    assert sp.L + sp.F + sp.R == cycle6.adjacency_matrix()
-    assert sp.R == sp.L.transpose()
+    L, F, R = step_matrices(lfr_split(cycle6, ctx))
+    assert F.is_zero()
+    assert sum(L.entries) == 6
+    assert L + F + R == cycle6.adjacency_matrix()
+    assert R == L.transpose()
 
 
 def test_lfr_triangle(triangle):
     ctx = bfs_context(triangle, 0)
-    sp = lfr_split(triangle, ctx)
-    assert not sp.F.is_zero()
-    assert sp.L + sp.F + sp.R == triangle.adjacency_matrix()
+    L, F, R = step_matrices(lfr_split(triangle, ctx))
+    assert not F.is_zero()
+    assert L + F + R == triangle.adjacency_matrix()
 
 
 def test_lfr_context_mismatch(cycle6, triangle):
@@ -134,18 +134,18 @@ def test_lfr_random_partition():
     for _ in range(10):
         g = random_connected_graph(rng, rng.randint(4, 16))
         ctx = bfs_context(g, rng.randrange(g.n))
-        sp = lfr_split(g, ctx)
-        assert sp.L + sp.F + sp.R == g.adjacency_matrix()
-        assert sp.R == sp.L.transpose()
-        assert sp.F == sp.F.transpose()
+        L, F, R = step_matrices(lfr_split(g, ctx))
+        assert L + F + R == g.adjacency_matrix()
+        assert R == L.transpose()
+        assert F == F.transpose()
 
 
 def test_lowering_annihilates_below_zero(cycle6):
     ctx = bfs_context(cycle6, 0)
-    sp = lfr_split(cycle6, ctx)
-    power = sp.L
+    L, _, _ = step_matrices(lfr_split(cycle6, ctx))
+    power = L
     for _ in range(ctx.eccentricity):
-        power = sp.L * power
+        power = L * power
     assert power.is_zero()  # L^(eps+1) = 0
 
 
@@ -156,7 +156,7 @@ def test_dual_idempotent_band(cycle6):
     for i in range(ctx.eccentricity + 1):
         for j in range(ctx.eccentricity + 1):
             if abs(i - j) > 1:
-                prod = ctx.dual_idempotent(i) * a * ctx.dual_idempotent(j)
+                prod = dual_idempotent(ctx, i) * a * dual_idempotent(ctx, j)
                 assert prod.is_zero()
 
 
@@ -182,8 +182,9 @@ def test_walk_shape_invalid(cycle6):
 def test_walk_matrix_shape_l(cycle6):
     ctx = bfs_context(cycle6, 0)
     sp = lfr_split(cycle6, ctx)
-    assert walk_matrix(sp, "l") == sp.L
-    assert walk_matrix(sp, "llr") == sp.R * sp.L * sp.L
+    L, _, R = step_matrices(sp)
+    assert walk_matrix(sp, "l") == L
+    assert walk_matrix(sp, "llr") == R * L * L
 
 
 def test_walk_matrix_oracle_cycle(cycle6):

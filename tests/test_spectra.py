@@ -9,16 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph, split_at
+from dense import adjacency, charpoly, dual_diagonal, module_rep_matrix
 from test_uniform import certify_direct_sum, per_level
-from uniformq.candidate import dual_diagonal
 from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
 from uniformq.graphs import Graph, bfs_context, full_bipartite, lfr_split
 from uniformq import spectra
-from uniformq.linalg import (
-    charpoly,
-    charpoly_int,
-    int_matmul_flat,
-)
+from uniformq.linalg import charpoly_int, int_matmul_flat
 from uniformq.poly import Poly, poly_gcd
 from uniformq.scalars import QuadExt, exact_sqrt, quad, scalar_sort_key
 from uniformq.spectra import (
@@ -45,7 +41,6 @@ from uniformq.uniform import (
     decompose_modules,
     fit_uniform,
     fit_uniform_constant,
-    module_rep_matrix,
 )
 
 
@@ -56,7 +51,7 @@ def c32_projectors(c32_split):
 
 @pytest.fixture(scope="module")
 def c32_spectral(c32_fb, c32_projectors):
-    return c32_fb.adjacency_matrix(), c32_projectors.spectrum
+    return adjacency(c32_fb), c32_projectors.spectrum
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import random_connected_graph
+from dense import module_rep_matrix, step_matrices, walk_matrix
 from uniformq._kernels import pykernels
 from uniformq.cli import main
 from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
@@ -17,7 +18,6 @@ from uniformq.graphs import (
     full_bipartite,
     lfr_split,
     walk_counts_from,
-    walk_matrix,
 )
 from uniformq.linalg import (
     AffineSolution,
@@ -40,7 +40,6 @@ from uniformq.uniform import (
     decompose_modules,
     fit_uniform,
     fit_uniform_constant,
-    module_rep_matrix,
     parameter_matrix,
     solve_x_scalars,
     validate_parameter_matrix,
@@ -457,7 +456,8 @@ def test_decompose_x_scalars_match_both_routes(c32_split, dp_params):
 def test_decompose_chain_relations(c32_split, dp_params):
     # the dense L and R of the walk oracle, on full-length vectors
     dec = decompose_modules(c32_split, dp_params)
-    ctx, low, up = c32_split.ctx, c32_split.L, c32_split.R
+    ctx = c32_split.ctx
+    low, _, up = step_matrices(c32_split)
     for m in dec.modules[:10]:
         w = [full_length(ctx, m.endpoint + i, v) for i, v in enumerate(m.basis)]
         assert all(v == 0 for v in low.apply(w[0]))

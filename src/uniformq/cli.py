@@ -373,10 +373,12 @@ def uniform(input, base, params_file, out, as_json) -> None:
         section["verified"] = False
     else:
         section.update(params.to_json(), verified=inst.check.passed)
-        if params_file and not inst.check.passed:
+        if inst.check.reason is not None:
+            section["invalid"] = inst.check.reason
+        elif params_file and not inst.check.passed:
             section.update(failed_level=inst.check.level,
                            witness_vertex=inst.check.witness)
-    failed = not (inst.check.passed if params_file else inst.fit.feasible)
+    failed = params is None or not inst.check.passed
     _emit(dict(inst.levels_report(), uniform=section), out, as_json)
     sys.exit(MATH_FAIL if failed else 0)
 
@@ -523,6 +525,8 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
             report["uniform"].update(params.to_json())
             if inst.source:
                 report["uniform"]["source"] = inst.source
+            if inst.check.reason is not None:
+                report["uniform"]["invalid"] = inst.check.reason
         failed = not verified
 
     candidate_ok = False

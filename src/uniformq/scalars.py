@@ -151,9 +151,6 @@ class QuadExt:
             k >>= 1
         return result
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.c, self.m)
-
     def norm(self) -> Fraction:
         """Field norm a^2 - c^2 m (product with the conjugate)."""
         return self.a * self.a - self.c * self.c * self.m

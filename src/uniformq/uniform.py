@@ -8,7 +8,8 @@ scalars (e-_i, e+_i, f_i) such that the operator identity
 holds on the i-th subconstituent for every level 1 <= i <= eps, with the
 conventions e-_1 = 0 and e+_eps = 0.  The scalars assemble into the
 tridiagonal parameter matrix U (unit diagonal, subdiagonal e-, super-
-diagonal e+) whose contiguous principal blocks must all be nonsingular.
+diagonal e+) whose contiguous principal blocks must all be nonsingular;
+the verification checks these conditions once the identity holds.
 
 When the identity holds, the standard module splits into thin
 irreducible modules; each module is a chain w_r, ..., w_{r+d} with
@@ -28,7 +29,9 @@ whose relation combines the same four walk counts.
 A module chain is raised from its generator once: the raised kernel
 vectors that give L R on ker L also start each generator's chain, and
 the chain check compares R w_{r+i-1} = x_{r+i} w_{r+i} on the vectors
-rather than applying L R again.
+rather than applying L R again.  Only the chains of diameter >= 1 are
+built; no stage reads a basis, so the modules of diameter 0 are
+counted, not built (``decompose_modules``).
 """
 
 from __future__ import annotations
@@ -161,19 +164,17 @@ def validate_parameter_matrix(params: UniformParams) -> ParamValidation:
             return ParamValidation(
                 False, f"e-_{i} and e+_{i - 1} both vanish", None
             )
+    # det U(s..t) = det U(s..t-1) - e+_{t-1} e-_t det U(s..t-2)
+    products = [params.ep(t - 1) * params.em(t) for t in range(2, eps + 1)]
     for s in range(1, eps + 1):
-        prev2, prev1 = Fraction(1), Fraction(1)  # det of empty and 1x1 block
-        for t in range(s + 1, eps + 1):
-            d = prev1 - params.ep(t - 1) * params.em(t) * prev2
-            if d == 0:
+        prev2, prev1 = 1, 1  # det of empty and 1x1 block
+        for t, product in enumerate(products[s - 1:], s + 1):
+            prev2, prev1 = prev1, prev1 - product * prev2
+            if prev1 == 0:
                 return ParamValidation(
                     False, f"principal block ({s}..{t}) is singular", None
                 )
-            prev2, prev1 = prev1, d
-    consequence = all(
-        params.em(i + 1) * params.ep(i) != 1 for i in range(1, eps)
-    )
-    return ParamValidation(True, None, consequence)
+    return ParamValidation(True, None, all(p != 1 for p in products))
 
 
 # -- the operator identity -----------------------------------------------------
@@ -259,6 +260,7 @@ class UniformCheck:
     level: Optional[int] = None
     witness: Optional[int] = None  # basis vertex whose column fails
     residual: Optional[list] = None
+    reason: Optional[str] = None  # why the parameter matrix is invalid
 
 
 def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
@@ -272,6 +274,10 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
     whose first column fails too, so comes no earlier than y.  The
     witness is y, and the residual is its column of the identity's left
     side minus its right side, as a full-length list of Fractions.
+
+    Where the identity holds, the parameter matrix must also meet the
+    conditions of ``validate_parameter_matrix``; otherwise the check
+    fails with no level and the validator's reason.
     """
     _require_bipartite(split)
     ctx = split.ctx
@@ -284,7 +290,8 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
         for (a, c, d, b), y in table.items():
             if em * a + ep * c + f * d != b:
                 return UniformCheck(False, i, y, _residual(split, y, em, ep, f))
-    return UniformCheck(True)
+    valid = validate_parameter_matrix(params)
+    return UniformCheck(valid.ok, reason=valid.reason)
 
 
 def _residual(split: LFRSplit, y: int, em, ep, f) -> list:
@@ -421,14 +428,19 @@ class TModule:
 
 @dataclass
 class Decomposition:
+    """The built chains, ordered by endpoint, then by diameter, and the
+    modules that are counted rather than built: ``counted[r]`` modules of
+    type (r, 0).  ``decompose_modules`` builds the chains of diameter
+    >= 1 only; no stage reads a basis, only the types."""
+
     modules: list[TModule]
-    vertex_count: int
+    counted: dict[int, int]
 
     def types(self) -> dict[tuple[int, int], tuple[list[Fraction], int]]:
         """(r, d) -> (x-scalars, multiplicity) per module type, sorted;
         the x-scalars are solved once per (r, d) at each endpoint, for
         the eigenvalues of L R there, so modules of a type share them."""
-        table: dict[tuple[int, int], tuple[list[Fraction], int]] = {}
+        table = {(r, 0): ([], count) for r, count in self.counted.items()}
         for m in self.modules:
             key = (m.endpoint, m.diameter)
             x, count = table.get(key, (m.x_scalars, 0))
@@ -460,25 +472,38 @@ def _kernel_of_lowering(split: LFRSplit, r: int) -> list[list]:
 def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     """Split the standard module into thin irreducible module chains.
 
-    For each endpoint r, the generators are the eigenvectors of L R on
-    ker L at level r (checked to map it into itself) for the eigenvalues
-    0 and x_{r+1}(r, d), 1 <= d <= eps - r.  A generator's diameter is
-    the exact length of its raising chain and must agree with its
-    eigenvalue.  Chains are normalised with the solved x-scalars and
-    every chain relation is re-verified exactly.  Every vector is kept
-    over the coordinates of its own level.  At r = eps there is no level
-    above, so L R = 0 on ker L and the kernel basis itself is the
-    generators, all of diameter 0.
+    For each endpoint r < eps, the generators are the eigenvectors of
+    L R on ker L at level r (checked to map it into itself) for the
+    eigenvalues 0 and x_{r+1}(r, d), 1 <= d <= eps - r.  A generator of
+    eigenvalue 0 has R gen = 0, since |R gen|^2 = gen . L R gen with L
+    the transpose of R, so it spans a module of diameter 0; those are
+    counted, as the dimension of their eigenspace, and not built.  Every
+    other generator's diameter is the exact length of its raising chain
+    and must agree with its eigenvalue.  Those chains are normalised
+    with the solved x-scalars and every chain relation is re-verified
+    exactly.  Every vector is kept over the coordinates of its own
+    level.
 
     This certifies the direct sum.  Eigenvectors for distinct eigenvalues
     are independent, and so is each eigenspace basis; together they must
     span ker L.  Given a dependency among the chain vectors on level j
     with least endpoint r0, L^(j-r0) kills the chains of larger endpoint
     (L w_r = 0) and maps those of endpoint r0 to their generators
-    (L w_{r+i} = w_{r+i-1}), which are independent; with the dimensions
-    summing to n, the chains form a basis.  The verification of the
-    parameters reads the split's equation table.  Modules come ordered
-    by endpoint, then by increasing diameter.
+    (L w_{r+i} = w_{r+i-1}), which are independent; so no level holds
+    more chain vectors than it has vertices.  The verification of the
+    parameters reads the split's equation table.
+
+    The modules of endpoint eps are counted without an elimination.  The
+    top level is counted in full, so the check that the dimensions sum
+    to n forces every level below eps to hold as many independent chain
+    vectors, built or counted, as it has vertices: they span it.  L is the transpose of R,
+    so ker L on level eps is the orthogonal complement of R applied to
+    level eps-1.  R sends each chain vector there either to 0 (a chain
+    top or a generator of diameter 0) or to a nonzero multiple of a
+    chain vector on level eps (R w_{r+i-1} = x_{r+i} w_{r+i}), and
+    those are independent, as above.  So dim ker L on level eps is
+    size(eps) - c, for the number c of built chains that reach level
+    eps, and that is the multiplicity of type (eps, 0).
 
     The same argument skips the elimination for ker L where the chains
     already fill a level.  When the chains of endpoints r0 < r with
@@ -491,51 +516,54 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     """
     check = verify_uniform(split, params)
     if not check.passed:
-        raise ValueError(
-            f"uniform verification failed at level {check.level}; "
-            "decomposition requires a uniform structure"
-        )
+        where = (f"at level {check.level}" if check.reason is None
+                 else f"on the parameter matrix: {check.reason}")
+        raise ValueError(f"uniform verification failed {where}; "
+                         "decomposition requires a uniform structure")
     eps = split.ctx.eccentricity
-    n = split.graph.n
     chains: list[TModule] = []
-    for r in range(eps + 1):
+    counted: dict[int, int] = {}
+    for r in range(eps):
         if _chains_fill_level(split, chains, r):
             continue
         kernel = _kernel_of_lowering(split, r)
         if not kernel:
             continue
-        if r == eps:
-            # R maps level eps into an empty level, so L R = 0 on ker L
-            # and every kernel vector generates a module of diameter 0
-            chains += [_build_chain(split, r, v, [], {}, Fraction(0))
-                       for v in kernel]
-            continue
         xs = {d: solve_x_scalars(params, r, d) for d in range(1, eps - r + 1)}
         lr, scales, raised = _lowering_raising(split, r, kernel)
-        before = len(chains)
+        found = 0
         for value in dict.fromkeys([0] + [x[0] for x in xs.values()]):
             # (M_r - value I) c = 0 with row i scaled by q s_i, value = p/q
             shifted = [[value.denominator * u for u in row] for row in lr]
             for i, s in enumerate(scales):
                 shifted[i][i] -= value.numerator * s
-            for coords in nullspace(ExactMatrix.from_rows(shifted)):
-                # L R gen = 0 makes |R gen|^2 = gen . L R gen = 0, since
-                # L is the transpose of R: the chain ends at gen
-                up = _combine(coords, raised) if value else []
+            space = nullspace(ExactMatrix.from_rows(shifted))
+            found += len(space)
+            if not value:
+                counted[r] = len(space)
+                continue
+            for coords in space:
                 chains.append(_build_chain(
-                    split, r, _combine(coords, kernel), up, xs, value))
-        if len(chains) - before != len(kernel):
+                    split, r, _combine(coords, kernel),
+                    _combine(coords, raised), xs, value))
+        if found != len(kernel):
             raise ArithmeticError(
                 f"L R on ker L at level {r} has eigenspaces spanning "
-                f"{len(chains) - before} of {len(kernel)} dimensions"
+                f"{found} of {len(kernel)} dimensions"
             )
-    total = sum(m.diameter + 1 for m in chains)
-    if total != n:
+    reach = sum(m.endpoint + m.diameter == eps for m in chains)
+    if reach > split.size(eps):
         raise ArithmeticError(
-            f"module dimensions sum to {total}, expected {n}"
+            f"{reach} chains reach level {eps} of {split.size(eps)} vertices")
+    counted[eps] = split.size(eps) - reach
+    counted = {r: count for r, count in counted.items() if count}
+    total = sum(m.diameter + 1 for m in chains) + sum(counted.values())
+    if total != split.graph.n:
+        raise ArithmeticError(
+            f"module dimensions sum to {total}, expected {split.graph.n}"
         )
     chains.sort(key=lambda m: (m.endpoint, m.diameter))
-    return Decomposition(chains, n)
+    return Decomposition(chains, counted)
 
 
 def _chains_fill_level(split: LFRSplit, chains: list[TModule],
@@ -576,20 +604,20 @@ def _combine(coords: list, vectors: list[list]) -> list:
 def _build_chain(split: LFRSplit, r: int, gen: list, up: list, xs: dict,
                  value: Fraction) -> TModule:
     """The chain w_{r+i} = R^i gen / (x_{r+1} ... x_{r+i}), d the raising
-    length of gen and x = xs[d], whose x_{r+1} (0 for d = 0) must be the
-    eigenvalue; scaled by one integer to integer vectors of content 1
-    (the relations are linear, so a common factor keeps them).  up is
-    R gen, combined from the kernel's raised vectors, or empty where
-    R gen = 0 is already proven; the raising stops at the first zero
-    vector, so R w_{r+d} = 0 holds by construction."""
+    length of gen and x = xs[d], whose x_{r+1} must be the nonzero
+    eigenvalue, so d >= 1; scaled by one integer to integer vectors of
+    content 1 (the relations are linear, so a common factor keeps them).
+    up is R gen, combined from the kernel's raised vectors; the raising
+    stops at the first zero vector, so R w_{r+d} = 0 holds by
+    construction."""
     raised = [gen]
     top = up
     while any(top):
         raised.append(top)
         top = split.raise_(r + len(raised) - 1, top)
     d = len(raised) - 1
-    x = xs[d] if d else []
-    if (x[0] if x else 0) != value:
+    x = xs.get(d)  # None for d = 0
+    if not x or x[0] != value:
         raise ArithmeticError(
             f"generator of diameter {d} at r = {r} has L R eigenvalue "
             f"{value}, not x_{r + 1}({r}, {d})")
@@ -615,7 +643,7 @@ def _assert_chain(split: LFRSplit, r: int, basis: list, raised: list,
 
     raised[i] = R raised[i-1] as computed on the graph (raised[1] by
     linearity from the kernel's raised vectors), and R raised[d] = 0,
-    computed there too, or for L R eigenvalue 0 proven from it.
+    computed there too; the chain has d >= 1.
     With w_r = s raised[0], R w_{r+i-1} = s raised[i], so the relation
     R w_{r+i-1} = x_{r+i} w_{r+i} is a comparison of two vectors, with
     no step on the graph, and it makes w_{r+i} the multiple
@@ -632,8 +660,6 @@ def _assert_chain(split: LFRSplit, r: int, basis: list, raised: list,
     for i in range(1, d + 1):
         if split.lower(r + i, basis[i]) != basis[i - 1]:
             raise ArithmeticError("lowering does not step down the chain")
-    if d == 0:  # R w_r = 0 is the only raising relation
-        return
     lead = next(j for j, v in enumerate(raised[0]) if v)
     s = Fraction(basis[0][lead], raised[0][lead])
     for i, xi in enumerate([Fraction(1), *x]):

@@ -7,15 +7,27 @@ matrix-vector products to ``ExactMatrix``, the input type of the one
 elimination, and the functions build the split's L, F and R, the dual
 idempotents, walk matrices, the diagonal of A*, a module's tridiagonal
 action and the characteristic polynomial of a rational matrix.
+
+``full_decomposition`` is the module twin: it builds the bases of the
+diameter-0 modules that ``decompose_modules`` only counts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from uniformq.linalg import ExactMatrix, charpoly_int
+from uniformq.linalg import ExactMatrix, charpoly_int, nullspace
 from uniformq.poly import Poly
+from uniformq.uniform import (
+    Decomposition,
+    TModule,
+    _combine,
+    _kernel_of_lowering,
+    _lowering_raising,
+    decompose_modules,
+)
 
 
 class Dense(ExactMatrix):
@@ -171,3 +183,30 @@ def module_rep_matrix(module) -> Dense:
         m.entries[i * (d + 1) + i + 1] = 1
         m.entries[(i + 1) * (d + 1) + i] = module.x_scalars[i]
     return m
+
+
+def full_decomposition(split, params) -> Decomposition:
+    """``decompose_modules`` with the modules it counts built as well:
+    the generators of type (r, 0) are ker L itself on the top level eps
+    and, for r < eps, the 0-eigenspace of L R on ker L, combined from
+    the kernel basis.  Each one is checked to lie in ker L and ker R,
+    and their numbers must equal the fast route's counts.  Returns every
+    module, ordered by endpoint, then by diameter, and nothing counted."""
+    dec = decompose_modules(split, params)
+    eps = split.ctx.eccentricity
+    built = []
+    for r in range(eps + 1):
+        gens = _kernel_of_lowering(split, r)
+        if gens and r < eps:
+            lr, _, _ = _lowering_raising(split, r, gens)
+            gens = [_combine(c, gens)
+                    for c in nullspace(ExactMatrix.from_rows(lr))]
+        for g in gens:
+            assert not any(split.lower(r, g)) and not any(split.raise_(r, g))
+            content = gcd(*g)
+            built.append(TModule(r, 0, [[v // content for v in g]], []))
+    assert Counter(m.endpoint for m in built) == dec.counted, \
+        "counted modules disagree with their bases"
+    modules = sorted(built + dec.modules,
+                     key=lambda m: (m.endpoint, m.diameter))
+    return Decomposition(modules, {})

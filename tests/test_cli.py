@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from uniformq.cli import main
-from uniformq.graphs import format_edge_list, parse_edge_list
+from uniformq.graphs import Graph, format_edge_list, parse_edge_list
 
 
 @pytest.fixture
@@ -441,17 +441,49 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
         "fit_uniform_constant", "decompose_modules")}
 
 
+def test_invalid_parameter_matrix_is_no_uniform_structure(runner, tmp_path):
+    # on P_5 at base 0 both fits satisfy the identity, yet neither is a
+    # uniform structure: the constant fit has e-_2 = e+_1 = 0, and the
+    # per-level fit a singular principal block; every command rejects it
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    path = tmp_path / "p5.el"
+    path.write_text(format_edge_list(g))
+    reason = "e-_2 and e+_1 both vanish"
+    res = runner.invoke(main, ["pipeline", str(path)])
+    assert res.exit_code == 1
+    data = json.loads(res.stdout)
+    assert data["uniform"]["verified"] is False
+    assert data["uniform"]["invalid"] == reason
+    assert data["skipped"]["modules"] == "no verified uniform structure"
+    res = runner.invoke(main, ["uniform", str(path)])
+    assert res.exit_code == 1
+    data = json.loads(res.stdout)["uniform"]
+    assert data["feasible"] and not data["verified"]
+    assert data["invalid"] == reason
+    res = runner.invoke(main, ["modules", str(path)])
+    assert res.exit_code == 1
+    assert reason in json.loads(res.stdout)["error"]
+    # a structure of the same identity that meets the conditions
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"e_minus": [0, 1, 1, 1],
+                                  "e_plus": [0, 0, 0, 0],
+                                  "f": [1, 2, 2, 2]}))
+    res = runner.invoke(main, ["uniform", str(path), "--verify", str(params)])
+    assert res.exit_code == 0
+    data = json.loads(res.stdout)["uniform"]
+    assert data["verified"] and "invalid" not in data
+
+
 def _drop_last_module(monkeypatch):
     """Make the modules miss their last module, so that they no longer
     fill V."""
+    from dense import full_decomposition
     from uniformq import cli
     from uniformq.uniform import Decomposition
 
-    real = cli.decompose_modules
-
     def fewer(split, params):
-        dec = real(split, params)
-        return Decomposition(dec.modules[:-1], dec.vertex_count)
+        return Decomposition(full_decomposition(split, params).modules[:-1],
+                             {})
 
     monkeypatch.setattr(cli, "decompose_modules", fewer)
 

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph, split_at
-from dense import adjacency, charpoly, dual_diagonal, module_rep_matrix
+from dense import (
+    adjacency,
+    charpoly,
+    dual_diagonal,
+    full_decomposition,
+    module_rep_matrix,
+)
 from test_uniform import certify_direct_sum, per_level
 from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
 from uniformq.graphs import Graph, bfs_context, full_bipartite, lfr_split
@@ -38,6 +44,7 @@ from uniformq.spectra import (
 from uniformq.uniform import (
     Decomposition,
     TModule,
+    UniformParams,
     decompose_modules,
     fit_uniform,
     fit_uniform_constant,
@@ -126,7 +133,7 @@ def test_krawtchouk_examples():
 
 
 def test_krawtchouk_equals_rep_matrix_charpoly(c32_split, dp_params):
-    dec = decompose_modules(c32_split, dp_params)
+    dec = full_decomposition(c32_split, dp_params)
     seen = set()
     for m in dec.modules:
         key = (m.endpoint, m.diameter)
@@ -138,7 +145,7 @@ def test_krawtchouk_equals_rep_matrix_charpoly(c32_split, dp_params):
 
 
 def test_krawtchouk_roots_are_module_eigenvalues(c32_split, dp_params):
-    dec = decompose_modules(c32_split, dp_params)
+    dec = full_decomposition(c32_split, dp_params)
     for m in dec.modules:
         h = krawtchouk_charpoly(m.x_scalars)[m.diameter + 1]
         for root in module_eigenvalues(2, 1, 3, m.diameter):
@@ -621,6 +628,12 @@ MODULE_INSTANCES = {
 }
 
 
+def _module_params(split):
+    """The constant fit when there is one, else the per-level fit."""
+    params = fit_uniform_constant(split)
+    return params if params is not None else fit_uniform(split).canonical
+
+
 @cache
 def _module_instance(name):
     """(ctx, dense twin, thin modules) at base 0, with the constant fit
@@ -629,10 +642,22 @@ def _module_instance(name):
     g = MODULE_INSTANCES[name]()
     ctx = bfs_context(g, 0)
     split = lfr_split(g, ctx)
-    params = fit_uniform_constant(split)
-    if params is None:
-        params = fit_uniform(split).canonical
-    return ctx, _spectral_projectors(split), decompose_modules(split, params)
+    return (ctx, _spectral_projectors(split),
+            decompose_modules(split, _module_params(split)))
+
+
+def _full_modules(name):
+    """The module twin of ``_module_instance``: every module built."""
+    split = split_at(MODULE_INSTANCES[name]())
+    return full_decomposition(split, _module_params(split))
+
+
+@pytest.mark.parametrize("name", list(MODULE_INSTANCES))
+def test_module_twin_multiplicities_match(name):
+    # the twin builds the diameter-0 modules that the decomposition
+    # counts, and checks their number against the counts
+    assert _full_modules(name).multiplicities() == \
+        _module_instance(name)[2].multiplicities()
 
 
 def _assert_twins_agree(name, theta_star):
@@ -676,14 +701,18 @@ def _c32_fb_at(base):
     return full_bipartite(dual_polar(FormSpec("C", 3, 2))[0], base)
 
 
-# graph builder and base vertex: the module instances, P_5 (in Q(sqrt 3))
-# and C_3(2) fb built at a base of each parity
+# graph builder, base vertex and uniform structure (None: fitted): the
+# module instances, P_5 (in Q(sqrt 3)) and C_3(2) fb built at a base of
+# each parity.  The parameter matrix conditions reject both fits of
+# P_5 (e- = e+ = 0, and a singular block), so it takes a valid structure
+# of the same identity, f_i = 1 + e-_i + e+_i where those exist: here a
+# lower triangular U, with x = (1, 1, 1, 1)
 SPECTRUM_TWINS = {
-    **{name: (build, 0) for name, build in MODULE_INSTANCES.items()},
+    **{name: (build, 0, None) for name, build in MODULE_INSTANCES.items()},
     "P_5": (lambda: Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
-            0),
-    "C_3(2)-fb@34": (lambda: _c32_fb_at(34), 34),
-    "C_3(2)-fb@5": (lambda: _c32_fb_at(5), 5),
+            0, UniformParams((0, 1, 1, 1), (0, 0, 0, 0), (1, 2, 2, 2))),
+    "C_3(2)-fb@34": (lambda: _c32_fb_at(34), 34, None),
+    "C_3(2)-fb@5": (lambda: _c32_fb_at(5), 5, None),
 }
 
 
@@ -692,12 +721,10 @@ def test_module_eigenvalue_counts_match_spectrum(name):
     # each type contributes the d + 1 roots of its charpoly h_{d+1},
     # once per module: the module spectrum equals the dense route's, the
     # Gram block's charpoly and traces, as a value and as JSON
-    build, base = SPECTRUM_TWINS[name]
+    build, base, params = SPECTRUM_TWINS[name]
     split = split_at(build(), base)
-    params = fit_uniform_constant(split)
-    if params is None:
-        params = fit_uniform(split).canonical
-    fast = spectrum_exact(split, decompose_modules(split, params))
+    fast = spectrum_exact(split, decompose_modules(
+        split, params or _module_params(split)))
     dense = spectrum_exact(split)
     assert fast == dense
     assert json.dumps(fast.to_json()) == json.dumps(dense.to_json())
@@ -707,7 +734,7 @@ def _hand_built(split, types):
     """A decomposition with one module per (r, d, x) in types; the
     module spectrum reads only the types."""
     return Decomposition([TModule(r, d, [[1]] * (d + 1), list(x))
-                          for r, d, x in types], split.graph.n)
+                          for r, d, x in types], {})
 
 
 def test_module_spectrum_rejects_an_irrational_square():
@@ -735,7 +762,7 @@ def test_module_spectrum_rejects_modules_that_miss_a_dimension():
     _, twin, dec = _module_instance("C_2(3)-fb")
     split = split_at(MODULE_INSTANCES["C_2(3)-fb"]())
     assert spectrum_exact(split, dec) == twin.spectrum
-    fewer = Decomposition(dec.modules[:-1], dec.vertex_count)
+    fewer = Decomposition(_full_modules("C_2(3)-fb").modules[:-1], {})
     with pytest.raises(ArithmeticError,
                        match="module dimensions sum to 39, expected 40"):
         spectrum_exact(split, fewer)
@@ -756,7 +783,7 @@ def test_module_pattern_rejects_a_mismatched_spectrum():
     with pytest.raises(ArithmeticError, match=r"\(0, 2\) has 2 of its 3"):
         module_pattern(missing, dec, theta_star)
     # one module dropped: the multiplicities no longer add up
-    fewer = Decomposition(dec.modules[:-1], dec.vertex_count)
+    fewer = Decomposition(_full_modules("C_2(3)-fb").modules[:-1], {})
     with pytest.raises(ArithmeticError, match="disagree"):
         module_pattern(spec, fewer, theta_star)
     with pytest.raises(ValueError, match="level 2"):
@@ -825,9 +852,9 @@ def test_full_stack_hamming_instance():
     ctx = bfs_context(fb, 0)
     split = lfr_split(fb, ctx)
     params = fit_uniform_constant(split)
-    dec = decompose_modules(split, params)
-    certify_direct_sum(*per_level(dec.modules, ctx))
-    assert sum(m.diameter + 1 for m in dec.modules) == 81
+    full = full_decomposition(split, params)
+    certify_direct_sum(*per_level(full.modules, ctx))
+    assert sum(m.diameter + 1 for m in full.modules) == 81
     res = candidate_search(params)
     assert res.accepted
     astar = dual_diagonal(ctx, res.candidate.theta_star)

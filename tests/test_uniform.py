@@ -5,8 +5,13 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from conftest import random_connected_graph
-from dense import module_rep_matrix, step_matrices, walk_matrix
+from conftest import random_connected_graph, split_at
+from dense import (
+    full_decomposition,
+    module_rep_matrix,
+    step_matrices,
+    walk_matrix,
+)
 from uniformq._kernels import pykernels
 from uniformq.cli import main
 from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
@@ -121,12 +126,16 @@ def dense_uniform_check(split, params):
 
 
 def assert_uniform_matches_dense(split, params):
-    """verify_uniform and its dense twin agree: the same verdict and, on
-    failure, the same (level, witness, residual).  Returns the twin's."""
+    """verify_uniform and its dense twin agree: where the identity fails,
+    the same (level, witness, residual); where it holds, the verdict and
+    reason of the parameter matrix conditions.  Returns the twin's."""
     check = verify_uniform(split, params)
     twin = dense_uniform_check(split, params)
-    assert check.passed == (twin is None)
-    if twin is not None:
+    if twin is None:
+        valid = validate_parameter_matrix(params)
+        assert (check.passed, check.reason) == (valid.ok, valid.reason)
+    else:
+        assert not check.passed
         assert (check.level, check.witness, check.residual) == twin
     return twin
 
@@ -430,8 +439,9 @@ def per_level(modules, ctx):
 def test_decompose_c32(c32_split, dp_params):
     dec = decompose_modules(c32_split, dp_params)
     assert isinstance(dec, Decomposition)
-    assert sum(m.diameter + 1 for m in dec.modules) == 135
-    certify_direct_sum(*per_level(dec.modules, c32_split.ctx))
+    full = full_decomposition(c32_split, dp_params)
+    assert sum(m.diameter + 1 for m in full.modules) == 135
+    certify_direct_sum(*per_level(full.modules, c32_split.ctx))
     table = dec.multiplicities()
     assert table[(0, 3)] == 1
     assert (1, 2) in table
@@ -491,6 +501,23 @@ def test_decompose_chains_are_primitive_integer(c32_split, dp_params):
         assert gcd(*entries) == 1
 
 
+def test_verify_uniform_rejects_an_invalid_parameter_matrix():
+    # the identity on P_5 at base 0 is f_i = 1 + e-_i + e+_i (where those
+    # exist), so e- = e+ = 0, f = 1 satisfies it, but the parameter
+    # matrix conditions exclude it; e-_i = 1 for i >= 2 meets them
+    split = split_at(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+    zero = UniformParams.constant(4, 0, 0, 1)
+    assert fit_uniform_constant(split) == zero
+    check = verify_uniform(split, zero)
+    assert not check.passed and check.level is None
+    assert check.reason == "e-_2 and e+_1 both vanish"
+    with pytest.raises(ValueError, match="on the parameter matrix: e-_2"):
+        decompose_modules(split, zero)
+    valid = UniformParams((0, 1, 1, 1), (0, 0, 0, 0), (1, 2, 2, 2))
+    assert verify_uniform(split, valid).passed
+    assert decompose_modules(split, valid).multiplicities() == {(0, 4): 1}
+
+
 def test_decompose_requires_valid_params(c32_split):
     with pytest.raises(ValueError):
         decompose_modules(c32_split, UniformParams.constant(3, 0, 0, 0))
@@ -498,10 +525,10 @@ def test_decompose_requires_valid_params(c32_split):
 
 def test_decompose_module_count_per_endpoint(c32_split, dp_params):
     # endpoint-r module count equals dim(ker L) on level r
-    dec = decompose_modules(c32_split, dp_params)
+    full = full_decomposition(c32_split, dp_params)
     for r in range(4):
         expected = len(_kernel_of_lowering(c32_split, r))
-        found = sum(1 for m in dec.modules if m.endpoint == r)
+        found = sum(1 for m in full.modules if m.endpoint == r)
         assert found == expected
 
 
@@ -567,7 +594,7 @@ def test_direct_sum_certificate_matches_stacked_rank(case, c32_split,
         split = lfr_split(q6, bfs_context(q6, 0))
         params = fit_uniform_constant(split)
     n = split.graph.n
-    dec = decompose_modules(split, params)
+    dec = full_decomposition(split, params)
     certify_direct_sum(*per_level(dec.modules, split.ctx))
     assert stacked_rank(dec.modules, split.ctx) == (n, n)
     # a chain vector repeated on level 1 breaks both certificates alike
@@ -686,7 +713,7 @@ def test_lr_eigenspaces_match_filtration_twin(name):
     params = fit_uniform_constant(split)
     if params is None:
         params = fit_uniform(split).canonical
-    dec = decompose_modules(split, params)
+    dec = full_decomposition(split, params)
     twin = filtration_generators(split, params)
     generators = {}
     for m in dec.modules:
@@ -702,8 +729,8 @@ def test_lr_eigenspaces_match_filtration_twin(name):
 
 
 @pytest.mark.parametrize("name, levels", [
-    ("Q_6", [0, 1, 2, 3]),  # the chains of endpoints 0..3 fill levels 4..6
-    ("C_3(2)-fb", [0, 1, 2, 3]),  # every level has generators
+    ("Q_6", [0, 1, 2, 3]),  # the chains of endpoints 0..3 fill levels 4..5
+    ("C_3(2)-fb", [0, 1, 2]),  # every level below the top has generators
 ])
 def test_kernel_elimination_skips_levels_the_chains_fill(name, levels,
                                                         monkeypatch):
@@ -721,24 +748,25 @@ def test_kernel_elimination_skips_levels_the_chains_fill(name, levels,
 
     def bases(dec):
         return [(m.endpoint, m.diameter, m.basis, m.x_scalars)
-                for m in dec.modules]
+                for m in dec.modules], dec.counted
 
     monkeypatch.setattr(uniform_mod, "_kernel_of_lowering", counting)
     skipping = bases(decompose_modules(split, params))
     assert calls == levels
-    # level 0 is ker L = [[1]] without an elimination; with the skip
-    # patched out it is called on every level, and the modules agree
+    # level 0 is ker L = [[1]] without an elimination, and the top level
+    # is counted; with the skip patched out it is called on every level
+    # below the top, and the modules agree
     calls.clear()
     monkeypatch.setattr(uniform_mod, "_chains_fill_level", lambda *_: False)
     assert bases(decompose_modules(split, params)) == skipping
-    assert calls == list(range(split.ctx.eccentricity + 1))
+    assert calls == list(range(split.ctx.eccentricity))
 
 
 @pytest.mark.parametrize("name", ["C_2(3)-fb", "H(3,3)-fb", "C_3(2)-fb"])
 def test_top_endpoint_forms_no_lowering_raising(name, monkeypatch):
     # level eps + 1 is empty, so L R = 0 on ker L at r = eps: the kernel
     # basis itself is the generators, all of diameter 0, with no L R
-    # formed and no eigenspace taken there
+    # formed and no eigenspace taken there; the twin builds them
     import uniformq.uniform as uniform_mod
 
     g = TWIN_INSTANCES[name]()
@@ -752,12 +780,50 @@ def test_top_endpoint_forms_no_lowering_raising(name, monkeypatch):
         return real(split, r, kernel)
 
     monkeypatch.setattr(uniform_mod, "_lowering_raising", counting)
-    dec = decompose_modules(split, fit_uniform_constant(split))
+    params = fit_uniform_constant(split)
+    dec = decompose_modules(split, params)
     assert calls and eps not in calls
-    top = [m for m in dec.modules if m.endpoint == eps]
+    top = [m for m in full_decomposition(split, params).modules
+           if m.endpoint == eps]
+    assert dec.counted[eps] == len(top)
     assert top and all(m.diameter == 0 and m.x_scalars == [] for m in top)
     assert [m.basis for m in top] == [[v] for v in
                                       _kernel_of_lowering(split, eps)]
+
+
+@pytest.mark.parametrize("name", ["C_3(2)-fb", "Q_6", "H(3,3)-fb"])
+def test_diameter_zero_modules_are_counted_not_built(name, monkeypatch):
+    # no ker L elimination on the top level and no chain of diameter 0;
+    # the counts are those of the twin, which builds the bases
+    import uniformq.uniform as uniform_mod
+
+    g = TWIN_INSTANCES[name]()
+    split = lfr_split(g, bfs_context(g, 0))
+    eps = split.ctx.eccentricity
+    params = fit_uniform_constant(split)
+    real_kernel, real_chain = (uniform_mod._kernel_of_lowering,
+                               uniform_mod._build_chain)
+    kernels, diameters = [], []
+
+    def kernel(split, r):
+        kernels.append(r)
+        return real_kernel(split, r)
+
+    def chain(*args):
+        m = real_chain(*args)
+        diameters.append(m.diameter)
+        return m
+
+    monkeypatch.setattr(uniform_mod, "_kernel_of_lowering", kernel)
+    monkeypatch.setattr(uniform_mod, "_build_chain", chain)
+    dec = decompose_modules(split, params)
+    assert kernels and eps not in kernels
+    assert diameters and 0 not in diameters
+    assert all(m.diameter >= 1 for m in dec.modules)
+    monkeypatch.undo()
+    assert dec.counted
+    assert full_decomposition(split, params).multiplicities() == \
+        dec.multiplicities()
 
 
 def _leaky_raising(monkeypatch):

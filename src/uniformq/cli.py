@@ -224,8 +224,7 @@ class _Instance:
         try:
             with open(path) as fh:
                 params = UniformParams.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError,
-                ZeroDivisionError) as exc:
+        except (OSError, ValueError, ZeroDivisionError) as exc:
             _fail_usage(f"bad parameter file {path}: {exc}")
         if params.eps != eps:
             _fail_usage(f"bad parameter file {path}: parameter length "

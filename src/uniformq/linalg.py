@@ -1,9 +1,9 @@
 """Exact linear algebra over Q.
 
 ``ExactMatrix`` is a dense row-major matrix with rational entries, the
-input of the one elimination: kernels, ranks and linear solves over Q
-run through one fraction-free pivot table of integer rows (rational
-rows scaled to integers).  The characteristic polynomial of an integer
+input of the one elimination: kernels, ranks, pivot columns and linear
+solves over Q run through one fraction-free pivot table of integer rows
+(rational rows scaled to integers).  The characteristic polynomial of an integer
 matrix comes from a CRT/modular computation with a rigorous
 Hadamard-style coefficient bound.  QuadExt values enter
 column_space_basis only.  No floating point is used anywhere.
@@ -148,6 +148,14 @@ def nullspace(a: ExactMatrix) -> list[list]:
 def rank(a: ExactMatrix) -> int:
     """Exact rank of a rational matrix."""
     return len(_pivot_table(a))
+
+
+def pivot_columns(a: ExactMatrix) -> list[int]:
+    """The pivot columns of a rational matrix, in increasing order: the
+    columns independent of the columns before them, so a basis of its
+    column space, and as many as its rank.  They are the leads of the
+    pivot table of its rows, an echelon form of the row space."""
+    return sorted(lead for lead, _ in _pivot_table(a))
 
 
 # -- the pivot table: the one elimination over Q -------------------------------

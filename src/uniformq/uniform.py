@@ -26,12 +26,16 @@ constant fit and the verification all read it; so does the check of a
 dual adjacency candidate (``uniformq.candidate.verify_relation``),
 whose relation combines the same four walk counts.
 
-A module chain is raised from its generator once: the raised kernel
-vectors that give L R on ker L also start each generator's chain, and
-the chain check compares R w_{r+i-1} = x_{r+i} w_{r+i} on the vectors
-rather than applying L R again.  Only the chains of diameter >= 1 are
-built; no stage reads a basis, so the modules of diameter 0 are
-counted, not built (``decompose_modules``).
+A module chain is raised from its generator g once and kept as its
+raised vectors b_i = R^i g, so w_{r+i} = b_i / (x_{r+1} ... x_{r+i});
+the chain check reads the relations off those vectors, L b_0 = 0,
+L b_i = x_{r+i} b_{i-1} and R b_d = 0, with nothing rescaled.  The
+generators at an endpoint r come from one elimination of L R on ker L:
+the images of the kernel vectors at its pivot columns, when each is an
+eigenvector, and otherwise one shifted elimination per nonzero
+eigenvalue.  Only the chains of diameter >= 1 are built; no stage reads
+a basis, so the modules of diameter 0 are counted, not built
+(``decompose_modules``).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
 from typing import Optional
 
 from .graphs import LFRSplit
@@ -48,6 +52,7 @@ from .linalg import (
     Inconsistent,
     UniqueSolution,
     nullspace,
+    pivot_columns,
     rank,  # noqa: F401  unused here; perfbench's tracer test rebinds it
     solve_linear,
 )
@@ -111,13 +116,20 @@ class UniformParams:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "UniformParams":
-        """Each key holds a list of strings such as "-9/4" and integers;
-        anything else, a JSON float or boolean among them, is a
+    def from_json(data) -> "UniformParams":
+        """A JSON object whose keys e_minus, e_plus and f each hold a list
+        of strings such as "-9/4" and integers; anything else, another
+        JSON value, a missing key, or a float or boolean in a list, is a
         ValueError, since a float need not be the rational it reads as
         (-0.1 is not -1/10)."""
-        return UniformParams(*(_exact_list(data[key])
-                               for key in ("e_minus", "e_plus", "f")))
+        keys = ("e_minus", "e_plus", "f")
+        if not isinstance(data, dict):
+            raise ValueError(f"parameters {data!r} are not a JSON object "
+                             f"with the keys {', '.join(keys)}")
+        missing = [key for key in keys if key not in data]
+        if missing:
+            raise ValueError(f"parameters lack the key(s) {', '.join(missing)}")
+        return UniformParams(*(_exact_list(data[key]) for key in keys))
 
 
 def _exact_list(values) -> tuple:
@@ -416,13 +428,15 @@ def closed_form_x(b, e, D: int, d: int, i: int) -> Fraction:
 
 @dataclass
 class TModule:
-    """A thin module's chain w_r, ..., w_{r+d}: ``basis[i]`` is w_{r+i}, a
-    primitive integer vector over the coordinates of level r+i, listed
-    in ``ctx.levels[r + i]`` order."""
+    """A thin module as its raised chain: ``basis[i]`` is R^i w_r, a
+    vector over the coordinates of level r+i, listed in
+    ``ctx.levels[r + i]`` order, for an integer generator w_r.  It is
+    the chain w_r, ..., w_{r+d} with w_{r+i} scaled by
+    x_{r+1} ... x_{r+i}, so L basis[i] = x_{r+i} basis[i-1]."""
 
     endpoint: int
     diameter: int
-    basis: list[list]  # w_r .. w_{r+d}, level-local
+    basis: list[list]  # w_r, R w_r, .., R^d w_r, level-local
     x_scalars: list[Fraction]  # x_{r+1} .. x_{r+d}
 
 
@@ -437,9 +451,10 @@ class Decomposition:
     counted: dict[int, int]
 
     def types(self) -> dict[tuple[int, int], tuple[list[Fraction], int]]:
-        """(r, d) -> (x-scalars, multiplicity) per module type, sorted;
-        the x-scalars are solved once per (r, d) at each endpoint, for
-        the eigenvalues of L R there, so modules of a type share them."""
+        """(r, d) -> (x-scalars, multiplicity) per module type, sorted.
+        The x-scalars are solved once per (r, d) that a chain reaches,
+        and the chains of a type share them; a counted type (r, 0) has
+        none."""
         table = {(r, 0): ([], count) for r, count in self.counted.items()}
         for m in self.modules:
             key = (m.endpoint, m.diameter)
@@ -472,47 +487,66 @@ def _kernel_of_lowering(split: LFRSplit, r: int) -> list[list]:
 def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     """Split the standard module into thin irreducible module chains.
 
-    For each endpoint r < eps, the generators are the eigenvectors of
-    L R on ker L at level r (checked to map it into itself) for the
+    For each endpoint r < eps, the generators are eigenvectors of M_r,
+    L R on ker L at level r (checked to map it into itself), for the
     eigenvalues 0 and x_{r+1}(r, d), 1 <= d <= eps - r.  A generator of
     eigenvalue 0 has R gen = 0, since |R gen|^2 = gen . L R gen with L
     the transpose of R, so it spans a module of diameter 0; those are
-    counted, as the dimension of their eigenspace, and not built.  Every
-    other generator's diameter is the exact length of its raising chain
-    and must agree with its eigenvalue.  Those chains are normalised
-    with the solved x-scalars and every chain relation is re-verified
-    exactly.  Every vector is kept over the coordinates of its own
-    level.
+    counted and not built.
 
-    This certifies the direct sum.  Eigenvectors for distinct eigenvalues
-    are independent, and so is each eigenspace basis; together they must
-    span ker L.  Given a dependency among the chain vectors on level j
-    with least endpoint r0, L^(j-r0) kills the chains of larger endpoint
-    (L w_r = 0) and maps those of endpoint r0 to their generators
-    (L w_{r+i} = w_{r+i-1}), which are independent; so no level holds
-    more chain vectors than it has vertices.  The verification of the
-    parameters reads the split's equation table.
+    One elimination of M_r, in kernel coordinates, gives its rank and
+    its pivot columns j.  M_r is self-adjoint on ker L, since
+    <L R u, v> = <R u, R v> = <u, L R v>, so ker L is the direct sum of
+    ker M_r and im M_r, and im M_r is the sum of the nonzero
+    eigenspaces.  So type (r, 0) is counted as dim ker L - rank M_r, and
+    the images g_j = L R v_j of the kernel vectors at the pivot columns
+    are a basis of im M_r.  When each g_j is, on the graph, an
+    eigenvector of L R with a nonzero eigenvalue, the g_j are the other
+    generators, and x(r, d) is solved only for the diameters d that
+    they reach.  Otherwise (M_r mixes nonzero eigenvalues in some g_j)
+    the endpoint falls back to one shifted elimination of M_r per
+    distinct nonzero x_{r+1}(r, d), all of them solved, and those
+    eigenspaces must span all rank M_r dimensions of im M_r.
+
+    Every generator g's diameter d is the exact length of its raising
+    chain b_i = R^i g; its eigenvalue must be x_{r+1}(r, d), no x-scalar
+    may vanish, and the chain is checked on the raised vectors
+    themselves, with nothing rescaled: L b_0 = 0, L b_i = x_{r+i} b_{i-1}
+    and R b_d = 0 (``_assert_chain``).  Those are the relations of the
+    chain w_{r+i} = b_i / (x_{r+1} ... x_{r+i}).  Every vector is kept
+    over the coordinates of its own level.
+
+    This certifies the direct sum.  At each endpoint the generators,
+    built or counted, are a basis of ker L, as above.  Given a
+    dependency among the chain vectors on level j with least endpoint
+    r0, L^(j-r0) kills the chains of larger endpoint (L b_0 = 0) and
+    maps those of endpoint r0 to nonzero multiples of their generators
+    (L b_i = x_{r+i} b_{i-1}, with every x-scalar nonzero), which are
+    independent; so no level holds more chain vectors than it has
+    vertices.  The verification of the parameters reads the split's
+    equation table.
 
     The modules of endpoint eps are counted without an elimination.  The
     top level is counted in full, so the check that the dimensions sum
     to n forces every level below eps to hold as many independent chain
-    vectors, built or counted, as it has vertices: they span it.  L is the transpose of R,
-    so ker L on level eps is the orthogonal complement of R applied to
-    level eps-1.  R sends each chain vector there either to 0 (a chain
-    top or a generator of diameter 0) or to a nonzero multiple of a
-    chain vector on level eps (R w_{r+i-1} = x_{r+i} w_{r+i}), and
-    those are independent, as above.  So dim ker L on level eps is
-    size(eps) - c, for the number c of built chains that reach level
-    eps, and that is the multiplicity of type (eps, 0).
+    vectors, built or counted, as it has vertices: they span it.  L is
+    the transpose of R, so ker L on level eps is the orthogonal
+    complement of R applied to level eps-1.  R sends each chain vector
+    there either to 0 (a chain top or a generator of diameter 0) or to
+    the next vector of its chain on level eps, and those are
+    independent, as above.  So dim ker L on level eps is size(eps) - c,
+    for the number c of built chains that reach level eps, and that is
+    the multiplicity of type (eps, 0).
 
     The same argument skips the elimination for ker L where the chains
     already fill a level.  When the chains of endpoints r0 < r with
     r0 + d >= r have as many vectors on level r as it has vertices, those
     vectors are independent, as above, so they are a basis of level r.
-    L maps each of them, w_{r0+i} with i >= 1, to the chain vector
-    w_{r0+i-1} on level r-1 (checked by _assert_chain), and those images
-    are independent again.  So L is injective on level r, ker L is 0
-    there, and level r has no generators.
+    L maps each of them, b_i with i >= 1, to the nonzero multiple
+    x_{r0+i} b_{i-1} of a chain vector on level r-1 (checked by
+    ``_assert_chain``), and those images are independent again.  So L
+    is injective on level r, ker L is 0 there, and level r has no
+    generators.
     """
     check = verify_uniform(split, params)
     if not check.passed:
@@ -521,6 +555,7 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
         raise ValueError(f"uniform verification failed {where}; "
                          "decomposition requires a uniform structure")
     eps = split.ctx.eccentricity
+    x_scalars = cache(lambda r, d: solve_x_scalars(params, r, d))
     chains: list[TModule] = []
     counted: dict[int, int] = {}
     for r in range(eps):
@@ -529,28 +564,19 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
         kernel = _kernel_of_lowering(split, r)
         if not kernel:
             continue
-        xs = {d: solve_x_scalars(params, r, d) for d in range(1, eps - r + 1)}
-        lr, scales, raised = _lowering_raising(split, r, kernel)
-        found = 0
-        for value in dict.fromkeys([0] + [x[0] for x in xs.values()]):
-            # (M_r - value I) c = 0 with row i scaled by q s_i, value = p/q
-            shifted = [[value.denominator * u for u in row] for row in lr]
-            for i, s in enumerate(scales):
-                shifted[i][i] -= value.numerator * s
-            space = nullspace(ExactMatrix.from_rows(shifted))
-            found += len(space)
-            if not value:
-                counted[r] = len(space)
-                continue
-            for coords in space:
-                chains.append(_build_chain(
-                    split, r, _combine(coords, kernel),
-                    _combine(coords, raised), xs, value))
-        if found != len(kernel):
-            raise ArithmeticError(
-                f"L R on ker L at level {r} has eigenspaces spanning "
-                f"{found} of {len(kernel)} dimensions"
-            )
+        lr, scales, raised, images = _lowering_raising(split, r, kernel)
+        pivots = pivot_columns(ExactMatrix.from_rows(lr))
+        counted[r] = len(kernel) - len(pivots)
+        built = _image_chains(split, r, [images[j] for j in pivots],
+                              x_scalars)
+        if built is None:
+            built = _eigenspace_chains(split, r, kernel, lr, scales, raised,
+                                       x_scalars)
+            if len(built) != len(pivots):
+                raise ArithmeticError(
+                    f"L R on ker L at level {r} has eigenspaces spanning "
+                    f"{counted[r] + len(built)} of {len(kernel)} dimensions")
+        chains.extend(built)
     reach = sum(m.endpoint + m.diameter == eps for m in chains)
     if reach > split.size(eps):
         raise ArithmeticError(
@@ -578,8 +604,9 @@ def _lowering_raising(split: LFRSplit, r: int, kernel: list[list]) -> tuple:
     each kernel vector v_i is alone nonzero at some column f_i (nullspace
     gives it its free column), so once L (L R v_j) = 0 is checked, M_r
     has entries U[i][j] / s_i with U[i][j] = (L R v_j)[f_i] and
-    s_i = v_i[f_i].  Returns U, the s_i and the raised vectors R v_j,
-    from which each generator's chain starts by linearity."""
+    s_i = v_i[f_i].  Returns U, the s_i, the raised vectors R v_j, from
+    which a generator combined from the kernel starts its chain by
+    linearity, and the images L R v_j."""
     owners = Counter(j for v in kernel for j, s in enumerate(v) if s)
     free = [next(j for j, s in enumerate(v) if s and owners[j] == 1)
             for v in kernel]
@@ -589,7 +616,57 @@ def _lowering_raising(split: LFRSplit, r: int, kernel: list[list]) -> tuple:
         raise ArithmeticError(
             f"L R does not map ker L on level {r} into itself")
     return ([[u[f] for u in images] for f in free],
-            [v[f] for v, f in zip(kernel, free)], raised)
+            [v[f] for v, f in zip(kernel, free)], raised, images)
+
+
+def _image_chains(split: LFRSplit, r: int, gens: list[list],
+                  x_scalars) -> Optional[list[TModule]]:
+    """The chains of the images g_j at the pivot columns of M_r (nonzero,
+    as their columns in kernel coordinates are), or None as soon as one
+    g_j is not, on the graph, an eigenvector of L R with a nonzero
+    eigenvalue."""
+    starts = []
+    for gen in gens:
+        up = split.raise_(r, gen)
+        low = split.lower(r + 1, up)
+        value = _eigenvalue(low, gen)
+        if not value:
+            return None
+        starts.append((gen, up, low, value))
+    return [_build_chain(split, r, *start, x_scalars) for start in starts]
+
+
+def _eigenvalue(image: list, vec: list) -> Optional[Fraction]:
+    """The value t with image = t vec for a nonzero vec, or None when
+    there is none."""
+    lead = next(j for j, v in enumerate(vec) if v)
+    value = Fraction(image[lead], vec[lead])
+    p, q = value.numerator, value.denominator
+    if any(q * a != p * b for a, b in zip(image, vec)):
+        return None
+    return value
+
+
+def _eigenspace_chains(split: LFRSplit, r: int, kernel: list[list],
+                       lr: list[list], scales: list, raised: list[list],
+                       x_scalars) -> list[TModule]:
+    """The chains of the nonzero eigenspaces of M_r, one shifted
+    elimination per distinct nonzero x_{r+1}(r, d), each generator
+    combined from the kernel basis and its raised vectors."""
+    eps = split.ctx.eccentricity
+    values = dict.fromkeys(x_scalars(r, d)[0] for d in range(1, eps - r + 1))
+    chains = []
+    for value in filter(None, values):
+        # (M_r - value I) c = 0 with row i scaled by q s_i, value = p/q
+        shifted = [[value.denominator * u for u in row] for row in lr]
+        for i, s in enumerate(scales):
+            shifted[i][i] -= value.numerator * s
+        for coords in nullspace(ExactMatrix.from_rows(shifted)):
+            gen, up = _combine(coords, kernel), _combine(coords, raised)
+            chains.append(_build_chain(split, r, gen, up,
+                                       split.lower(r + 1, up), value,
+                                       x_scalars))
+    return chains
 
 
 def _combine(coords: list, vectors: list[list]) -> list:
@@ -601,22 +678,18 @@ def _combine(coords: list, vectors: list[list]) -> list:
     return out
 
 
-def _build_chain(split: LFRSplit, r: int, gen: list, up: list, xs: dict,
-                 value: Fraction) -> TModule:
-    """The chain w_{r+i} = R^i gen / (x_{r+1} ... x_{r+i}), d the raising
-    length of gen and x = xs[d], whose x_{r+1} must be the nonzero
-    eigenvalue, so d >= 1; scaled by one integer to integer vectors of
-    content 1 (the relations are linear, so a common factor keeps them).
-    up is R gen, combined from the kernel's raised vectors; the raising
-    stops at the first zero vector, so R w_{r+d} = 0 holds by
-    construction."""
-    raised = [gen]
-    top = up
-    while any(top):
-        raised.append(top)
-        top = split.raise_(r + len(raised) - 1, top)
-    d = len(raised) - 1
-    x = xs.get(d)  # None for d = 0
+def _build_chain(split: LFRSplit, r: int, gen: list, up: list, low: list,
+                 value: Fraction, x_scalars) -> TModule:
+    """The raised chain b_i = R^i gen, d the raising length of gen and x
+    = x_scalars(r, d), whose x_{r+1} must be value, the nonzero
+    eigenvalue of gen, so d >= 1.  up is R gen and low is L up, each
+    computed once on the graph; the raising stops at the first zero
+    vector, R b_d, which the chain check receives too."""
+    raised = [gen, up]
+    while any(raised[-1]):
+        raised.append(split.raise_(r + len(raised) - 1, raised[-1]))
+    d = len(raised) - 2
+    x = x_scalars(r, d) if d else None
     if not x or x[0] != value:
         raise ArithmeticError(
             f"generator of diameter {d} at r = {r} has L R eigenvalue "
@@ -625,48 +698,38 @@ def _build_chain(split: LFRSplit, r: int, gen: list, up: list, xs: dict,
         raise ArithmeticError(
             f"x-scalar vanishes mid-chain for (r, d) = ({r}, {d})"
         )
-    scales = [Fraction(1)]
-    for xi in x:
-        scales.append(scales[-1] / xi)
-    common = lcm(*(s.denominator for s in scales))
-    factors = [int(s * common) for s in scales]
-    chain = [[c * v for v in u] for c, u in zip(factors, raised)]
-    content = gcd(*(v for w in chain for v in w))
-    chain = [[v // content for v in w] for w in chain]
-    _assert_chain(split, r, chain, raised, x)
-    return TModule(r, d, chain, x)
+    _assert_chain(split, r, raised, low, x)
+    return TModule(r, d, raised[:-1], x)
 
 
-def _assert_chain(split: LFRSplit, r: int, basis: list, raised: list,
+def _assert_chain(split: LFRSplit, r: int, raised: list, low: list,
                   x: list) -> None:
-    """Re-verify every chain relation; failures signal internal bugs.
+    """Re-verify every chain relation on the raised vectors; failures
+    signal internal bugs.
 
-    raised[i] = R raised[i-1] as computed on the graph (raised[1] by
-    linearity from the kernel's raised vectors), and R raised[d] = 0,
-    computed there too; the chain has d >= 1.
-    With w_r = s raised[0], R w_{r+i-1} = s raised[i], so the relation
-    R w_{r+i-1} = x_{r+i} w_{r+i} is a comparison of two vectors, with
-    no step on the graph, and it makes w_{r+i} the multiple
-    (s / x_{r+i}) raised[i] for the next link; at the top it gives
-    R w_{r+d} = 0.  With L w_{r+i} = w_{r+i-1}, checked on the graph,
-    it gives L R w_{r+i-1} = x_{r+i} w_{r+i-1}.
+    raised[i] = R^i gen for 0 <= i <= d + 1, d >= 1, as the raising
+    computed them on the graph (raised[1] by linearity when gen is
+    combined from the kernel's raised vectors); low is L raised[1], also
+    computed on the graph, and x = (x_{r+1}, ..., x_{r+d}).  Each vector
+    has its level's length, L raised[0] = 0, L raised[i] = x_{r+i}
+    raised[i-1] for 1 <= i <= d (on the graph for i >= 2), and the
+    raising ends, raised[d+1] = 0.  With w_{r+i} = raised[i] / (x_{r+1}
+    ... x_{r+i}) these are L w_r = 0, L w_{r+i} = w_{r+i-1},
+    R w_{r+i-1} = x_{r+i} w_{r+i} and R w_{r+d} = 0; so
+    L R w_r = x_{r+1} w_r.
     """
-    d = len(basis) - 1
-    for i, w in enumerate(basis):
-        if len(w) != split.size(r + i):
+    d = len(raised) - 2
+    for i, b in enumerate(raised):
+        if len(b) != split.size(r + i):
             raise ArithmeticError("chain vector leaves its level")
-    if any(split.lower(r, basis[0])):
+    if any(split.lower(r, raised[0])):
         raise ArithmeticError("chain generator is not in ker L")
     for i in range(1, d + 1):
-        if split.lower(r + i, basis[i]) != basis[i - 1]:
-            raise ArithmeticError("lowering does not step down the chain")
-    lead = next(j for j, v in enumerate(raised[0]) if v)
-    s = Fraction(basis[0][lead], raised[0][lead])
-    for i, xi in enumerate([Fraction(1), *x]):
-        # s raised[i] = xi w_{r+i}: at i = 0 it fixes w_r = s raised[0],
-        # at i >= 1 it is R w_{r+i-1} = x_{r+i} w_{r+i}
-        p, q = s.numerator * xi.denominator, xi.numerator * s.denominator
-        if any(p * u != q * w for u, w in zip(raised[i], basis[i])):
-            raise ArithmeticError("raising does not step up the chain "
+        p, q = x[i - 1].numerator, x[i - 1].denominator
+        lowered = low if i == 1 else split.lower(r + i, raised[i])
+        if any(q * a != p * b for a, b in zip(lowered, raised[i - 1])):
+            raise ArithmeticError("lowering does not step down the chain "
                                   "by the x-scalar")
-        s /= xi
+    if any(raised[d + 1]):
+        raise ArithmeticError("raising does not step up the chain to 0 "
+                              "past its top")

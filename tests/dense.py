@@ -9,7 +9,9 @@ idempotents, walk matrices, the diagonal of A*, a module's tridiagonal
 action and the characteristic polynomial of a rational matrix.
 
 ``full_decomposition`` is the module twin: it builds the bases of the
-diameter-0 modules that ``decompose_modules`` only counts.
+diameter-0 modules that ``decompose_modules`` only counts.  ``w_chain``
+normalises a module's raised chain to the chain w_r, ..., w_{r+d} of
+primitive integer vectors with L w_{r+i} = w_{r+i-1}.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ def full_decomposition(split, params) -> Decomposition:
     for r in range(eps + 1):
         gens = _kernel_of_lowering(split, r)
         if gens and r < eps:
-            lr, _, _ = _lowering_raising(split, r, gens)
+            lr = _lowering_raising(split, r, gens)[0]
             gens = [_combine(c, gens)
                     for c in nullspace(ExactMatrix.from_rows(lr))]
         for g in gens:
@@ -210,3 +212,18 @@ def full_decomposition(split, params) -> Decomposition:
     modules = sorted(built + dec.modules,
                      key=lambda m: (m.endpoint, m.diameter))
     return Decomposition(modules, {})
+
+
+def w_chain(module) -> list[list]:
+    """The chain w_{r+i} = R^i w_r / (x_{r+1} ... x_{r+i}) of a module
+    given by its raised chain R^i w_r, scaled by one integer to integer
+    vectors of content 1 (the relations are linear, so a common factor
+    keeps them)."""
+    scales = [Fraction(1)]
+    for x in module.x_scalars:
+        scales.append(scales[-1] / x)
+    common = lcm(*(s.denominator for s in scales))
+    chain = [[int(s * common) * v for v in b]
+             for s, b in zip(scales, module.basis)]
+    content = gcd(*(v for w in chain for v in w))
+    return [[v // content for v in w] for w in chain]

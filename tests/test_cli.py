@@ -325,6 +325,34 @@ def test_params_file_rejects_floats_and_booleans(runner, q4_file, tmp_path,
     assert f"parameter {value!r} is not a string or an integer" in res.stderr
 
 
+@pytest.mark.parametrize("content, reason", [
+    ([1, 2], "parameters [1, 2] are not a JSON object with the keys "
+             "e_minus, e_plus, f"),
+    ("0", "parameters '0' are not a JSON object"),
+    (None, "parameters None are not a JSON object"),
+    ({"e_minus": [0, "-1/2", "-1/2", "-1/2"], "f": [1] * 4},
+     "parameters lack the key(s) e_plus"),
+    ({}, "parameters lack the key(s) e_minus, e_plus, f"),
+], ids=["list", "string", "null", "one-key-missing", "empty-object"])
+@pytest.mark.parametrize("argv", [
+    ["uniform", "--verify"],
+    ["pipeline", "--verify-uniform"],
+])
+def test_params_file_must_be_an_object_with_every_key(runner, q4_file,
+                                                      tmp_path, argv,
+                                                      content, reason):
+    # a parameter file of the wrong shape is a usage error with a
+    # reason, not Python's text for a failed index
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(content))
+    sub, flag = argv
+    res = runner.invoke(main, [sub, str(q4_file), flag, str(pfile)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert f"error: bad parameter file {pfile}: {reason}" in res.stderr
+
+
 @pytest.mark.parametrize("sub", ["uniform", "modules", "pipeline"])
 def test_single_vertex_fit_is_usage_error(runner, tmp_path, sub):
     src = tmp_path / "k1.el"
@@ -402,13 +430,13 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
         data = json.loads(res.stdout)
         assert data["skipped"] == {} and data["candidate"]["verified"] is True
         # the thin modules need no exact rank, and one x-scalar solve per
-        # (r, d) with 1 <= d <= eps - r at each endpoint where ker L != 0
-        # (each such endpoint has a module), absent types included, and
-        # no (r, d) solved twice
+        # (r, d) that a chain reaches, none for the other d <= eps - r,
+        # and no (r, d) solved twice; the endpoint that falls back to the
+        # shifted eliminations (r = 1 on C_3(2) fb) solves every d there,
+        # and on these two graphs each of them is a type
         assert "rank" not in counts
-        eps = max(m["r"] + m["d"] for m in data["modules"])
-        expected = [(r, d) for r in sorted({m["r"] for m in data["modules"]})
-                    for d in range(1, eps - r + 1)]
+        expected = sorted((m["r"], m["d"]) for m in data["modules"]
+                          if m["d"])
         assert expected and sorted(solved) == expected
         assert counts.pop("solve_x_scalars") == len(expected)
         # the identity's equation table is built once per level; the

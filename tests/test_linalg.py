@@ -17,6 +17,7 @@ from uniformq.linalg import (
     column_space_basis,
     normalize_vector,
     nullspace,
+    pivot_columns,
     rank,
     solve_linear,
 )
@@ -124,13 +125,23 @@ def _int_nullspace(flat: list[int], nrows: int, ncols: int) -> list[list]:
     return basis
 
 
-def bareiss_nullspace(m: ExactMatrix) -> list[list]:
-    """The Bareiss kernel of m, each row scaled to integers first."""
+def _int_rows(m: ExactMatrix) -> list[int]:
+    """m's entries, flat, each row scaled to integers."""
     flat = []
     for row in map(m.row, range(m.rows)):
         d = lcm(*(Fraction(x).denominator for x in row))
         flat.extend(int(x * d) for x in row)
-    return _int_nullspace(flat, m.rows, m.cols)
+    return flat
+
+
+def bareiss_nullspace(m: ExactMatrix) -> list[list]:
+    """The Bareiss kernel of m, each row scaled to integers first."""
+    return _int_nullspace(_int_rows(m), m.rows, m.cols)
+
+
+def bareiss_pivots(m: ExactMatrix) -> list[int]:
+    """The pivot columns of m's Bareiss echelon form."""
+    return _bareiss_echelon_full(_int_rows(m), m.rows, m.cols)[2]
 
 
 def random_matrix(rng: random.Random, rational: bool) -> ExactMatrix:
@@ -301,8 +312,9 @@ def test_integer_nullspace_is_primitive_integer():
 
 
 def test_nullspace_and_rank_match_bareiss_twin():
-    # byte-identical bases (repr tells 1 from Fraction(1)) on integer and
-    # rational matrices, the empty shapes included
+    # the same pivot columns, and byte-identical bases (repr tells 1
+    # from Fraction(1)), on integer and rational matrices, the empty
+    # shapes included
     rng = random.Random(23)
     shapes = [ExactMatrix.zeros(0, 0), ExactMatrix.zeros(0, 3),
               ExactMatrix.zeros(3, 0)]
@@ -311,6 +323,7 @@ def test_nullspace_and_rank_match_bareiss_twin():
         twin = bareiss_nullspace(m)
         assert repr(nullspace(m)) == repr(twin)
         assert rank(m) == m.cols - len(twin)
+        assert pivot_columns(m) == bareiss_pivots(m)
 
 
 def full_length_table_kernel(table, ncols, rescales):
@@ -354,7 +367,10 @@ def test_nullspace_matches_full_length_back_substitution():
 @pytest.mark.parametrize("case", ["c32fb", "q6"])
 def test_module_kernels_match_bareiss_twin(case, c32_split, dp_params,
                                           monkeypatch):
-    # every matrix the module decomposition takes the kernel of
+    # every matrix the module decomposition eliminates: the kernels (ker L
+    # and the shifted M_r where an endpoint falls back), and the value-0
+    # elimination of M_r at each endpoint below the top with ker L != 0,
+    # whose rank and pivot columns the twin gives too
     import uniformq.uniform as uniform_mod
     from uniformq.generators import hypercube
     from uniformq.graphs import bfs_context, lfr_split
@@ -365,17 +381,27 @@ def test_module_kernels_match_bareiss_twin(case, c32_split, dp_params,
         q6 = hypercube(6)[0]
         split = lfr_split(q6, bfs_context(q6, 0))
         params = uniform_mod.fit_uniform_constant(split)
-    seen = []
+    kernels, eliminated = [], []
 
     def recording(a):
-        seen.append(a)
+        kernels.append(a)
         return nullspace(a)
 
+    def recording_pivots(a):
+        eliminated.append(a)
+        return pivot_columns(a)
+
     monkeypatch.setattr(uniform_mod, "nullspace", recording)
-    uniform_mod.decompose_modules(split, params)
-    assert len(seen) > split.ctx.eccentricity
-    for a in seen:
+    monkeypatch.setattr(uniform_mod, "pivot_columns", recording_pivots)
+    dec = uniform_mod.decompose_modules(split, params)
+    eps = split.ctx.eccentricity
+    endpoints = {m.endpoint for m in dec.modules} | set(dec.counted) - {eps}
+    assert len(eliminated) == len(endpoints) and kernels
+    for a in kernels:
         assert repr(nullspace(a)) == repr(bareiss_nullspace(a))
+    for a in eliminated:
+        twin = bareiss_pivots(a)
+        assert pivot_columns(a) == twin and rank(a) == len(twin)
 
 
 def test_irrational_entries_are_rejected():

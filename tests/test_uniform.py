@@ -10,6 +10,7 @@ from dense import (
     full_decomposition,
     module_rep_matrix,
     step_matrices,
+    w_chain,
     walk_matrix,
 )
 from uniformq._kernels import pykernels
@@ -469,7 +470,8 @@ def test_decompose_chain_relations(c32_split, dp_params):
     ctx = c32_split.ctx
     low, _, up = step_matrices(c32_split)
     for m in dec.modules[:10]:
-        w = [full_length(ctx, m.endpoint + i, v) for i, v in enumerate(m.basis)]
+        w = [full_length(ctx, m.endpoint + i, v)
+             for i, v in enumerate(w_chain(m))]
         assert all(v == 0 for v in low.apply(w[0]))
         assert all(v == 0 for v in up.apply(w[-1]))
         for i in range(1, m.diameter + 1):
@@ -493,10 +495,13 @@ def test_module_bases_are_level_local(case, c32_split, dp_params):
 
 
 def test_decompose_chains_are_primitive_integer(c32_split, dp_params):
+    # the raised chains are integer, and so are the normalised w chains,
+    # of content 1
     from math import gcd
 
     for m in decompose_modules(c32_split, dp_params).modules:
-        entries = [v for w in m.basis for v in w]
+        assert all(type(v) is int for w in m.basis for v in w)
+        entries = [v for w in w_chain(m) for v in w]
         assert all(type(v) is int for v in entries)
         assert gcd(*entries) == 1
 
@@ -826,6 +831,54 @@ def test_diameter_zero_modules_are_counted_not_built(name, monkeypatch):
         dec.multiplicities()
 
 
+def _route_case(name):
+    """The split and uniform structure of a route twin instance; P_5
+    takes the structure of its identity that meets the parameter matrix
+    conditions, Q_9 the benchmark's base vertex."""
+    if name == "P_5":
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        return split_at(g), UniformParams((0, 1, 1, 1), (0, 0, 0, 0),
+                                          (1, 2, 2, 2))
+    g = hypercube(9)[0] if name == "Q_9" else TWIN_INSTANCES[name]()
+    split = split_at(g, 137 if name == "Q_9" else 0)
+    return split, (fit_uniform_constant(split)
+                   or fit_uniform(split).canonical)
+
+
+@pytest.mark.parametrize("name, fallback", [
+    ("C_3(2)-fb", [1]),  # L R on ker L at level 1 has eigenvalues 8, 12
+    ("Q_6", []),
+    ("cycle6", []),
+    ("P_5", []),
+    ("Q_9", []),
+])
+def test_pivot_route_matches_shifted_eigenspaces(name, fallback,
+                                                 monkeypatch):
+    # the generators read off the pivot columns of M_r against the
+    # shifted eliminations, which stay as the fallback and the
+    # reference: the same types, x-scalars and counts; the fallback runs
+    # only at the endpoints where a pivot image is no eigenvector
+    import uniformq.uniform as uniform_mod
+
+    split, params = _route_case(name)
+    real = uniform_mod._eigenspace_chains
+    ran = []
+
+    def recording(split, r, *args):
+        ran.append(r)
+        return real(split, r, *args)
+
+    monkeypatch.setattr(uniform_mod, "_eigenspace_chains", recording)
+    pivot = decompose_modules(split, params)
+    assert ran == fallback
+    ran.clear()
+    monkeypatch.setattr(uniform_mod, "_image_chains", lambda *_: None)
+    shifted = decompose_modules(split, params)
+    assert set(ran) >= {m.endpoint for m in pivot.modules}
+    assert pivot.types() == shifted.types()
+    assert pivot.counted == shifted.counted
+
+
 def _leaky_raising(monkeypatch):
     """Raising a nonzero vector of ker L on a level i >= 1 adds 1 at the
     first vertex of level i + 1, so L R leaves ker L from r = 1 on."""
@@ -869,10 +922,21 @@ def _shifted_x(monkeypatch):
     _perturbed_x(monkeypatch, change)
 
 
+def _shifted_pivot_x(monkeypatch):
+    """x_3(2, 1) is off by one, where the generators are the pivot
+    images of M_2, whose eigenvalue 8 is read on the graph."""
+    def change(real, params, r, d):
+        x = real(params, r, d)
+        return [x[0] + 1] + x[1:] if (r, d) == (2, 1) else x
+
+    _perturbed_x(monkeypatch, change)
+
+
 @pytest.mark.parametrize("perturb, message", [
     (_leaky_raising, "L R does not map ker L on level 1 into itself"),
     (_swapped_x, "has L R eigenvalue 12, not x_2(1, 2)"),
     (_shifted_x, "L R on ker L at level 1 has eigenspaces spanning"),
+    (_shifted_pivot_x, "has L R eigenvalue 8, not x_3(2, 1)"),
 ])
 def test_decompose_rejects_a_broken_eigenspace_split(perturb, message,
                                                      c32_fb, c32_split,
@@ -893,18 +957,20 @@ def test_decompose_rejects_a_broken_eigenspace_split(perturb, message,
 
 def test_decompose_rejects_a_corrupted_raised_vector(c32_split, dp_params,
                                                     monkeypatch):
-    # each chain starts from the raised kernel vectors R v_j that L R on
-    # ker L was computed from; doubled at r = 1, they keep every chain's
-    # length and break its first link, which the chain check catches
+    # at an endpoint that falls back to the shifted eliminations (r = 1
+    # on C_3(2) fb), each chain starts from the raised kernel vectors
+    # R v_j that L R on ker L was computed from; doubled there, they keep
+    # every chain's length and break its first link, which the chain
+    # check catches
     import uniformq.uniform as uniform_mod
 
     real = uniform_mod._lowering_raising
 
     def corrupted(split, r, kernel):
-        lr, scales, raised = real(split, r, kernel)
+        lr, scales, raised, images = real(split, r, kernel)
         if r == 1:
             raised = [[2 * v for v in u] for u in raised]
-        return lr, scales, raised
+        return lr, scales, raised, images
 
     monkeypatch.setattr(uniform_mod, "_lowering_raising", corrupted)
     with pytest.raises(ArithmeticError,
@@ -913,20 +979,26 @@ def test_decompose_rejects_a_corrupted_raised_vector(c32_split, dp_params,
 
 
 def test_chain_check_compares_raising_on_the_vectors(c32_split, dp_params):
-    # the chain of type (0, 3) against its generator raised on the graph
-    # passes; a raised vector that is no longer x times the next chain
-    # vector fails, though every lowering still steps down the chain
+    # the chain of type (0, 3) is its generator raised on the graph, and
+    # it passes with the zero vector that ends its raising; cut below its
+    # top, every lowering still steps down the chain, but its raising no
+    # longer ends; a raised vector doubled breaks a lowering
     split = c32_split
     m = decompose_modules(split, dp_params).modules[0]
     assert (m.endpoint, m.diameter) == (0, 3)
     raised = [m.basis[0]]
-    for i in range(3):
+    for i in range(4):
         raised.append(split.raise_(i, raised[-1]))
-    _assert_chain(split, 0, m.basis, raised, m.x_scalars)
-    raised[2] = [2 * v for v in raised[2]]
+    assert raised[:4] == m.basis and not any(raised[4])
+    low = split.lower(1, raised[1])
+    _assert_chain(split, 0, raised, low, m.x_scalars)
     with pytest.raises(ArithmeticError,
                        match="raising does not step up the chain"):
-        _assert_chain(split, 0, m.basis, raised, m.x_scalars)
+        _assert_chain(split, 0, raised[:4], low, m.x_scalars[:2])
+    raised[2] = [2 * v for v in raised[2]]
+    with pytest.raises(ArithmeticError,
+                       match="lowering does not step down the chain"):
+        _assert_chain(split, 0, raised, low, m.x_scalars)
 
 
 def test_level_maps_outside_the_levels(c32_split):

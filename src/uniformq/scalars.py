@@ -200,34 +200,6 @@ class QuadExt:
         return self._cmp(other) >= 0
 
 
-def scalar_sort_key(x: Scalar):
-    """Key ordering scalars by their real value (exact)."""
-    if isinstance(x, QuadExt):
-        # (a + c sqrt m) compared via a rational proxy would be lossy; use
-        # a triple that sorts correctly against rationals by comparison
-        # delegation instead.
-        return _RealKey(x)
-    return _RealKey(Fraction(x))
-
-
-class _RealKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        a, b = self.v, other.v
-        if isinstance(a, QuadExt):
-            return a < b
-        if isinstance(b, QuadExt):
-            return b > a
-        return a < b
-
-    def __eq__(self, other):
-        return self.v == other.v
-
-
 def is_rational(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction))
 

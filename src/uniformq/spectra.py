@@ -78,7 +78,6 @@ from .scalars import (
     is_rational,
     quad,
     rational_power,
-    scalar_sort_key,
     squarefree_decompose,
 )
 from .uniform import Decomposition
@@ -344,7 +343,7 @@ def _from_squares(n: int, mults: dict[int, int]) -> Spectrum:
     for mu, (s, m) in roots.items():
         pairs += [(_root_value(s, m), mults[mu]),
                   (_root_value(-s, m), mults[mu])]
-    pairs.sort(key=lambda t: scalar_sort_key(t[0]), reverse=True)
+    pairs.sort(key=lambda t: t[0], reverse=True)
     return Spectrum([(v, m) for v, m in pairs if m > 0], radicand)
 
 

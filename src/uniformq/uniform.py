@@ -30,12 +30,12 @@ A module chain is raised from its generator g once and kept as its
 raised vectors b_i = R^i g, so w_{r+i} = b_i / (x_{r+1} ... x_{r+i});
 the chain check reads the relations off those vectors, L b_0 = 0,
 L b_i = x_{r+i} b_{i-1} and R b_d = 0, with nothing rescaled.  The
-generators at an endpoint r come from one elimination of L R on ker L:
-the images of the kernel vectors at its pivot columns, when each is an
-eigenvector, and otherwise one shifted elimination per nonzero
-eigenvalue.  Only the chains of diameter >= 1 are built; no stage reads
-a basis, so the modules of diameter 0 are counted, not built
-(``decompose_modules``).
+generators at an endpoint r are pivot images: the images under L R of
+the kernel vectors at the pivot columns of L R on ker L, and where one
+of those mixes eigenvalues, their images under one polynomial filter in
+L R per candidate eigenvalue, again at pivot columns.  Only the chains
+of diameter >= 1 are built; no stage reads a basis, so the modules of
+diameter 0 are counted, not built (``decompose_modules``).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import Optional
 
 from .graphs import LFRSplit
@@ -503,10 +504,16 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     are a basis of im M_r.  When each g_j is, on the graph, an
     eigenvector of L R with a nonzero eigenvalue, the g_j are the other
     generators, and x(r, d) is solved only for the diameters d that
-    they reach.  Otherwise (M_r mixes nonzero eigenvalues in some g_j)
-    the endpoint falls back to one shifted elimination of M_r per
-    distinct nonzero x_{r+1}(r, d), all of them solved, and those
-    eigenspaces must span all rank M_r dimensions of im M_r.
+    they reach.  Otherwise (some g_j mixes eigenvalues) every x(r, d) is
+    solved, and each distinct nonzero t = x_{r+1}(r, d) gets the filter
+    F_t, the product of (q L R - p) over the other nonzero candidates
+    p/q.  If every nonzero eigenvalue of M_r is a candidate, F_t is 0 on
+    the other eigenspaces and a nonzero scalar on the t-eigenspace, so
+    the F_t g_j (in ker L, which L R preserves) span it, and those at
+    the pivot columns of their coordinates are a basis of it.  Each must
+    be an eigenvector for t on the graph, or M_r has a nonzero
+    eigenvalue outside the candidates; generators of distinct
+    eigenvalues are independent, and there must be rank M_r of them.
 
     Every generator g's diameter d is the exact length of its raising
     chain b_i = R^i g; its eigenvalue must be x_{r+1}(r, d), no x-scalar
@@ -564,19 +571,21 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
         kernel = _kernel_of_lowering(split, r)
         if not kernel:
             continue
-        lr, scales, raised, images = _lowering_raising(split, r, kernel)
-        pivots = pivot_columns(ExactMatrix.from_rows(lr))
-        counted[r] = len(kernel) - len(pivots)
-        built = _image_chains(split, r, [images[j] for j in pivots],
-                              x_scalars)
-        if built is None:
-            built = _eigenspace_chains(split, r, kernel, lr, scales, raised,
-                                       x_scalars)
-            if len(built) != len(pivots):
+        free, images = _lowering_raising(split, r, kernel)
+        gens = _independent(free, images)
+        counted[r] = len(kernel) - len(gens)
+        starts = [_start(split, r, gen) for gen in gens]
+        if not all(value for *_, value in starts):
+            values = dict.fromkeys(x_scalars(r, d)[0]
+                                   for d in range(1, eps - r + 1))
+            starts = _filtered_starts(split, r, free, starts,
+                                      list(filter(None, values)))
+            if len(starts) != len(gens):
                 raise ArithmeticError(
                     f"L R on ker L at level {r} has eigenspaces spanning "
-                    f"{counted[r] + len(built)} of {len(kernel)} dimensions")
-        chains.extend(built)
+                    f"{counted[r] + len(starts)} of {len(kernel)} dimensions")
+        chains.extend(_build_chain(split, r, *start, x_scalars)
+                      for start in starts)
     reach = sum(m.endpoint + m.diameter == eps for m in chains)
     if reach > split.size(eps):
         raise ArithmeticError(
@@ -600,81 +609,70 @@ def _chains_fill_level(split: LFRSplit, chains: list[TModule],
 
 
 def _lowering_raising(split: LFRSplit, r: int, kernel: list[list]) -> tuple:
-    """M_r, L R on ker L at level r in kernel coordinates, as integers:
-    each kernel vector v_i is alone nonzero at some column f_i (nullspace
-    gives it its free column), so once L (L R v_j) = 0 is checked, M_r
-    has entries U[i][j] / s_i with U[i][j] = (L R v_j)[f_i] and
-    s_i = v_i[f_i].  Returns U, the s_i, the raised vectors R v_j, from
-    which a generator combined from the kernel starts its chain by
-    linearity, and the images L R v_j."""
+    """The coordinate columns of ker L at level r and the images
+    L R v_j of its basis, checked to lie in ker L.  Each kernel vector v_i
+    is alone nonzero at some column f_i (nullspace gives it its free
+    column), so a vector u of ker L is sum_i (u[f_i] / v_i[f_i]) v_i; read
+    at the f_i, the images are the columns of M_r, L R on ker L in kernel
+    coordinates, with row i scaled by v_i[f_i]."""
     owners = Counter(j for v in kernel for j, s in enumerate(v) if s)
     free = [next(j for j, s in enumerate(v) if s and owners[j] == 1)
             for v in kernel]
-    raised = [split.raise_(r, v) for v in kernel]
-    images = [split.lower(r + 1, u) for u in raised]
+    images = [split.lower(r + 1, split.raise_(r, v)) for v in kernel]
     if any(any(split.lower(r, u)) for u in images):
         raise ArithmeticError(
             f"L R does not map ker L on level {r} into itself")
-    return ([[u[f] for u in images] for f in free],
-            [v[f] for v, f in zip(kernel, free)], raised, images)
+    return free, images
 
 
-def _image_chains(split: LFRSplit, r: int, gens: list[list],
-                  x_scalars) -> Optional[list[TModule]]:
-    """The chains of the images g_j at the pivot columns of M_r (nonzero,
-    as their columns in kernel coordinates are), or None as soon as one
-    g_j is not, on the graph, an eigenvector of L R with a nonzero
-    eigenvalue."""
-    starts = []
-    for gen in gens:
-        up = split.raise_(r, gen)
-        low = split.lower(r + 1, up)
-        value = _eigenvalue(low, gen)
-        if not value:
-            return None
-        starts.append((gen, up, low, value))
-    return [_build_chain(split, r, *start, x_scalars) for start in starts]
+def _independent(free: list, vectors: list[list]) -> list[list]:
+    """The vectors of ker L at the pivot columns of their coordinates,
+    read at the free columns of the kernel basis: a basis of their span,
+    since reading a vector of ker L at those columns is injective."""
+    rows = [[u[f] for u in vectors] for f in free]
+    return [vectors[j] for j in pivot_columns(ExactMatrix.from_rows(rows))]
 
 
-def _eigenvalue(image: list, vec: list) -> Optional[Fraction]:
-    """The value t with image = t vec for a nonzero vec, or None when
-    there is none."""
-    lead = next(j for j, v in enumerate(vec) if v)
-    value = Fraction(image[lead], vec[lead])
+def _start(split: LFRSplit, r: int, gen: list) -> tuple:
+    """gen, R gen and L R gen for a nonzero gen, computed on the graph,
+    and the value t with L R gen = t gen, or None when there is none."""
+    up = split.raise_(r, gen)
+    low = split.lower(r + 1, up)
+    lead = next(j for j, v in enumerate(gen) if v)
+    value = Fraction(low[lead], gen[lead])
     p, q = value.numerator, value.denominator
-    if any(q * a != p * b for a, b in zip(image, vec)):
-        return None
-    return value
+    if any(q * a != p * b for a, b in zip(low, gen)):
+        value = None
+    return gen, up, low, value
 
 
-def _eigenspace_chains(split: LFRSplit, r: int, kernel: list[list],
-                       lr: list[list], scales: list, raised: list[list],
-                       x_scalars) -> list[TModule]:
-    """The chains of the nonzero eigenspaces of M_r, one shifted
-    elimination per distinct nonzero x_{r+1}(r, d), each generator
-    combined from the kernel basis and its raised vectors."""
-    eps = split.ctx.eccentricity
-    values = dict.fromkeys(x_scalars(r, d)[0] for d in range(1, eps - r + 1))
-    chains = []
-    for value in filter(None, values):
-        # (M_r - value I) c = 0 with row i scaled by q s_i, value = p/q
-        shifted = [[value.denominator * u for u in row] for row in lr]
-        for i, s in enumerate(scales):
-            shifted[i][i] -= value.numerator * s
-        for coords in nullspace(ExactMatrix.from_rows(shifted)):
-            gen, up = _combine(coords, kernel), _combine(coords, raised)
-            chains.append(_build_chain(split, r, gen, up,
-                                       split.lower(r + 1, up), value,
-                                       x_scalars))
-    return chains
-
-
-def _combine(coords: list, vectors: list[list]) -> list:
-    """The combination sum_j coords[j] vectors[j]."""
-    out = [0] * len(vectors[0])
-    for c, v in zip(coords, vectors):
-        if c:
-            out = [o + c * s for o, s in zip(out, v)]
+def _filtered_starts(split: LFRSplit, r: int, free: list, starts: list,
+                     values: list) -> list[tuple]:
+    """The starts of the filtered generators F_t g_j for each candidate
+    value t (``decompose_modules``), with F_t evaluated on the Krylov
+    vectors (L R)^i g_j; the eigenvector test computed the first two."""
+    krylov = [[gen, low] for gen, _, low, _ in starts]
+    for _ in range(len(values) - 2):
+        for vectors in krylov:
+            vectors.append(split.lower(r + 1, split.raise_(r, vectors[-1])))
+    out = []
+    for value in values:
+        coeffs = [1]  # F_value, lowest degree first
+        for other in values:
+            if other != value:
+                p, q = other.numerator, other.denominator
+                coeffs = [q * a - p * b
+                          for a, b in zip([0] + coeffs, coeffs + [0])]
+        filtered = [[sum(map(mul, coeffs, column)) for column in zip(*vectors)]
+                    for vectors in krylov]
+        for gen in _independent(free, filtered):
+            start = _start(split, r, gen)
+            if start[-1] != value:
+                raise ArithmeticError(
+                    f"L R on ker L at level {r} has an eigenvalue other "
+                    f"than x_{r + 1}({r}, d): a generator filtered for "
+                    f"{value} is no eigenvector of it")
+            out.append(start)
     return out
 
 
@@ -708,12 +706,11 @@ def _assert_chain(split: LFRSplit, r: int, raised: list, low: list,
     signal internal bugs.
 
     raised[i] = R^i gen for 0 <= i <= d + 1, d >= 1, as the raising
-    computed them on the graph (raised[1] by linearity when gen is
-    combined from the kernel's raised vectors); low is L raised[1], also
-    computed on the graph, and x = (x_{r+1}, ..., x_{r+d}).  Each vector
-    has its level's length, L raised[0] = 0, L raised[i] = x_{r+i}
-    raised[i-1] for 1 <= i <= d (on the graph for i >= 2), and the
-    raising ends, raised[d+1] = 0.  With w_{r+i} = raised[i] / (x_{r+1}
+    computed them on the graph; low is L raised[1], computed on the
+    graph with gen's eigenvalue, and x = (x_{r+1}, ..., x_{r+d}).  Each
+    vector has its level's length, L raised[0] = 0, L raised[i] =
+    x_{r+i} raised[i-1] for 1 <= i <= d (on the graph for i >= 2), and
+    the raising ends, raised[d+1] = 0.  With w_{r+i} = raised[i] / (x_{r+1}
     ... x_{r+i}) these are L w_r = 0, L w_{r+i} = w_{r+i-1},
     R w_{r+i-1} = x_{r+i} w_{r+i} and R w_{r+d} = 0; so
     L R w_r = x_{r+1} w_r.

@@ -9,7 +9,10 @@ idempotents, walk matrices, the diagonal of A*, a module's tridiagonal
 action and the characteristic polynomial of a rational matrix.
 
 ``full_decomposition`` is the module twin: it builds the bases of the
-diameter-0 modules that ``decompose_modules`` only counts.  ``w_chain``
+diameter-0 modules that ``decompose_modules`` only counts.
+``shifted_decomposition`` is the reference for the generators: one
+shifted elimination of L R on ker L per eigenvalue, at every endpoint,
+with no pivot images and no filters.  ``w_chain``
 normalises a module's raised chain to the chain w_r, ..., w_{r+d} of
 primitive integer vectors with L w_{r+i} = w_{r+i-1}.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from uniformq.linalg import ExactMatrix, charpoly_int, nullspace
@@ -25,10 +29,11 @@ from uniformq.poly import Poly
 from uniformq.uniform import (
     Decomposition,
     TModule,
-    _combine,
+    _build_chain,
     _kernel_of_lowering,
     _lowering_raising,
     decompose_modules,
+    solve_x_scalars,
 )
 
 
@@ -200,9 +205,7 @@ def full_decomposition(split, params) -> Decomposition:
     for r in range(eps + 1):
         gens = _kernel_of_lowering(split, r)
         if gens and r < eps:
-            lr = _lowering_raising(split, r, gens)[0]
-            gens = [_combine(c, gens)
-                    for c in nullspace(ExactMatrix.from_rows(lr))]
+            gens = [g for g, _ in eigenspace(split, r, gens, 0)]
         for g in gens:
             assert not any(split.lower(r, g)) and not any(split.raise_(r, g))
             content = gcd(*g)
@@ -212,6 +215,61 @@ def full_decomposition(split, params) -> Decomposition:
     modules = sorted(built + dec.modules,
                      key=lambda m: (m.endpoint, m.diameter))
     return Decomposition(modules, {})
+
+
+def eigenspace(split, r: int, kernel: list[list], value) -> list[tuple]:
+    """The value-eigenspace of M_r, L R on ker L at level r, by one
+    shifted elimination in kernel coordinates: (M_r - value I) c = 0 with
+    row i scaled by q s_i for value = p/q, where M_r has the entries
+    (L R v_j)[f_i] / s_i, s_i = v_i[f_i], at the free column f_i of the
+    kernel vector v_i.  Returns each basis vector with its raised
+    vector, both combined from the kernel basis and its raised vectors."""
+    free, images = _lowering_raising(split, r, kernel)
+    value = Fraction(value)
+    shifted = [[value.denominator * u[f] for u in images] for f in free]
+    for i, (v, f) in enumerate(zip(kernel, free)):
+        shifted[i][i] -= value.numerator * v[f]
+    raised = [split.raise_(r, v) for v in kernel]
+    return [(combine(c, kernel), combine(c, raised))
+            for c in nullspace(ExactMatrix.from_rows(shifted))]
+
+
+def combine(coords: list, vectors: list[list]) -> list:
+    """The combination sum_j coords[j] vectors[j]."""
+    out = [0] * len(vectors[0])
+    for c, v in zip(coords, vectors):
+        if c:
+            out = [o + c * s for o, s in zip(out, v)]
+    return out
+
+
+def shifted_decomposition(split, params) -> Decomposition:
+    """The thin modules by the shifted route, the reference for the
+    generators of ``decompose_modules``: at each endpoint r < eps with
+    ker L != 0, the eigenspace of M_r for 0 is counted, and the one for
+    each distinct nonzero x_{r+1}(r, d) gives the generators, each
+    raised and checked as a chain.  The eigenspaces must span ker L,
+    and the top level eps counts ker L there.  Nothing is skipped, and
+    it assumes the structure is verified."""
+    eps = split.ctx.eccentricity
+    x_scalars = cache(lambda r, d: solve_x_scalars(params, r, d))
+    chains, counted = [], {eps: len(_kernel_of_lowering(split, eps))}
+    for r in range(eps):
+        kernel = _kernel_of_lowering(split, r)
+        if not kernel:
+            continue
+        counted[r] = len(eigenspace(split, r, kernel, 0))
+        values = dict.fromkeys(x_scalars(r, d)[0]
+                               for d in range(1, eps - r + 1))
+        for value in filter(None, values):
+            for gen, up in eigenspace(split, r, kernel, value):
+                chains.append(_build_chain(split, r, gen, up,
+                                           split.lower(r + 1, up), value,
+                                           x_scalars))
+        assert counted[r] + sum(m.endpoint == r for m in chains) == \
+            len(kernel), f"eigenspaces at level {r} do not span ker L"
+    chains.sort(key=lambda m: (m.endpoint, m.diameter))
+    return Decomposition(chains, {r: c for r, c in counted.items() if c})
 
 
 def w_chain(module) -> list[list]:

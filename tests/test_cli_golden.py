@@ -3,8 +3,10 @@
 ``tests/data/cli_golden.json`` maps each case ("<instance> <args>") to
 the stdout and exit code of one subcommand run.  The instances are small
 and cover the report shapes: cycle6 (per-level fit, candidate rejected),
-hypercube 4 (constant fit, accepted candidate, rational spectrum) and
-the C_2(3) full bipartite graph (eccentricity 2, the clean-skip path).
+hypercube 4 (constant fit, accepted candidate, rational spectrum), the
+C_2(3) full bipartite graph (eccentricity 2, the clean-skip path) and
+the H(4,3) full bipartite graph, whose thin modules at the endpoints
+r = 1 and 2 are split by L R filters over three and two eigenvalues.
 Each run reads ``g.el`` (and ``params.json``) from the working
 directory, so the report's source path is the same everywhere.
 """
@@ -19,7 +21,7 @@ import pytest
 from click.testing import CliRunner
 
 from uniformq.cli import main
-from uniformq.generators import FormSpec, dual_polar, hypercube
+from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
 from uniformq.graphs import Graph, format_edge_list, full_bipartite
 from uniformq.uniform import UniformParams
 
@@ -38,6 +40,8 @@ INSTANCES = {
            UniformParams.constant(4, Fraction(-1, 2), Fraction(-1, 2), 1)),
     "c23fb": (lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),
               UniformParams.constant(2, Fraction(-9, 4), Fraction(-1, 12), 9)),
+    "h43fb": (lambda: full_bipartite(hamming(4, 3)[0], 0),
+              UniformParams.constant(4, Fraction(-1, 2), Fraction(-1, 2), 2)),
 }
 
 COMMANDS = [

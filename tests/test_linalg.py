@@ -367,10 +367,12 @@ def test_nullspace_matches_full_length_back_substitution():
 @pytest.mark.parametrize("case", ["c32fb", "q6"])
 def test_module_kernels_match_bareiss_twin(case, c32_split, dp_params,
                                           monkeypatch):
-    # every matrix the module decomposition eliminates: the kernels (ker L
-    # and the shifted M_r where an endpoint falls back), and the value-0
-    # elimination of M_r at each endpoint below the top with ker L != 0,
-    # whose rank and pivot columns the twin gives too
+    # every matrix the module decomposition eliminates: the kernels of L
+    # (the only nullspaces), the value-0 elimination of M_r at each
+    # endpoint below the top with ker L != 0, and the one of the filtered
+    # vectors' coordinates per candidate value where an endpoint filters
+    # (r = 1 on C_3(2) fb, over 8 and 12); the twin gives their ranks
+    # and pivot columns too
     import uniformq.uniform as uniform_mod
     from uniformq.generators import hypercube
     from uniformq.graphs import bfs_context, lfr_split
@@ -381,7 +383,7 @@ def test_module_kernels_match_bareiss_twin(case, c32_split, dp_params,
         q6 = hypercube(6)[0]
         split = lfr_split(q6, bfs_context(q6, 0))
         params = uniform_mod.fit_uniform_constant(split)
-    kernels, eliminated = [], []
+    kernels, eliminated, filters = [], [], []
 
     def recording(a):
         kernels.append(a)
@@ -391,13 +393,24 @@ def test_module_kernels_match_bareiss_twin(case, c32_split, dp_params,
         eliminated.append(a)
         return pivot_columns(a)
 
+    real_filter = uniform_mod._filtered_starts
+
+    def recording_filter(split, r, free, starts, values):
+        filters.append((r, len(values)))
+        return real_filter(split, r, free, starts, values)
+
     monkeypatch.setattr(uniform_mod, "nullspace", recording)
     monkeypatch.setattr(uniform_mod, "pivot_columns", recording_pivots)
+    monkeypatch.setattr(uniform_mod, "_filtered_starts", recording_filter)
     dec = uniform_mod.decompose_modules(split, params)
     eps = split.ctx.eccentricity
     endpoints = {m.endpoint for m in dec.modules} | set(dec.counted) - {eps}
-    assert len(eliminated) == len(endpoints) and kernels
+    assert filters == ([(1, 2)] if case == "c32fb" else [])
+    assert len(eliminated) == len(endpoints) + sum(n for _, n in filters)
+    shapes = {(split.size(r - 1), split.size(r)) for r in range(1, eps)}
+    assert kernels
     for a in kernels:
+        assert (a.rows, a.cols) in shapes  # L from level r to r - 1
         assert repr(nullspace(a)) == repr(bareiss_nullspace(a))
     for a in eliminated:
         twin = bareiss_pivots(a)

@@ -64,6 +64,10 @@ def test_comparisons():
     assert quad(0, -7, 2) < -6
     assert quad(3, -2, 2) > 0  # 3 - 2*sqrt(2) = 0.17...
     assert quad(1, -1, 2) < 0
+    # a spectrum sorts its mixed values directly, with no key
+    values = [Fraction(1, 2), -r2, 2, 0, r2, Fraction(-3, 2)]
+    assert sorted(values) == [Fraction(-3, 2), -r2, 0, Fraction(1, 2), r2, 2]
+    assert sorted(values, reverse=True) == sorted(values)[::-1]
 
 
 def test_powers():

@@ -22,7 +22,7 @@ from uniformq.graphs import Graph, bfs_context, full_bipartite, lfr_split
 from uniformq import spectra
 from uniformq.linalg import charpoly_int, int_matmul_flat
 from uniformq.poly import Poly, poly_gcd
-from uniformq.scalars import QuadExt, exact_sqrt, quad, scalar_sort_key
+from uniformq.scalars import QuadExt, exact_sqrt, quad
 from uniformq.spectra import (
     Spectrum,
     _classes,
@@ -354,7 +354,7 @@ def _deflation_spectrum(g):
         if mu:
             pairs += [(exact_sqrt(mu), m), (-exact_sqrt(mu), m)]
     radicands = {v.m for v, _ in pairs if isinstance(v, QuadExt)}
-    pairs.sort(key=lambda t: scalar_sort_key(t[0]), reverse=True)
+    pairs.sort(key=lambda t: t[0], reverse=True)
     return [(v, m) for v, m in pairs if m], radicands.pop() if radicands else 1
 
 

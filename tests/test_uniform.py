@@ -9,6 +9,7 @@ from conftest import random_connected_graph, split_at
 from dense import (
     full_decomposition,
     module_rep_matrix,
+    shifted_decomposition,
     step_matrices,
     w_chain,
     walk_matrix,
@@ -704,6 +705,8 @@ TWIN_INSTANCES = {
     "Q_6": lambda: hypercube(6)[0],
     "H(3,3)-fb": lambda: full_bipartite(hamming(3, 3)[0], 0),
     "C_3(2)-fb": lambda: full_bipartite(dual_polar(FormSpec("C", 3, 2))[0], 0),
+    "H(4,3)-fb": lambda: full_bipartite(hamming(4, 3)[0], 0),
+    "H(5,3)-fb": lambda: full_bipartite(hamming(5, 3)[0], 0),
 }
 
 
@@ -846,35 +849,35 @@ def _route_case(name):
 
 
 @pytest.mark.parametrize("name, fallback", [
-    ("C_3(2)-fb", [1]),  # L R on ker L at level 1 has eigenvalues 8, 12
+    ("C_3(2)-fb", [(1, 2)]),  # L R on ker L at level 1 has eigenvalues 8, 12
     ("Q_6", []),
     ("cycle6", []),
     ("P_5", []),
     ("Q_9", []),
+    ("H(4,3)-fb", [(1, 3), (2, 2)]),
+    ("H(5,3)-fb", [(1, 4), (2, 3), (3, 2)]),
 ])
 def test_pivot_route_matches_shifted_eigenspaces(name, fallback,
                                                  monkeypatch):
-    # the generators read off the pivot columns of M_r against the
-    # shifted eliminations, which stay as the fallback and the
-    # reference: the same types, x-scalars and counts; the fallback runs
-    # only at the endpoints where a pivot image is no eigenvector
+    # the generators read off the pivot columns of M_r, filtered where a
+    # pivot image mixes eigenvalues, against the shifted eliminations of
+    # the reference: the same types, x-scalars and counts; the filters
+    # run, over (endpoint, number of candidate values), only where a
+    # pivot image is no eigenvector
     import uniformq.uniform as uniform_mod
 
     split, params = _route_case(name)
-    real = uniform_mod._eigenspace_chains
+    real = uniform_mod._filtered_starts
     ran = []
 
-    def recording(split, r, *args):
-        ran.append(r)
-        return real(split, r, *args)
+    def recording(split, r, free, starts, values):
+        ran.append((r, len(values)))
+        return real(split, r, free, starts, values)
 
-    monkeypatch.setattr(uniform_mod, "_eigenspace_chains", recording)
+    monkeypatch.setattr(uniform_mod, "_filtered_starts", recording)
     pivot = decompose_modules(split, params)
     assert ran == fallback
-    ran.clear()
-    monkeypatch.setattr(uniform_mod, "_image_chains", lambda *_: None)
-    shifted = decompose_modules(split, params)
-    assert set(ran) >= {m.endpoint for m in pivot.modules}
+    shifted = shifted_decomposition(split, params)
     assert pivot.types() == shifted.types()
     assert pivot.counted == shifted.counted
 
@@ -914,7 +917,9 @@ def _swapped_x(monkeypatch):
 
 
 def _shifted_x(monkeypatch):
-    """x_2(1, 1) is off by one, so its eigenspace is missed."""
+    """x_2(1, 1) is off by one, so the filters at level 1 are built for
+    the values 9 and 12 of C_3(2) fb, and the one for 9 keeps the
+    eigenvalue 8."""
     def change(real, params, r, d):
         x = real(params, r, d)
         return [x[0] + 1] + x[1:] if (r, d) == (1, 1) else x
@@ -935,7 +940,8 @@ def _shifted_pivot_x(monkeypatch):
 @pytest.mark.parametrize("perturb, message", [
     (_leaky_raising, "L R does not map ker L on level 1 into itself"),
     (_swapped_x, "has L R eigenvalue 12, not x_2(1, 2)"),
-    (_shifted_x, "L R on ker L at level 1 has eigenspaces spanning"),
+    (_shifted_x, "L R on ker L at level 1 has an eigenvalue other than "
+                 "x_2(1, d): a generator filtered for 9"),
     (_shifted_pivot_x, "has L R eigenvalue 8, not x_3(2, 1)"),
 ])
 def test_decompose_rejects_a_broken_eigenspace_split(perturb, message,
@@ -957,24 +963,28 @@ def test_decompose_rejects_a_broken_eigenspace_split(perturb, message,
 
 def test_decompose_rejects_a_corrupted_raised_vector(c32_split, dp_params,
                                                     monkeypatch):
-    # at an endpoint that falls back to the shifted eliminations (r = 1
-    # on C_3(2) fb), each chain starts from the raised kernel vectors
-    # R v_j that L R on ker L was computed from; doubled there, they keep
-    # every chain's length and break its first link, which the chain
-    # check catches
+    # each generator g starts its chain from R g, and its eigenvalue is
+    # read off L R g, both computed once on the graph (``_start``); with
+    # R g doubled at r = 1 (C_3(2) fb, filtered over 8 and 12) before
+    # L R g is read from it, the pivot images still mix eigenvalues, the
+    # filters built on the doubled L R g keep both, and the filtered
+    # generators are no eigenvectors for their value
     import uniformq.uniform as uniform_mod
 
-    real = uniform_mod._lowering_raising
+    real = uniform_mod._start
 
-    def corrupted(split, r, kernel):
-        lr, scales, raised, images = real(split, r, kernel)
-        if r == 1:
-            raised = [[2 * v for v in u] for u in raised]
-        return lr, scales, raised, images
+    def corrupted(split, r, gen):
+        gen, up, low, value = real(split, r, gen)
+        if r == 1:  # as read off 2 R g
+            up, low = [2 * v for v in up], [2 * v for v in low]
+            value = value and 2 * value
+        return gen, up, low, value
 
-    monkeypatch.setattr(uniform_mod, "_lowering_raising", corrupted)
+    monkeypatch.setattr(uniform_mod, "_start", corrupted)
     with pytest.raises(ArithmeticError,
-                       match="lowering does not step down the chain"):
+                       match=r"L R on ker L at level 1 has an eigenvalue "
+                             r"other than x_2\(1, d\): a generator filtered "
+                             r"for 8"):
         decompose_modules(c32_split, dp_params)
 
 

@@ -1,9 +1,17 @@
 """Command-line front end.
 
-Subcommands chain the pipeline: generate -> full-bipartite -> uniform
-fit/verify -> candidate synthesis + exact verification -> module
-decomposition -> exact spectrum -> Q-polynomial ordering checks, with
-machine-readable JSON reports.
+``gen`` writes a named graph family as an edge list and ``fb`` applies
+the full bipartite transform.  Every other subcommand is a view over one
+``_Instance``: a graph and base vertex whose artifacts -- the uniform
+structure and its verification, the dual adjacency candidate and its
+relation check, the thin modules, the spectrum and the idempotent
+pattern -- are each computed at most once.  ``pipeline`` runs the five
+stages (uniform, candidate, modules, spectrum, qcheck) through one stage
+runner that records, for each, a skip reason, its section, or
+``{"error": ...}``; ``uniform``, ``candidate``, ``modules``, ``spectrum``
+and ``qcheck`` each report one section of the same chain, in their own
+words.  ``_attempt`` is the one boundary at which a mathematical
+rejection becomes a report, and ``_finish`` emits it and exits.
 
 Exit codes: 0 when every requested check passes (clean stage skips
 included), 1 when a stage produces a mathematical fail or rejection,
@@ -16,7 +24,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 
@@ -69,12 +76,30 @@ def _write(text: str, out) -> None:
         _fail_usage(f"cannot write {out}: {exc}")
 
 
-def _emit(obj, out, as_json: bool = True) -> None:
-    if as_json:
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    else:
-        text = _render_text(obj) + "\n"
-    _write(text, out)
+def _finish(report: dict, ok, out, as_json: bool):
+    """Emit the report as JSON or as indented text, then exit 0 when ok
+    and 1 otherwise."""
+    text = (json.dumps(report, indent=2, sort_keys=True) if as_json
+            else _render_text(report))
+    _write(text + "\n", out)
+    sys.exit(0 if ok else MATH_FAIL)
+
+
+def _attempt(stage):
+    """stage(), or ({"error": ...}, False) when it rejects its input:
+    the one boundary at which a mathematical rejection becomes a
+    report."""
+    try:
+        return stage()
+    except (ValueError, ArithmeticError) as exc:
+        return {"error": str(exc)}, False
+
+
+def _report_options(view):
+    """The -o/--out and --json/--no-json options every report view ends
+    with."""
+    view = click.option("--json/--no-json", "as_json", default=True)(view)
+    return click.option("-o", "--out", type=click.Path(), default=None)(view)
 
 
 def _render_text(obj, indent: int = 0) -> str:
@@ -241,6 +266,22 @@ class _Instance:
     def check(self):
         return verify_uniform(self.split, self.params)
 
+    @property
+    def verified(self) -> bool:
+        """Whether a uniform structure exists and verifies."""
+        return self.params is not None and self.check.passed
+
+    def uniform_section(self) -> dict:
+        """verified, the parameters, and ``invalid``, the reason, when
+        the identity holds but the parameter matrix fails its
+        conditions."""
+        if self.params is None:
+            return {"verified": False}
+        section = dict(self.params.to_json(), verified=self.check.passed)
+        if self.check.reason is not None:
+            section["invalid"] = self.check.reason
+        return section
+
     @cached_property
     def search(self):
         return candidate_search(self.params, *self.theta)
@@ -275,11 +316,8 @@ class _Instance:
         """The spectrum read off the certified thin modules; the dense
         Gram-block route when there are none, for want of a verified
         uniform structure or because the decomposition failed."""
-        modules = None
-        if self.params is not None and self.check.passed \
-                and not isinstance(self._modules, Exception):
-            modules = self._modules
-        return spectrum_exact(self.split, modules)
+        certified = self.verified and not isinstance(self._modules, Exception)
+        return spectrum_exact(self.split, self._modules if certified else None)
 
     @cached_property
     def pattern(self):
@@ -347,17 +385,15 @@ def _candidate_section(inst: _Instance) -> dict:
 @click.option("--base", type=int, default=0, show_default=True)
 @click.option("--verify", "params_file", type=click.Path(), default=None,
               help="Verify the parameters in this JSON file instead.")
-@click.option("-o", "--out", type=click.Path(), default=None)
-@click.option("--json/--no-json", "as_json", default=True)
+@_report_options
 def uniform(input, base, params_file, out, as_json) -> None:
     """Fit or verify a uniform structure."""
     inst = _open(input, base, params_file)
-    params = inst.params
-    section = {}
+    section = inst.uniform_section()  # before the fit: eps 0 is a usage error
     if not params_file:
-        section = {
-            "feasible": inst.fit.feasible,
-            "per_level": [
+        section.update(
+            feasible=inst.fit.feasible,
+            per_level=[
                 {
                     "level": lf.level,
                     "consistent": lf.is_consistent(),
@@ -366,20 +402,13 @@ def uniform(input, base, params_file, out, as_json) -> None:
                 }
                 for lf in inst.fit.levels
             ],
-            "constant": inst.constant.to_json() if inst.constant else None,
-        }
-    if params is None:
-        section["verified"] = False
-    else:
-        section.update(params.to_json(), verified=inst.check.passed)
-        if inst.check.reason is not None:
-            section["invalid"] = inst.check.reason
-        elif params_file and not inst.check.passed:
-            section.update(failed_level=inst.check.level,
-                           witness_vertex=inst.check.witness)
-    failed = params is None or not inst.check.passed
-    _emit(dict(inst.levels_report(), uniform=section), out, as_json)
-    sys.exit(MATH_FAIL if failed else 0)
+            constant=inst.constant.to_json() if inst.constant else None,
+        )
+    elif not inst.verified and "invalid" not in section:
+        section.update(failed_level=inst.check.level,
+                       witness_vertex=inst.check.witness)
+    _finish(dict(inst.levels_report(), uniform=section), inst.verified,
+            out, as_json)
 
 
 @main.command()
@@ -389,53 +418,40 @@ def uniform(input, base, params_file, out, as_json) -> None:
               help="Uniform parameters JSON; fitted from the graph if omitted.")
 @click.option("--theta", default="-1,0", show_default=True,
               help="theta*_0,theta*_1 normalisation.")
-@click.option("-o", "--out", type=click.Path(), default=None)
-@click.option("--json/--no-json", "as_json", default=True)
+@_report_options
 def candidate(input, base, params_file, theta, out, as_json) -> None:
     """Synthesise a dual adjacency matrix candidate and verify it."""
     report = _candidate_section(_open(input, base, params_file, theta))
-    _emit(report, out, as_json)
-    sys.exit(0 if report.get("verified") else MATH_FAIL)
+    _finish(report, report.get("verified"), out, as_json)
 
 
 @main.command()
 @click.argument("input", type=click.Path())
 @click.option("--base", type=int, default=0, show_default=True)
 @click.option("--params", "params_file", type=click.Path(), default=None)
-@click.option("-o", "--out", type=click.Path(), default=None)
-@click.option("--json/--no-json", "as_json", default=True)
+@_report_options
 def modules(input, base, params_file, out, as_json) -> None:
     """Decompose the standard module into thin irreducible chains."""
     inst = _open(input, base, params_file)
     if inst.params is None:
-        _emit({"error": "no uniform structure exists"}, out, as_json)
-        sys.exit(MATH_FAIL)
-    try:
-        dec = inst.modules
-    except (ValueError, ArithmeticError) as exc:
-        _emit({"error": str(exc)}, out, as_json)
-        sys.exit(MATH_FAIL)
-    report = dict(
-        inst.levels_report(),
-        uniform=dict(inst.params.to_json(), verified=True),
-        modules=dec.to_json(),
-    )
-    _emit(report, out, as_json)
+        _finish({"error": "no uniform structure exists"}, False, out, as_json)
+
+    def view():
+        found = inst.modules.to_json()  # verifies the structure first
+        return dict(inst.levels_report(), uniform=inst.uniform_section(),
+                    modules=found), True
+
+    _finish(*_attempt(view), out, as_json)
 
 
 @main.command()
 @click.argument("input", type=click.Path())
-@click.option("-o", "--out", type=click.Path(), default=None)
-@click.option("--json/--no-json", "as_json", default=True)
+@_report_options
 def spectrum(input, out, as_json) -> None:
     """Exact adjacency spectrum of a bipartite graph over Q(sqrt(m))."""
-    inst = _open(input, 0)
-    try:
-        spec = spectrum_exact(inst.split)  # no uniform structure, no modules
-    except (ValueError, ArithmeticError) as exc:
-        _emit({"error": str(exc)}, out, as_json)
-        sys.exit(MATH_FAIL)
-    _emit(spec.to_json(), out, as_json)
+    inst = _open(input, 0)  # no uniform structure, no modules
+    _finish(*_attempt(lambda: (spectrum_exact(inst.split).to_json(), True)),
+            out, as_json)
 
 
 @main.command()
@@ -445,30 +461,21 @@ def spectrum(input, out, as_json) -> None:
 @click.option("--ordering", "ordering_name", default="both",
               type=click.Choice(["both", "even-odd", "odd-even", "natural"]),
               show_default=True)
-@click.option("-o", "--out", type=click.Path(), default=None)
-@click.option("--json/--no-json", "as_json", default=True)
+@_report_options
 def qcheck(input, base, theta, ordering_name, out, as_json) -> None:
     """Check Q-polynomial orderings of the primitive idempotents."""
     inst = _open(input, base, theta=theta)
     cand_report = _candidate_section(inst)
     if not cand_report.get("verified"):  # skipped, rejected or refuted
-        _emit({"candidate": cand_report,
-               "skipped": "no verified candidate"}, out, as_json)
-        sys.exit(MATH_FAIL)
-    try:
+        _finish({"candidate": cand_report, "skipped": "no verified candidate"},
+                False, out, as_json)
+
+    def view():
         reports, ok = inst.orderings(ordering_name)
-    except (ValueError, ArithmeticError) as exc:
-        _emit({"candidate": cand_report, "error": str(exc)}, out, as_json)
-        sys.exit(MATH_FAIL)
-    _emit({"candidate": cand_report, "orderings": reports}, out, as_json)
-    sys.exit(0 if ok else MATH_FAIL)
+        return {"orderings": reports}, ok
 
-
-@contextmanager
-def _timed(clock: dict, name: str):
-    t0 = time.perf_counter()
-    yield
-    clock[name] = round(time.perf_counter() - t0, 6)
+    report, ok = _attempt(view)
+    _finish(dict(report, candidate=cand_report), ok, out, as_json)
 
 
 @main.command()
@@ -487,8 +494,7 @@ def _timed(clock: dict, name: str):
               help="Skip the spectrum and ordering stages.")
 @click.option("--timings", is_flag=True,
               help="Include wall-clock stage timings (breaks byte determinism).")
-@click.option("-o", "--out", type=click.Path(), default=None)
-@click.option("--json/--no-json", "as_json", default=True)
+@_report_options
 def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
              no_spectrum, timings, out, as_json) -> None:
     """Run the full chain: uniform -> candidate -> modules -> spectrum ->
@@ -502,90 +508,68 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
             _fail_usage(str(exc))
     inst = _Instance(g, base, params_file, theta)
     eps = inst.ctx.eccentricity
+    skipped = {}
     report = dict(
         graph={"n": g.n, "m": g.num_edges, "source": input},
         base=base,
         bipartite=inst.split.is_bipartite(),
-        skipped={},
+        skipped=skipped,
         **inst.levels_report(),
     )
-    skipped = report["skipped"]
-    if not inst.split.is_bipartite():
+    if not report["bipartite"]:
         skipped["all"] = "pipeline requires a bipartite graph"
-        _emit(report, out, as_json)
-        sys.exit(MATH_FAIL)
+        _finish(report, False, out, as_json)
 
-    clock: dict[str, float] = {}
-    with _timed(clock, "uniform"):
-        params = inst.params
-        verified = params is not None and inst.check.passed
-        report["uniform"] = {"verified": verified}
-        if params is not None:
-            report["uniform"].update(params.to_json())
-            if inst.source:
-                report["uniform"]["source"] = inst.source
-            if inst.check.reason is not None:
-                report["uniform"]["invalid"] = inst.check.reason
-        failed = not verified
+    # each stage returns a skip reason or its (section, ok); a skipped
+    # stage passes cleanly, and qcheck needs the three before it to pass
+    def uniform_stage():
+        section = inst.uniform_section()
+        if inst.source:
+            section["source"] = inst.source
+        return section, inst.verified
 
-    candidate_ok = False
-    with _timed(clock, "candidate"):
-        if not verified:
-            skipped["candidate"] = "no verified uniform structure"
-        elif eps < 3:
-            skipped["candidate"] = (
-                _EPS_SKIP.format(eps) + "; stage skipped cleanly"
-            )
-        else:
-            report["candidate"] = inst.candidate
-            candidate_ok = inst.candidate["verified"] is True  # accepted, holds
-            failed |= not candidate_ok
+    def candidate_stage():
+        if not inst.verified:
+            return "no verified uniform structure"
+        if eps < 3:
+            return _EPS_SKIP.format(eps) + "; stage skipped cleanly"
+        # verified is True only when accepted and the relation holds
+        return inst.candidate, inst.candidate["verified"] is True
 
-    modules_ok = False
-    with _timed(clock, "modules"):
-        if not verified:
-            skipped["modules"] = "no verified uniform structure"
-        else:
-            try:
-                report["modules"] = inst.modules.to_json()
-                modules_ok = True
-            except (ValueError, ArithmeticError) as exc:
-                report["modules"] = {"error": str(exc)}
-                failed = True
+    def modules_stage():
+        if not inst.verified:
+            return "no verified uniform structure"
+        return inst.modules.to_json(), True
 
-    spectrum_ok = False
-    with _timed(clock, "spectrum"):
+    def spectrum_stage():
+        return "disabled" if no_spectrum else (inst.spectrum.to_json(), True)
+
+    def qcheck_stage():
         if no_spectrum:
-            skipped["spectrum"] = "disabled"
-        else:
-            try:
-                report["spectrum"] = inst.spectrum.to_json()
-                spectrum_ok = True
-            except (ValueError, ArithmeticError) as exc:
-                report["spectrum"] = {"error": str(exc)}
-                failed = True
+            return "disabled"
+        for stage, reason in [("candidate", "no verified candidate"),
+                              ("modules", "no module decomposition"),
+                              ("spectrum", "no spectrum")]:
+            if not passed.get(stage):
+                return reason
+        return inst.orderings(ordering_name)
 
-    with _timed(clock, "qcheck"):
-        if no_spectrum:
-            skipped["qcheck"] = "disabled"
-        elif not candidate_ok:
-            skipped["qcheck"] = "no verified candidate"
-        elif not modules_ok:
-            skipped["qcheck"] = "no module decomposition"
-        elif not spectrum_ok:
-            skipped["qcheck"] = "no spectrum"
+    clock, passed = {}, {}
+    for name, key, stage in [("uniform", "uniform", uniform_stage),
+                             ("candidate", "candidate", candidate_stage),
+                             ("modules", "modules", modules_stage),
+                             ("spectrum", "spectrum", spectrum_stage),
+                             ("qcheck", "ordering", qcheck_stage)]:
+        t0 = time.perf_counter()
+        result = _attempt(stage)
+        if isinstance(result, str):
+            skipped[name] = result
         else:
-            try:
-                report["ordering"], ok = inst.orderings(ordering_name)
-            except (ValueError, ArithmeticError) as exc:
-                report["ordering"] = {"error": str(exc)}
-                ok = False
-            failed |= not ok
-
+            report[key], passed[name] = result
+        clock[name] = round(time.perf_counter() - t0, 6)
     if timings:
         report["timings"] = clock
-    _emit(report, out, as_json)
-    sys.exit(MATH_FAIL if failed else 0)
+    _finish(report, all(passed.values()), out, as_json)
 
 
 if __name__ == "__main__":

@@ -708,7 +708,8 @@ def _assert_chain(split: LFRSplit, r: int, raised: list, low: list,
     raised[i] = R^i gen for 0 <= i <= d + 1, d >= 1, as the raising
     computed them on the graph; low is L raised[1], computed on the
     graph with gen's eigenvalue, and x = (x_{r+1}, ..., x_{r+d}).  Each
-    vector has its level's length, L raised[0] = 0, L raised[i] =
+    vector has its level's length, L raised[0] = 0, raised[1] = R
+    raised[0] on the graph, so that low is L R gen, L raised[i] =
     x_{r+i} raised[i-1] for 1 <= i <= d (on the graph for i >= 2), and
     the raising ends, raised[d+1] = 0.  With w_{r+i} = raised[i] / (x_{r+1}
     ... x_{r+i}) these are L w_r = 0, L w_{r+i} = w_{r+i-1},
@@ -721,6 +722,9 @@ def _assert_chain(split: LFRSplit, r: int, raised: list, low: list,
             raise ArithmeticError("chain vector leaves its level")
     if any(split.lower(r, raised[0])):
         raise ArithmeticError("chain generator is not in ker L")
+    if split.raise_(r, raised[0]) != raised[1]:
+        raise ArithmeticError("chain does not start with the raising of "
+                              "its generator")
     for i in range(1, d + 1):
         p, q = x[i - 1].numerator, x[i - 1].denominator
         lowered = low if i == 1 else split.lower(r + i, raised[i])

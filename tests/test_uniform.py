@@ -988,6 +988,28 @@ def test_decompose_rejects_a_corrupted_raised_vector(c32_split, dp_params,
         decompose_modules(c32_split, dp_params)
 
 
+def test_decompose_rejects_a_chain_not_raised_from_its_generator(
+        c32_split, dp_params, monkeypatch):
+    # with R g doubled beside the true L R g, the eigenvalue read off
+    # L R g is right, the first link is checked on that true L R g, and
+    # every later lowering of the doubled chain steps down by its
+    # x-scalar; only b_1 = R b_0 tells the chain apart from the raising
+    # of g
+    import uniformq.uniform as uniform_mod
+
+    real = uniform_mod._start
+
+    def doubled_up(split, r, gen):
+        gen, up, low, value = real(split, r, gen)
+        return gen, [2 * v for v in up], low, value
+
+    monkeypatch.setattr(uniform_mod, "_start", doubled_up)
+    with pytest.raises(ArithmeticError,
+                       match="chain does not start with the raising of "
+                             "its generator"):
+        decompose_modules(c32_split, dp_params)
+
+
 def test_chain_check_compares_raising_on_the_vectors(c32_split, dp_params):
     # the chain of type (0, 3) is its generator raised on the graph, and
     # it passes with the zero vector that ends its raising; cut below its

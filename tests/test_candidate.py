@@ -345,6 +345,31 @@ def test_verify_relation_argument_checks(cycle6, c32_split):
 # -- synthesis steps ---------------------------------------------------------------
 
 
+C32_EM = (0, Fraction(-4, 3), Fraction(-4, 3))
+C32_EP = (Fraction(-1, 6), Fraction(-1, 6), 0)
+
+
+@pytest.mark.parametrize("em, ep, f, step, reason", [
+    ((0, 1, Fraction(-4, 3)), C32_EP, 8, 1, "e-_2 = 1"),
+    (C32_EM, (1, Fraction(-1, 6), 0), 8, 1, "e+_1 = 1"),
+    ((0, 2, Fraction(-4, 3)), (Fraction(1, 2), Fraction(-1, 6), 0), 8, 1,
+     "e+_1 e-_2 = 1"),
+    (C32_EM, (Fraction(-1, 6), Fraction(-1, 3), 0), 8, 1,
+     "beta differs between levels: 5/2 vs 23/5"),
+    ((0, 2, 2), (0, 0, 0), 1, 1, "beta = -2 is excluded"),
+    ((0, 3, -3), (-3, 3, 0), 1, 3, "theta* values are not distinct"),
+    ((0, 0, -2), (-2, 0, 0), (0, 1, 0), 4,
+     "compatibility identity fails at level 2"),
+    (C32_EM, C32_EP, (8, 8, 9), 5, "f_i is not constant across levels"),
+], ids=["em2", "ep1", "ep1-em2", "beta-differs", "beta-excluded",
+        "step3", "step4", "step5"])
+def test_candidate_search_rejections(em, ep, f, step, reason):
+    params = UniformParams(em, ep, (f,) * 3 if isinstance(f, int) else f)
+    res = candidate_search(params)
+    assert res.candidate is None
+    assert (res.rejected_step, res.reason) == (step, reason)
+
+
 def test_beta_dual_polar(dp_params):
     res = beta_from_structure(dp_params)
     assert res.consistent

@@ -8,18 +8,13 @@ no floating point anywhere.
 """
 
 from .candidate import (
-    BetaResult,
     DualCandidate,
     RelationCheck,
     SearchResult,
     TridiagReport,
-    beta_from_structure,
     candidate_search,
-    check_eq7a,
     closed_form_theta,
     entrywise_oracle,
-    theta_from_structure,
-    uniform_ratio,
     verify_relation,
     verify_tridiagonal,
 )

@@ -8,10 +8,13 @@ when
         = gamma (A^2 A* - A* A^2) + rho (A A* - A* A)
 
 for some scalars beta, gamma, rho; on bipartite graphs gamma is forced
-to 0.  Candidates are synthesised from a uniform structure by a
-six-step procedure: a level-independent beta from the parameter ratios,
-a theta* ladder from the F-ratios, distinctness, a beta/F compatibility
-identity, constancy of f with rho = f (beta + 2), and emission.
+to 0.  One function, ``candidate_search``, synthesises a candidate from
+a uniform structure by the six-step procedure, in one pass over the
+levels that collects the F-ratios: a level-independent beta from the
+parameter ratios, a theta* ladder from the F-ratios, distinctness, a
+beta/F compatibility identity, constancy of f with rho = f (beta + 2),
+and emission.  ``closed_form_theta`` stays an independent cross-check
+of the ladder.
 
 A candidate is certified on the level blocks of the bipartite split
 (``verify_relation``): each block of the relation's residual is a
@@ -50,15 +53,14 @@ class DualCandidate:
     gamma: Fraction
     rho: Fraction
 
-    def to_json(self, verified: Optional[bool] = None,
-                rejected_step: Optional[int] = None) -> dict:
+    def to_json(self) -> dict:
         return {
             "theta_star": [scalar_to_json(t) for t in self.theta_star],
             "beta": scalar_to_json(self.beta),
             "gamma": scalar_to_json(self.gamma),
             "rho": scalar_to_json(self.rho),
-            "verified": verified,
-            "rejected_step": rejected_step,
+            "verified": None,
+            "rejected_step": None,
         }
 
 
@@ -234,91 +236,6 @@ def verify_relation(split: LFRSplit, cand: DualCandidate) -> RelationCheck:
 # -- synthesis from a uniform structure ---------------------------------------
 
 
-def uniform_ratio(params: UniformParams, i: int) -> Fraction:
-    """F(i) = -(e+_i - 1)/(e-_{i+1} - 1), defined for 1 <= i <= eps-1."""
-    if not (1 <= i <= params.eps - 1):
-        raise ValueError(f"F({i}) undefined for eps = {params.eps}")
-    den = params.em(i + 1) - 1
-    if den == 0:
-        raise ZeroDivisionError(f"e-_{i + 1} = 1 makes F({i}) undefined")
-    return -(params.ep(i) - 1) / den
-
-
-@dataclass
-class BetaResult:
-    consistent: bool
-    beta: Optional[Fraction] = None
-    level: Optional[int] = None
-    reason: Optional[str] = None
-
-
-def beta_from_structure(params: UniformParams) -> BetaResult:
-    """Level-independent beta from beta + 1 = (e-_{i+1}-1)(e+_i-1) /
-    (1 - e+_i e-_{i+1}), for 1 <= i <= eps-1.
-
-    All failures are structured returns carrying the offending level.
-    """
-    if params.eps < 3:
-        raise ValueError("candidate synthesis requires eccentricity >= 3")
-    beta = None
-    for i in range(1, params.eps):
-        em, ep = params.em(i + 1), params.ep(i)
-        if em == 1:
-            return BetaResult(False, None, i + 1, f"e-_{i + 1} = 1")
-        if ep == 1:
-            return BetaResult(False, None, i, f"e+_{i} = 1")
-        if ep * em == 1:
-            return BetaResult(False, None, i, f"e+_{i} e-_{i + 1} = 1")
-        val = (em - 1) * (ep - 1) / (1 - ep * em) - 1
-        if beta is None:
-            beta = val
-        elif val != beta:
-            return BetaResult(
-                False, None, i,
-                f"beta differs between levels: {beta} vs {val}",
-            )
-    if beta in (-2, -1):
-        return BetaResult(False, None, None, f"beta = {beta} is excluded")
-    return BetaResult(True, beta)
-
-
-def theta_from_structure(params: UniformParams, theta0, theta1) -> tuple:
-    """theta*_{i+1} = theta*_1 + (theta*_1 - theta*_0) *
-    sum_{j=1}^{i} (-1)^j prod_{k=1}^{j} F(k).
-
-    Distinctness of the output is not guaranteed; callers check it.
-    """
-    theta0, theta1 = Fraction(theta0), Fraction(theta1)
-    if theta0 == theta1:
-        raise ValueError("need theta*_0 != theta*_1")
-    eps = params.eps
-    theta = [theta0, theta1]
-    total = Fraction(0)
-    prod = Fraction(1)
-    for i in range(1, eps):
-        prod *= -uniform_ratio(params, i)
-        total += prod
-        theta.append(theta1 + (theta1 - theta0) * total)
-    return tuple(theta)
-
-
-@dataclass
-class Eq7aResult:
-    ok: bool
-    level: Optional[int] = None
-
-
-def check_eq7a(params: UniformParams, beta) -> Eq7aResult:
-    """Check 1 + F(i-1) F(i) = -beta F(i-1) for 2 <= i <= eps-1."""
-    beta = Fraction(beta)
-    for i in range(2, params.eps):
-        fim1 = uniform_ratio(params, i - 1)
-        fi = uniform_ratio(params, i)
-        if 1 + fim1 * fi != -beta * fim1:
-            return Eq7aResult(False, i)
-    return Eq7aResult(True)
-
-
 @dataclass
 class SearchResult:
     candidate: Optional[DualCandidate]
@@ -331,7 +248,7 @@ class SearchResult:
 
     def to_json(self) -> dict:
         if self.candidate is not None:
-            return self.candidate.to_json(rejected_step=None)
+            return self.candidate.to_json()
         return {
             "theta_star": None,
             "beta": None,
@@ -345,44 +262,68 @@ class SearchResult:
 
 def candidate_search(params: UniformParams, theta0=Fraction(-1),
                      theta1=Fraction(0)) -> SearchResult:
-    """Six-step candidate synthesis from a uniform structure.
+    """Six-step candidate synthesis from a uniform structure, in terms of
+    the ratios F(i) = -(e+_i - 1)/(e-_{i+1} - 1), 1 <= i <= eps-1:
 
-    1. a level-independent beta outside {-2, -1} exists;
-    2. build the theta* ladder from (theta*_0, theta*_1);
+    1. beta + 1 = (e-_{i+1}-1)(e+_i-1)/(1 - e+_i e-_{i+1}) is the same
+       at every level i, and beta is outside {-2, -1};
+    2. build the theta* ladder theta*_{i+1} = theta*_1 + (theta*_1 -
+       theta*_0) sum_{j=1}^{i} (-1)^j F(1) ... F(j);
     3. the theta* values are mutually distinct;
     4. the compatibility identity 1 + F(i-1)F(i) = -beta F(i-1) holds;
     5. the f_i are constant, setting rho = f (beta + 2);
     6. emit the candidate (gamma = 0 in the bipartite setting).
 
-    Rejections carry the failing step; they are results, not errors.
+    One pass over the levels reads each (e-_{i+1}, e+_i) once, makes
+    the checks of step 1 and collects the F(i); steps 2 to 5 work on
+    that list.  Rejections carry the failing step; they are results,
+    not errors.
     """
-    if params.eps < 3:
+    eps = params.eps
+    if eps < 3:
         raise ValueError("candidate synthesis requires eccentricity >= 3")
     theta0, theta1 = Fraction(theta0), Fraction(theta1)
     if theta0 == theta1:
         raise ValueError("need theta*_0 != theta*_1")
 
-    step1 = beta_from_structure(params)
-    if not step1.consistent:
-        return SearchResult(None, 1, step1.reason)
-    beta = step1.beta
+    beta, ratios = None, []
+    for i in range(1, eps):
+        em, ep = params.em(i + 1), params.ep(i)
+        if em == 1:
+            return SearchResult(None, 1, f"e-_{i + 1} = 1")
+        if ep == 1:
+            return SearchResult(None, 1, f"e+_{i} = 1")
+        if ep * em == 1:
+            return SearchResult(None, 1, f"e+_{i} e-_{i + 1} = 1")
+        val = (em - 1) * (ep - 1) / (1 - ep * em) - 1
+        if beta is None:
+            beta = val
+        elif val != beta:
+            return SearchResult(
+                None, 1, f"beta differs between levels: {beta} vs {val}")
+        ratios.append(-(ep - 1) / (em - 1))
+    if beta in (-2, -1):
+        return SearchResult(None, 1, f"beta = {beta} is excluded")
 
-    theta = theta_from_structure(params, theta0, theta1)
-
+    theta = [theta0, theta1]
+    total, prod = Fraction(0), Fraction(1)
+    for ratio in ratios:
+        prod *= -ratio
+        total += prod
+        theta.append(theta1 + (theta1 - theta0) * total)
     if len(set(theta)) != len(theta):
         return SearchResult(None, 3, "theta* values are not distinct")
 
-    step4 = check_eq7a(params, beta)
-    if not step4.ok:
-        return SearchResult(
-            None, 4, f"compatibility identity fails at level {step4.level}"
-        )
+    for i, (prev, cur) in enumerate(zip(ratios, ratios[1:]), 2):
+        if 1 + prev * cur != -beta * prev:
+            return SearchResult(
+                None, 4, f"compatibility identity fails at level {i}")
 
-    fs = {params.fi(i) for i in range(1, params.eps + 1)}
+    fs = {params.fi(i) for i in range(1, eps + 1)}
     if len(fs) != 1:
         return SearchResult(None, 5, "f_i is not constant across levels")
     rho = fs.pop() * (beta + 2)
-    return SearchResult(DualCandidate(theta, beta, Fraction(0), rho))
+    return SearchResult(DualCandidate(tuple(theta), beta, Fraction(0), rho))
 
 
 def closed_form_theta(beta, f1, i: int) -> Fraction:

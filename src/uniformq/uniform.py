@@ -159,7 +159,6 @@ def parameter_matrix(params: UniformParams) -> ExactMatrix:
 class ParamValidation:
     ok: bool
     reason: Optional[str] = None
-    consequence_holds: Optional[bool] = None  # e-_{i+1} e+_i != 1 throughout
 
 
 def validate_parameter_matrix(params: UniformParams) -> ParamValidation:
@@ -168,15 +167,14 @@ def validate_parameter_matrix(params: UniformParams) -> ParamValidation:
     (i) unit diagonal is structural; (ii) for each 2 <= i <= eps at
     least one of e-_i, e+_{i-1} is nonzero; (iii) every contiguous
     principal block is nonsingular (checked via the tridiagonal
-    determinant recurrence).  Also reports whether the derived
-    consequence e-_{i+1} e+_i != 1 holds.
+    determinant recurrence).  The 2 x 2 blocks (i..i+1) give the
+    paper's derived consequence e+_i e-_{i+1} != 1; candidate synthesis
+    rejects its failure at step 1, for parameters never validated here.
     """
     eps = params.eps
     for i in range(2, eps + 1):
         if params.em(i) == 0 and params.ep(i - 1) == 0:
-            return ParamValidation(
-                False, f"e-_{i} and e+_{i - 1} both vanish", None
-            )
+            return ParamValidation(False, f"e-_{i} and e+_{i - 1} both vanish")
     # det U(s..t) = det U(s..t-1) - e+_{t-1} e-_t det U(s..t-2)
     products = [params.ep(t - 1) * params.em(t) for t in range(2, eps + 1)]
     for s in range(1, eps + 1):
@@ -185,9 +183,8 @@ def validate_parameter_matrix(params: UniformParams) -> ParamValidation:
             prev2, prev1 = prev1, prev1 - product * prev2
             if prev1 == 0:
                 return ParamValidation(
-                    False, f"principal block ({s}..{t}) is singular", None
-                )
-    return ParamValidation(True, None, all(p != 1 for p in products))
+                    False, f"principal block ({s}..{t}) is singular")
+    return ParamValidation(True)
 
 
 # -- the operator identity -----------------------------------------------------

@@ -6,13 +6,9 @@ import pytest
 
 from uniformq.candidate import (
     DualCandidate,
-    beta_from_structure,
     candidate_search,
-    check_eq7a,
     closed_form_theta,
     entrywise_oracle,
-    theta_from_structure,
-    uniform_ratio,
     verify_relation,
     verify_tridiagonal,
 )
@@ -370,70 +366,15 @@ def test_candidate_search_rejections(em, ep, f, step, reason):
     assert (res.rejected_step, res.reason) == (step, reason)
 
 
-def test_beta_dual_polar(dp_params):
-    res = beta_from_structure(dp_params)
-    assert res.consistent
-    assert res.beta == Fraction(5, 2)
+def test_candidate_search_affine_in_the_seeds(dp_params):
+    base = candidate_search(dp_params, -1, 0).candidate.theta_star
+    scaled = candidate_search(dp_params, -1 * 3 + 5, 0 * 3 + 5)
+    assert scaled.candidate.theta_star == tuple(3 * b + 5 for b in base)
 
 
-def test_beta_precondition_violation():
-    params = UniformParams(
-        (0, 1, Fraction(-4, 3)),
-        (Fraction(-1, 6), Fraction(-1, 6), 0),
-        (8, 8, 8),
-    )
-    res = beta_from_structure(params)
-    assert not res.consistent
-    assert res.level == 2
-
-
-def test_beta_level_dependent():
-    params = UniformParams(
-        (0, Fraction(-4, 3), Fraction(-4, 3)),
-        (Fraction(-1, 6), Fraction(-1, 3), 0),
-        (8, 8, 8),
-    )
-    res = beta_from_structure(params)
-    assert not res.consistent
-    assert res.reason.startswith("beta differs")
-
-
-def test_theta_dual_polar(dp_params):
-    theta = theta_from_structure(dp_params, -1, 0)
-    assert theta == (-1, 0, Fraction(1, 2), Fraction(3, 4))
-    assert uniform_ratio(dp_params, 1) == Fraction(-1, 2)
-    # agreement with the geometric form theta*_{i+1} =
-    # theta*_1 + (theta*_1 - theta*_0)(b^i - 1)/(b^i (b - 1)) at b = 2
-    for i in (1, 2):
-        expected = Fraction(0) + (0 - (-1)) * Fraction(2 ** i - 1, 2 ** i)
-        assert theta[i + 1] == expected
-
-
-def test_theta_affine_invariance(dp_params):
-    base = theta_from_structure(dp_params, -1, 0)
-    scaled = theta_from_structure(dp_params, -1 * 3 + 5, 0 * 3 + 5)
-    assert all(s == 3 * b + 5 for s, b in zip(scaled, base))
-
-
-def test_theta_requires_distinct_seeds(dp_params):
+def test_candidate_search_requires_distinct_seeds(dp_params):
     with pytest.raises(ValueError):
-        theta_from_structure(dp_params, 1, 1)
-
-
-def test_theta_alternating_when_ratio_one():
-    # F(k) = 1 throughout: theta alternates and distinctness fails later
-    params = UniformParams((0, 2, 2), (0, 0, 0), (1, 1, 1))
-    assert uniform_ratio(params, 1) == 1
-    theta = theta_from_structure(params, -1, 0)
-    assert theta == (-1, 0, -1, 0)
-
-
-def test_check_eq7a(dp_params):
-    assert check_eq7a(dp_params, Fraction(5, 2)).ok
-    # beta = 0 with F = 1: 1 + 1 != 0
-    params = UniformParams((0, 2, 2), (0, 0, 0), (1, 1, 1))
-    res = check_eq7a(params, 0)
-    assert not res.ok and res.level == 2
+        candidate_search(dp_params, 1, 1)
 
 
 def test_candidate_search_dual_polar(dp_params):
@@ -540,8 +481,16 @@ def test_closed_form_theta_matches_recurrence():
             assert closed_form_theta(beta, f1, i) == sum(p[1:i], Fraction(0))
 
 
-def test_closed_form_theta_matches_theta_from_structure(dp_params):
-    theta = theta_from_structure(dp_params, -1, 0)
-    f1 = uniform_ratio(dp_params, 1)
-    for i, t in enumerate(theta):
-        assert closed_form_theta(Fraction(5, 2), f1, i) == t
+@pytest.mark.parametrize("which", ["C32fb", "Q4"])
+def test_closed_form_theta_matches_candidate_search(which, dp_params):
+    # the ladder of the search against the closed form in beta and F(1),
+    # F(1) = -(e+_1 - 1)/(e-_2 - 1) read off the parameters; Q_4 takes
+    # the arithmetic branch beta = 2
+    params = (dp_params if which == "C32fb"
+              else fit_uniform_constant(relation_instance("Q4")[2]))
+    cand = candidate_search(params).candidate
+    f1 = -(params.ep(1) - 1) / (params.em(2) - 1)
+    assert cand.beta == (Fraction(5, 2) if which == "C32fb" else 2)
+    assert len(cand.theta_star) == params.eps + 1
+    for i, t in enumerate(cand.theta_star):
+        assert closed_form_theta(cand.beta, f1, i) == t

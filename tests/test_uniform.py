@@ -324,7 +324,7 @@ def test_parameter_matrix_shape(dp_params):
 
 def test_validate_dual_polar(dp_params):
     res = validate_parameter_matrix(dp_params)
-    assert res.ok and res.consequence_holds
+    assert res.ok and res.reason is None
     # e-e+ product: (-4/3)(-1/6) = 2/9 != 1
     assert dp_params.em(2) * dp_params.ep(1) == Fraction(2, 9)
 

@@ -84,7 +84,6 @@ from .uniform import (
     decompose_modules,
     fit_uniform,
     fit_uniform_constant,
-    parameter_matrix,
     solve_x_scalars,
     validate_parameter_matrix,
     verify_uniform,

@@ -228,10 +228,6 @@ def _square_roots(mus) -> tuple[int, dict[int, tuple[int, int]]]:
     return radicand, roots
 
 
-def _root_value(s: int, m: int) -> Scalar:
-    return Fraction(s) if m == 1 else quad(0, s, m)
-
-
 def _powers(d: list[int], size: int, k: int) -> list[list[int]]:
     """D^0, ..., D^k (at least D^0 and D^1) of the size x size matrix d."""
     powers = [[int(i % (size + 1) == 0) for i in range(size * size)], d]
@@ -341,8 +337,7 @@ def _from_squares(n: int, mults: dict[int, int]) -> Spectrum:
     radicand, roots = _square_roots(mults)
     pairs = [(Fraction(0), n - 2 * sum(mults[mu] for mu in roots))]
     for mu, (s, m) in roots.items():
-        pairs += [(_root_value(s, m), mults[mu]),
-                  (_root_value(-s, m), mults[mu])]
+        pairs += [(quad(0, s, m), mults[mu]), (quad(0, -s, m), mults[mu])]
     pairs.sort(key=lambda t: t[0], reverse=True)
     return Spectrum([(v, m) for v, m in pairs if m > 0], radicand)
 

@@ -142,19 +142,6 @@ def _exact_list(values) -> tuple:
     return tuple(map(Fraction, values))
 
 
-def parameter_matrix(params: UniformParams) -> ExactMatrix:
-    """The eps x eps tridiagonal matrix U (unit diagonal)."""
-    eps = params.eps
-    m = ExactMatrix.zeros(eps, eps)
-    for i in range(1, eps + 1):
-        m.entries[(i - 1) * eps + (i - 1)] = Fraction(1)
-        if i >= 2:
-            m.entries[(i - 1) * eps + (i - 2)] = params.em(i)
-        if i <= eps - 1:
-            m.entries[(i - 1) * eps + i] = params.ep(i)
-    return m
-
-
 @dataclass
 class ParamValidation:
     ok: bool
@@ -166,8 +153,9 @@ def validate_parameter_matrix(params: UniformParams) -> ParamValidation:
 
     (i) unit diagonal is structural; (ii) for each 2 <= i <= eps at
     least one of e-_i, e+_{i-1} is nonzero; (iii) every contiguous
-    principal block is nonsingular (checked via the tridiagonal
-    determinant recurrence).  The 2 x 2 blocks (i..i+1) give the
+    principal block is nonsingular: for each s, the leading pivots of
+    U(s..eps) (``_pivots``) are nonzero, the first zero one at t being
+    the first singular block (s..t).  The 2 x 2 blocks (i..i+1) give the
     paper's derived consequence e+_i e-_{i+1} != 1; candidate synthesis
     rejects its failure at step 1, for parameters never validated here.
     """
@@ -175,16 +163,26 @@ def validate_parameter_matrix(params: UniformParams) -> ParamValidation:
     for i in range(2, eps + 1):
         if params.em(i) == 0 and params.ep(i - 1) == 0:
             return ParamValidation(False, f"e-_{i} and e+_{i - 1} both vanish")
-    # det U(s..t) = det U(s..t-1) - e+_{t-1} e-_t det U(s..t-2)
-    products = [params.ep(t - 1) * params.em(t) for t in range(2, eps + 1)]
     for s in range(1, eps + 1):
-        prev2, prev1 = 1, 1  # det of empty and 1x1 block
-        for t, product in enumerate(products[s - 1:], s + 1):
-            prev2, prev1 = prev1, prev1 - product * prev2
-            if prev1 == 0:
+        for t, pivot in enumerate(_pivots(params, s, eps), s):
+            if not pivot:
                 return ParamValidation(
                     False, f"principal block ({s}..{t}) is singular")
     return ParamValidation(True)
+
+
+def _pivots(params: UniformParams, s: int, t: int):
+    """The leading pivots m_s, m_{s+1}, ... of the block U(s..t) of the
+    parameter matrix, m_k = det U(s..k) / det U(s..k-1): m_s = 1 and
+    m_k = 1 - e-_k e+_{k-1} / m_{k-1}.  Stops at the first zero pivot,
+    which it yields: there U(s..k) is singular."""
+    pivot = Fraction(1)
+    yield pivot
+    for k in range(s + 1, t + 1):
+        pivot = 1 - params.em(k) * params.ep(k - 1) / pivot
+        yield pivot
+        if not pivot:
+            return
 
 
 # -- the operator identity -----------------------------------------------------
@@ -389,20 +387,25 @@ def fit_uniform_constant(split: LFRSplit) -> Optional[UniformParams]:
 
 def solve_x_scalars(params: UniformParams, r: int, d: int) -> list[Fraction]:
     """Solve U(r,d) x = (f_{r+1}, ..., f_{r+d}) over the principal block
-    with rows and columns r+1..r+d."""
+    with rows and columns r+1..r+d: a forward sweep over its leading
+    pivots (``_pivots``), then back substitution.  A zero pivot, a
+    singular leading block, is an ArithmeticError even where U(r,d)
+    itself is nonsingular, since the parameter matrix is then invalid."""
     if not (r >= 0 and d >= 1 and r + d <= params.eps):
         raise ValueError(f"invalid (r, d) = ({r}, {d}) for eps = {params.eps}")
-    u = parameter_matrix(params)
-    block = ExactMatrix.from_rows(
-        [[u[(i, j)] for j in range(r, r + d)] for i in range(r, r + d)]
-    )
-    rhs = [params.fi(r + i) for i in range(1, d + 1)]
-    sol = solve_linear(block, rhs)
-    if not isinstance(sol, UniqueSolution):
+    levels = range(r + 1, r + d + 1)
+    pivots = list(_pivots(params, r + 1, r + d))
+    if not pivots[-1]:
         raise ArithmeticError(
-            f"U({r},{d}) is singular; parameter matrix is invalid"
-        )
-    return [Fraction(x) for x in sol.x]
+            f"principal block ({r + 1}..{r + len(pivots)}) of U({r},{d}) "
+            "is singular; parameter matrix is invalid")
+    y = [params.fi(r + 1)]  # the right side with U's subdiagonal swept out
+    for k, pivot in zip(levels[1:], pivots):
+        y.append(params.fi(k) - params.em(k) * y[-1] / pivot)
+    x = [Fraction(0)]  # x_{r+d+1}, past the block
+    for k, pivot, yk in zip(reversed(levels), reversed(pivots), reversed(y)):
+        x.append((yk - params.ep(k) * x[-1]) / pivot)
+    return x[:0:-1]
 
 
 def closed_form_x(b, e, D: int, d: int, i: int) -> Fraction:
@@ -471,15 +474,14 @@ class Decomposition:
 
 def _kernel_of_lowering(split: LFRSplit, r: int) -> list[list]:
     """Basis of ker L restricted to level r, as primitive integer
-    vectors over level r."""
-    if r == 0:
-        return [[1]]
+    vectors over level r; on level 0, L is 0 x 1 and the basis [[1]]."""
     level, pos = split.ctx.levels[r], split.ctx.position
-    rows = [[0] * len(level) for _ in range(split.size(r - 1))]
+    rows, cols = split.size(r - 1), len(level)
+    entries = [0] * (rows * cols)
     for col, y in enumerate(level):
         for z in split.down[y]:
-            rows[pos[z]][col] = 1
-    return nullspace(ExactMatrix.from_rows(rows))
+            entries[pos[z] * cols + col] = 1
+    return nullspace(ExactMatrix(rows, cols, entries))
 
 
 def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
@@ -527,30 +529,28 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     maps those of endpoint r0 to nonzero multiples of their generators
     (L b_i = x_{r+i} b_{i-1}, with every x-scalar nonzero), which are
     independent; so no level holds more chain vectors than it has
-    vertices.  The verification of the parameters reads the split's
-    equation table.
+    vertices, and a level r that the reach(r) built chains of lower
+    endpoints r0 < r <= r0 + d overfill is an error.
 
-    The modules of endpoint eps are counted without an elimination.  The
-    top level is counted in full, so the check that the dimensions sum
-    to n forces every level below eps to hold as many independent chain
-    vectors, built or counted, as it has vertices: they span it.  L is
-    the transpose of R, so ker L on level eps is the orthogonal
-    complement of R applied to level eps-1.  R sends each chain vector
-    there either to 0 (a chain top or a generator of diameter 0) or to
-    the next vector of its chain on level eps, and those are
-    independent, as above.  So dim ker L on level eps is size(eps) - c,
-    for the number c of built chains that reach level eps, and that is
-    the multiplicity of type (eps, 0).
+    One rule counts the levels that need no elimination of ker L.  The
+    check that the dimensions sum to n forces every level to hold as
+    many independent chain vectors, built or counted, as it has
+    vertices: they span it.  L is the transpose of R, so ker L on level
+    r is the orthogonal complement of R applied to level r-1, and R
+    sends each chain vector there either to 0 (a chain top or a
+    generator of diameter 0) or to the next vector of its chain on level
+    r, and those are independent.  So dim ker L on level r is size(r) -
+    reach(r).  The elimination is needed only for the generators of
+    diameter >= 1, and there are none on the top level eps, where
+    nothing is raised, nor where reach(r) = size(r), where ker L is 0.
+    On those levels the multiplicity of type (r, 0) is size(r) -
+    reach(r), with no elimination.
 
-    The same argument skips the elimination for ker L where the chains
-    already fill a level.  When the chains of endpoints r0 < r with
-    r0 + d >= r have as many vectors on level r as it has vertices, those
-    vectors are independent, as above, so they are a basis of level r.
-    L maps each of them, b_i with i >= 1, to the nonzero multiple
-    x_{r0+i} b_{i-1} of a chain vector on level r-1 (checked by
-    ``_assert_chain``), and those images are independent again.  So L
-    is injective on level r, ker L is 0 there, and level r has no
-    generators.
+    The structure is verified here even where the caller has verified
+    it already (the CLI has): this is a public entry point, and it must
+    not certify modules from an unverified structure.  The check reads
+    the split's equation table: on Q_9 it takes under 1 % of the
+    decomposition (0.19 ms against about 30 ms).
     """
     check = verify_uniform(split, params)
     if not check.passed:
@@ -562,12 +562,15 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
     x_scalars = cache(lambda r, d: solve_x_scalars(params, r, d))
     chains: list[TModule] = []
     counted: dict[int, int] = {}
-    for r in range(eps):
-        if _chains_fill_level(split, chains, r):
+    for r in range(eps + 1):
+        reach = sum(m.endpoint + m.diameter >= r for m in chains)
+        if reach > split.size(r):
+            raise ArithmeticError(
+                f"{reach} chains reach level {r} of {split.size(r)} vertices")
+        if r == eps or reach == split.size(r):
+            counted[r] = split.size(r) - reach
             continue
         kernel = _kernel_of_lowering(split, r)
-        if not kernel:
-            continue
         free, images = _lowering_raising(split, r, kernel)
         gens = _independent(free, images)
         counted[r] = len(kernel) - len(gens)
@@ -583,11 +586,6 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
                     f"{counted[r] + len(starts)} of {len(kernel)} dimensions")
         chains.extend(_build_chain(split, r, *start, x_scalars)
                       for start in starts)
-    reach = sum(m.endpoint + m.diameter == eps for m in chains)
-    if reach > split.size(eps):
-        raise ArithmeticError(
-            f"{reach} chains reach level {eps} of {split.size(eps)} vertices")
-    counted[eps] = split.size(eps) - reach
     counted = {r: count for r, count in counted.items() if count}
     total = sum(m.diameter + 1 for m in chains) + sum(counted.values())
     if total != split.graph.n:
@@ -596,13 +594,6 @@ def decompose_modules(split: LFRSplit, params: UniformParams) -> Decomposition:
         )
     chains.sort(key=lambda m: (m.endpoint, m.diameter))
     return Decomposition(chains, counted)
-
-
-def _chains_fill_level(split: LFRSplit, chains: list[TModule],
-                       r: int) -> bool:
-    """Whether the chains of endpoints below r have as many vectors on
-    level r as it has vertices, which makes ker L 0 there."""
-    return sum(m.endpoint + m.diameter >= r for m in chains) == split.size(r)
 
 
 def _lowering_raising(split: LFRSplit, r: int, kernel: list[list]) -> tuple:

@@ -6,7 +6,12 @@ against this module: ``Dense`` adds sums, products, transposes and
 matrix-vector products to ``ExactMatrix``, the input type of the one
 elimination, and the functions build the split's L, F and R, the dual
 idempotents, walk matrices, the diagonal of A*, a module's tridiagonal
-action and the characteristic polynomial of a rational matrix.
+action, the characteristic polynomial of a rational matrix and the
+parameter matrix U of a uniform structure.
+
+``dense_x_scalars`` is the x-scalar twin: it solves U(r,d) x = f on a
+block copied out of the dense U by the general elimination, where the
+package sweeps the tridiagonal pivots.
 
 ``full_decomposition`` is the module twin: it builds the bases of the
 diameter-0 modules that ``decompose_modules`` only counts.
@@ -24,7 +29,13 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from uniformq.linalg import ExactMatrix, charpoly_int, nullspace
+from uniformq.linalg import (
+    ExactMatrix,
+    UniqueSolution,
+    charpoly_int,
+    nullspace,
+    solve_linear,
+)
 from uniformq.poly import Poly
 from uniformq.uniform import (
     Decomposition,
@@ -190,6 +201,29 @@ def module_rep_matrix(module) -> Dense:
         m.entries[i * (d + 1) + i + 1] = 1
         m.entries[(i + 1) * (d + 1) + i] = module.x_scalars[i]
     return m
+
+
+def parameter_matrix(params) -> Dense:
+    """The eps x eps tridiagonal matrix U (unit diagonal)."""
+    eps = params.eps
+    m = Dense.identity(eps)
+    for i in range(1, eps):
+        m.entries[i * eps + i - 1] = params.em(i + 1)
+        m.entries[(i - 1) * eps + i] = params.ep(i)
+    return m
+
+
+def dense_x_scalars(params, r: int, d: int) -> list[Fraction]:
+    """U(r,d) x = (f_{r+1}, ..., f_{r+d}) solved on the block of the
+    dense U with rows and columns r+1..r+d; an ArithmeticError when that
+    block is singular."""
+    u = parameter_matrix(params)
+    block = ExactMatrix.from_rows(
+        [[u[(i, j)] for j in range(r, r + d)] for i in range(r, r + d)])
+    sol = solve_linear(block, [params.fi(r + i) for i in range(1, d + 1)])
+    if not isinstance(sol, UniqueSolution):
+        raise ArithmeticError(f"U({r},{d}) is singular")
+    return [Fraction(x) for x in sol.x]
 
 
 def full_decomposition(split, params) -> Decomposition:

@@ -407,10 +407,10 @@ def test_module_kernels_match_bareiss_twin(case, c32_split, dp_params,
     endpoints = {m.endpoint for m in dec.modules} | set(dec.counted) - {eps}
     assert filters == ([(1, 2)] if case == "c32fb" else [])
     assert len(eliminated) == len(endpoints) + sum(n for _, n in filters)
-    shapes = {(split.size(r - 1), split.size(r)) for r in range(1, eps)}
+    shapes = {(split.size(r - 1), split.size(r)) for r in range(eps)}
     assert kernels
-    for a in kernels:
-        assert (a.rows, a.cols) in shapes  # L from level r to r - 1
+    for a in kernels:  # L from level r to r - 1, 0 x 1 at r = 0
+        assert (a.rows, a.cols) in shapes
         assert repr(nullspace(a)) == repr(bareiss_nullspace(a))
     for a in eliminated:
         twin = bareiss_pivots(a)

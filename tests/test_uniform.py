@@ -1,14 +1,19 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph, split_at
 from dense import (
+    dense_x_scalars,
     full_decomposition,
     module_rep_matrix,
+    parameter_matrix,
     shifted_decomposition,
     step_matrices,
     w_chain,
@@ -47,7 +52,6 @@ from uniformq.uniform import (
     decompose_modules,
     fit_uniform,
     fit_uniform_constant,
-    parameter_matrix,
     solve_x_scalars,
     validate_parameter_matrix,
     verify_uniform,
@@ -357,6 +361,95 @@ def test_solve_x_scalars_range_checks(dp_params):
         solve_x_scalars(dp_params, 0, 4)
     with pytest.raises(ValueError):
         solve_x_scalars(dp_params, 3, 1)
+
+
+def test_solve_x_scalars_rejects_a_singular_leading_block():
+    # U(0,3) = [[1, 1, 0], [1, 1, 1], [0, 1, 1]] has determinant -1, but
+    # its leading block (1..2) is singular, so the parameter matrix is
+    # invalid: the pivot sweep stops there, the dense twin solves it
+    params = UniformParams((0, 1, 1), (1, 1, 0), (1, 1, 1))
+    assert validate_parameter_matrix(params).reason == \
+        "principal block (1..2) is singular"
+    assert dense_x_scalars(params, 0, 3) == [0, 1, 0]
+    with pytest.raises(ArithmeticError,
+                       match=r"block \(1..2\) of U\(0,3\) is singular"):
+        solve_x_scalars(params, 0, 3)
+    # U(1,2) is the singular block itself; both routes refuse it
+    for solve in (solve_x_scalars, dense_x_scalars):
+        with pytest.raises(ArithmeticError, match=r"U\(1,2\)"):
+            solve(params, 1, 2)
+    assert solve_x_scalars(params, 2, 1) == dense_x_scalars(params, 2, 1)
+
+
+def _determinant(rows):
+    """The Leibniz sum over the permutations of the columns."""
+    def sign(p):
+        return (-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+    return sum(sign(p) * prod(row[j] for row, j in zip(rows, p))
+               for p in permutations(range(len(rows))))
+
+
+def _brute_force_reason(params):
+    """validate_parameter_matrix's reason from the pair condition and the
+    determinant of every contiguous block U(s..t), in (s, t) order."""
+    eps = params.eps
+    for i in range(2, eps + 1):
+        if params.em(i) == 0 and params.ep(i - 1) == 0:
+            return f"e-_{i} and e+_{i - 1} both vanish"
+    u = parameter_matrix(params).to_rows()
+    for s in range(1, eps + 1):
+        for t in range(s, eps + 1):
+            if _determinant([row[s - 1:t] for row in u[s - 1:t]]) == 0:
+                return f"principal block ({s}..{t}) is singular"
+    return None
+
+
+# small values whose products e-_{i+1} e+_i often hit 1, so that blocks
+# of every size come out singular
+_entries = st.sampled_from([Fraction(v) for v in (
+    0, 1, -1, 2, -2, 3, "1/2", "-1/2", "1/3", "2/3", "3/2", "-3/2")])
+
+
+@st.composite
+def _parameter_sets(draw):
+    eps = draw(st.integers(1, 5))
+    em = [Fraction(0)] + draw(st.lists(_entries, min_size=eps - 1,
+                                       max_size=eps - 1))
+    ep = draw(st.lists(_entries, min_size=eps - 1, max_size=eps - 1)) \
+        + [Fraction(0)]
+    f = draw(st.lists(st.integers(-3, 3), min_size=eps, max_size=eps))
+    return UniformParams(em, ep, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parameter_sets())
+def test_pivot_recurrence_matches_the_dense_twin(params):
+    # the verdict and reason against brute-force determinants; the
+    # x-scalars against the dense solve wherever every leading block of
+    # U(r,d) is nonsingular, and where U(r,d) is singular the sweep
+    # raises too
+    valid = validate_parameter_matrix(params)
+    reason = _brute_force_reason(params)
+    assert (valid.ok, valid.reason) == (reason is None, reason)
+    eps = params.eps
+    for r in range(eps):
+        for d in range(1, eps - r + 1):
+            try:
+                x = solve_x_scalars(params, r, d)
+            except ArithmeticError:
+                assert not valid.ok
+                continue
+            assert x == dense_x_scalars(params, r, d)
+            assert all(type(v) is Fraction for v in x)
+    if valid.ok:
+        return
+    for r in range(eps):
+        for d in range(1, eps - r + 1):
+            try:
+                dense_x_scalars(params, r, d)
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError):
+                    solve_x_scalars(params, r, d)
 
 
 def test_closed_form_x_examples():
@@ -754,20 +847,41 @@ def test_kernel_elimination_skips_levels_the_chains_fill(name, levels,
         calls.append(r)
         return real(split, r)
 
-    def bases(dec):
-        return [(m.endpoint, m.diameter, m.basis, m.x_scalars)
-                for m in dec.modules], dec.counted
-
     monkeypatch.setattr(uniform_mod, "_kernel_of_lowering", counting)
-    skipping = bases(decompose_modules(split, params))
+    dec = decompose_modules(split, params)
     assert calls == levels
-    # level 0 is ker L = [[1]] without an elimination, and the top level
-    # is counted; with the skip patched out it is called on every level
-    # below the top, and the modules agree
-    calls.clear()
-    monkeypatch.setattr(uniform_mod, "_chains_fill_level", lambda *_: False)
-    assert bases(decompose_modules(split, params)) == skipping
-    assert calls == list(range(split.ctx.eccentricity))
+    monkeypatch.undo()
+    # the top level is counted; on every other level that the count
+    # leaves out ker L is 0, and the route that eliminates every level
+    # below the top finds the same modules
+    eps = split.ctx.eccentricity
+    assert all(real(split, r) == [] for r in range(eps) if r not in levels)
+    shifted = shifted_decomposition(split, params)
+    assert (dec.types(), dec.counted) == (shifted.types(), shifted.counted)
+    assert full_decomposition(split, params).multiplicities() == \
+        dec.multiplicities()
+
+
+@pytest.mark.parametrize("name, message", [
+    # the chains of endpoints 0, 1 and 2 put 2 (1 + 5 + 9) = 30 vectors
+    # on level 3 (levels 1 and 2 get 2 of 6 and 12 of 15 vertices)
+    ("Q_6", "30 chains reach level 3 of 20 vertices"),
+    # the top level eps = 3 is the first one overfilled
+    ("C_3(2)-fb", "72 chains reach level 3 of 64 vertices"),
+])
+def test_a_level_with_more_chain_vectors_than_vertices_is_an_error(
+        name, message, monkeypatch):
+    # every generator is taken twice, so every built chain is too
+    import uniformq.uniform as uniform_mod
+
+    g = TWIN_INSTANCES[name]()
+    split = lfr_split(g, bfs_context(g, 0))
+    params = fit_uniform_constant(split)
+    real = uniform_mod._independent
+    monkeypatch.setattr(uniform_mod, "_independent",
+                        lambda free, vectors: 2 * real(free, vectors))
+    with pytest.raises(ArithmeticError, match=f"^{message}$"):
+        decompose_modules(split, params)
 
 
 @pytest.mark.parametrize("name", ["C_2(3)-fb", "H(3,3)-fb", "C_3(2)-fb"])

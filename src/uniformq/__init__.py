@@ -40,10 +40,7 @@ from .graphs import (
     walk_shape_count,
 )
 from .linalg import (
-    AffineSolution,
     ExactMatrix,
-    Inconsistent,
-    UniqueSolution,
     nullspace,
     rank,
     solve_linear,
@@ -59,7 +56,6 @@ from .scalars import (
     squarefree_decompose,
 )
 from .spectra import (
-    KratResult,
     OrderingReport,
     Spectrum,
     check_q_ordering,
@@ -77,7 +73,6 @@ from .spectra import (
 )
 from .uniform import (
     Decomposition,
-    ParamValidation,
     TModule,
     UniformParams,
     closed_form_x,

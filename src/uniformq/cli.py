@@ -249,7 +249,7 @@ class _Instance:
         try:
             with open(path) as fh:
                 params = UniformParams.from_json(json.load(fh))
-        except (OSError, ValueError, ZeroDivisionError) as exc:
+        except (OSError, ValueError) as exc:
             _fail_usage(f"bad parameter file {path}: {exc}")
         if params.eps != eps:
             _fail_usage(f"bad parameter file {path}: parameter length "
@@ -392,11 +392,11 @@ def uniform(input, base, params_file, out, as_json) -> None:
     section = inst.uniform_section()  # before the fit: eps 0 is a usage error
     if not params_file:
         section.update(
-            feasible=inst.fit.feasible,
+            feasible=inst.fit.canonical is not None,
             per_level=[
                 {
                     "level": lf.level,
-                    "consistent": lf.is_consistent(),
+                    "consistent": lf.canonical is not None,
                     "canonical": [str(v) for v in lf.canonical]
                     if lf.canonical else None,
                 }

@@ -370,27 +370,6 @@ class IntersectionReport:
     matches_expected: Optional[bool] = None
     failure: Optional[str] = None
 
-    def to_json(self) -> dict:
-        def fmt(arr):
-            return None if arr is None else [str(x) for x in arr]
-
-        return {
-            "is_distance_regular": self.is_distance_regular,
-            "diameter": self.diameter,
-            "observed": {
-                "c": fmt(self.observed_c),
-                "a": fmt(self.observed_a),
-                "b": fmt(self.observed_b),
-            },
-            "expected": {
-                "c": fmt(self.expected_c),
-                "a": fmt(self.expected_a),
-                "b": fmt(self.expected_b),
-            },
-            "matches_expected": self.matches_expected,
-            "failure": self.failure,
-        }
-
 
 def expected_intersection_numbers(b, e, D: int) -> tuple[tuple, tuple, tuple]:
     """(c, a, b) arrays indexed 0..D from the dual polar closed forms.

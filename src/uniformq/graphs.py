@@ -1,7 +1,9 @@
 """Graphs, base-point distance partitions and the lowering/flat/raising split.
 
-A graph is simple, undirected and connected (validated at
-construction), with 0-based dense vertex indices.  Relative to a base
+A graph is simple and undirected, with 0-based dense vertex indices.
+Connectivity is checked where a graph is read, by ``Graph.from_edges``
+and so ``parse_edge_list``, and where it is split, by ``bfs_context``,
+which needs every vertex at a finite distance.  Relative to a base
 vertex x the vertex set splits into levels by distance; the i-th dual
 idempotent is the diagonal 0/1 projector onto level i and is kept as an
 index set.
@@ -30,6 +32,8 @@ class Graph:
     ``adj[v]`` is the tuple of v's neighbours in increasing order.  Every
     constructor goes through ``__init__``, which sorts the lists, and
     ``verify_tridiagonal`` relies on the order: it bisects them.
+    ``__init__`` does not check connectivity; ``from_edges`` does, and
+    ``bfs_context`` rejects a disconnected graph.
     """
 
     __slots__ = ("n", "adj")

@@ -14,7 +14,6 @@ delegated to the pure-Python kernels in :mod:`uniformq._kernels`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from typing import Optional, Sequence
@@ -93,31 +92,14 @@ def int_matmul_flat(a: list, b: list, n: int, k: int, m: int) -> list:
 # -- kernels, ranks and linear solving ---------------------------------------
 
 
-@dataclass
-class UniqueSolution:
-    x: list
-
-
-@dataclass
-class AffineSolution:
-    particular: list
-    basis: list[list]
-
-
-@dataclass
-class Inconsistent:
-    pass
-
-
-def solve_linear(a: ExactMatrix, b: Sequence[Scalar]):
-    """Exact solution set of a x = b over Q.
-
-    Returns UniqueSolution, AffineSolution (particular solution, zero at
-    the free columns, plus one kernel vector per free column, 1 there
-    and 0 at the others) or Inconsistent.  Both come from the kernel of
-    the augmented matrix [a | b]: the system is inconsistent when the
-    rhs column is a lead of its pivot table.  Any returned solution
-    satisfies a x = b exactly.
+def solve_linear(a: ExactMatrix, b: Sequence[Scalar]) -> Optional[tuple]:
+    """Exact solution set of a x = b over Q: None when it is empty, else
+    (particular, basis), the particular solution, zero at the free
+    columns, and one kernel vector per free column, 1 there and 0 at the
+    others; the basis is empty when the solution is unique.  Both come
+    from the kernel of the augmented matrix [a | b]: the system is
+    inconsistent when the rhs column is a lead of its pivot table.  Any
+    returned solution satisfies a x = b exactly.
     """
     if len(b) != a.rows:
         raise ValueError("dimension mismatch between matrix and rhs")
@@ -128,14 +110,12 @@ def solve_linear(a: ExactMatrix, b: Sequence[Scalar]):
     table = _pivot_table(aug)
     leads = {lead for lead, _ in table}
     if n in leads:
-        return Inconsistent()
+        return None
     *kernel, rhs = _table_kernel(table, n + 1)
     particular = [Fraction(-x, rhs[n]) for x in rhs[:n]]
-    if not kernel:
-        return UniqueSolution(particular)
     free = [c for c in range(n) if c not in leads]
     basis = [[Fraction(x, v[f]) for x in v[:n]] for f, v in zip(free, kernel)]
-    return AffineSolution(particular, basis)
+    return particular, basis
 
 
 def nullspace(a: ExactMatrix) -> list[list]:

@@ -134,18 +134,13 @@ def krawtchouk_charpoly(x_scalars: Sequence) -> list[Poly]:
     return hs
 
 
-@dataclass
-class KratResult:
-    ok: bool
-    fail_index: Optional[int] = None
-
-
 def verify_krat_scaling(b: int, e, D: int, d: int,
-                        x_scalars: Sequence) -> KratResult:
+                        x_scalars: Sequence) -> Optional[int]:
     """Check h_i(t) = kappa^i H_i(t / kappa) coefficient-wise, where
     kappa = b^((D+e+d)/2)/(b-1) and the H_i are generated by
     t H_i = H_{i+1} - b^(-d) (1 - b^i)(1 - b^(i-d-1)) H_{i-1},
     H_0 = 1, H_1 = t (the normalized dual b-Krawtchouk recurrence).
+    Returns the first index i where it fails, or None when it holds.
     """
     if len(x_scalars) != d:
         raise ValueError(f"need d = {d} x-scalars, got {len(x_scalars)}")
@@ -163,9 +158,9 @@ def verify_krat_scaling(b: int, e, D: int, d: int,
     for i in range(d + 2):
         rescaled = scale * capital[i].scale_arg(inv_kappa)
         if rescaled != hs[i]:
-            return KratResult(False, i)
+            return i
         scale = scale * kappa
-    return KratResult(True)
+    return None
 
 
 # -- exact spectra --------------------------------------------------------------

@@ -50,8 +50,6 @@ from typing import Optional
 from .graphs import LFRSplit
 from .linalg import (
     ExactMatrix,
-    Inconsistent,
-    UniqueSolution,
     nullspace,
     pivot_columns,
     rank,  # noqa: F401  unused here; perfbench's tracer test rebinds it
@@ -120,9 +118,9 @@ class UniformParams:
     def from_json(data) -> "UniformParams":
         """A JSON object whose keys e_minus, e_plus and f each hold a list
         of strings such as "-9/4" and integers; anything else, another
-        JSON value, a missing key, or a float or boolean in a list, is a
-        ValueError, since a float need not be the rational it reads as
-        (-0.1 is not -1/10)."""
+        JSON value, a missing key, a float or boolean in a list, or a zero
+        denominator ("1/0"), is a ValueError, since a float need not be
+        the rational it reads as (-0.1 is not -1/10)."""
         keys = ("e_minus", "e_plus", "f")
         if not isinstance(data, dict):
             raise ValueError(f"parameters {data!r} are not a JSON object "
@@ -139,17 +137,19 @@ def _exact_list(values) -> tuple:
     for x in values:
         if isinstance(x, bool) or not isinstance(x, (str, int)):
             raise ValueError(f"parameter {x!r} is not a string or an integer")
-    return tuple(map(Fraction, values))
+    return tuple(map(_exact, values))
 
 
-@dataclass
-class ParamValidation:
-    ok: bool
-    reason: Optional[str] = None
+def _exact(x) -> Fraction:
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"parameter {x!r} has a zero denominator") from None
 
 
-def validate_parameter_matrix(params: UniformParams) -> ParamValidation:
-    """Check the parameter matrix conditions exactly.
+def validate_parameter_matrix(params: UniformParams) -> Optional[str]:
+    """Check the parameter matrix conditions exactly: the reason the
+    first one fails, or None when the matrix is valid.
 
     (i) unit diagonal is structural; (ii) for each 2 <= i <= eps at
     least one of e-_i, e+_{i-1} is nonzero; (iii) every contiguous
@@ -162,13 +162,12 @@ def validate_parameter_matrix(params: UniformParams) -> ParamValidation:
     eps = params.eps
     for i in range(2, eps + 1):
         if params.em(i) == 0 and params.ep(i - 1) == 0:
-            return ParamValidation(False, f"e-_{i} and e+_{i - 1} both vanish")
+            return f"e-_{i} and e+_{i - 1} both vanish"
     for s in range(1, eps + 1):
         for t, pivot in enumerate(_pivots(params, s, eps), s):
             if not pivot:
-                return ParamValidation(
-                    False, f"principal block ({s}..{t}) is singular")
-    return ParamValidation(True)
+                return f"principal block ({s}..{t}) is singular"
+    return None
 
 
 def _pivots(params: UniformParams, s: int, t: int):
@@ -267,7 +266,6 @@ class UniformCheck:
     passed: bool
     level: Optional[int] = None
     witness: Optional[int] = None  # basis vertex whose column fails
-    residual: Optional[list] = None
     reason: Optional[str] = None  # why the parameter matrix is invalid
 
 
@@ -280,8 +278,7 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
     level.  The first failing equation in the table's order first occurs
     at the first failing column y: that column holds a failing equation,
     whose first column fails too, so comes no earlier than y.  The
-    witness is y, and the residual is its column of the identity's left
-    side minus its right side, as a full-length list of Fractions.
+    witness is y.
 
     Where the identity holds, the parameter matrix must also meet the
     conditions of ``validate_parameter_matrix``; otherwise the check
@@ -297,35 +294,22 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
         em, ep, f = params.em(i), params.ep(i), params.fi(i)
         for (a, c, d, b), y in table.items():
             if em * a + ep * c + f * d != b:
-                return UniformCheck(False, i, y, _residual(split, y, em, ep, f))
-    valid = validate_parameter_matrix(params)
-    return UniformCheck(valid.ok, reason=valid.reason)
-
-
-def _residual(split: LFRSplit, y: int, em, ep, f) -> list:
-    shift = _field_bits(split)
-    residual = [Fraction(0)] * split.graph.n
-    for z, key in _column(split, y, shift).items():
-        a, c, d, b = _unpack(key, shift)
-        residual[z] = em * a + ep * c + f * d - b
-    return residual
+                return UniformCheck(False, i, y)
+    reason = validate_parameter_matrix(params)
+    return UniformCheck(reason is None, reason=reason)
 
 
 @dataclass
 class LevelFit:
     level: int
-    solution: object  # UniqueSolution | AffineSolution | Inconsistent
+    solution: Optional[tuple]  # (particular, basis) or None, as solve_linear
     canonical: Optional[tuple]  # (e-, e+, f) with free coordinates zeroed
-
-    def is_consistent(self) -> bool:
-        return not isinstance(self.solution, Inconsistent)
 
 
 @dataclass
 class UniformFit:
     levels: list[LevelFit]
-    feasible: bool
-    canonical: Optional[UniformParams]
+    canonical: Optional[UniformParams]  # None when some level has no fit
 
 
 def _solve(equations):
@@ -350,18 +334,11 @@ def fit_uniform(split: LFRSplit) -> UniformFit:
     for i, table in _equation_table(split).items():
         pins = [(1, 0, 0, 0)] * (i == 1) + [(0, 1, 0, 0)] * (i == eps)
         sol = _solve([*table, *pins])
-        if isinstance(sol, Inconsistent):
-            canonical = None
-        elif isinstance(sol, UniqueSolution):
-            canonical = tuple(sol.x)
-        else:
-            canonical = tuple(sol.particular)
-        fits.append(LevelFit(i, sol, canonical))
-    feasible = all(fit.canonical is not None for fit in fits)
+        fits.append(LevelFit(i, sol, None if sol is None else tuple(sol[0])))
     params = None
-    if feasible:
+    if all(fit.canonical is not None for fit in fits):
         params = UniformParams(*zip(*(fit.canonical for fit in fits)))
-    return UniformFit(fits, feasible, params)
+    return UniformFit(fits, params)
 
 
 def fit_uniform_constant(split: LFRSplit) -> Optional[UniformParams]:
@@ -376,10 +353,9 @@ def fit_uniform_constant(split: LFRSplit) -> Optional[UniformParams]:
     _require_bipartite(split)
     tables = _equation_table(split).values()
     sol = _solve(dict.fromkeys(q for table in tables for q in table))
-    if isinstance(sol, Inconsistent):
+    if sol is None:
         return None
-    triple = sol.x if isinstance(sol, UniqueSolution) else sol.particular
-    return UniformParams.constant(split.ctx.eccentricity, *triple)
+    return UniformParams.constant(split.ctx.eccentricity, *sol[0])
 
 
 # -- x-scalars ------------------------------------------------------------------

@@ -31,7 +31,6 @@ from math import gcd, lcm
 
 from uniformq.linalg import (
     ExactMatrix,
-    UniqueSolution,
     charpoly_int,
     nullspace,
     solve_linear,
@@ -221,9 +220,9 @@ def dense_x_scalars(params, r: int, d: int) -> list[Fraction]:
     block = ExactMatrix.from_rows(
         [[u[(i, j)] for j in range(r, r + d)] for i in range(r, r + d)])
     sol = solve_linear(block, [params.fi(r + i) for i in range(1, d + 1)])
-    if not isinstance(sol, UniqueSolution):
+    if sol is None or sol[1]:
         raise ArithmeticError(f"U({r},{d}) is singular")
-    return [Fraction(x) for x in sol.x]
+    return [Fraction(x) for x in sol[0]]
 
 
 def full_decomposition(split, params) -> Decomposition:

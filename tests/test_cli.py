@@ -325,6 +325,21 @@ def test_params_file_rejects_floats_and_booleans(runner, q4_file, tmp_path,
     assert f"parameter {value!r} is not a string or an integer" in res.stderr
 
 
+def test_params_file_zero_denominator_is_usage_error(runner, q4_file,
+                                                     tmp_path):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"e_minus": [0, "1/0", "-1/2", "-1/2"],
+                                 "e_plus": ["-1/2"] * 3 + [0],
+                                 "f": [1] * 4}))
+    res = runner.invoke(main, ["pipeline", str(q4_file), "--verify-uniform",
+                               str(pfile)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert (f"error: bad parameter file {pfile}: parameter '1/0' has a "
+            "zero denominator") in res.stderr
+
+
 @pytest.mark.parametrize("content, reason", [
     ([1, 2], "parameters [1, 2] are not a JSON object with the keys "
              "e_minus, e_plus, f"),

@@ -56,6 +56,17 @@ def test_graph_constructor_rejects_malformed_lists(n, adj, reason):
         Graph(n, adj)
 
 
+def test_connectivity_is_checked_by_from_edges_and_bfs_context():
+    # the constructor checks the lists only; a disconnected graph is
+    # refused where it is read and where it is split into levels
+    g = Graph(2, [[], []])
+    assert g.n == 2 and g.edges() == []
+    with pytest.raises(ValueError, match="graph is not connected"):
+        Graph.from_edges(2, [])
+    with pytest.raises(ValueError, match="graph is not connected"):
+        bfs_context(g, 0)
+
+
 def test_adjacency_lists_are_sorted():
     # verify_tridiagonal bisects them; every builder is fed its
     # neighbours or edges out of order where it takes them as input

@@ -9,10 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from uniformq._kernels import pykernels
 from uniformq.linalg import (
-    AffineSolution,
     ExactMatrix,
-    Inconsistent,
-    UniqueSolution,
     _pivot_table,
     column_space_basis,
     normalize_vector,
@@ -168,31 +165,29 @@ def random_matrix(rng: random.Random, rational: bool) -> ExactMatrix:
 
 def test_solve_unique_example():
     a = Dense.from_rows([[1, Fraction(-1, 6)], [Fraction(-4, 3), 1]])
-    sol = solve_linear(a, [4, 4])
-    assert isinstance(sol, UniqueSolution)
-    assert sol.x == [6, 12]
-    assert a.apply(sol.x) == [4, 4]
+    x, basis = solve_linear(a, [4, 4])
+    assert basis == []
+    assert x == [6, 12]
+    assert a.apply(x) == [4, 4]
 
 
 def test_solve_identity():
     a = Dense.identity(3)
-    sol = solve_linear(a, [5, -1, Fraction(2, 7)])
-    assert isinstance(sol, UniqueSolution)
-    assert sol.x == [5, -1, Fraction(2, 7)]
+    assert solve_linear(a, [5, -1, Fraction(2, 7)]) == (
+        [5, -1, Fraction(2, 7)], [])
 
 
 def test_solve_inconsistent():
     a = ExactMatrix.from_rows([[1, 1], [1, 1]])
-    assert isinstance(solve_linear(a, [0, 1]), Inconsistent)
+    assert solve_linear(a, [0, 1]) is None
 
 
 def test_solve_affine():
     a = Dense.from_rows([[1, 1]])
-    sol = solve_linear(a, [3])
-    assert isinstance(sol, AffineSolution)
-    assert a.apply(sol.particular) == [3]
-    assert len(sol.basis) == 1
-    assert a.apply(sol.basis[0]) == [0]
+    particular, basis = solve_linear(a, [3])
+    assert a.apply(particular) == [3]
+    assert len(basis) == 1
+    assert a.apply(basis[0]) == [0]
 
 
 def test_solve_dimension_mismatch():
@@ -200,21 +195,38 @@ def test_solve_dimension_mismatch():
         solve_linear(Dense.identity(2), [1, 2, 3])
 
 
-@settings(max_examples=40)
-@given(st.integers(1, 4), st.data())
-def test_solve_substitution_roundtrip(n, data):
+@settings(max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+def test_solve_substitution_roundtrip(rows, cols, consistent, data):
+    """None exactly when rank [a | b] > rank a, by the Bareiss twin;
+    otherwise a particular solution, 0 at the free columns, and one
+    kernel vector per free column, 1 there and 0 at the other free
+    columns.  Half the right sides are images a x, so consistent."""
     entries = data.draw(st.lists(
-        st.integers(-6, 6), min_size=n * n, max_size=n * n
+        st.integers(-6, 6), min_size=rows * cols, max_size=rows * cols
     ))
-    rhs = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
-    a = Dense(n, n, entries)
+    a = Dense(rows, cols, entries)
+    if consistent:
+        rhs = a.apply(data.draw(st.lists(st.integers(-3, 3), min_size=cols,
+                                         max_size=cols)))
+    else:
+        rhs = data.draw(st.lists(st.integers(-6, 6), min_size=rows,
+                                 max_size=rows))
+    aug = ExactMatrix(rows, cols + 1, [
+        x for i in range(rows) for x in (*a.row(i), rhs[i])])
+    pivots = bareiss_pivots(a)
     sol = solve_linear(a, rhs)
-    if isinstance(sol, UniqueSolution):
-        assert a.apply(sol.x) == rhs
-    elif isinstance(sol, AffineSolution):
-        assert a.apply(sol.particular) == rhs
-        for b in sol.basis:
-            assert all(v == 0 for v in a.apply(b))
+    assert (sol is None) == (len(bareiss_pivots(aug)) > len(pivots))
+    if sol is None:
+        return
+    particular, basis = sol
+    free = [c for c in range(cols) if c not in pivots]
+    assert a.apply(particular) == rhs
+    assert [particular[c] for c in free] == [0] * len(free)
+    assert len(basis) == cols - len(pivots)
+    for f, v in zip(free, basis):
+        assert a.apply(v) == [0] * rows
+        assert [v[c] for c in free] == [int(c == f) for c in free]
 
 
 # -- charpoly ---------------------------------------------------------------------

@@ -155,12 +155,11 @@ def test_krawtchouk_roots_are_module_eigenvalues(c32_split, dp_params):
 
 
 def test_verify_krat_scaling():
-    assert verify_krat_scaling(2, 1, 3, 3, [14, 36, 56]).ok
-    res = verify_krat_scaling(2, 1, 3, 3, [14, 36, 57])
-    assert not res.ok and res.fail_index == 4
-    assert verify_krat_scaling(2, 1, 3, 1, [8]).ok
-    assert verify_krat_scaling(2, 1, 3, 2, [12, 24]).ok
-    assert verify_krat_scaling(3, 1, 2, 2, [12, 36]).ok
+    assert verify_krat_scaling(2, 1, 3, 3, [14, 36, 56]) is None
+    assert verify_krat_scaling(2, 1, 3, 3, [14, 36, 57]) == 4
+    assert verify_krat_scaling(2, 1, 3, 1, [8]) is None
+    assert verify_krat_scaling(2, 1, 3, 2, [12, 24]) is None
+    assert verify_krat_scaling(3, 1, 2, 2, [12, 36]) is None
 
 
 def test_verify_krat_wrong_count():

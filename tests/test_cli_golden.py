@@ -3,8 +3,9 @@
 ``tests/data/cli_golden.json`` maps each case ("<instance> <args>") to
 the stdout and exit code of one subcommand run.  The instances are small
 and cover the report shapes: cycle6 (per-level fit, candidate rejected),
-hypercube 4 (constant fit, accepted candidate, rational spectrum), the
-C_2(3) full bipartite graph (eccentricity 2, the clean-skip path) and
+a tree on 7 vertices (level 2 has no solution, so no uniform structure
+exists), hypercube 4 (constant fit, accepted candidate, rational
+spectrum), the C_2(3) full bipartite graph (eccentricity 2, the clean-skip path) and
 the H(4,3) full bipartite graph, whose thin modules at the endpoints
 r = 1 and 2 are split by L R filters over three and two eigenvalues.
 Each run reads ``g.el`` (and ``params.json``) from the working
@@ -32,10 +33,16 @@ def _cycle6():
     return Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
 
 
+def _tree7():
+    return Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 6)])
+
+
 # graph builder and the parameter file given to the verify paths: the
-# all-zero triple fails on cycle6, the others are the known structures
+# all-zero triple fails on cycle6 and tree7, the others are the known
+# structures
 INSTANCES = {
     "cycle6": (_cycle6, UniformParams.constant(3, 0, 0, 0)),
+    "tree7": (_tree7, UniformParams.constant(3, 0, 0, 0)),
     "q4": (lambda: hypercube(4)[0],
            UniformParams.constant(4, Fraction(-1, 2), Fraction(-1, 2), 1)),
     "c23fb": (lambda: full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0),

@@ -27,10 +27,12 @@ ORDERINGS = ["both", "even-odd", "odd-even", "natural"]
 
 # the sections each instance's views share with its pipeline: cycle6's
 # candidate is rejected and C_2(3) fb has eccentricity 2, so neither
-# reaches the ordering check
+# reaches the ordering check; tree7 has no uniform structure, so no view
+# shares a section with it
 ALL = {"candidate", "modules", "uniform", "spectrum", "orderings"}
 COMPARED = {
     "cycle6": {"candidate", "modules", "uniform", "spectrum"},
+    "tree7": set(),
     "q4": ALL,
     "c23fb": {"modules", "uniform", "spectrum"},
     "h43fb": ALL,

@@ -9,9 +9,7 @@ no floating point anywhere.
 
 from .candidate import (
     DualCandidate,
-    RelationCheck,
     SearchResult,
-    TridiagReport,
     candidate_search,
     closed_form_theta,
     entrywise_oracle,
@@ -20,13 +18,12 @@ from .candidate import (
 )
 from .generators import (
     FormSpec,
-    IntersectionReport,
     SizeCapError,
     dual_polar,
     expected_intersection_numbers,
     hamming,
     hypercube,
-    verify_intersection_numbers,
+    intersection_numbers,
 )
 from .graphs import (
     BaseContext,
@@ -56,7 +53,6 @@ from .scalars import (
     squarefree_decompose,
 )
 from .spectra import (
-    OrderingReport,
     Spectrum,
     check_q_ordering,
     closed_form_spectrum,

@@ -64,15 +64,8 @@ class DualCandidate:
         }
 
 
-@dataclass
-class TridiagReport:
-    holds: bool
-    residual_support: list[tuple[int, int]]  # (z, y) pairs, row-major
-    residual_values: list  # the nonzero entries, in the same order
-
-
 def verify_tridiagonal(g: Graph, astar: Sequence, beta, gamma, rho
-                       ) -> TridiagReport:
+                       ) -> list[tuple]:
     """Exactly evaluate the cubic commutator relation for the adjacency
     matrix A of g and the diagonal A* = diag(astar).
 
@@ -96,8 +89,8 @@ def verify_tridiagonal(g: Graph, astar: Sequence, beta, gamma, rho
     of w (the lists are sorted, see Graph).  So entry (z, y) vanishes
     unless z is within three steps of y.  A* must be rational: A*,
     beta+1, gamma and rho are scaled to integers by one common
-    denominator.  The report lists every nonzero entry: the support
-    (z, y) in row-major order and the values.
+    denominator.  Returns every nonzero entry (z, y, value) in row-major
+    order, so the relation holds exactly when the list is empty.
     """
     n = g.n
     if len(astar) != n:
@@ -143,11 +136,11 @@ def verify_tridiagonal(g: Graph, astar: Sequence, beta, gamma, rho
             if r != 0:
                 found.append((z, y, r))
                 found.append((y, z, -r))
-    found.sort(key=lambda t: (t[0], t[1]))
-    support = [(z, y) for z, y, _ in found]
+    found.sort()  # each (z, y) occurs once, so this is row-major
     unscale = scale * scale
-    values = [Fraction(r, unscale) if unscale != 1 else r for _, _, r in found]
-    return TridiagReport(not found, support, values)
+    if unscale == 1:
+        return found
+    return [(z, y, Fraction(r, unscale)) for z, y, r in found]
 
 
 def entrywise_oracle(g: Graph, ctx: BaseContext, theta_star: Sequence,
@@ -179,14 +172,8 @@ def entrywise_oracle(g: Graph, ctx: BaseContext, theta_star: Sequence,
     return (first, mix, third, fourth)
 
 
-@dataclass
-class RelationCheck:
-    holds: bool
-    level: Optional[int] = None
-    witness: Optional[int] = None  # first column failing below its level
-
-
-def verify_relation(split: LFRSplit, cand: DualCandidate) -> RelationCheck:
+def verify_relation(split: LFRSplit, cand: DualCandidate
+                    ) -> Optional[tuple[int, int]]:
     """Decide the cubic relation for A = L + R and A* = diag(theta*) on
     the level blocks of a bipartite split, from its equation table.
 
@@ -206,9 +193,10 @@ def verify_relation(split: LFRSplit, cand: DualCandidate) -> RelationCheck:
       (a, c, d | b) = (RL^2, L^2R, -L | -LRL), so the block vanishes iff
       c_a a + c_c c + rho D_i d - c_b b = 0 for each equation of level i.
 
-    The first failing level is reported with its first failing column y
-    in level order: the first column of the level when a scalar block
-    fails, else the first column of the first failing equation.
+    Returns None when the relation holds, else the first failing level
+    with its first failing column y in level order, (level, y): the
+    first column of the level when a scalar block fails, else the first
+    column of the first failing equation.
     """
     _require_bipartite(split)
     eps = split.ctx.eccentricity
@@ -222,15 +210,15 @@ def verify_relation(split: LFRSplit, cand: DualCandidate) -> RelationCheck:
             i >= 3 and (t[i] - t[i - 3]) + bp1 * (t[i - 2] - t[i - 1]) != 0
             or i >= 2 and gamma * (t[i] - t[i - 2]) != 0)
         if scalar_fails:
-            return RelationCheck(False, i, split.ctx.levels[i][0])
+            return i, split.ctx.levels[i][0]
         c_a = delta + bp1 * (t[i - 2] - t[i - 1]) if i >= 2 else 0
         c_b = (bp1 + 1) * delta
         c_c = delta + bp1 * (t[i] - t[i + 1]) if i < eps else 0
         c_d = rho * delta
         for (a, c, d, b), y in table.items():
             if c_a * a + c_c * c + c_d * d - c_b * b != 0:
-                return RelationCheck(False, i, y)
-    return RelationCheck(True)
+                return i, y
+    return None
 
 
 # -- synthesis from a uniform structure ---------------------------------------

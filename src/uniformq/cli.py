@@ -294,7 +294,7 @@ class _Instance:
         report = self.search.to_json()
         if self.search.accepted:
             report["verified"] = verify_relation(
-                self.split, self.search.candidate).holds
+                self.split, self.search.candidate) is None
         return report
 
     @cached_property
@@ -338,10 +338,16 @@ class _Instance:
         ok = True
         for name in _ORDERINGS if both else [ordering_name]:
             negative_control = both and name == "natural"
-            rep = check_q_ordering(self.pattern, _ORDERINGS[name](k))
-            reports.append(dict(rep.to_json(), name=name,
-                                negative_control=negative_control))
-            if not negative_control and not rep.tridiagonal:
+            ordering = _ORDERINGS[name](k)
+            violation = check_q_ordering(self.pattern, ordering)
+            reports.append({
+                "name": name,
+                "negative_control": negative_control,
+                "ordering": ordering,
+                "tridiagonal": violation is None,
+                "violation": violation and list(violation),
+            })
+            if not negative_control and violation is not None:
                 ok = False
         return reports, ok
 
@@ -395,12 +401,11 @@ def uniform(input, base, params_file, out, as_json) -> None:
             feasible=inst.fit.canonical is not None,
             per_level=[
                 {
-                    "level": lf.level,
-                    "consistent": lf.canonical is not None,
-                    "canonical": [str(v) for v in lf.canonical]
-                    if lf.canonical else None,
+                    "level": i,
+                    "consistent": sol is not None,
+                    "canonical": sol and [str(v) for v in sol[0]],
                 }
-                for lf in inst.fit.levels
+                for i, sol in enumerate(inst.fit.levels, 1)
             ],
             constant=inst.constant.to_json() if inst.constant else None,
         )

@@ -14,10 +14,11 @@ Each family is distance-regular with intersection numbers
     c_i = (p^i - 1)/(p - 1),
     a_i = (p^e - 1)(p^i - 1)/(p - 1),
 
-with e = 1 for both generated families; ``verify_intersection_numbers``
-re-derives these observationally from the graph and accepts rational e
-so the formulas of the Hermitean families remain evaluable even though
-no generator produces those graphs.
+with e = 1 for both generated families.  ``intersection_numbers``
+re-derives the arrays observationally from the graph, the reference the
+generators are tested against; ``expected_intersection_numbers`` accepts
+rational e so the formulas of the Hermitean families remain evaluable
+even though no generator produces those graphs.
 
 The graph is built from each vertex's neighbours, at a cost of
 O(n * degree) subspace steps rather than a rank test of every pair.  Two
@@ -88,10 +89,6 @@ class FormSpec:
             raise ValueError("family B requires an odd prime")
 
     @property
-    def e(self) -> int:
-        return 1
-
-    @property
     def dim(self) -> int:
         return 2 * self.D if self.family == "C" else 2 * self.D + 1
 
@@ -104,6 +101,40 @@ class FormSpec:
 
     def degree(self) -> int:
         return self.p * (self.p ** self.D - 1) // (self.p - 1)
+
+    def bilinear(self, u, v) -> int:
+        p, D = self.p, self.D
+        if self.family == "C":
+            acc = 0
+            for i in range(D):
+                acc += u[i] * v[D + i] - u[D + i] * v[i]
+            return acc % p
+        # polarisation of Q(x) = x_0^2 + sum x_i x_{D+i}
+        acc = 2 * u[0] * v[0]
+        for i in range(1, D + 1):
+            acc += u[i] * v[D + i] + u[D + i] * v[i]
+        return acc % p
+
+    def quadratic(self, v) -> Optional[int]:
+        if self.family == "C":
+            return None
+        acc = v[0] * v[0]
+        for i in range(1, self.D + 1):
+            acc += v[i] * v[self.D + i]
+        return acc % self.p
+
+    def is_isotropic_vector(self, v) -> bool:
+        q = self.quadratic(v)
+        return q is None or q == 0
+
+    def start(self) -> tuple[tuple[int, ...], ...]:
+        """A maximal isotropic subspace in RREF: span(e_0..e_{D-1}) for C,
+        span(e_1..e_D) for B."""
+        shift = 0 if self.family == "C" else 1
+        return tuple(
+            tuple(1 if c == i + shift else 0 for c in range(self.dim))
+            for i in range(self.D)
+        )
 
 
 # -- F_p subspace helpers -----------------------------------------------------
@@ -132,49 +163,7 @@ def _rref_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], .
     return tuple(tuple(row) for row in mat[:r])
 
 
-class _FormSpace:
-    def __init__(self, spec: FormSpec):
-        self.spec = spec
-        self.p = spec.p
-        self.D = spec.D
-        self.dim = spec.dim
-
-    def bilinear(self, u, v) -> int:
-        p, D = self.p, self.D
-        if self.spec.family == "C":
-            acc = 0
-            for i in range(D):
-                acc += u[i] * v[D + i] - u[D + i] * v[i]
-            return acc % p
-        # polarisation of Q(x) = x_0^2 + sum x_i x_{D+i}
-        acc = 2 * u[0] * v[0]
-        for i in range(1, D + 1):
-            acc += u[i] * v[D + i] + u[D + i] * v[i]
-        return acc % p
-
-    def quadratic(self, v) -> Optional[int]:
-        if self.spec.family == "C":
-            return None
-        acc = v[0] * v[0]
-        for i in range(1, self.D + 1):
-            acc += v[i] * v[self.D + i]
-        return acc % self.p
-
-    def is_isotropic_vector(self, v) -> bool:
-        q = self.quadratic(v)
-        return q is None or q == 0
-
-    def start(self) -> tuple[tuple[int, ...], ...]:
-        """A maximal isotropic subspace in RREF: span(e_0..e_{D-1}) for C,
-        span(e_1..e_D) for B."""
-        shift = 0 if self.spec.family == "C" else 1
-        return tuple(
-            tuple(1 if c == i + shift else 0 for c in range(self.dim))
-            for i in range(self.D)
-        )
-
-
-def _dual_vectors(space: _FormSpace, rows, pivots):
+def _dual_vectors(spec: FormSpec, rows, pivots):
     """Vectors u_j with B(rows[i], u_j) = [i == j], plus (family B) a
     vector z spanning M^perp modulo M, all zero on the pivot columns.
 
@@ -182,15 +171,15 @@ def _dual_vectors(space: _FormSpace, rows, pivots):
     so the pairing of M with it has rank D; for B it also meets M^perp in
     the line spanned by z.
     """
-    p, D = space.p, space.D
-    free = [c for c in range(space.dim) if c not in pivots]
-    unit = [0] * space.dim
+    p, D = spec.p, spec.D
+    free = [c for c in range(spec.dim) if c not in pivots]
+    unit = [0] * spec.dim
     gram = []
     for i, r in enumerate(rows):
         row = []
         for c in free:
             unit[c] = 1
-            row.append(space.bilinear(r, unit))
+            row.append(spec.bilinear(r, unit))
             unit[c] = 0
         gram.append(row + [int(i == j) for j in range(D)])
     rref = _rref_mod(gram, p)
@@ -199,14 +188,14 @@ def _dual_vectors(space: _FormSpace, rows, pivots):
         raise ArithmeticError("subspace does not pair nondegenerately")
     us = []
     for j in range(D):
-        u = [0] * space.dim
+        u = [0] * spec.dim
         for row, c in zip(rref, lead):
             u[free[c]] = row[len(free) + j]
         us.append(u)
     z = None
     if len(free) > D:
         (f,) = [c for c in range(len(free)) if c not in lead]
-        z = [0] * space.dim
+        z = [0] * spec.dim
         z[free[f]] = 1
         for row, c in zip(rref, lead):
             z[free[c]] = -row[f] % p
@@ -227,7 +216,7 @@ def _insert_row(rows, lead_cols, v, p):
     return tuple(out)
 
 
-def _neighbours(space: _FormSpace, rows) -> list[tuple[tuple[int, ...], ...]]:
+def _neighbours(spec: FormSpec, rows) -> list[tuple[tuple[int, ...], ...]]:
     """The maximal isotropic subspaces meeting M = span(rows) in a
     hyperplane, each in RREF.
 
@@ -239,12 +228,12 @@ def _neighbours(space: _FormSpace, rows) -> list[tuple[tuple[int, ...], ...]]:
     v = w + t r_k for C, and v = alpha r_k + beta z + w with
     Q(v) = 0, i.e. alpha = -(beta^2 Q(z) + Q(w) + beta B(z, w)), for B.
     """
-    p, D = space.p, space.D
+    p, D = spec.p, spec.D
     pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
-    us, z = _dual_vectors(space, rows, pivots)
+    us, z = _dual_vectors(spec, rows, pivots)
     u_cols = list(zip(*us))
     if z is not None:
-        qz = space.quadratic(z)
+        qz = spec.quadratic(z)
     out = []
     for k in range(D):
         rk = rows[k]
@@ -259,7 +248,7 @@ def _neighbours(space: _FormSpace, rows) -> list[tuple[tuple[int, ...], ...]]:
             if z is None:
                 vs = [[(x + t * y) % p for x, y in zip(w, rk)] for t in range(p)]
             else:
-                qw, bzw = space.quadratic(w), space.bilinear(z, w)
+                qw, bzw = spec.quadratic(w), spec.bilinear(z, w)
                 vs = []
                 for beta in range(p):
                     alpha = -(beta * beta * qz + qw + beta * bzw)
@@ -279,9 +268,8 @@ def dual_polar(spec: FormSpec) -> tuple[Graph, list]:
     """
     expected = _check_size(f"{spec.family}_{spec.D}({spec.p})",
                            spec.count_factors())
-    space = _FormSpace(spec)
     degree = spec.degree()
-    subspaces = [space.start()]
+    subspaces = [spec.start()]
     index = {subspaces[0]: 0}
     adj: list[set[int]] = []
     # the list grows while it is read, so this is a breadth-first search
@@ -289,7 +277,7 @@ def dual_polar(spec: FormSpec) -> tuple[Graph, list]:
         if len(subspaces) > expected:
             break
         nbrs = []
-        for nb in _neighbours(space, rows):
+        for nb in _neighbours(spec, rows):
             j = index.get(nb)
             if j is None:
                 j = index[nb] = len(subspaces)
@@ -310,10 +298,10 @@ def dual_polar(spec: FormSpec) -> tuple[Graph, list]:
     # post-construction recheck: every subspace totally isotropic
     for rows in subspaces:
         for i, u in enumerate(rows):
-            if not space.is_isotropic_vector(u):
+            if not spec.is_isotropic_vector(u):
                 raise ArithmeticError("non-isotropic basis vector")
             for v in rows[i:]:
-                if space.bilinear(u, v) != 0:
+                if spec.bilinear(u, v) != 0:
                     raise ArithmeticError("subspace is not totally isotropic")
     for u, nbrs in enumerate(adj):
         for v in nbrs:
@@ -357,20 +345,6 @@ def hypercube(D: int) -> tuple[Graph, list]:
 # -- distance-regularity and intersection numbers -----------------------------
 
 
-@dataclass
-class IntersectionReport:
-    is_distance_regular: bool
-    diameter: Optional[int]
-    observed_c: Optional[tuple]
-    observed_a: Optional[tuple]
-    observed_b: Optional[tuple]
-    expected_c: Optional[tuple] = None
-    expected_a: Optional[tuple] = None
-    expected_b: Optional[tuple] = None
-    matches_expected: Optional[bool] = None
-    failure: Optional[str] = None
-
-
 def expected_intersection_numbers(b, e, D: int) -> tuple[tuple, tuple, tuple]:
     """(c, a, b) arrays indexed 0..D from the dual polar closed forms.
 
@@ -378,6 +352,8 @@ def expected_intersection_numbers(b, e, D: int) -> tuple[tuple, tuple, tuple]:
     b**e is irrational (in which case they cannot match an actual
     graph's integer counts, and comparisons report that faithfully).
     """
+    if b < 2:
+        raise ValueError("need b >= 2")
     b = Fraction(b)
     e = Fraction(e)
     be: Scalar = rational_power(b, e)
@@ -393,12 +369,11 @@ def expected_intersection_numbers(b, e, D: int) -> tuple[tuple, tuple, tuple]:
     return tuple(cs), tuple(as_), tuple(bs)
 
 
-def verify_intersection_numbers(g: Graph, b=None, e=None, D: Optional[int] = None
-                                ) -> IntersectionReport:
-    """Observational distance-regularity check, with optional comparison
-    against the dual polar closed-form intersection numbers.
-
-    Never raises on mathematical failure; the report carries it.
+def intersection_numbers(g: Graph) -> tuple[tuple, tuple, tuple]:
+    """The observed intersection arrays (c, a, b), indexed 0..diameter,
+    of a distance-regular graph; ValueError with the first inconsistency
+    when g is not distance-regular.  Compare the result with
+    ``expected_intersection_numbers``.
     """
     diam = None
     c_obs: dict[int, int] = {}
@@ -410,10 +385,8 @@ def verify_intersection_numbers(g: Graph, b=None, e=None, D: Optional[int] = Non
         if diam is None:
             diam = ctx.eccentricity
         elif ctx.eccentricity != diam:
-            return IntersectionReport(
-                False, None, None, None, None,
-                failure=f"eccentricity differs between vertices 0 and {v}",
-            )
+            raise ValueError(
+                f"eccentricity differs between vertices 0 and {v}")
         dist = ctx.dist
         for y in range(g.n):
             i = dist[y]
@@ -427,30 +400,10 @@ def verify_intersection_numbers(g: Graph, b=None, e=None, D: Optional[int] = Non
                 else:
                     nb += 1
             for store, val in ((c_obs, nc), (a_obs, na), (b_obs, nb)):
-                if i not in store:
-                    store[i] = val
-                elif store[i] != val:
-                    return IntersectionReport(
-                        False, diam, None, None, None,
-                        failure=(
-                            f"parameter at distance {i} is not constant "
-                            f"(base {v}, vertex {y})"
-                        ),
-                    )
+                if store.setdefault(i, val) != val:
+                    raise ValueError(
+                        f"parameter at distance {i} is not constant "
+                        f"(base {v}, vertex {y})")
 
-    observed_c = tuple(c_obs[i] for i in range(diam + 1))
-    observed_a = tuple(a_obs[i] for i in range(diam + 1))
-    observed_b = tuple(b_obs[i] for i in range(diam + 1))
-    report = IntersectionReport(True, diam, observed_c, observed_a, observed_b)
-    if b is not None and e is not None and D is not None:
-        exp_c, exp_a, exp_b = expected_intersection_numbers(b, e, D)
-        report.expected_c = exp_c
-        report.expected_a = exp_a
-        report.expected_b = exp_b
-        report.matches_expected = (
-            diam == D
-            and all(observed_c[i] == exp_c[i] for i in range(D + 1))
-            and all(observed_a[i] == exp_a[i] for i in range(D + 1))
-            and all(observed_b[i] == exp_b[i] for i in range(D + 1))
-        )
-    return report
+    return tuple(tuple(store[i] for i in range(diam + 1))
+                 for store in (c_obs, a_obs, b_obs))

@@ -111,6 +111,8 @@ def closed_form_spectrum(b: int, e, D: int) -> list[Scalar]:
 def module_eigenvalues(b: int, e, D: int, d: int) -> list[Scalar]:
     """Eigenvalues of the (r, d) module representation matrix: d+1
     pairwise distinct values, the spectrum at indices D - d + 2j."""
+    if b < 2:
+        raise ValueError("need b >= 2")
     if d < 0:
         raise ValueError("need d >= 0")
     e = Fraction(e)
@@ -142,6 +144,8 @@ def verify_krat_scaling(b: int, e, D: int, d: int,
     H_0 = 1, H_1 = t (the normalized dual b-Krawtchouk recurrence).
     Returns the first index i where it fails, or None when it holds.
     """
+    if b < 2:
+        raise ValueError("need b >= 2")
     if len(x_scalars) != d:
         raise ValueError(f"need d = {d} x-scalars, got {len(x_scalars)}")
     e = Fraction(e)
@@ -571,27 +575,13 @@ def idempotent_pattern(projectors: _Projectors,
     return pattern
 
 
-@dataclass
-class OrderingReport:
-    ordering: list[int]
-    tridiagonal: bool
-    violation: Optional[tuple[int, int]]
-
-    def to_json(self) -> dict:
-        return {
-            "ordering": list(self.ordering),
-            "tridiagonal": self.tridiagonal,
-            "violation": list(self.violation) if self.violation else None,
-        }
-
-
 def check_q_ordering(pattern: list[list[bool]],
-                     ordering: Sequence[int]) -> OrderingReport:
+                     ordering: Sequence[int]) -> Optional[tuple[int, int]]:
     """Does A* act tridiagonally on the eigenspaces in this ordering?
 
-    True iff every nonzero block of the idempotent pattern joins
-    eigenvalues adjacent in the ordering; the first violating pair in
-    row-major order is reported otherwise.
+    It does iff every nonzero block of the idempotent pattern joins
+    eigenvalues adjacent in the ordering.  Returns None when it does,
+    else the first violating pair (i, j) in row-major order.
     """
     k = len(pattern)
     if sorted(ordering) != list(range(k)):
@@ -602,8 +592,8 @@ def check_q_ordering(pattern: list[list[bool]],
     for i in range(k):
         for j in range(k):
             if pattern[i][j] and abs(pos[i] - pos[j]) > 1:
-                return OrderingReport(list(ordering), False, (i, j))
-    return OrderingReport(list(ordering), True, None)
+                return i, j
+    return None
 
 
 def natural_ordering(k: int) -> list[int]:

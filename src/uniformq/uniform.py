@@ -300,15 +300,10 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
 
 
 @dataclass
-class LevelFit:
-    level: int
-    solution: Optional[tuple]  # (particular, basis) or None, as solve_linear
-    canonical: Optional[tuple]  # (e-, e+, f) with free coordinates zeroed
-
-
-@dataclass
 class UniformFit:
-    levels: list[LevelFit]
+    # level i at index i - 1: solve_linear's (particular, basis) for
+    # (e-_i, e+_i, f_i), or None when the level has no solution
+    levels: list[Optional[tuple]]
     canonical: Optional[UniformParams]  # None when some level has no fit
 
 
@@ -321,23 +316,23 @@ def _solve(equations):
 
 
 def fit_uniform(split: LFRSplit) -> UniformFit:
-    """Exact affine solution set of (e-_i, e+_i, f_i) per level.
+    """Exact affine solution set of (e-_i, e+_i, f_i) per level, as
+    ``solve_linear`` returns it.
 
     The conventions pin the e-_1 and e+_eps coordinates to zero.  An
-    empty set at any level means no uniform structure exists.  The
-    canonical representative zeroes the free coordinates of the reduced
-    system.
+    empty set (None) at any level means no uniform structure exists.
+    The canonical representative is each level's particular solution,
+    which zeroes the free coordinates of the reduced system.
     """
     _require_bipartite(split)
     eps = split.ctx.eccentricity
-    fits: list[LevelFit] = []
+    fits = []
     for i, table in _equation_table(split).items():
         pins = [(1, 0, 0, 0)] * (i == 1) + [(0, 1, 0, 0)] * (i == eps)
-        sol = _solve([*table, *pins])
-        fits.append(LevelFit(i, sol, None if sol is None else tuple(sol[0])))
+        fits.append(_solve([*table, *pins]))
     params = None
-    if all(fit.canonical is not None for fit in fits):
-        params = UniformParams(*zip(*(fit.canonical for fit in fits)))
+    if None not in fits:
+        params = UniformParams(*zip(*(sol[0] for sol in fits)))
     return UniformFit(fits, params)
 
 
@@ -389,6 +384,8 @@ def closed_form_x(b, e, D: int, d: int, i: int) -> Fraction:
 
     Independent of the endpoint r.  Requires b^(D+e) rational.
     """
+    if b < 2:
+        raise ValueError("need b >= 2")
     if not (1 <= i <= d):
         raise ValueError(f"need 1 <= i <= d, got i={i}, d={d}")
     b = Fraction(b)

@@ -17,7 +17,12 @@ from uniformq.candidate import (
     entrywise_oracle,
     verify_tridiagonal,
 )
-from uniformq.generators import FormSpec, dual_polar, verify_intersection_numbers
+from uniformq.generators import (
+    FormSpec,
+    dual_polar,
+    expected_intersection_numbers,
+    intersection_numbers,
+)
 from uniformq.graphs import (
     bfs_context,
     full_bipartite,
@@ -93,11 +98,11 @@ def test_criterion_1_dual_polar_construction():
         assert g22.n == 15 and g22.is_regular() == 6
         g32, _ = dual_polar(FormSpec("C", 3, 2))
         assert g32.n == 135 and g32.is_regular() == 14
-        rep = verify_intersection_numbers(g32, 2, 1, 3)
-        assert rep.is_distance_regular and rep.matches_expected
-        assert rep.observed_c[1:] == (1, 3, 7)
-        assert rep.observed_a[1:] == (1, 3, 7)
-        assert rep.observed_b[:3] == (14, 12, 8)
+        c, a, b = intersection_numbers(g32)
+        assert (c, a, b) == expected_intersection_numbers(2, 1, 3)
+        assert c[1:] == (1, 3, 7)
+        assert a[1:] == (1, 3, 7)
+        assert b[:3] == (14, 12, 8)
 
 
 def test_criterion_2_uniform_verification(instance):
@@ -125,11 +130,10 @@ def test_criterion_3_candidate_synthesis(instance):
         assert cand.rho == 36
         astar = dual_diagonal(instance["ctx"], cand.theta_star)
         fb = instance["fb"]
-        report = verify_tridiagonal(fb, astar, cand.beta, cand.gamma, cand.rho)
-        assert report.holds and report.residual_support == []
+        assert verify_tridiagonal(
+            fb, astar, cand.beta, cand.gamma, cand.rho) == []
         negative = verify_tridiagonal(fb, astar, cand.beta, cand.gamma, 37)
-        assert not negative.holds
-        assert len(negative.residual_support) > 0
+        assert len(negative) > 0
 
 
 def test_criterion_4_module_decomposition(instance):
@@ -189,10 +193,9 @@ def test_criterion_6_q_polynomial_certification(instance):
             for j in range(k):
                 if abs(i - j) not in (0, 2):
                     assert not pattern[i][j]
-        assert check_q_ordering(pattern, even_odd_ordering(k)).tridiagonal
-        assert check_q_ordering(pattern, odd_even_ordering(k)).tridiagonal
-        nat = check_q_ordering(pattern, natural_ordering(k))
-        assert not nat.tridiagonal and nat.violation is not None
+        assert check_q_ordering(pattern, even_odd_ordering(k)) is None
+        assert check_q_ordering(pattern, odd_even_ordering(k)) is None
+        assert check_q_ordering(pattern, natural_ordering(k)) is not None
         beta, rho = Fraction(5, 2), Fraction(36)
         vals = spec.values()
         for i in range(k):
@@ -255,8 +258,8 @@ def test_criterion_8_secondary_instance():
     with criterion(8, "C2(3) pipeline with clean eps<3 skip", 30):
         g, _ = dual_polar(FormSpec("C", 2, 3))
         assert g.n == 40 and g.is_regular() == 12
-        rep = verify_intersection_numbers(g, 3, 1, 2)
-        assert rep.is_distance_regular and rep.matches_expected
+        assert intersection_numbers(g) == expected_intersection_numbers(
+            3, 1, 2)
         fb = full_bipartite(g, 0)
         ctx = bfs_context(fb, 0)
         assert ctx.eccentricity == 2

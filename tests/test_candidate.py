@@ -49,31 +49,26 @@ def test_dual_diagonal_errors(cycle6):
 
 def test_verify_tridiagonal_c32(c32_fb, c32_ctx):
     astar = dual_diagonal(c32_ctx, (-1, 0, Fraction(1, 2), Fraction(3, 4)))
-    rep = verify_tridiagonal(c32_fb, astar, Fraction(5, 2), 0, 36)
-    assert rep.holds
-    assert rep.residual_support == []
+    assert verify_tridiagonal(c32_fb, astar, Fraction(5, 2), 0, 36) == []
 
 
 def test_verify_tridiagonal_negative_control(c32_fb, c32_ctx):
     astar = dual_diagonal(c32_ctx, (-1, 0, Fraction(1, 2), Fraction(3, 4)))
-    rep = verify_tridiagonal(c32_fb, astar, Fraction(5, 2), 0, 37)
-    assert not rep.holds
-    assert len(rep.residual_support) >= 1
-    assert len(rep.residual_support) == len(rep.residual_values)
-    assert all(v != 0 for v in rep.residual_values)
+    residual = verify_tridiagonal(c32_fb, astar, Fraction(5, 2), 0, 37)
+    assert len(residual) >= 1
+    assert all(v != 0 for _, _, v in residual)
 
 
 def test_gamma_vanishes_on_bipartite(c32_fb, c32_ctx):
     # if the relation holds with gamma = 0 it must fail for gamma != 0
     astar = dual_diagonal(c32_ctx, (-1, 0, Fraction(1, 2), Fraction(3, 4)))
     for gamma in (1, Fraction(-1, 3)):
-        assert not verify_tridiagonal(
-            c32_fb, astar, Fraction(5, 2), gamma, 36).holds
+        assert verify_tridiagonal(c32_fb, astar, Fraction(5, 2), gamma, 36)
 
 
 def test_identity_astar_commutes(cycle6):
-    rep = verify_tridiagonal(cycle6, [1] * 6, 7, 0, 0)
-    assert rep.holds  # all commutators vanish
+    # all commutators vanish
+    assert verify_tridiagonal(cycle6, [1] * 6, 7, 0, 0) == []
 
 
 def test_verify_tridiagonal_dimension_mismatch(cycle6):
@@ -84,26 +79,23 @@ def test_verify_tridiagonal_dimension_mismatch(cycle6):
 
 
 def dense_residual(mats, beta, gamma, rho):
-    """Row-major (support, values) of the dense residual matrix."""
+    """Row-major nonzero entries (z, y, value) of the dense residual
+    matrix."""
     c3, cmix, c2, c1 = mats
     n = c3.rows
     bp1 = Fraction(beta) + 1
-    support, values = [], []
+    found = []
     for idx in range(n * n):
         r = c3.entries[idx] + bp1 * cmix.entries[idx] \
             - gamma * c2.entries[idx] - rho * c1.entries[idx]
         if r != 0:
-            support.append((idx // n, idx % n))
-            values.append(r)
-    return support, values
+            found.append((idx // n, idx % n, r))
+    return found
 
 
 def assert_matches_dense(g, astar, mats, beta, gamma, rho):
-    support, values = dense_residual(mats, beta, gamma, rho)
-    full = verify_tridiagonal(g, astar, beta, gamma, rho)
-    assert full.holds == (not support)
-    assert full.residual_support == support
-    assert full.residual_values == values
+    assert verify_tridiagonal(g, astar, beta, gamma, rho) == dense_residual(
+        mats, beta, gamma, rho)
 
 
 def test_verify_tridiagonal_matches_dense_twin_cycle6(cycle6):
@@ -225,12 +217,12 @@ def relation_cases(split, seed: int) -> list:
     return cases
 
 
-def first_failing_column(ctx, support) -> tuple:
+def first_failing_column(ctx, residual):
     """(level, column) of the first column, in level order, with a
-    nonzero residual entry on a lower level; (None, None) for none."""
+    nonzero residual entry on a lower level; None for none."""
     dist, pos = ctx.dist, ctx.position
-    lower = [(dist[y], pos[y], y) for z, y in support if dist[z] < dist[y]]
-    return min(lower)[::2] if lower else (None, None)
+    lower = [(dist[y], pos[y], y) for z, y, _ in residual if dist[z] < dist[y]]
+    return min(lower)[::2] if lower else None
 
 
 def oracle_residual(g, ctx, c, y, z):
@@ -253,11 +245,10 @@ def test_verify_relation_matches_column_route(name):
     for c in cases:
         astar = [c.theta_star[d] for d in ctx.dist]
         full = verify_tridiagonal(g, astar, c.beta, c.gamma, c.rho)
-        rel = verify_relation(split, c)
-        assert rel.holds == full.holds
-        assert (rel.level, rel.witness) == first_failing_column(
-            ctx, full.residual_support)
-        held += rel.holds
+        failure = verify_relation(split, c)
+        assert (failure is None) == (full == [])
+        assert failure == first_failing_column(ctx, full)
+        held += failure is None
     # the synthesised candidate holds wherever the search accepts one
     assert held == (len(cases) > 8)
 
@@ -271,17 +262,18 @@ def test_verify_relation_matches_walk_oracle(name):
     rng = random.Random(7)
     dist = ctx.dist
     for c in relation_cases(split, seed=3)[:10]:
-        rel = verify_relation(split, c)
-        if rel.holds:
+        failure = verify_relation(split, c)
+        if failure is None:
             for _ in range(40):
                 y, z = rng.randrange(g.n), rng.randrange(g.n)
                 assert oracle_residual(g, ctx, c, y, z) == 0
             continue
-        level = ctx.levels[rel.level]
-        rows = [z for z in range(g.n) if rel.level - 3 <= dist[z] < rel.level]
-        for y in level[:level.index(rel.witness) + 1]:
+        i, witness = failure
+        level = ctx.levels[i]
+        rows = [z for z in range(g.n) if i - 3 <= dist[z] < i]
+        for y in level[:level.index(witness) + 1]:
             failing = any(oracle_residual(g, ctx, c, y, z) for z in rows)
-            assert failing == (y == rel.witness)
+            assert failing == (y == witness)
 
 
 def test_verify_relation_fails_on_the_cubic_scalar():
@@ -290,11 +282,9 @@ def test_verify_relation_fails_on_the_cubic_scalar():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     split = lfr_split(g, bfs_context(g, 0))
     c = DualCandidate((-1, 0, 1, 2), Fraction(0), Fraction(0), Fraction(2))
-    rel = verify_relation(split, c)
-    assert (rel.holds, rel.level, rel.witness) == (False, 3, 3)
+    assert verify_relation(split, c) == (3, 3)
     full = verify_tridiagonal(g, [-1, 0, 1, 2], c.beta, c.gamma, c.rho)
-    assert full.residual_support == [(0, 3), (3, 0)]
-    assert full.residual_values == [2, -2]
+    assert full == [(0, 3, 2), (3, 0, -2)]
 
 
 def test_verify_relation_fails_on_gamma(c32_fb, c32_ctx, c32_split,
@@ -303,13 +293,11 @@ def test_verify_relation_fails_on_gamma(c32_fb, c32_ctx, c32_split,
     # on the L^2 block only: -gamma (t_2 - t_0) c_2 = -(3/2) 3 at (0, y)
     c = candidate_search(dp_params).candidate
     c = DualCandidate(c.theta_star, c.beta, Fraction(1), c.rho)
-    rel = verify_relation(c32_split, c)
     first = c32_ctx.levels[2][0]
-    assert (rel.holds, rel.level, rel.witness) == (False, 2, first)
+    assert verify_relation(c32_split, c) == (2, first)
     astar = [c.theta_star[d] for d in c32_ctx.dist]
     full = verify_tridiagonal(c32_fb, astar, c.beta, c.gamma, c.rho)
-    below = [(z, v) for (z, y), v in zip(full.residual_support,
-                                         full.residual_values)
+    below = [(z, v) for z, y, v in full
              if y == first and c32_ctx.dist[z] < 2]
     assert below == [(0, Fraction(-9, 2))]
 
@@ -321,11 +309,10 @@ def test_verify_relation_fails_on_a_later_column():
     ctx = bfs_context(g, 0)
     split = lfr_split(g, ctx)
     c = DualCandidate((-1, 0, 1), Fraction(1), Fraction(0), Fraction(5))
-    rel = verify_relation(split, c)
     assert ctx.levels[1] == (1, 2)
-    assert (rel.holds, rel.level, rel.witness) == (False, 1, 2)
+    assert verify_relation(split, c) == (1, 2)
     full = verify_tridiagonal(g, [-1, 0, 0, 1, 1, 1], c.beta, c.gamma, c.rho)
-    assert [(z, y) for z, y in full.residual_support
+    assert [(z, y) for z, y, _ in full
             if ctx.dist[z] < ctx.dist[y] == 1] == [(0, 2)]
 
 
@@ -415,11 +402,10 @@ def test_candidate_search_soundness(c32_fb, c32_ctx, dp_params):
     # the emitted candidate must satisfy the relation on the graph
     res = candidate_search(dp_params)
     astar = dual_diagonal(c32_ctx, res.candidate.theta_star)
-    rep = verify_tridiagonal(
+    assert verify_tridiagonal(
         c32_fb, astar,
         res.candidate.beta, res.candidate.gamma, res.candidate.rho,
-    )
-    assert rep.holds
+    ) == []
 
 
 def test_candidate_search_requires_eps3():
@@ -448,11 +434,10 @@ def test_candidate_soundness_other_families(maker, base):
     assert res.accepted
     assert res.candidate.beta == 2  # the arithmetic-ladder branch
     astar = dual_diagonal(ctx, res.candidate.theta_star)
-    rep = verify_tridiagonal(
+    assert verify_tridiagonal(
         fb, astar,
         res.candidate.beta, res.candidate.gamma, res.candidate.rho,
-    )
-    assert rep.holds
+    ) == []
 
 
 # -- closed-form theta ------------------------------------------------------------

@@ -605,10 +605,8 @@ def test_refuted_candidate_skips_qcheck(runner, workdir, monkeypatch):
     # an accepted candidate whose relation check fails is no verified
     # candidate: neither command checks orderings for it, and both exit 1
     from uniformq import cli
-    from uniformq.candidate import RelationCheck
 
-    monkeypatch.setattr(cli, "verify_relation",
-                        lambda split, cand: RelationCheck(False, 3, 0))
+    monkeypatch.setattr(cli, "verify_relation", lambda split, cand: (3, 0))
     path = str(workdir / "c32fb.el")
     res = runner.invoke(main, ["pipeline", path])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)

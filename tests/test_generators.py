@@ -6,13 +6,12 @@ from uniformq import generators
 from uniformq.generators import (
     FormSpec,
     SizeCapError,
-    _FormSpace,
     _rref_mod,
     dual_polar,
     expected_intersection_numbers,
     hamming,
     hypercube,
-    verify_intersection_numbers,
+    intersection_numbers,
 )
 from uniformq.graphs import Graph, bfs_context, format_edge_list
 
@@ -98,7 +97,7 @@ def _enumerate_maximal_isotropic(space):
 
 
 def dual_polar_pairwise(spec):
-    subspaces = _enumerate_maximal_isotropic(_FormSpace(spec))
+    subspaces = _enumerate_maximal_isotropic(spec)
     n = len(subspaces)
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n)
@@ -180,8 +179,7 @@ def test_b23():
     g, labels = dual_polar(FormSpec("B", 2, 3))
     assert g.n == 40
     assert g.is_regular() == 12
-    rep = verify_intersection_numbers(g, 3, 1, 2)
-    assert rep.is_distance_regular and rep.matches_expected
+    assert intersection_numbers(g) == expected_intersection_numbers(3, 1, 2)
 
 
 def test_size_cap():
@@ -196,31 +194,33 @@ def test_size_cap():
 
 
 def test_intersection_numbers_c32(c32):
-    rep = verify_intersection_numbers(c32, 2, 1, 3)
-    assert rep.is_distance_regular
-    assert rep.matches_expected
-    assert rep.observed_c[1:] == (1, 3, 7)
-    assert rep.observed_a[1:] == (1, 3, 7)
-    assert rep.observed_b[:3] == (14, 12, 8)
+    c, a, b = intersection_numbers(c32)
+    assert (c, a, b) == expected_intersection_numbers(2, 1, 3)
+    assert c[1:] == (1, 3, 7)
+    assert a[1:] == (1, 3, 7)
+    assert b[:3] == (14, 12, 8)
     # c_i + a_i + b_i = degree at every distance
-    for i in range(rep.diameter + 1):
-        total = rep.observed_c[i] + rep.observed_a[i] + rep.observed_b[i]
-        assert total == 14
+    assert len(c) == 4
+    assert all(ci + ai + bi == 14 for ci, ai, bi in zip(c, a, b))
 
 
 def test_intersection_numbers_cycle(cycle6):
-    rep = verify_intersection_numbers(cycle6)
-    assert rep.is_distance_regular
-    assert rep.observed_c[1:] == (1, 1, 2)
-    assert rep.observed_a[1:] == (0, 0, 0)
-    assert rep.observed_b[:3] == (2, 1, 1)
-    assert rep.expected_c is None
+    c, a, b = intersection_numbers(cycle6)
+    assert c[1:] == (1, 1, 2)
+    assert a[1:] == (0, 0, 0)
+    assert b[:3] == (2, 1, 1)
 
 
 def test_full_bipartite_not_distance_regular(c32_fb):
-    rep = verify_intersection_numbers(c32_fb)
-    assert not rep.is_distance_regular
-    assert rep.failure is not None
+    with pytest.raises(ValueError, match="eccentricity differs"):
+        intersection_numbers(c32_fb)
+    # the triangular prism: every vertex has eccentricity 2, but a_1 is 1
+    # along a triangle and 0 along a rung
+    prism = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                 (3, 5), (0, 3), (1, 4), (2, 5)])
+    with pytest.raises(ValueError, match=r"^parameter at distance 1 is not "
+                       r"constant \(base 0, vertex 3\)$"):
+        intersection_numbers(prism)
 
 
 def test_full_bipartite_edge_count(c32, c32_fb):
@@ -250,12 +250,11 @@ def test_subspace_conditions(c32):
     # every generated label is a basis of a totally isotropic subspace,
     # rechecked via the symplectic form directly
     spec = FormSpec("C", 3, 2)
-    space = _FormSpace(spec)
     _, labels = dual_polar(spec)
     for rows in labels[:20]:
         for u in rows:
             for v in rows:
-                assert space.bilinear(u, v) == 0
+                assert spec.bilinear(u, v) == 0
 
 
 def test_adjacent_subspaces_meet_in_codim_one():
@@ -291,8 +290,7 @@ def lfr_is_bipartite(g):
 
 def test_hamming_distance_regular():
     g, _ = hamming(2, 3)
-    rep = verify_intersection_numbers(g)
-    assert rep.is_distance_regular
+    assert intersection_numbers(g) == ((0, 1, 2), (0, 1, 2), (4, 2, 0))
 
 
 def test_dual_polar_determinism():
@@ -311,6 +309,5 @@ def test_small_families_are_distance_regular(family, D, p):
     spec = FormSpec(family, D, p)
     assert spec.vertex_count() <= 500
     g, _ = dual_polar(spec)
-    rep = verify_intersection_numbers(g, p, 1, D)
-    assert rep.is_distance_regular and rep.matches_expected
+    assert intersection_numbers(g) == expected_intersection_numbers(p, 1, D)
     assert g.is_regular() == spec.degree()

@@ -17,7 +17,13 @@ from dense import (
     module_rep_matrix,
 )
 from test_uniform import certify_direct_sum, per_level
-from uniformq.generators import FormSpec, dual_polar, hamming, hypercube
+from uniformq.generators import (
+    FormSpec,
+    dual_polar,
+    expected_intersection_numbers,
+    hamming,
+    hypercube,
+)
 from uniformq.graphs import Graph, bfs_context, full_bipartite, lfr_split
 from uniformq import spectra
 from uniformq.linalg import charpoly_int, int_matmul_flat
@@ -45,6 +51,7 @@ from uniformq.uniform import (
     Decomposition,
     TModule,
     UniformParams,
+    closed_form_x,
     decompose_modules,
     fit_uniform,
     fit_uniform_constant,
@@ -112,6 +119,21 @@ def test_closed_form_spectrum_antisymmetry():
 def test_closed_form_spectrum_out_of_field():
     with pytest.raises(ValueError):
         closed_form_spectrum(2, Fraction(3, 2), 3)
+
+
+@pytest.mark.parametrize("b", [0, 1])
+@pytest.mark.parametrize("form", [
+    lambda b: closed_form_spectrum(b, 1, 3),
+    lambda b: module_eigenvalues(b, 1, 3, 2),
+    lambda b: verify_krat_scaling(b, 1, 3, 2, [1, 1]),
+    lambda b: closed_form_x(b, 1, 3, 2, 1),
+    lambda b: expected_intersection_numbers(b, 1, 3),
+], ids=["spectrum", "module_eigenvalues", "krat_scaling", "x",
+        "intersection_numbers"])
+def test_closed_forms_reject_b_below_2(form, b):
+    # the closed forms divide by b - 1 and take powers of b
+    with pytest.raises(ValueError, match=r"^need b >= 2$"):
+        form(b)
 
 
 def test_module_eigenvalues_subset():
@@ -791,15 +813,11 @@ def test_module_pattern_rejects_a_mismatched_spectrum():
 
 def test_q_orderings(c32_pattern):
     pattern = c32_pattern
-    even = check_q_ordering(pattern, even_odd_ordering(7))
-    odd = check_q_ordering(pattern, odd_even_ordering(7))
-    nat = check_q_ordering(pattern, natural_ordering(7))
-    assert even.tridiagonal and even.violation is None
-    assert odd.tridiagonal
-    assert not nat.tridiagonal
-    assert nat.violation == (0, 2)
-    assert even.ordering == [0, 2, 4, 6, 1, 3, 5]
-    assert odd.ordering == [1, 3, 5, 0, 2, 4, 6]
+    assert even_odd_ordering(7) == [0, 2, 4, 6, 1, 3, 5]
+    assert odd_even_ordering(7) == [1, 3, 5, 0, 2, 4, 6]
+    assert check_q_ordering(pattern, even_odd_ordering(7)) is None
+    assert check_q_ordering(pattern, odd_even_ordering(7)) is None
+    assert check_q_ordering(pattern, natural_ordering(7)) == (0, 2)
 
 
 def test_q_ordering_validation(c32_pattern):
@@ -807,11 +825,16 @@ def test_q_ordering_validation(c32_pattern):
         check_q_ordering(c32_pattern, [0, 1, 2])
 
 
-def test_ordering_report_json(c32_pattern):
-    rep = check_q_ordering(c32_pattern, natural_ordering(7))
-    data = rep.to_json()
-    assert data["tridiagonal"] is False
-    assert data["violation"] == [0, 2]
+def test_ordering_report_json(c32_fb):
+    # the qcheck report builds each ordering's section from the
+    # violation that check_q_ordering returns
+    from uniformq.cli import _Instance
+
+    reports, ok = _Instance(c32_fb, 0).orderings("natural")
+    assert reports == [{"name": "natural", "negative_control": False,
+                        "ordering": natural_ordering(7),
+                        "tridiagonal": False, "violation": [0, 2]}]
+    assert not ok
 
 
 def test_hypercube_natural_order_is_q_polynomial():
@@ -834,8 +857,8 @@ def test_hypercube_natural_order_is_q_polynomial():
     for i in range(6):
         for j in range(6):
             assert pattern[i][j] == (abs(i - j) <= 1)
-    assert check_q_ordering(pattern, natural_ordering(6)).tridiagonal
-    assert not check_q_ordering(pattern, even_odd_ordering(6)).tridiagonal
+    assert check_q_ordering(pattern, natural_ordering(6)) is None
+    assert check_q_ordering(pattern, even_odd_ordering(6)) is not None
 
 
 def test_full_stack_hamming_instance():
@@ -859,8 +882,8 @@ def test_full_stack_hamming_instance():
     astar = dual_diagonal(ctx, res.candidate.theta_star)
     assert verify_tridiagonal(
         fb, astar, res.candidate.beta, 0, res.candidate.rho,
-    ).holds
+    ) == []
     pattern = idempotent_pattern(_spectral_projectors(split), astar)
     k = len(pattern)
-    assert check_q_ordering(pattern, even_odd_ordering(k)).tridiagonal
-    assert check_q_ordering(pattern, odd_even_ordering(k)).tridiagonal
+    assert check_q_ordering(pattern, even_odd_ordering(k)) is None
+    assert check_q_ordering(pattern, odd_even_ordering(k)) is None

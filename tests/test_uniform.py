@@ -149,8 +149,8 @@ def perturbed_params(split):
     first, a middle and the last level (the convention slots e-_1 and
     e+_eps stay 0)."""
     eps = split.ctx.eccentricity
-    base = [list(fit.canonical) if fit.canonical is not None else [0, 0, 0]
-            for fit in fit_uniform(split).levels]
+    base = [list(sol[0]) if sol is not None else [0, 0, 0]
+            for sol in fit_uniform(split).levels]
     yield UniformParams(*zip(*base))
     for level in sorted({1, (eps + 1) // 2, eps}):
         for k in range(3):
@@ -221,7 +221,7 @@ def check_fit_against_full_system(split):
     eps = split.ctx.eccentricity
     tables = _equation_table(split)
     all_rows, all_rhs = [], []
-    for i, level_fit in enumerate(fit.levels, start=1):
+    for i, fitted in enumerate(fit.levels, start=1):
         rows, rhs, first = [], [], {}
         for y in split.ctx.levels[i]:
             for z in range(split.graph.n):
@@ -238,7 +238,7 @@ def check_fit_against_full_system(split):
         pins += [[0, 1, 0]] if i == eps else []
         sol = solve_linear(ExactMatrix.from_rows(rows + pins),
                            rhs + [Fraction(0)] * len(pins))
-        assert sol == level_fit.solution
+        assert sol == fitted
     sol = solve_linear(ExactMatrix.from_rows(all_rows), all_rhs)
     if sol is None:
         assert fit_uniform_constant(split) is None
@@ -272,9 +272,11 @@ def test_fit_uniform_constant_recovers_dual_polar(c32_split, dp_params):
 def test_fit_uniform_c6_level2(c6_split):
     fit = fit_uniform(c6_split)
     assert fit.canonical is not None
-    lvl2 = fit.levels[1]
+    particular, basis = fit.levels[1]
     # solution set {(t, -t, 1)}: one free parameter
-    assert len(lvl2.solution[1]) == 1
+    assert len(basis) == 1
+    canonical = fit.canonical
+    assert particular == [canonical.em(2), canonical.ep(2), canonical.fi(2)]
     triples = [list(t) for t in zip(*(fit.canonical.e_minus,
                                       fit.canonical.e_plus, fit.canonical.f))]
     for triple, member in (((5, -5, 1), True), ((0, 0, 1), True),

@@ -5,9 +5,10 @@ the stdout and exit code of one subcommand run.  The instances are small
 and cover the report shapes: cycle6 (per-level fit, candidate rejected),
 a tree on 7 vertices (level 2 has no solution, so no uniform structure
 exists), hypercube 4 (constant fit, accepted candidate, rational
-spectrum), the C_2(3) full bipartite graph (eccentricity 2, the clean-skip path) and
-the H(4,3) full bipartite graph, whose thin modules at the endpoints
-r = 1 and 2 are split by L R filters over three and two eigenvalues.
+spectrum), the C_2(3) full bipartite graph (eccentricity 2, the
+clean-skip path) and the H(4,3) full bipartite graph, whose thin
+modules at the endpoints r = 1 and 2 are split by L R filters over
+three and two eigenvalues.
 Each run reads ``g.el`` (and ``params.json``) from the working
 directory, so the report's source path is the same everywhere.
 """

@@ -205,9 +205,7 @@ class _Instance:
     """One graph and base vertex; every artifact of the certificate
     chain is computed on first use and at most once.  The subcommands
     are views that assemble their reports from it.  A property that
-    raises is not cached, so a view reads it once; the module
-    decomposition keeps its failure too, since the spectrum asks for it
-    again."""
+    raises is not cached, so a view reads it once."""
 
     def __init__(self, g, base: int, params_file=None,
                  theta=(Fraction(-1), Fraction(0))):
@@ -298,26 +296,14 @@ class _Instance:
         return report
 
     @cached_property
-    def _modules(self):
-        """The module decomposition, or the error that rejected it."""
-        try:
-            return decompose_modules(self.split, self.params)
-        except (ValueError, ArithmeticError) as exc:
-            return exc
-
-    @property
     def modules(self):
-        if isinstance(self._modules, Exception):
-            raise self._modules
-        return self._modules
+        return decompose_modules(self.split, self.params)
 
     @cached_property
     def spectrum(self):
-        """The spectrum read off the certified thin modules; the dense
-        Gram-block route when there are none, for want of a verified
-        uniform structure or because the decomposition failed."""
-        certified = self.verified and not isinstance(self._modules, Exception)
-        return spectrum_exact(self.split, self._modules if certified else None)
+        """The spectrum read off the certified thin modules; with no
+        decomposition there is no spectrum."""
+        return spectrum_exact(self.split, self.modules)
 
     @cached_property
     def pattern(self):
@@ -547,7 +533,11 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
         return inst.modules.to_json(), True
 
     def spectrum_stage():
-        return "disabled" if no_spectrum else (inst.spectrum.to_json(), True)
+        if no_spectrum:
+            return "disabled"
+        if not passed.get("modules"):
+            return "no module decomposition"
+        return inst.spectrum.to_json(), True
 
     def qcheck_stage():
         if no_spectrum:

@@ -23,11 +23,12 @@ with characteristic polynomial h_{d+1}, so the spectrum is the multiset
 union over the module types of the d + 1 roots of h_{d+1}, each counted
 once per module of the type.  For bipartite A, h_{d+1} is even or odd,
 and its roots are found by an exact scan of mu = theta^2 over the
-integers in [0, Delta^2] (Delta the maximum degree).  This is the route
-of ``pipeline`` and ``qcheck`` wherever the modules certify.
+integers in [0, Delta^2] (Delta the maximum degree).  This is the only
+route of ``pipeline`` and ``qcheck``: where no decomposition certifies,
+they report no spectrum.
 
-Without modules it takes the dense route, for ``uniformq spectrum`` (no
-uniform structure) and wherever no decomposition certifies.  The colour
+Without modules it takes the dense route, the route of ``uniformq
+spectrum`` alone, which needs no uniform structure.  The colour
 classes are the even and the odd levels of the base's distance
 partition, so A = [[0, B], [B^T, 0]], and it works on the Gram block
 B B^T of the smaller class, read off the adjacency lists.  The roots of

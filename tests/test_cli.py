@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +13,16 @@ from uniformq.graphs import Graph, format_edge_list, parse_edge_list
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _patch_everywhere(monkeypatch, orig, wrapper):
+    """Swap every reference to orig, in every uniformq module, for
+    wrapper, so that nested calls go through it too."""
+    for mod in [m for key, m in list(sys.modules.items())
+                if key.startswith("uniformq") and m is not None]:
+        for key, value in list(vars(mod).items()):
+            if value is orig:
+                monkeypatch.setattr(mod, key, wrapper)
 
 
 @pytest.fixture(scope="module")
@@ -383,8 +395,6 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
                                               monkeypatch):
     # every reference to each function, in every uniformq module, is
     # swapped for one counting wrapper, so nested calls count too
-    import sys
-
     from uniformq.graphs import Graph
     from uniformq.linalg import ExactMatrix
 
@@ -425,15 +435,9 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
                ("uniformq.uniform", "_level_equations"),
                ("uniformq.linalg", "rank"),
                ("uniformq.uniform", "solve_x_scalars")]
-    modules = [m for key, m in list(sys.modules.items())
-               if key.startswith("uniformq") and m is not None]
     for modname, attr in targets:
         orig = getattr(sys.modules[modname], attr)
-        wrapper = counting(attr, orig)
-        for mod in modules:
-            for key, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, key, wrapper)
+        _patch_everywhere(monkeypatch, orig, counting(attr, orig))
     # Q_4 exits 1 only because its even-odd and odd-even orderings are
     # not Q-polynomial; C_3(2) fb passes every stage
     for path, code in [(q4_file, 1), (workdir / "c32fb.el", 0)]:
@@ -485,6 +489,45 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
     assert counts == {name: 1 for name in (
         "spectrum_exact", "_module_spectrum", "verify_relation",
         "fit_uniform_constant", "decompose_modules")}
+
+
+def _random_tree(n: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+@pytest.mark.parametrize("graph", [
+    Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 6)]),
+    _random_tree(400, 1),
+], ids=["tree7", "tree400"])
+def test_no_modules_no_gram_block(runner, tmp_path, monkeypatch, graph):
+    # a tree has no uniform structure, so no thin modules certify, and
+    # pipeline and qcheck report no spectrum: neither forms a Gram block
+    # nor takes its charpoly, which only the spectrum view does
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for modname, attr in [("uniformq.spectra", "_gram"),
+                          ("uniformq._kernels", "charpoly_mod")]:
+        orig = getattr(sys.modules[modname], attr)
+        _patch_everywhere(monkeypatch, orig, counting(attr, orig))
+    path = tmp_path / "tree.el"
+    path.write_text(format_edge_list(graph))
+    for argv in (["pipeline"], ["pipeline", "--fb"], ["qcheck"]):
+        res = runner.invoke(main, [argv[0], str(path), *argv[1:]])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert calls == [], argv
+        if argv[0] == "pipeline":
+            data = json.loads(res.stdout)
+            assert data["skipped"]["spectrum"] == "no module decomposition"
+    res = runner.invoke(main, ["spectrum", str(path)])
+    assert res.exit_code == 1  # the squared spectrum is not rational
+    assert calls == ["_gram", "charpoly_mod"]
 
 
 def test_invalid_parameter_matrix_is_no_uniform_structure(runner, tmp_path):
@@ -630,8 +673,6 @@ def test_bipartite_pipeline_works_on_colour_class_blocks(runner, q4_file,
                                                         monkeypatch):
     # the spectrum and the idempotent pattern of a bipartite graph are
     # read off its thin modules: no modular rank and no matrix product
-    import sys
-
     from uniformq import _kernels
 
     calls = []
@@ -645,11 +686,7 @@ def test_bipartite_pipeline_works_on_colour_class_blocks(runner, q4_file,
         calls.append((n, k, m))
         return orig(a, b, n, k, m)
 
-    for mod in [m for key, m in list(sys.modules.items())
-                if key.startswith("uniformq") and m is not None]:
-        for key, value in list(vars(mod).items()):
-            if value is orig:
-                monkeypatch.setattr(mod, key, int_matmul_flat)
+    _patch_everywhere(monkeypatch, orig, int_matmul_flat)
     res = runner.invoke(main, ["pipeline", str(q4_file)])
     assert res.exit_code == 1  # the natural negative control
     data = json.loads(res.stdout)

@@ -56,6 +56,10 @@ from .uniform import (
 
 USAGE_ERROR = 2
 MATH_FAIL = 1
+# the largest Gram block, one side per vertex of the smaller colour
+# class, that ``spectrum`` takes: its dense route is O(size^3) in pure
+# Python, about 9 s at this size
+GRAM_CAP = 400
 
 
 def _fail_usage(message: str):
@@ -439,8 +443,13 @@ def modules(input, base, params_file, out, as_json) -> None:
 @click.argument("input", type=click.Path())
 @_report_options
 def spectrum(input, out, as_json) -> None:
-    """Exact adjacency spectrum of a bipartite graph over Q(sqrt(m))."""
+    """Exact adjacency spectrum of a bipartite graph over Q(sqrt(m)),
+    by the dense route; a Gram block over GRAM_CAP is a usage error."""
     inst = _open(input, 0)  # no uniform structure, no modules
+    size = min(sum(map(len, inst.ctx.levels[p::2])) for p in (0, 1))
+    if size > GRAM_CAP:
+        _fail_usage(f"the Gram block is {size} x {size}, over the dense "
+                    f"spectrum's cap of {GRAM_CAP} (GRAM_CAP)")
     _finish(*_attempt(lambda: (spectrum_exact(inst.split).to_json(), True)),
             out, as_json)
 

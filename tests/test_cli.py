@@ -163,6 +163,26 @@ def test_spectrum_subcommand(runner, workdir):
     assert sum(e["multiplicity"] for e in data["eigenvalues"]) == 135
 
 
+def test_spectrum_over_the_cap_is_usage_error(runner, q4_file, monkeypatch):
+    # Q_4's colour classes have 8 vertices each; over the cap, the view
+    # exits 2 with the block size and the cap before any Gram entry
+    from uniformq import cli, spectra
+
+    grams = []
+    gram = spectra._gram
+    _patch_everywhere(monkeypatch, gram,
+                      lambda *args: grams.append(1) or gram(*args))
+    monkeypatch.setattr(cli, "GRAM_CAP", 7)
+    res = runner.invoke(main, ["spectrum", str(q4_file)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert ("error: the Gram block is 8 x 8, over the dense spectrum's cap "
+            "of 7 (GRAM_CAP)") in res.stderr
+    assert grams == []
+    monkeypatch.setattr(cli, "GRAM_CAP", 8)
+    res = runner.invoke(main, ["spectrum", str(q4_file)])
+    assert res.exit_code == 0 and grams == [1]
+
+
 def test_spectrum_non_bipartite_is_usage_error(runner, tmp_path):
     src = tmp_path / "c5.el"
     src.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")

@@ -56,9 +56,9 @@ from .uniform import (
 
 USAGE_ERROR = 2
 MATH_FAIL = 1
-# the largest Gram block, one side per vertex of the smaller colour
-# class, that ``spectrum`` takes: its dense route is O(size^3) in pure
-# Python, about 9 s at this size
+# the largest smaller colour class, the side of the Gram block, that
+# ``spectrum`` takes: the dense route is O(size^3) in pure Python, about
+# 9 s at this size on a 2-core host
 GRAM_CAP = 400
 
 
@@ -521,7 +521,8 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
         _finish(report, False, out, as_json)
 
     # each stage returns a skip reason or its (section, ok); a skipped
-    # stage passes cleanly, and qcheck needs the three before it to pass
+    # stage passes cleanly, the spectrum needs the modules to pass, and
+    # qcheck the three before it
     def uniform_stage():
         section = inst.uniform_section()
         if inst.source:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from fractions import Fraction
 from functools import cached_property
 
 import click
@@ -80,12 +79,9 @@ def _write(text: str, out) -> None:
         _fail_usage(f"cannot write {out}: {exc}")
 
 
-def _finish(report: dict, ok, out, as_json: bool):
-    """Emit the report as JSON or as indented text, then exit 0 when ok
-    and 1 otherwise."""
-    text = (json.dumps(report, indent=2, sort_keys=True) if as_json
-            else _render_text(report))
-    _write(text + "\n", out)
+def _finish(report: dict, ok, out):
+    """Emit the report as JSON, then exit 0 when ok and 1 otherwise."""
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
     sys.exit(0 if ok else MATH_FAIL)
 
 
@@ -99,34 +95,6 @@ def _attempt(stage):
         return {"error": str(exc)}, False
 
 
-def _report_options(view):
-    """The -o/--out and --json/--no-json options every report view ends
-    with."""
-    view = click.option("--json/--no-json", "as_json", default=True)(view)
-    return click.option("-o", "--out", type=click.Path(), default=None)(view)
-
-
-def _render_text(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        lines = []
-        for k in sorted(obj):
-            v = obj[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.append(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
-        return "\n".join(lines)
-    if isinstance(obj, list):
-        return "\n".join(
-            _render_text(v, indent) if isinstance(v, (dict, list))
-            else f"{pad}- {v}"
-            for v in obj
-        )
-    return f"{pad}{obj}"
-
-
 def _load_graph(path: str):
     try:
         with open(path) as fh:
@@ -137,18 +105,6 @@ def _load_graph(path: str):
         return parse_edge_list(text)
     except ValueError as exc:
         _fail_usage(f"bad edge list {path}: {exc}")
-
-
-def _parse_theta(text: str) -> tuple[Fraction, Fraction]:
-    try:
-        parts = [Fraction(p.strip()) for p in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        _fail_usage(f"cannot parse theta pair {text!r}")
-    if len(parts) != 2 or parts[0] == parts[1]:
-        _fail_usage(
-            "theta must be two distinct comma-separated rationals, e.g. '-1,0'"
-        )
-    return parts[0], parts[1]
 
 
 @click.group()
@@ -211,15 +167,13 @@ class _Instance:
     are views that assemble their reports from it.  A property that
     raises is not cached, so a view reads it once."""
 
-    def __init__(self, g, base: int, params_file=None,
-                 theta=(Fraction(-1), Fraction(0))):
+    def __init__(self, g, base: int, params_file=None):
         try:
             self.ctx = bfs_context(g, base)
             self.split = lfr_split(g, self.ctx)
         except ValueError as exc:
             _fail_usage(str(exc))
         self.params_file = params_file
-        self.theta = theta
 
     def levels_report(self) -> dict:
         return {
@@ -286,7 +240,7 @@ class _Instance:
 
     @cached_property
     def search(self):
-        return candidate_search(self.params, *self.theta)
+        return candidate_search(self.params)
 
     @cached_property
     def candidate(self) -> dict:
@@ -351,11 +305,10 @@ _ORDERINGS = {
 _EPS_SKIP = "candidate synthesis needs eccentricity >= 3, have {}"
 
 
-def _open(input, base, params_file=None, theta="-1,0") -> _Instance:
+def _open(input, base, params_file=None) -> _Instance:
     """The instance of a bipartite graph file; anything else is a usage
     error."""
-    inst = _Instance(_load_graph(input), base, params_file,
-                     _parse_theta(theta))
+    inst = _Instance(_load_graph(input), base, params_file)
     if not inst.split.is_bipartite():
         _fail_usage(
             "this command requires a bipartite graph; apply the full "
@@ -381,8 +334,8 @@ def _candidate_section(inst: _Instance) -> dict:
 @click.option("--base", type=int, default=0, show_default=True)
 @click.option("--verify", "params_file", type=click.Path(), default=None,
               help="Verify the parameters in this JSON file instead.")
-@_report_options
-def uniform(input, base, params_file, out, as_json) -> None:
+@click.option("-o", "--out", type=click.Path(), default=None)
+def uniform(input, base, params_file, out) -> None:
     """Fit or verify a uniform structure."""
     inst = _open(input, base, params_file)
     section = inst.uniform_section()  # before the fit: eps 0 is a usage error
@@ -402,8 +355,7 @@ def uniform(input, base, params_file, out, as_json) -> None:
     elif not inst.verified and "invalid" not in section:
         section.update(failed_level=inst.check.level,
                        witness_vertex=inst.check.witness)
-    _finish(dict(inst.levels_report(), uniform=section), inst.verified,
-            out, as_json)
+    _finish(dict(inst.levels_report(), uniform=section), inst.verified, out)
 
 
 @main.command()
@@ -411,38 +363,36 @@ def uniform(input, base, params_file, out, as_json) -> None:
 @click.option("--base", type=int, default=0, show_default=True)
 @click.option("--params", "params_file", type=click.Path(), default=None,
               help="Uniform parameters JSON; fitted from the graph if omitted.")
-@click.option("--theta", default="-1,0", show_default=True,
-              help="theta*_0,theta*_1 normalisation.")
-@_report_options
-def candidate(input, base, params_file, theta, out, as_json) -> None:
+@click.option("-o", "--out", type=click.Path(), default=None)
+def candidate(input, base, params_file, out) -> None:
     """Synthesise a dual adjacency matrix candidate and verify it."""
-    report = _candidate_section(_open(input, base, params_file, theta))
-    _finish(report, report.get("verified"), out, as_json)
+    report = _candidate_section(_open(input, base, params_file))
+    _finish(report, report.get("verified"), out)
 
 
 @main.command()
 @click.argument("input", type=click.Path())
 @click.option("--base", type=int, default=0, show_default=True)
 @click.option("--params", "params_file", type=click.Path(), default=None)
-@_report_options
-def modules(input, base, params_file, out, as_json) -> None:
+@click.option("-o", "--out", type=click.Path(), default=None)
+def modules(input, base, params_file, out) -> None:
     """Decompose the standard module into thin irreducible chains."""
     inst = _open(input, base, params_file)
     if inst.params is None:
-        _finish({"error": "no uniform structure exists"}, False, out, as_json)
+        _finish({"error": "no uniform structure exists"}, False, out)
 
     def view():
         found = inst.modules.to_json()  # verifies the structure first
         return dict(inst.levels_report(), uniform=inst.uniform_section(),
                     modules=found), True
 
-    _finish(*_attempt(view), out, as_json)
+    _finish(*_attempt(view), out)
 
 
 @main.command()
 @click.argument("input", type=click.Path())
-@_report_options
-def spectrum(input, out, as_json) -> None:
+@click.option("-o", "--out", type=click.Path(), default=None)
+def spectrum(input, out) -> None:
     """Exact adjacency spectrum of a bipartite graph over Q(sqrt(m)),
     by the dense route; a Gram block over GRAM_CAP is a usage error."""
     inst = _open(input, 0)  # no uniform structure, no modules
@@ -451,31 +401,30 @@ def spectrum(input, out, as_json) -> None:
         _fail_usage(f"the Gram block is {size} x {size}, over the dense "
                     f"spectrum's cap of {GRAM_CAP} (GRAM_CAP)")
     _finish(*_attempt(lambda: (spectrum_exact(inst.split).to_json(), True)),
-            out, as_json)
+            out)
 
 
 @main.command()
 @click.argument("input", type=click.Path())
 @click.option("--base", type=int, default=0, show_default=True)
-@click.option("--theta", default="-1,0", show_default=True)
 @click.option("--ordering", "ordering_name", default="both",
               type=click.Choice(["both", "even-odd", "odd-even", "natural"]),
               show_default=True)
-@_report_options
-def qcheck(input, base, theta, ordering_name, out, as_json) -> None:
+@click.option("-o", "--out", type=click.Path(), default=None)
+def qcheck(input, base, ordering_name, out) -> None:
     """Check Q-polynomial orderings of the primitive idempotents."""
-    inst = _open(input, base, theta=theta)
+    inst = _open(input, base)
     cand_report = _candidate_section(inst)
     if not cand_report.get("verified"):  # skipped, rejected or refuted
         _finish({"candidate": cand_report, "skipped": "no verified candidate"},
-                False, out, as_json)
+                False, out)
 
     def view():
         reports, ok = inst.orderings(ordering_name)
         return {"orderings": reports}, ok
 
     report, ok = _attempt(view)
-    _finish(dict(report, candidate=cand_report), ok, out, as_json)
+    _finish(dict(report, candidate=cand_report), ok, out)
 
 
 @main.command()
@@ -485,8 +434,6 @@ def qcheck(input, base, theta, ordering_name, out, as_json) -> None:
               help="Apply the full bipartite transform before the pipeline.")
 @click.option("--verify-uniform", "params_file", type=click.Path(),
               default=None, help="Verify these parameters instead of fitting.")
-@click.option("--candidate", "theta", default="-1,0", show_default=True,
-              help="theta*_0,theta*_1 for candidate synthesis.")
 @click.option("--qcheck", "ordering_name", default="both",
               type=click.Choice(["both", "even-odd", "odd-even", "natural"]),
               show_default=True)
@@ -494,19 +441,18 @@ def qcheck(input, base, theta, ordering_name, out, as_json) -> None:
               help="Skip the spectrum and ordering stages.")
 @click.option("--timings", is_flag=True,
               help="Include wall-clock stage timings (breaks byte determinism).")
-@_report_options
-def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
-             no_spectrum, timings, out, as_json) -> None:
+@click.option("-o", "--out", type=click.Path(), default=None)
+def pipeline(input, base, apply_fb, params_file, ordering_name,
+             no_spectrum, timings, out) -> None:
     """Run the full chain: uniform -> candidate -> modules -> spectrum ->
     Q-polynomial ordering checks."""
     g = _load_graph(input)
-    theta = _parse_theta(theta)
     if apply_fb:
         try:
             g = full_bipartite(g, base)
         except ValueError as exc:
             _fail_usage(str(exc))
-    inst = _Instance(g, base, params_file, theta)
+    inst = _Instance(g, base, params_file)
     eps = inst.ctx.eccentricity
     skipped = {}
     report = dict(
@@ -518,7 +464,7 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
     )
     if not report["bipartite"]:
         skipped["all"] = "pipeline requires a bipartite graph"
-        _finish(report, False, out, as_json)
+        _finish(report, False, out)
 
     # each stage returns a skip reason or its (section, ok); a skipped
     # stage passes cleanly, the spectrum needs the modules to pass, and
@@ -574,7 +520,7 @@ def pipeline(input, base, apply_fb, params_file, theta, ordering_name,
         clock[name] = round(time.perf_counter() - t0, 6)
     if timings:
         report["timings"] = clock
-    _finish(report, all(passed.values()), out, as_json)
+    _finish(report, all(passed.values()), out)
 
 
 if __name__ == "__main__":

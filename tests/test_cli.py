@@ -3,6 +3,7 @@ import json
 import random
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -295,14 +296,6 @@ def test_qcheck_subcommand(runner, workdir):
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["orderings"][0]["tridiagonal"] is True
-
-
-def test_no_json_rendering(runner, workdir):
-    res = runner.invoke(main, [
-        "uniform", str(workdir / "c32fb.el"), "--no-json",
-    ])
-    assert res.exit_code == 0
-    assert "verified: True" in res.output
 
 
 @pytest.fixture
@@ -715,13 +708,23 @@ def test_bipartite_pipeline_works_on_colour_class_blocks(runner, q4_file,
     assert calls == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["candidate", "--theta", "2,2"],
-    ["qcheck", "--theta", "2,2"],
-    ["pipeline", "--candidate", "2,2"],
-])
-def test_equal_theta_pair_is_usage_error(runner, q4_file, argv):
-    res = runner.invoke(main, [argv[0], str(q4_file), *argv[1:]])
-    assert res.exit_code == 2
-    assert isinstance(res.exception, SystemExit)
-    assert "distinct" in res.stderr
+# every option a caller sets, and no other: a new one shows up here as a
+# deliberate diff
+OPTIONS = {
+    "gen": ["--b", "--D", "--n", "-o/--out", "--labels"],
+    "fb": ["--base", "-o/--out"],
+    "uniform": ["--base", "--verify", "-o/--out"],
+    "candidate": ["--base", "--params", "-o/--out"],
+    "modules": ["--base", "--params", "-o/--out"],
+    "spectrum": ["-o/--out"],
+    "qcheck": ["--base", "--ordering", "-o/--out"],
+    "pipeline": ["--base", "--fb", "--verify-uniform", "--qcheck",
+                 "--no-spectrum", "--timings", "-o/--out"],
+}
+
+
+def test_cli_options_are_pinned():
+    assert {name: ["/".join(p.opts) for p in cmd.params
+                   if isinstance(p, click.Option)]
+            for name, cmd in main.commands.items()} == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 27

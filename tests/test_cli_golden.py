@@ -55,7 +55,6 @@ INSTANCES = {
 COMMANDS = [
     ("uniform",),
     ("uniform", "--verify", "params.json"),
-    ("uniform", "--no-json"),
     ("candidate",),
     ("candidate", "--params", "params.json"),
     ("modules",),
@@ -66,7 +65,6 @@ COMMANDS = [
     ("pipeline", "--no-spectrum"),
     ("pipeline", "--qcheck", "natural"),
     ("pipeline", "--verify-uniform", "params.json"),
-    ("pipeline", "--no-json"),
 ]
 
 CASES = [f"{inst} {' '.join(cmd)}" for inst in INSTANCES for cmd in COMMANDS]

@@ -76,18 +76,7 @@ class Graph:
     def _check_connected(self) -> None:
         if self.n == 0:
             raise ValueError("empty graph")
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        if count != self.n:
+        if min(_distances(self, 0)) < 0:
             raise ValueError("graph is not connected")
 
     def edges(self) -> list[tuple[int, int]]:
@@ -145,10 +134,10 @@ class BaseContext:
         self.levels = tuple(tuple(lv) for lv in levels)
         self.position = tuple(position)
 
-def bfs_context(g: Graph, x: int) -> BaseContext:
-    """Breadth-first distance partition from x."""
-    if not (0 <= x < g.n):
-        raise ValueError(f"base vertex {x} out of range")
+
+def _distances(g: Graph, x: int) -> list[int]:
+    """The breadth-first distance of each vertex from x, -1 where x does
+    not reach it."""
     dist = [-1] * g.n
     dist[x] = 0
     queue = deque([x])
@@ -158,6 +147,14 @@ def bfs_context(g: Graph, x: int) -> BaseContext:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)
+    return dist
+
+
+def bfs_context(g: Graph, x: int) -> BaseContext:
+    """Breadth-first distance partition from x."""
+    if not (0 <= x < g.n):
+        raise ValueError(f"base vertex {x} out of range")
+    dist = _distances(g, x)
     if min(dist) < 0:
         raise ValueError("graph is not connected")
     return BaseContext(g, x, dist)

@@ -155,6 +155,17 @@ class Poly:
         return Poly(out)
 
 
+def linear_product(roots) -> list[int]:
+    """The integer coefficients, lowest degree first, of prod (q t - p)
+    over the roots p/q (ints or Fractions): prod (t - nu) for integer
+    roots."""
+    coeffs = [1]
+    for root in roots:
+        p, q = root.numerator, root.denominator
+        coeffs = [q * a - p * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
 def _frac(c):
     return Fraction(c) if isinstance(c, int) else c
 

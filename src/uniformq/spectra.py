@@ -72,7 +72,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import _kernels
 from .graphs import LFRSplit
 from .linalg import column_space_basis, int_matmul_flat
-from .poly import Poly
+from .poly import Poly, linear_product
 from .scalars import (
     QuadExt,
     Scalar,
@@ -236,17 +236,9 @@ def _powers(d: list[int], size: int, k: int) -> list[list[int]]:
     return powers
 
 
-def _product_coeffs(roots) -> list[int]:
-    """The coefficients of prod_{nu in roots} (t - nu), lowest first."""
-    coeffs = [1]
-    for nu in roots:
-        coeffs = [hi - nu * lo for hi, lo in zip([0] + coeffs, coeffs + [0])]
-    return coeffs
-
-
 def _evaluate(powers: list[list[int]], roots) -> list[int]:
     """prod_{nu in roots} (D - nu I) from the powers D^0, D^1, ... of D."""
-    coeffs = _product_coeffs(roots)
+    coeffs = linear_product(roots)
     return [sum(map(mul, coeffs, column)) for column in zip(*powers)]
 
 
@@ -284,11 +276,10 @@ def spectrum_exact(split: LFRSplit,
     and the odd levels are the colour classes, A = [[0, B], [B^T, 0]],
     and the Gram block D = B B^T on the smaller class (``_classes``) is
     read off the adjacency lists (``_gram``); B itself is never formed.
-    Every
-    eigenvalue of D lies in [0, Delta^2] (Delta the maximum degree); the
-    candidates are the mu there that are roots of the characteristic
-    polynomial of D modulo one fixed prime, since every integer root is
-    one.  From the powers D^0, ..., D^k for k candidates,
+    Every eigenvalue of D lies in [0, Delta^2] (Delta the maximum
+    degree); the candidates are the mu there that are roots of the
+    characteristic polynomial of D modulo one fixed prime, since every
+    integer root is one.  From the powers D^0, ..., D^k for k candidates,
     prod_mu (D - mu I) = 0 proves that the candidates hold every
     eigenvalue of D.  D is symmetric, so
     P_mu = prod_{nu != mu} (D - nu I) has trace mult_mu prod_{nu != mu}
@@ -323,7 +314,7 @@ def spectrum_exact(split: LFRSplit,
     mults = {}
     for mu in candidates:
         others = [nu for nu in candidates if nu != mu]
-        mult = sum(map(mul, _product_coeffs(others), traces)) \
+        mult = sum(map(mul, linear_product(others), traces)) \
             // prod(mu - nu for nu in others)
         if mult:
             mults[mu] = mult

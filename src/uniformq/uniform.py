@@ -55,6 +55,7 @@ from .linalg import (
     rank,  # noqa: F401  unused here; perfbench's tracer test rebinds it
     solve_linear,
 )
+from .poly import linear_product
 from .scalars import rational_power, scalar_to_json
 
 
@@ -618,12 +619,7 @@ def _filtered_starts(split: LFRSplit, r: int, free: list, starts: list,
             vectors.append(split.lower(r + 1, split.raise_(r, vectors[-1])))
     out = []
     for value in values:
-        coeffs = [1]  # F_value, lowest degree first
-        for other in values:
-            if other != value:
-                p, q = other.numerator, other.denominator
-                coeffs = [q * a - p * b
-                          for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs = linear_product(v for v in values if v != value)  # F_value
         filtered = [[sum(map(mul, coeffs, column)) for column in zip(*vectors)]
                     for vectors in krylov]
         for gen in _independent(free, filtered):

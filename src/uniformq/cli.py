@@ -5,18 +5,22 @@ the full bipartite transform.  Every other subcommand is a view over one
 ``_Instance``: a graph and base vertex whose artifacts -- the uniform
 structure and its verification, the dual adjacency candidate and its
 relation check, the thin modules, the spectrum and the idempotent
-pattern -- are each computed at most once.  ``pipeline`` runs the five
-stages (uniform, candidate, modules, spectrum, qcheck) through one stage
-runner that records, for each, a skip reason, its section, or
-``{"error": ...}``; ``uniform``, ``candidate``, ``modules``, ``spectrum``
-and ``qcheck`` each report one section of the same chain, in their own
-words.  ``_attempt`` is the one boundary at which a mathematical
-rejection becomes a report, and ``_finish`` emits it and exits.
+pattern -- are each computed at most once.  ``pipeline`` is the one
+report of the chain: it runs the five stages (uniform, candidate,
+modules, spectrum, qcheck) through one stage runner that records, for
+each, a skip reason, its section, or ``{"error": ...}``.  The other
+views carry what it does not: ``uniform`` the per-level fits and the
+failing level of a given structure, ``candidate`` the chain stopped
+before the modules stage, and ``spectrum`` the dense route, the
+independent cross-check of the module spectrum.  ``_attempt`` is the
+one boundary at which a mathematical rejection becomes a report, and
+``_finish`` emits it and exits.
 
-Exit codes: 0 when every requested check passes (clean stage skips
-included), 1 when a stage produces a mathematical fail or rejection,
-2 for usage or I/O errors.  Reports are byte-deterministic; stage
-timings are included only with --timings since they cannot be.
+Exit codes: 0 when every requested check passes (``pipeline``'s clean
+stage skips included; ``candidate`` exits 1 when it skips synthesis),
+1 when a stage produces a mathematical fail or rejection, 2 for usage
+or I/O errors.  Reports are byte-deterministic; stage timings are
+included only with --timings since they cannot be.
 """
 
 from __future__ import annotations
@@ -372,25 +376,6 @@ def candidate(input, base, params_file, out) -> None:
 
 @main.command()
 @click.argument("input", type=click.Path())
-@click.option("--base", type=int, default=0, show_default=True)
-@click.option("--params", "params_file", type=click.Path(), default=None)
-@click.option("-o", "--out", type=click.Path(), default=None)
-def modules(input, base, params_file, out) -> None:
-    """Decompose the standard module into thin irreducible chains."""
-    inst = _open(input, base, params_file)
-    if inst.params is None:
-        _finish({"error": "no uniform structure exists"}, False, out)
-
-    def view():
-        found = inst.modules.to_json()  # verifies the structure first
-        return dict(inst.levels_report(), uniform=inst.uniform_section(),
-                    modules=found), True
-
-    _finish(*_attempt(view), out)
-
-
-@main.command()
-@click.argument("input", type=click.Path())
 @click.option("-o", "--out", type=click.Path(), default=None)
 def spectrum(input, out) -> None:
     """Exact adjacency spectrum of a bipartite graph over Q(sqrt(m)),
@@ -402,29 +387,6 @@ def spectrum(input, out) -> None:
                     f"spectrum's cap of {GRAM_CAP} (GRAM_CAP)")
     _finish(*_attempt(lambda: (spectrum_exact(inst.split).to_json(), True)),
             out)
-
-
-@main.command()
-@click.argument("input", type=click.Path())
-@click.option("--base", type=int, default=0, show_default=True)
-@click.option("--ordering", "ordering_name", default="both",
-              type=click.Choice(["both", "even-odd", "odd-even", "natural"]),
-              show_default=True)
-@click.option("-o", "--out", type=click.Path(), default=None)
-def qcheck(input, base, ordering_name, out) -> None:
-    """Check Q-polynomial orderings of the primitive idempotents."""
-    inst = _open(input, base)
-    cand_report = _candidate_section(inst)
-    if not cand_report.get("verified"):  # skipped, rejected or refuted
-        _finish({"candidate": cand_report, "skipped": "no verified candidate"},
-                False, out)
-
-    def view():
-        reports, ok = inst.orderings(ordering_name)
-        return {"orderings": reports}, ok
-
-    report, ok = _attempt(view)
-    _finish(dict(report, candidate=cand_report), ok, out)
 
 
 @main.command()

@@ -24,8 +24,8 @@ union over the module types of the d + 1 roots of h_{d+1}, each counted
 once per module of the type.  For bipartite A, h_{d+1} is even or odd,
 and its roots are found by an exact scan of mu = theta^2 over the
 integers in [0, Delta^2] (Delta the maximum degree).  This is the only
-route of ``pipeline`` and ``qcheck``: where no decomposition certifies,
-they report no spectrum.
+route of ``pipeline``: where no decomposition certifies, it reports no
+spectrum.
 
 Without modules it takes the dense route, the route of ``uniformq
 spectrum`` alone, which needs no uniform structure.  The colour
@@ -45,11 +45,10 @@ against each other.
 ``module_pattern`` decides which E_i A* E_j vanish on the certified
 thin modules: each module type is a small tridiagonal pair (T, diag
 theta*), so the pattern needs O(d) work per pair of eigenvalues and
-type, whatever n.  It is the pattern of ``pipeline`` and ``qcheck``.
-It checks the modules' eigenvalue counts against the spectrum's
-multiplicities.  In ``pipeline`` and ``qcheck`` that check holds by
-construction: the pattern needs the modules, and with modules the
-spectrum is read off them.  The dense spectrum is checked against the
+type, whatever n.  It is the pattern of ``pipeline``.  It checks the
+modules' eigenvalue counts against the spectrum's multiplicities.  In
+``pipeline`` that check holds by construction: the pattern needs the
+modules, and with modules the spectrum is read off them.  The dense spectrum is checked against the
 module route by the tests' twin and by the CI run on C_3(3).
 
 The dense twin that the tests compare ``module_pattern`` with builds

@@ -146,16 +146,6 @@ def test_candidate_subcommand(runner, workdir):
     assert data["rejected_step"] is None
 
 
-def test_modules_subcommand(runner, workdir):
-    res = runner.invoke(main, ["modules", str(workdir / "c32fb.el")])
-    assert res.exit_code == 0
-    data = json.loads(res.output)
-    classes = {(m["r"], m["d"]): m for m in data["modules"]}
-    assert classes[(0, 3)]["multiplicity"] == 1
-    assert classes[(0, 3)]["x"] == ["14", "36", "56"]
-    assert sum(m["multiplicity"] * (m["d"] + 1) for m in data["modules"]) == 135
-
-
 def test_spectrum_subcommand(runner, workdir):
     res = runner.invoke(main, ["spectrum", str(workdir / "c32fb.el")])
     assert res.exit_code == 0
@@ -289,15 +279,6 @@ def test_pipeline_c6_rejection(runner, tmp_path, cycle6):
     assert data["candidate"]["rejected_step"] in (1, 4)
 
 
-def test_qcheck_subcommand(runner, workdir):
-    res = runner.invoke(main, [
-        "qcheck", str(workdir / "c32fb.el"), "--ordering", "even-odd",
-    ])
-    assert res.exit_code == 0
-    data = json.loads(res.output)
-    assert data["orderings"][0]["tridiagonal"] is True
-
-
 @pytest.fixture
 def q4_file(tmp_path):
     from uniformq.generators import hypercube
@@ -310,7 +291,6 @@ def q4_file(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["uniform", "--verify"],
     ["candidate", "--params"],
-    ["modules", "--params"],
     ["pipeline", "--verify-uniform"],
 ])
 def test_mismatched_params_file_is_usage_error(runner, q4_file, tmp_path, argv):
@@ -331,7 +311,7 @@ def test_mismatched_params_file_is_usage_error(runner, q4_file, tmp_path, argv):
                          ids=["inexact-float", "exact-float", "boolean"])
 @pytest.mark.parametrize("argv", [
     ["uniform", "--verify"],
-    ["modules", "--params"],
+    ["candidate", "--params"],
     ["pipeline", "--verify-uniform"],
 ])
 def test_params_file_rejects_floats_and_booleans(runner, q4_file, tmp_path,
@@ -393,7 +373,7 @@ def test_params_file_must_be_an_object_with_every_key(runner, q4_file,
     assert f"error: bad parameter file {pfile}: {reason}" in res.stderr
 
 
-@pytest.mark.parametrize("sub", ["uniform", "modules", "pipeline"])
+@pytest.mark.parametrize("sub", ["uniform", "pipeline"])
 def test_single_vertex_fit_is_usage_error(runner, tmp_path, sub):
     src = tmp_path / "k1.el"
     src.write_text("1 0\n")
@@ -489,19 +469,6 @@ def test_pipeline_computes_each_artifact_once(runner, q4_file, workdir,
             "fit_uniform_constant", "decompose_modules")}
         n = data["graph"]["n"]
         assert (n, n) not in shapes
-    # qcheck is a view over the same artifacts: the modules once, and
-    # the spectrum and the pattern from them
-    counts.clear()
-    solved.clear()
-    res = runner.invoke(main, ["qcheck", str(workdir / "c32fb.el")])
-    assert res.exit_code == 0
-    assert sorted(solved) == expected
-    assert counts.pop("solve_x_scalars") == len(expected)
-    assert counts.pop("_level_equations") == data["epsilon"]
-    assert counts.pop("verify_uniform") == 2  # the CLI's, then the modules'
-    assert counts == {name: 1 for name in (
-        "spectrum_exact", "_module_spectrum", "verify_relation",
-        "fit_uniform_constant", "decompose_modules")}
 
 
 def _random_tree(n: int, seed: int) -> Graph:
@@ -515,8 +482,8 @@ def _random_tree(n: int, seed: int) -> Graph:
 ], ids=["tree7", "tree400"])
 def test_no_modules_no_gram_block(runner, tmp_path, monkeypatch, graph):
     # a tree has no uniform structure, so no thin modules certify, and
-    # pipeline and qcheck report no spectrum: neither forms a Gram block
-    # nor takes its charpoly, which only the spectrum view does
+    # pipeline reports no spectrum: it forms no Gram block and takes no
+    # charpoly, which only the spectrum view does
     calls = []
 
     def counting(name, fn):
@@ -531,13 +498,12 @@ def test_no_modules_no_gram_block(runner, tmp_path, monkeypatch, graph):
         _patch_everywhere(monkeypatch, orig, counting(attr, orig))
     path = tmp_path / "tree.el"
     path.write_text(format_edge_list(graph))
-    for argv in (["pipeline"], ["pipeline", "--fb"], ["qcheck"]):
-        res = runner.invoke(main, [argv[0], str(path), *argv[1:]])
+    for extra in ([], ["--fb"]):
+        res = runner.invoke(main, ["pipeline", str(path), *extra])
         assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
-        assert calls == [], argv
-        if argv[0] == "pipeline":
-            data = json.loads(res.stdout)
-            assert data["skipped"]["spectrum"] == "no module decomposition"
+        assert calls == [], extra
+        data = json.loads(res.stdout)
+        assert data["skipped"]["spectrum"] == "no module decomposition"
     res = runner.invoke(main, ["spectrum", str(path)])
     assert res.exit_code == 1  # the squared spectrum is not rational
     assert calls == ["_gram", "charpoly_mod"]
@@ -546,7 +512,7 @@ def test_no_modules_no_gram_block(runner, tmp_path, monkeypatch, graph):
 def test_invalid_parameter_matrix_is_no_uniform_structure(runner, tmp_path):
     # on P_5 at base 0 both fits satisfy the identity, yet neither is a
     # uniform structure: the constant fit has e-_2 = e+_1 = 0, and the
-    # per-level fit a singular principal block; every command rejects it
+    # per-level fit a singular principal block; both views reject it
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     path = tmp_path / "p5.el"
     path.write_text(format_edge_list(g))
@@ -562,9 +528,6 @@ def test_invalid_parameter_matrix_is_no_uniform_structure(runner, tmp_path):
     data = json.loads(res.stdout)["uniform"]
     assert data["feasible"] and not data["verified"]
     assert data["invalid"] == reason
-    res = runner.invoke(main, ["modules", str(path)])
-    assert res.exit_code == 1
-    assert reason in json.loads(res.stdout)["error"]
     # a structure of the same identity that meets the conditions
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"e_minus": [0, 1, 1, 1],
@@ -622,16 +585,11 @@ def test_pattern_rejection_is_structured(runner, workdir, monkeypatch,
     if corrupt is _swap_multiplicities:
         assert "qcheck" not in data["skipped"]
         assert "disagree" in data["ordering"]["error"]
-        error = data["ordering"]["error"]
     else:
-        error = "module dimensions sum to 134, expected 135"
-        assert data["spectrum"] == {"error": error}
+        assert data["spectrum"] == {
+            "error": "module dimensions sum to 134, expected 135"}
         assert data["skipped"] == {"qcheck": "no spectrum"}
         assert "ordering" not in data
-    res = runner.invoke(main, ["qcheck", path])
-    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
-    data = json.loads(res.stdout)
-    assert data["candidate"]["verified"] and data["error"] == error
 
 
 @pytest.mark.parametrize("stage, target, reason", [
@@ -656,14 +614,11 @@ def test_failed_stage_skips_qcheck(runner, workdir, monkeypatch, stage,
     if stage == "modules":
         skipped["spectrum"] = reason
     assert data["skipped"] == skipped and "ordering" not in data
-    res = runner.invoke(main, ["qcheck", path])
-    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
-    assert json.loads(res.stdout)["error"] == "stage failed"
 
 
 def test_refuted_candidate_skips_qcheck(runner, workdir, monkeypatch):
     # an accepted candidate whose relation check fails is no verified
-    # candidate: neither command checks orderings for it, and both exit 1
+    # candidate: pipeline checks no orderings for it, and exits 1
     from uniformq import cli
 
     monkeypatch.setattr(cli, "verify_relation", lambda split, cand: (3, 0))
@@ -674,12 +629,6 @@ def test_refuted_candidate_skips_qcheck(runner, workdir, monkeypatch):
     assert data["candidate"]["verified"] is False
     assert data["skipped"] == {"qcheck": "no verified candidate"}
     assert "ordering" not in data
-    res = runner.invoke(main, ["qcheck", path])
-    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
-    data = json.loads(res.stdout)
-    assert data["candidate"]["verified"] is False
-    assert data["skipped"] == "no verified candidate"
-    assert "orderings" not in data
 
 
 def test_bipartite_pipeline_works_on_colour_class_blocks(runner, q4_file,
@@ -708,16 +657,14 @@ def test_bipartite_pipeline_works_on_colour_class_blocks(runner, q4_file,
     assert calls == []
 
 
-# every option a caller sets, 27 in all, and no other: a new one shows up
+# every option a caller sets, 21 in all, and no other: a new one shows up
 # here as a deliberate diff
 OPTIONS = {
     "gen": ["--b", "--D", "--n", "-o/--out", "--labels"],
     "fb": ["--base", "-o/--out"],
     "uniform": ["--base", "--verify", "-o/--out"],
     "candidate": ["--base", "--params", "-o/--out"],
-    "modules": ["--base", "--params", "-o/--out"],
     "spectrum": ["-o/--out"],
-    "qcheck": ["--base", "--ordering", "-o/--out"],
     "pipeline": ["--base", "--fb", "--verify-uniform", "--qcheck",
                  "--no-spectrum", "--timings", "-o/--out"],
 }

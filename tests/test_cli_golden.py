@@ -57,10 +57,7 @@ COMMANDS = [
     ("uniform", "--verify", "params.json"),
     ("candidate",),
     ("candidate", "--params", "params.json"),
-    ("modules",),
-    ("modules", "--params", "params.json"),
     ("spectrum",),
-    ("qcheck", "--ordering", "even-odd"),
     ("pipeline",),
     ("pipeline", "--no-spectrum"),
     ("pipeline", "--qcheck", "natural"),

@@ -2,8 +2,7 @@
 view and ``pipeline`` both report a section, they report the same one.
 
 Each instance of the golden reports, and the C_3(2) full bipartite
-graph, runs ``pipeline`` once per ``--qcheck`` ordering and every view
-once (``qcheck`` once per ``--ordering``); the sections both sides
+graph, runs ``pipeline`` and every view once; the sections both sides
 produce are compared, and the set of compared sections is pinned per
 instance, so that a view that stops producing one fails too.
 """
@@ -23,21 +22,22 @@ from uniformq.graphs import format_edge_list, full_bipartite
 GRAPHS = {name: build for name, (build, _) in INSTANCES.items()}
 GRAPHS["c32fb"] = lambda: full_bipartite(dual_polar(FormSpec("C", 3, 2))[0], 0)
 
-ORDERINGS = ["both", "even-odd", "odd-even", "natural"]
-
-# the sections each instance's views share with its pipeline: cycle6's
-# candidate is rejected and C_2(3) fb has eccentricity 2, so neither
-# reaches the ordering check; tree7 has no uniform structure, so no view
-# shares a section with it
-ALL = {"candidate", "modules", "uniform", "spectrum", "orderings"}
+# the sections each instance's views share with its pipeline: C_2(3) fb
+# has eccentricity 2, so it reaches no candidate; tree7 has no uniform
+# structure, so it has no modules and no spectrum
+ALL = {"candidate", "uniform", "spectrum"}
 COMPARED = {
-    "cycle6": {"candidate", "modules", "uniform", "spectrum"},
-    "tree7": set(),
+    "cycle6": ALL,
+    "tree7": {"uniform"},
     "q4": ALL,
-    "c23fb": {"modules", "uniform", "spectrum"},
+    "c23fb": {"uniform", "spectrum"},
     "h43fb": ALL,
     "c32fb": ALL,
 }
+
+# the keys of the uniform section that only one side reports
+PIPELINE_ONLY = {"source"}
+VIEW_ONLY = {"feasible", "per_level", "constant"}
 
 
 def _report(*args) -> dict:
@@ -46,14 +46,24 @@ def _report(*args) -> dict:
     return json.loads(res.stdout)
 
 
+def _without(section: dict, keys: set) -> dict:
+    return {k: v for k, v in section.items() if k not in keys}
+
+
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_views_agree_with_pipeline(name, tmp_path):
     path = tmp_path / "g.el"
     path.write_text(format_edge_list(GRAPHS[name]()))
     graph = str(path)
-    piped = {x: _report("pipeline", graph, "--qcheck", x) for x in ORDERINGS}
-    full = piped["both"]
-    compared = set()
+    full = _report("pipeline", graph)
+    compared = {"uniform"}
+
+    view = _report("uniform", graph)
+    assert (view["epsilon"], view["levels"]) == (full["epsilon"],
+                                                 full["levels"])
+    assert VIEW_ONLY <= set(view["uniform"])
+    assert (_without(view["uniform"], VIEW_ONLY)
+            == _without(full["uniform"], PIPELINE_ONLY))
 
     view = _report("candidate", graph)
     assert ("candidate" in full) == ("skipped" not in view)
@@ -61,27 +71,10 @@ def test_views_agree_with_pipeline(name, tmp_path):
         assert view == full["candidate"]
         compared.add("candidate")
 
-    view = _report("modules", graph)
-    assert ("modules" in view) == isinstance(full.get("modules"), list)
-    if "modules" in view:
-        assert view["modules"] == full["modules"]
-        assert (view["epsilon"], view["levels"]) == (full["epsilon"],
-                                                     full["levels"])
-        uniform = dict(full["uniform"])
-        del uniform["source"]
-        assert view["uniform"] == uniform
-        compared |= {"modules", "uniform"}
-        # the spectrum view takes the dense route; the pipeline reads
-        # its spectrum off the certified modules
+    # the spectrum view takes the dense route; the pipeline reads its
+    # spectrum off the certified modules
+    if isinstance(full.get("modules"), list):
         assert _report("spectrum", graph) == full["spectrum"]
         compared.add("spectrum")
-
-    for x in ORDERINGS:
-        view = _report("qcheck", graph, "--ordering", x)
-        assert ("orderings" in view) == ("ordering" in piped[x])
-        if "orderings" in view:
-            assert view["orderings"] == piped[x]["ordering"]
-            assert view["candidate"] == piped[x]["candidate"]
-            compared.add("orderings")
 
     assert compared == COMPARED[name]

@@ -826,8 +826,8 @@ def test_q_ordering_validation(c32_pattern):
 
 
 def test_ordering_report_json(c32_fb):
-    # the qcheck report builds each ordering's section from the
-    # violation that check_q_ordering returns
+    # the pipeline's ordering report builds each ordering's section from
+    # the violation that check_q_ordering returns
     from uniformq.cli import _Instance
 
     reports, ok = _Instance(c32_fb, 0).orderings("natural")

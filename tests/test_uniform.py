@@ -1068,9 +1068,9 @@ def test_decompose_rejects_a_broken_eigenspace_split(perturb, message,
     assert message in str(exc.value)
     path = tmp_path / "c32fb.el"
     path.write_text(format_edge_list(c32_fb))
-    res = CliRunner().invoke(main, ["modules", str(path)])
+    res = CliRunner().invoke(main, ["pipeline", str(path)])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
-    assert message in json.loads(res.stdout)["error"]
+    assert message in json.loads(res.stdout)["modules"]["error"]
 
 
 def test_decompose_rejects_a_corrupted_raised_vector(c32_split, dp_params,

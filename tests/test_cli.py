@@ -85,6 +85,22 @@ def test_gen_missing_param_exit2(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["hypercube", "--D", "3", "--b", "5", "--n", "7"], "--b"),
+    (["hypercube", "--D", "3", "--n", "7"], "--n"),
+    (["dual-polar-C", "--b", "2", "--D", "3", "--n", "9"], "--n"),
+    (["hamming", "--D", "3", "--n", "3", "--b", "5"], "--b"),
+], ids=["hypercube-b", "hypercube-n", "dual-polar-n", "hamming-b"])
+def test_gen_rejects_an_option_its_family_does_not_take(runner, tmp_path,
+                                                        args, flag):
+    # an ignored option would write another graph than the one asked for
+    out = tmp_path / "g.el"
+    res = runner.invoke(main, ["gen", *args, "-o", str(out)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stderr == f"error: {args[0]} takes no {flag}\n"
+    assert not out.exists()
+
+
 def test_gen_hypercube_small_d_names_only_d(runner):
     # the hypercube has no --n, so its message names D alone
     res = runner.invoke(main, ["gen", "hypercube", "--D", "0"])

@@ -48,8 +48,9 @@ theta*), so the pattern needs O(d) work per pair of eigenvalues and
 type, whatever n.  It is the pattern of ``pipeline``.  It checks the
 modules' eigenvalue counts against the spectrum's multiplicities.  In
 ``pipeline`` that check holds by construction: the pattern needs the
-modules, and with modules the spectrum is read off them.  The dense spectrum is checked against the
-module route by the tests' twin and by the CI run on C_3(3).
+modules, and with modules the spectrum is read off them.  The dense
+spectrum is checked against the module route by the tests' twin and by
+the CI run on C_3(3).
 
 The dense twin that the tests compare ``module_pattern`` with builds
 its own data from the split: ``_spectral_projectors`` forms the integer

@@ -132,10 +132,10 @@ def main() -> None:
               help="Write vertex labels (subspace bases / words) as JSON.")
 def gen(family, field, diameter, alphabet, out, labels) -> None:
     """Generate a named graph family as an edge list."""
-    takes = {"hypercube": (), "hamming": ("--n",)}.get(family, ("--b",))
-    for flag, value in [("--b", field), ("--n", alphabet)]:
-        if value is not None and flag not in takes:
-            _fail_usage(f"{family} takes no {flag}")
+    if field is not None and not family.startswith("dual-polar"):
+        _fail_usage(f"{family} takes no --b")
+    if alphabet is not None and family != "hamming":
+        _fail_usage(f"{family} takes no --n")
     try:
         if family in ("dual-polar-C", "dual-polar-B"):
             if field is None:

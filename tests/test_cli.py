@@ -308,14 +308,16 @@ def q4_file(tmp_path):
     ["uniform", "--verify"],
     ["candidate", "--params"],
     ["pipeline", "--verify-uniform"],
+    ["pipeline", "--no-spectrum", "--verify-uniform"],
 ])
 def test_mismatched_params_file_is_usage_error(runner, q4_file, tmp_path, argv):
-    # two levels of parameters against eccentricity 4
+    # two levels of parameters against eccentricity 4; the file is read
+    # and refused even when the later pipeline stages are disabled
     pfile = tmp_path / "p2.json"
     pfile.write_text(json.dumps(
         {"e_minus": ["0", "-1/2"], "e_plus": ["-1/2", "0"], "f": ["1", "1"]}))
-    sub, flag = argv
-    res = runner.invoke(main, [sub, str(q4_file), flag, str(pfile)])
+    sub, *opts, flag = argv
+    res = runner.invoke(main, [sub, str(q4_file), *opts, flag, str(pfile)])
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert res.stdout == ""

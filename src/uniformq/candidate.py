@@ -36,18 +36,16 @@ A (A* A - A A*) A, one more application of A after A^2.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graphs import BaseContext, Graph, LFRSplit
 from .scalars import QuadExt, exact_sqrt, is_rational, scalar_to_json
 from .uniform import UniformParams, _equation_table, _require_bipartite
 
 
-@dataclass(frozen=True)
-class DualCandidate:
+class DualCandidate(NamedTuple):
     theta_star: tuple
     beta: Fraction
     gamma: Fraction
@@ -224,8 +222,7 @@ def verify_relation(split: LFRSplit, cand: DualCandidate
 # -- synthesis from a uniform structure ---------------------------------------
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     candidate: Optional[DualCandidate]
     rejected_step: Optional[int] = None
     reason: Optional[str] = None

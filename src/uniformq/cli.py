@@ -16,6 +16,10 @@ independent cross-check of the module spectrum.  ``_attempt`` is the
 one boundary at which a mathematical rejection becomes a report, and
 ``_finish`` emits it and exits.
 
+The command line is parsed by argparse, so the package needs no
+third-party module to run.  Every parser refuses abbreviated options
+and takes --help alone, with no -h.
+
 Exit codes: 0 when every requested check passes (``pipeline``'s clean
 stage skips included; ``candidate`` exits 1 when it skips synthesis),
 1 when a stage produces a mathematical fail or rejection, 2 for usage
@@ -25,12 +29,11 @@ included only with --timings since they cannot be.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
 from functools import cached_property
-
-import click
 
 from .candidate import candidate_search, verify_relation
 from .generators import FormSpec, SizeCapError, dual_polar, hamming, hypercube
@@ -66,7 +69,7 @@ GRAM_CAP = 400
 
 
 def _fail_usage(message: str):
-    click.echo(f"error: {message}", err=True)
+    sys.stderr.write(f"error: {message}\n")
     sys.exit(USAGE_ERROR)
 
 
@@ -74,7 +77,7 @@ def _write(text: str, out) -> None:
     """Write text to the file out, or to standard output when out is
     None; a file that cannot be written is an I/O error."""
     if not out:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         return
     try:
         with open(out, "w") as fh:
@@ -111,25 +114,43 @@ def _load_graph(path: str):
         _fail_usage(f"bad edge list {path}: {exc}")
 
 
-@click.group()
-def main() -> None:
-    """Exact toolkit for uniform structures, dual adjacency matrix
-    candidates and Q-polynomial certification on bipartite graphs."""
+# subcommand name -> (function, arguments), each argument the positional
+# and keyword arguments of one ``add_argument`` call
+_COMMANDS = {}
 
 
-@main.command()
-@click.argument("family",
-                type=click.Choice(["dual-polar-C", "dual-polar-B",
-                                   "hypercube", "hamming"]))
-@click.option("--b", "field", type=int, default=None,
-              help="Field size (prime) for dual polar families.")
-@click.option("--D", "diameter", type=int, required=True,
-              help="Diameter / word length.")
-@click.option("--n", "alphabet", type=int, default=None,
-              help="Alphabet size for the hamming family.")
-@click.option("-o", "--out", type=click.Path(), default=None)
-@click.option("--labels", type=click.Path(), default=None,
-              help="Write vertex labels (subspace bases / words) as JSON.")
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+def _command(*arguments):
+    """Register the decorated function as the subcommand of its name;
+    it is called with the parsed arguments as keywords."""
+    def register(run):
+        _COMMANDS[run.__name__] = (run, arguments)
+        return run
+    return register
+
+
+_INPUT = _arg("input", help="Edge list file.")
+_BASE = _arg("--base", type=int, default=0,
+             help="Base vertex (default: %(default)s).")
+_OUT = _arg("-o", "--out", help="Write the output to this file.")
+
+
+@_command(
+    _arg("family", choices=["dual-polar-C", "dual-polar-B", "hypercube",
+                            "hamming"]),
+    _arg("--b", dest="field", type=int,
+         help="Field size (prime) for dual polar families."),
+    _arg("--D", dest="diameter", type=int, required=True,
+         help="Diameter / word length."),
+    _arg("--n", dest="alphabet", type=int,
+         help="Alphabet size for the hamming family."),
+    _OUT,
+    _arg("--labels",
+         help="Write vertex labels (subspace bases / words) as JSON."),
+)
 def gen(family, field, diameter, alphabet, out, labels) -> None:
     """Generate a named graph family as an edge list."""
     if field is not None and not family.startswith("dual-polar"):
@@ -155,10 +176,7 @@ def gen(family, field, diameter, alphabet, out, labels) -> None:
         _write(json.dumps(label_table, sort_keys=True) + "\n", labels)
 
 
-@main.command()
-@click.argument("input", type=click.Path())
-@click.option("--base", type=int, default=0, show_default=True)
-@click.option("-o", "--out", type=click.Path(), default=None)
+@_command(_INPUT, _BASE, _OUT)
 def fb(input, base, out) -> None:
     """Full bipartite transform: drop edges within a level of the base."""
     g = _load_graph(input)
@@ -326,23 +344,25 @@ def _open(input, base, params_file=None) -> _Instance:
 
 
 def _candidate_section(inst: _Instance) -> dict:
-    """The candidate report, or why synthesis was skipped."""
-    eps = inst.ctx.eccentricity
+    """The candidate report, or why synthesis was skipped.  The
+    parameters are read first, so a bad parameter file is a usage error
+    at every eccentricity, as in the other views."""
+    params, eps = inst.params, inst.ctx.eccentricity
     if eps < 3:
         return {"skipped": _EPS_SKIP.format(eps)}
-    if inst.params is None:
+    if params is None:
         return {"skipped": "no uniform structure exists"}
     if not inst.check.passed:
         return {"skipped": "uniform parameters do not verify"}
     return inst.candidate
 
 
-@main.command()
-@click.argument("input", type=click.Path())
-@click.option("--base", type=int, default=0, show_default=True)
-@click.option("--verify", "params_file", type=click.Path(), default=None,
-              help="Verify the parameters in this JSON file instead.")
-@click.option("-o", "--out", type=click.Path(), default=None)
+@_command(
+    _INPUT, _BASE,
+    _arg("--verify", dest="params_file",
+         help="Verify the parameters in this JSON file instead."),
+    _OUT,
+)
 def uniform(input, base, params_file, out) -> None:
     """Fit or verify a uniform structure."""
     inst = _open(input, base, params_file)
@@ -366,21 +386,19 @@ def uniform(input, base, params_file, out) -> None:
     _finish(dict(inst.levels_report(), uniform=section), inst.verified, out)
 
 
-@main.command()
-@click.argument("input", type=click.Path())
-@click.option("--base", type=int, default=0, show_default=True)
-@click.option("--params", "params_file", type=click.Path(), default=None,
-              help="Uniform parameters JSON; fitted from the graph if omitted.")
-@click.option("-o", "--out", type=click.Path(), default=None)
+@_command(
+    _INPUT, _BASE,
+    _arg("--params", dest="params_file",
+         help="Uniform parameters JSON; fitted from the graph if omitted."),
+    _OUT,
+)
 def candidate(input, base, params_file, out) -> None:
     """Synthesise a dual adjacency matrix candidate and verify it."""
     report = _candidate_section(_open(input, base, params_file))
     _finish(report, report.get("verified"), out)
 
 
-@main.command()
-@click.argument("input", type=click.Path())
-@click.option("-o", "--out", type=click.Path(), default=None)
+@_command(_INPUT, _OUT)
 def spectrum(input, out) -> None:
     """Exact adjacency spectrum of a bipartite graph over Q(sqrt(m)),
     by the dense route; a Gram block over GRAM_CAP is a usage error."""
@@ -393,21 +411,21 @@ def spectrum(input, out) -> None:
             out)
 
 
-@main.command()
-@click.argument("input", type=click.Path())
-@click.option("--base", type=int, default=0, show_default=True)
-@click.option("--fb", "apply_fb", is_flag=True,
-              help="Apply the full bipartite transform before the pipeline.")
-@click.option("--verify-uniform", "params_file", type=click.Path(),
-              default=None, help="Verify these parameters instead of fitting.")
-@click.option("--qcheck", "ordering_name", default="both",
-              type=click.Choice(["both", "even-odd", "odd-even", "natural"]),
-              show_default=True)
-@click.option("--no-spectrum", is_flag=True,
-              help="Skip the spectrum and ordering stages.")
-@click.option("--timings", is_flag=True,
-              help="Include wall-clock stage timings (breaks byte determinism).")
-@click.option("-o", "--out", type=click.Path(), default=None)
+@_command(
+    _INPUT, _BASE,
+    _arg("--fb", dest="apply_fb", action="store_true",
+         help="Apply the full bipartite transform before the pipeline."),
+    _arg("--verify-uniform", dest="params_file",
+         help="Verify these parameters instead of fitting."),
+    _arg("--qcheck", dest="ordering_name", default="both",
+         choices=["both", "even-odd", "odd-even", "natural"],
+         help="Orderings to check (default: %(default)s)."),
+    _arg("--no-spectrum", action="store_true",
+         help="Skip the spectrum and ordering stages."),
+    _arg("--timings", action="store_true",
+         help="Include wall-clock stage timings (breaks byte determinism)."),
+    _OUT,
+)
 def pipeline(input, base, apply_fb, params_file, ordering_name,
              no_spectrum, timings, out) -> None:
     """Run the full chain: uniform -> candidate -> modules -> spectrum ->
@@ -488,6 +506,47 @@ def pipeline(input, base, apply_fb, params_file, ordering_name,
         report["timings"] = clock
     _finish(report, all(passed.values()), out)
 
+
+def _new_parser(make, *args, **kwargs) -> argparse.ArgumentParser:
+    """make(*args, **kwargs), a parser that refuses abbreviated options
+    and takes --help alone: -h is a usage error."""
+    parser = make(*args, allow_abbrev=False, add_help=False, **kwargs)
+    parser.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+    return parser
+
+
+def _parsers(prog: str) -> tuple[argparse.ArgumentParser, dict]:
+    """The command-line parser, and the parser of each subcommand by
+    name; a parsed command line carries its subcommand's function as
+    ``run``."""
+    parser = _new_parser(argparse.ArgumentParser, prog=prog,
+                         description=main.__doc__.partition("\n\n")[0])
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (run, arguments) in _COMMANDS.items():
+        sub = _new_parser(commands.add_parser, name,
+                          help=run.__doc__.partition(".")[0],
+                          description=run.__doc__)
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(run=run)
+    return parser, commands.choices
+
+
+def main(args=None, prog_name: str = "uniformq") -> None:
+    """Exact toolkit for uniform structures, dual adjacency matrix
+    candidates and Q-polynomial certification on bipartite graphs.
+
+    Runs the command line args (default ``sys.argv[1:]``); a usage
+    error exits 2."""
+    options = vars(_parsers(prog_name)[0].parse_args(args))
+    options.pop("run")(**options)
+
+
+# the attributes through which click.testing.CliRunner, which the tests
+# use, invokes a command
+main.main = main
+main.name = "uniformq"
 
 if __name__ == "__main__":
     main()

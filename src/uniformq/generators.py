@@ -41,7 +41,6 @@ canonical order for reproducibility.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from math import prod
@@ -72,21 +71,38 @@ def _check_size(name: str, factors) -> int:
     return count
 
 
-@dataclass(frozen=True)
 class FormSpec:
-    family: str  # "C" (symplectic) or "B" (odd-dimensional quadratic)
-    D: int
-    p: int
+    """The form of a dual polar graph: family "C" (symplectic) or "B"
+    (odd-dimensional quadratic), diameter D and prime field size p.  A
+    value: equal and hashable by its three fields, which nothing assigns
+    after construction."""
 
-    def __post_init__(self):
-        if self.family not in ("C", "B"):
-            raise ValueError(f"unsupported family {self.family!r}")
-        if self.D < 2:
+    __slots__ = ("family", "D", "p")
+
+    def __init__(self, family: str, D: int, p: int):
+        if family not in ("C", "B"):
+            raise ValueError(f"unsupported family {family!r}")
+        if D < 2:
             raise ValueError("need diameter D >= 2")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime (prime fields only)")
-        if self.family == "B" and self.p == 2:
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime (prime fields only)")
+        if family == "B" and p == 2:
             raise ValueError("family B requires an odd prime")
+        self.family, self.D, self.p = family, D, p
+
+    def _key(self) -> tuple:
+        return self.family, self.D, self.p
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"FormSpec(family={self.family!r}, D={self.D!r}, p={self.p!r})"
 
     @property
     def dim(self) -> int:

@@ -61,7 +61,6 @@ eigenspace bases from them.  None of these lies on the certified path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
@@ -178,8 +177,7 @@ _IRRATIONAL = ("squared spectrum is not rational; this lies outside the "
                "supported scalar fields")
 
 
-@dataclass
-class Spectrum:
+class Spectrum(NamedTuple):
     eigenvalues: list[tuple[Scalar, int]]  # (value, multiplicity), descending
     radicand: int  # 1 when the spectrum is rational
 

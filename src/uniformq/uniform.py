@@ -41,11 +41,10 @@ diameter 0 are counted, not built (``decompose_modules``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import LFRSplit
 from .linalg import (
@@ -59,22 +58,20 @@ from .poly import linear_product
 from .scalars import rational_power, scalar_to_json
 
 
-@dataclass(frozen=True)
 class UniformParams:
     """Per-level scalars, stored 1-based: position k holds level k+1.
 
     e_minus covers levels 1..eps with e_minus[0] = 0 by convention;
     e_plus covers levels 1..eps with e_plus[eps-1] = 0 by convention;
-    f covers levels 1..eps.
+    f covers levels 1..eps.  A value: equal and hashable by its three
+    tuples, which nothing assigns after construction.
     """
 
-    e_minus: tuple
-    e_plus: tuple
-    f: tuple
+    __slots__ = ("e_minus", "e_plus", "f")
 
-    def __post_init__(self):
-        for name in ("e_minus", "e_plus", "f"):  # tuples keep it hashable
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+    def __init__(self, e_minus, e_plus, f):
+        # tuples keep it hashable
+        self.e_minus, self.e_plus, self.f = map(tuple, (e_minus, e_plus, f))
         eps = len(self.f)
         if eps < 1:
             raise ValueError("need eps >= 1")
@@ -84,6 +81,21 @@ class UniformParams:
             raise ValueError("convention e-_1 = 0 violated")
         if self.e_plus[eps - 1] != 0:
             raise ValueError("convention e+_eps = 0 violated")
+
+    def _key(self) -> tuple:
+        return self.e_minus, self.e_plus, self.f
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"UniformParams(e_minus={self.e_minus!r}, "
+                f"e_plus={self.e_plus!r}, f={self.f!r})")
 
     @property
     def eps(self) -> int:
@@ -262,8 +274,7 @@ def _unpack(key: int, shift: int) -> tuple:
             -(key >> 2 * shift & mask))
 
 
-@dataclass
-class UniformCheck:
+class UniformCheck(NamedTuple):
     passed: bool
     level: Optional[int] = None
     witness: Optional[int] = None  # basis vertex whose column fails
@@ -300,8 +311,7 @@ def verify_uniform(split: LFRSplit, params: UniformParams) -> UniformCheck:
     return UniformCheck(reason is None, reason=reason)
 
 
-@dataclass
-class UniformFit:
+class UniformFit(NamedTuple):
     # level i at index i - 1: solve_linear's (particular, basis) for
     # (e-_i, e+_i, f_i), or None when the level has no solution
     levels: list[Optional[tuple]]
@@ -401,8 +411,7 @@ def closed_form_x(b, e, D: int, d: int, i: int) -> Fraction:
 # -- thin module decomposition ---------------------------------------------------
 
 
-@dataclass
-class TModule:
+class TModule(NamedTuple):
     """A thin module as its raised chain: ``basis[i]`` is R^i w_r, a
     vector over the coordinates of level r+i, listed in
     ``ctx.levels[r + i]`` order, for an integer generator w_r.  It is
@@ -415,8 +424,7 @@ class TModule:
     x_scalars: list[Fraction]  # x_{r+1} .. x_{r+d}
 
 
-@dataclass
-class Decomposition:
+class Decomposition(NamedTuple):
     """The built chains, ordered by endpoint, then by diameter, and the
     modules that are counted rather than built: ``counted[r]`` modules of
     type (r, 0).  ``decompose_modules`` builds the chains of diameter

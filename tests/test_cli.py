@@ -3,11 +3,10 @@ import json
 import random
 import sys
 
-import click
 import pytest
 from click.testing import CliRunner
 
-from uniformq.cli import main
+from uniformq.cli import _parsers, main
 from uniformq.graphs import Graph, format_edge_list, parse_edge_list
 
 
@@ -270,12 +269,14 @@ def test_pipeline_missing_file(runner):
     assert res.exit_code == 2
 
 
+# the argv parametrisations below carry fixed ids, so that deleting a
+# case renames no other; they keep the names that their positions gave
 @pytest.mark.parametrize("argv", [
     ["gen", "hypercube", "--D", "3", "-o", "{bad}"],
     ["gen", "hypercube", "--D", "3", "--labels", "{bad}"],
     ["fb", "{c6}", "-o", "{bad}"],
     ["pipeline", "{c6}", "-o", "{bad}"],
-])
+], ids=["argv0", "argv1", "argv2", "argv3"])
 def test_unwritable_output_is_io_error(runner, tmp_path, cycle6, argv):
     # a file in a missing directory: exit 2 and one line, not a traceback
     src = tmp_path / "c6.el"
@@ -309,7 +310,7 @@ def q4_file(tmp_path):
     ["candidate", "--params"],
     ["pipeline", "--verify-uniform"],
     ["pipeline", "--no-spectrum", "--verify-uniform"],
-])
+], ids=["argv0", "argv1", "argv2", "argv3"])
 def test_mismatched_params_file_is_usage_error(runner, q4_file, tmp_path, argv):
     # two levels of parameters against eccentricity 4; the file is read
     # and refused even when the later pipeline stages are disabled
@@ -331,7 +332,7 @@ def test_mismatched_params_file_is_usage_error(runner, q4_file, tmp_path, argv):
     ["uniform", "--verify"],
     ["candidate", "--params"],
     ["pipeline", "--verify-uniform"],
-])
+], ids=["argv0", "argv1", "argv2"])
 def test_params_file_rejects_floats_and_booleans(runner, q4_file, tmp_path,
                                                  argv, value):
     # -0.1 would read as -3602879701896397/36028797018963968 and true as
@@ -375,7 +376,7 @@ def test_params_file_zero_denominator_is_usage_error(runner, q4_file,
 @pytest.mark.parametrize("argv", [
     ["uniform", "--verify"],
     ["pipeline", "--verify-uniform"],
-])
+], ids=["argv0", "argv1"])
 def test_params_file_must_be_an_object_with_every_key(runner, q4_file,
                                                       tmp_path, argv,
                                                       content, reason):
@@ -391,7 +392,32 @@ def test_params_file_must_be_an_object_with_every_key(runner, q4_file,
     assert f"error: bad parameter file {pfile}: {reason}" in res.stderr
 
 
-@pytest.mark.parametrize("sub", ["uniform", "pipeline"])
+@pytest.mark.parametrize("argv", [
+    ["uniform", "--verify"],
+    ["candidate", "--params"],
+    ["pipeline", "--verify-uniform"],
+], ids=["uniform-verify", "candidate-params", "pipeline-verify-uniform"])
+def test_bad_params_file_is_usage_error_below_eccentricity_3(runner, tmp_path,
+                                                             argv):
+    # C_2(3) fb has eccentricity 2, where candidate synthesis is skipped;
+    # the parameter file is read, and refused, before that skip
+    from uniformq.generators import FormSpec, dual_polar
+    from uniformq.graphs import full_bipartite
+
+    src = tmp_path / "c23fb.el"
+    src.write_text(format_edge_list(
+        full_bipartite(dual_polar(FormSpec("C", 2, 3))[0], 0)))
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"e_minus": [0.5]}))
+    sub, flag = argv
+    res = runner.invoke(main, [sub, str(src), flag, str(pfile)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr == (f"error: bad parameter file {pfile}: parameters "
+                          "lack the key(s) e_plus, f\n")
+
+
+@pytest.mark.parametrize("sub", ["uniform", "candidate", "pipeline"])
 def test_single_vertex_fit_is_usage_error(runner, tmp_path, sub):
     src = tmp_path / "k1.el"
     src.write_text("1 0\n")
@@ -574,8 +600,6 @@ def _drop_last_module(monkeypatch):
 def _swap_multiplicities(monkeypatch):
     """Give the spectrum its values with the first two multiplicities
     swapped."""
-    from dataclasses import replace
-
     from uniformq import cli
 
     real = cli.spectrum_exact
@@ -583,7 +607,7 @@ def _swap_multiplicities(monkeypatch):
     def swapped(split, decomposition=None):
         spec = real(split, decomposition)
         (v0, m0), (v1, m1), *rest = spec.eigenvalues
-        return replace(spec, eigenvalues=[(v0, m1), (v1, m0), *rest])
+        return spec._replace(eigenvalues=[(v0, m1), (v1, m0), *rest])
 
     monkeypatch.setattr(cli, "spectrum_exact", swapped)
 
@@ -689,6 +713,7 @@ OPTIONS = {
 
 
 def test_cli_options_are_pinned():
-    assert {name: ["/".join(p.opts) for p in cmd.params
-                   if isinstance(p, click.Option)]
-            for name, cmd in main.commands.items()} == OPTIONS
+    _, commands = _parsers("uniformq")
+    assert {name: ["/".join(a.option_strings) for a in parser._actions
+                   if a.option_strings and a.option_strings != ["--help"]]
+            for name, parser in commands.items()} == OPTIONS

@@ -245,15 +245,15 @@ class SearchResult(NamedTuple):
         }
 
 
-def candidate_search(params: UniformParams, theta0=Fraction(-1),
-                     theta1=Fraction(0)) -> SearchResult:
+def candidate_search(params: UniformParams) -> SearchResult:
     """Six-step candidate synthesis from a uniform structure, in terms of
     the ratios F(i) = -(e+_i - 1)/(e-_{i+1} - 1), 1 <= i <= eps-1:
 
     1. beta + 1 = (e-_{i+1}-1)(e+_i-1)/(1 - e+_i e-_{i+1}) is the same
        at every level i, and beta is outside {-2, -1};
-    2. build the theta* ladder theta*_{i+1} = theta*_1 + (theta*_1 -
-       theta*_0) sum_{j=1}^{i} (-1)^j F(1) ... F(j);
+    2. build the theta* ladder theta*_{i+1} = sum_{j=1}^{i} (-1)^j
+       F(1) ... F(j) under the normalisation theta*_0 = -1, theta*_1 = 0
+       of ``closed_form_theta``;
     3. the theta* values are mutually distinct;
     4. the compatibility identity 1 + F(i-1)F(i) = -beta F(i-1) holds;
     5. the f_i are constant, setting rho = f (beta + 2);
@@ -267,9 +267,6 @@ def candidate_search(params: UniformParams, theta0=Fraction(-1),
     eps = params.eps
     if eps < 3:
         raise ValueError("candidate synthesis requires eccentricity >= 3")
-    theta0, theta1 = Fraction(theta0), Fraction(theta1)
-    if theta0 == theta1:
-        raise ValueError("need theta*_0 != theta*_1")
 
     beta, ratios = None, []
     for i in range(1, eps):
@@ -290,12 +287,11 @@ def candidate_search(params: UniformParams, theta0=Fraction(-1),
     if beta in (-2, -1):
         return SearchResult(None, 1, f"beta = {beta} is excluded")
 
-    theta = [theta0, theta1]
-    total, prod = Fraction(0), Fraction(1)
+    theta = [Fraction(-1), Fraction(0)]
+    prod = Fraction(1)
     for ratio in ratios:
         prod *= -ratio
-        total += prod
-        theta.append(theta1 + (theta1 - theta0) * total)
+        theta.append(theta[-1] + prod)
     if len(set(theta)) != len(theta):
         return SearchResult(None, 3, "theta* values are not distinct")
 

@@ -7,18 +7,19 @@ structure and its verification, the dual adjacency candidate and its
 relation check, the thin modules, the spectrum and the idempotent
 pattern -- are each computed at most once.  ``pipeline`` is the one
 report of the chain: it runs the five stages (uniform, candidate,
-modules, spectrum, qcheck) through one stage runner that records, for
-each, a skip reason, its section, or ``{"error": ...}``.  The other
-views carry what it does not: ``uniform`` the per-level fits and the
-failing level of a given structure, ``candidate`` the chain stopped
-before the modules stage, and ``spectrum`` the dense route, the
-independent cross-check of the module spectrum.  ``_attempt`` is the
-one boundary at which a mathematical rejection becomes a report, and
-``_finish`` emits it and exits.
+modules, spectrum, qcheck) from one table that names the stages each
+needs, and records, for each, a skip reason, its section, or
+``{"error": ...}``.  The other views carry what it does not:
+``uniform`` the per-level fits and the failing level of a given
+structure, ``candidate`` the chain stopped before the modules stage,
+by ``pipeline``'s own candidate stage, and ``spectrum`` the dense
+route, the independent cross-check of the module spectrum.
+``_attempt`` is the one boundary at which a mathematical rejection
+becomes a report, and ``_finish`` emits it and exits.
 
 The command line is parsed by argparse, so the package needs no
 third-party module to run.  Every parser refuses abbreviated options
-and takes --help alone, with no -h.
+and takes --help alone: -h is refused as an unrecognized argument.
 
 Exit codes: 0 when every requested check passes (``pipeline``'s clean
 stage skips included; ``candidate`` exits 1 when it skips synthesis),
@@ -328,9 +329,6 @@ _ORDERINGS = {
     "natural": natural_ordering,
 }
 
-_EPS_SKIP = "candidate synthesis needs eccentricity >= 3, have {}"
-
-
 def _open(input, base, params_file=None) -> _Instance:
     """The instance of a bipartite graph file; anything else is a usage
     error."""
@@ -343,18 +341,17 @@ def _open(input, base, params_file=None) -> _Instance:
     return inst
 
 
-def _candidate_section(inst: _Instance) -> dict:
-    """The candidate report, or why synthesis was skipped.  The
-    parameters are read first, so a bad parameter file is a usage error
-    at every eccentricity, as in the other views."""
-    params, eps = inst.params, inst.ctx.eccentricity
+def _candidate_stage(inst: _Instance):
+    """The candidate stage of ``pipeline``, which the ``candidate`` view
+    runs too: the reason synthesis is skipped, or the candidate section
+    and whether it verifies."""
+    if not inst.verified:
+        return "no verified uniform structure"
+    eps = inst.ctx.eccentricity
     if eps < 3:
-        return {"skipped": _EPS_SKIP.format(eps)}
-    if params is None:
-        return {"skipped": "no uniform structure exists"}
-    if not inst.check.passed:
-        return {"skipped": "uniform parameters do not verify"}
-    return inst.candidate
+        return f"candidate synthesis needs eccentricity >= 3, have {eps}"
+    # verified is True only when accepted and the relation holds
+    return inst.candidate, inst.candidate["verified"] is True
 
 
 @_command(
@@ -394,8 +391,11 @@ def uniform(input, base, params_file, out) -> None:
 )
 def candidate(input, base, params_file, out) -> None:
     """Synthesise a dual adjacency matrix candidate and verify it."""
-    report = _candidate_section(_open(input, base, params_file))
-    _finish(report, report.get("verified"), out)
+    inst = _open(input, base, params_file)
+    result = _attempt(lambda: _candidate_stage(inst))
+    if isinstance(result, str):
+        _finish({"skipped": result}, False, out)
+    _finish(*result, out)
 
 
 @_command(_INPUT, _OUT)
@@ -437,7 +437,6 @@ def pipeline(input, base, apply_fb, params_file, ordering_name,
         except ValueError as exc:
             _fail_usage(str(exc))
     inst = _Instance(g, base, params_file)
-    eps = inst.ctx.eccentricity
     skipped = {}
     report = dict(
         graph={"n": g.n, "m": g.num_edges, "source": input},
@@ -450,53 +449,35 @@ def pipeline(input, base, apply_fb, params_file, ordering_name,
         skipped["all"] = "pipeline requires a bipartite graph"
         _finish(report, False, out)
 
-    # each stage returns a skip reason or its (section, ok); a skipped
-    # stage passes cleanly, the spectrum needs the modules to pass, and
-    # qcheck the three before it
     def uniform_stage():
         section = inst.uniform_section()
         if inst.source:
             section["source"] = inst.source
         return section, inst.verified
 
-    def candidate_stage():
-        if not inst.verified:
-            return "no verified uniform structure"
-        if eps < 3:
-            return _EPS_SKIP.format(eps) + "; stage skipped cleanly"
-        # verified is True only when accepted and the relation holds
-        return inst.candidate, inst.candidate["verified"] is True
-
-    def modules_stage():
-        if not inst.verified:
-            return "no verified uniform structure"
-        return inst.modules.to_json(), True
-
-    def spectrum_stage():
-        if no_spectrum:
-            return "disabled"
-        if not passed.get("modules"):
-            return "no module decomposition"
-        return inst.spectrum.to_json(), True
-
-    def qcheck_stage():
-        if no_spectrum:
-            return "disabled"
-        for stage, reason in [("candidate", "no verified candidate"),
-                              ("modules", "no module decomposition"),
-                              ("spectrum", "no spectrum")]:
-            if not passed.get(stage):
-                return reason
-        return inst.orderings(ordering_name)
-
+    # stage, report key, body, and the stages it needs, each with the
+    # reason it is skipped when that stage has not passed; a body returns
+    # a skip reason or its (section, ok), and a skipped stage passes
+    # cleanly
+    stages = [
+        ("uniform", "uniform", uniform_stage, []),
+        ("candidate", "candidate", lambda: _candidate_stage(inst), []),
+        ("modules", "modules", lambda: (inst.modules.to_json(), True),
+         [("uniform", "no verified uniform structure")]),
+        ("spectrum", "spectrum", lambda: (inst.spectrum.to_json(), True),
+         [("modules", "no module decomposition")]),
+        ("qcheck", "ordering", lambda: inst.orderings(ordering_name),
+         [("candidate", "no verified candidate"),
+          ("modules", "no module decomposition"),
+          ("spectrum", "no spectrum")]),
+    ]
     clock, passed = {}, {}
-    for name, key, stage in [("uniform", "uniform", uniform_stage),
-                             ("candidate", "candidate", candidate_stage),
-                             ("modules", "modules", modules_stage),
-                             ("spectrum", "spectrum", spectrum_stage),
-                             ("qcheck", "ordering", qcheck_stage)]:
+    for name, key, body, needs in stages:
         t0 = time.perf_counter()
-        result = _attempt(stage)
+        unmet = [reason for stage, reason in needs if not passed.get(stage)]
+        if no_spectrum and name in ("spectrum", "qcheck"):
+            unmet.insert(0, "disabled")
+        result = unmet[0] if unmet else _attempt(body)
         if isinstance(result, str):
             skipped[name] = result
         else:
@@ -507,12 +488,22 @@ def pipeline(input, base, apply_fb, params_file, ordering_name,
     _finish(report, all(passed.values()), out)
 
 
+class _Refuse(argparse.Action):
+    """An option that is a usage error wherever it stands, reported
+    before argparse checks the required arguments."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"unrecognized arguments: {option_string}")
+
+
 def _new_parser(make, *args, **kwargs) -> argparse.ArgumentParser:
     """make(*args, **kwargs), a parser that refuses abbreviated options
     and takes --help alone: -h is a usage error."""
     parser = make(*args, allow_abbrev=False, add_help=False, **kwargs)
     parser.add_argument("--help", action="help",
                         help="Show this message and exit.")
+    parser.add_argument("-h", action=_Refuse, nargs=0,
+                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     return parser
 
 

@@ -23,23 +23,30 @@ Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadExt"]
 
 
+def _prime_factors(n: int) -> dict[int, int]:
+    """The prime factorisation {p: exponent} of n >= 1, by trial
+    division."""
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = 1  # leftover prime
+    return factors
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n > 0 as s*s*m with m squarefree; return (s, m)."""
     if n <= 0:
         raise ValueError("squarefree decomposition needs a positive integer")
     s, m = 1, 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            s *= d ** (e // 2)
-            if e % 2:
-                m *= d
-        d += 1 if d == 2 else 2
-    m *= n  # leftover prime
+    for p, e in _prime_factors(n).items():
+        s *= p ** (e // 2)
+        if e % 2:
+            m *= p
     return s, m
 
 
@@ -220,24 +227,14 @@ def rational_power(base, exponent) -> Scalar:
     if base <= 0:
         raise ValueError(f"fractional power of non-positive base {base}")
 
-    factors: dict[int, int] = {}
-
-    def accumulate(n: int, sign: int) -> None:
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                factors[d] = factors.get(d, 0) + sign
-                n //= d
-            d += 1 if d == 2 else 2
-        if n > 1:
-            factors[n] = factors.get(n, 0) + sign
-
-    accumulate(base.numerator, 1)
-    accumulate(base.denominator, -1)
+    # numerator and denominator are coprime: no prime is in both
+    factors = _prime_factors(base.numerator)
+    for p, a in _prime_factors(base.denominator).items():
+        factors[p] = -a
 
     rat = Fraction(1)
     radicand = 1
-    for p, a in sorted(factors.items()):
+    for p, a in factors.items():
         e = a * exponent
         if e.denominator == 1:
             rat *= Fraction(p) ** int(e)

@@ -86,6 +86,14 @@ from .uniform import Decomposition
 # -- closed forms --------------------------------------------------------------
 
 
+def _spectrum_value(b: int, e: Fraction, D: int, i: int) -> Scalar:
+    """theta_i = kappa (b^((D-i)/2) - b^((i-D)/2)) of the (b, e, D)
+    full bipartite dual polar instance, kappa = b^((D+e)/2)/(b-1)."""
+    kappa = rational_power(b, (D + e) / 2) / (b - 1)
+    return kappa * (rational_power(b, Fraction(D - i, 2))
+                    - rational_power(b, Fraction(i - D, 2)))
+
+
 def closed_form_spectrum(b: int, e, D: int) -> list[Scalar]:
     """theta_0 > ... > theta_{2D} for the (b, e, D) full bipartite dual
     polar instance; ValueError when the values leave Q(sqrt(m)).
@@ -99,13 +107,7 @@ def closed_form_spectrum(b: int, e, D: int) -> list[Scalar]:
     e = Fraction(e)
     if e == 0:
         return [Fraction(b ** (D - j) - b ** j, b - 1) for j in range(D + 1)]
-    kappa = rational_power(b, (D + e) / 2) / (b - 1)
-    out = []
-    for i in range(2 * D + 1):
-        term = rational_power(b, Fraction(D - i, 2)) \
-            - rational_power(b, Fraction(i - D, 2))
-        out.append(kappa * term)
-    return out
+    return [_spectrum_value(b, e, D, i) for i in range(2 * D + 1)]
 
 
 def module_eigenvalues(b: int, e, D: int, d: int) -> list[Scalar]:
@@ -116,13 +118,7 @@ def module_eigenvalues(b: int, e, D: int, d: int) -> list[Scalar]:
     if d < 0:
         raise ValueError("need d >= 0")
     e = Fraction(e)
-    kappa = rational_power(b, (D + e) / 2) / (b - 1)
-    out = []
-    for j in range(d + 1):
-        term = rational_power(b, Fraction(d - 2 * j, 2)) \
-            - rational_power(b, Fraction(2 * j - d, 2))
-        out.append(kappa * term)
-    return out
+    return [_spectrum_value(b, e, D, D - d + 2 * j) for j in range(d + 1)]
 
 
 def krawtchouk_charpoly(x_scalars: Sequence) -> list[Poly]:

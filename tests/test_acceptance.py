@@ -121,7 +121,7 @@ def test_criterion_2_uniform_verification(instance):
 
 def test_criterion_3_candidate_synthesis(instance):
     with criterion(3, "candidate synthesis + exact tridiagonal relation", 60):
-        result = candidate_search(instance["params"], Fraction(-1), Fraction(0))
+        result = candidate_search(instance["params"])
         assert result.accepted
         cand = result.candidate
         assert cand.theta_star == (-1, 0, Fraction(1, 2), Fraction(3, 4))

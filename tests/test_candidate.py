@@ -353,17 +353,6 @@ def test_candidate_search_rejections(em, ep, f, step, reason):
     assert (res.rejected_step, res.reason) == (step, reason)
 
 
-def test_candidate_search_affine_in_the_seeds(dp_params):
-    base = candidate_search(dp_params, -1, 0).candidate.theta_star
-    scaled = candidate_search(dp_params, -1 * 3 + 5, 0 * 3 + 5)
-    assert scaled.candidate.theta_star == tuple(3 * b + 5 for b in base)
-
-
-def test_candidate_search_requires_distinct_seeds(dp_params):
-    with pytest.raises(ValueError):
-        candidate_search(dp_params, 1, 1)
-
-
 def test_candidate_search_dual_polar(dp_params):
     res = candidate_search(dp_params)
     assert res.accepted
@@ -372,14 +361,6 @@ def test_candidate_search_dual_polar(dp_params):
     assert cand.beta == Fraction(5, 2)
     assert cand.gamma == 0
     assert cand.rho == 36
-
-
-def test_candidate_search_beta_rho_independent_of_seeds(dp_params):
-    for t0, t1 in [(-1, 0), (0, 1), (Fraction(1, 3), 7)]:
-        res = candidate_search(dp_params, t0, t1)
-        assert res.accepted
-        assert res.candidate.beta == Fraction(5, 2)
-        assert res.candidate.rho == 36
 
 
 def test_candidate_search_c6_rejected(cycle6):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -713,7 +714,10 @@ OPTIONS = {
 
 
 def test_cli_options_are_pinned():
+    # --help, and the suppressed -h that only refuses itself, are on
+    # every parser
     _, commands = _parsers("uniformq")
     assert {name: ["/".join(a.option_strings) for a in parser._actions
-                   if a.option_strings and a.option_strings != ["--help"]]
+                   if a.option_strings and a.option_strings != ["--help"]
+                   and a.help != argparse.SUPPRESS]
             for name, parser in commands.items()} == OPTIONS

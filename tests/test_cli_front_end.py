@@ -1,7 +1,8 @@
 """The command-line front end without the test runner's help: the import
 of ``uniformq.cli`` stays light, the console-script entry point reads
 ``sys.argv``, and every parser refuses what it does not define, an
-abbreviated option or ``-h`` included, with exit 2 and no report."""
+abbreviated option or ``-h`` included, with exit 2, no report and an
+error that names it."""
 
 from __future__ import annotations
 
@@ -39,14 +40,18 @@ def test_console_script_reads_sys_argv(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "8 12"
 
 
-@pytest.mark.parametrize("argv", [
-    ["fb", "g.el", "--ba", "3"],
-    ["pipeline", "g.el", "--no-spec"],
-    ["-h"],
-    ["gen", "-h"],
-], ids=["abbreviated-base", "abbreviated-no-spectrum", "h", "gen-h"])
+# -h is named before argparse looks for the missing COMMAND, the missing
+# family and --D, or a missing input file
+@pytest.mark.parametrize("argv, unknown", [
+    (["fb", "g.el", "--ba", "3"], "--ba 3"),
+    (["pipeline", "g.el", "--no-spec"], "--no-spec"),
+    (["-h"], "-h"),
+    (["gen", "-h"], "-h"),
+    (["pipeline", "missing.el", "-h"], "-h"),
+], ids=["abbreviated-base", "abbreviated-no-spectrum", "h", "gen-h",
+        "pipeline-h"])
 def test_undefined_options_are_usage_errors(tmp_path, monkeypatch, capsys,
-                                            argv):
+                                            argv, unknown):
     monkeypatch.chdir(tmp_path)
     Path("g.el").write_text("2 1\n0 1\n")
     with pytest.raises(SystemExit) as exc:
@@ -54,6 +59,7 @@ def test_undefined_options_are_usage_errors(tmp_path, monkeypatch, capsys,
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage: uniformq")
+    assert err.endswith(f"error: unrecognized arguments: {unknown}\n")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["pipeline", "--help"]],

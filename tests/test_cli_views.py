@@ -22,15 +22,16 @@ from uniformq.graphs import format_edge_list, full_bipartite
 GRAPHS = {name: build for name, (build, _) in INSTANCES.items()}
 GRAPHS["c32fb"] = lambda: full_bipartite(dual_polar(FormSpec("C", 3, 2))[0], 0)
 
-# the sections each instance's views share with its pipeline: C_2(3) fb
-# has eccentricity 2, so it reaches no candidate; tree7 has no uniform
-# structure, so it has no modules and no spectrum
+# the sections each instance's views share with its pipeline: tree7 has
+# no uniform structure, so it has no modules and no spectrum; the
+# candidate view reports pipeline's candidate section or its skip reason
+# on every instance
 ALL = {"candidate", "uniform", "spectrum"}
 COMPARED = {
     "cycle6": ALL,
-    "tree7": {"uniform"},
+    "tree7": {"uniform", "candidate"},
     "q4": ALL,
-    "c23fb": {"uniform", "spectrum"},
+    "c23fb": ALL,
     "h43fb": ALL,
     "c32fb": ALL,
 }
@@ -66,10 +67,11 @@ def test_views_agree_with_pipeline(name, tmp_path):
             == _without(full["uniform"], PIPELINE_ONLY))
 
     view = _report("candidate", graph)
-    assert ("candidate" in full) == ("skipped" not in view)
     if "candidate" in full:
         assert view == full["candidate"]
-        compared.add("candidate")
+    else:
+        assert view == {"skipped": full["skipped"]["candidate"]}
+    compared.add("candidate")
 
     # the spectrum view takes the dense route; the pipeline reads its
     # spectrum off the certified modules
